@@ -22,6 +22,7 @@
 
 #include "BenchCommon.h"
 
+#include "profiler/EventStream.h"
 #include "support/Format.h"
 #include "support/Table.h"
 #include "vm/VirtualMachine.h"
@@ -33,18 +34,20 @@ using namespace jdrag::vm;
 
 namespace {
 
-/// Collects reachable-bytes samples at every GC.
-class FootprintObserver : public VMObserver {
+/// Sums the reachable bytes of every streamed GCEnd record.
+class FootprintConsumer : public profiler::EventConsumer {
 public:
-  std::uint64_t Sum = 0, Count = 0, GCs = 0;
-  void onGCEnd(ByteTime, std::uint64_t ReachableBytes,
-               std::uint64_t) override {
-    Sum += ReachableBytes;
-    ++Count;
+  std::uint64_t Sum = 0, GCs = 0;
+  void onSite(profiler::SiteId,
+              std::span<const profiler::SiteFrame>) override {}
+  void onEvent(const profiler::EventRecord &E) override {
+    if (E.kind() != profiler::EventKind::GCEnd)
+      return;
+    Sum += E.Arg0; // reachable bytes
     ++GCs;
   }
   double meanKB() const {
-    return Count ? static_cast<double>(Sum) / Count / 1024.0 : 0;
+    return GCs ? static_cast<double>(Sum) / GCs / 1024.0 : 0;
   }
 };
 
@@ -55,9 +58,10 @@ struct Footprint {
 
 Footprint measure(const ir::Program &P,
                   const std::vector<std::int64_t> &Inputs, bool Gen) {
-  FootprintObserver Obs;
+  FootprintConsumer Footprints;
+  profiler::DispatchSink Sink(Footprints);
   VMOptions Opts;
-  Opts.Observer = &Obs;
+  Opts.Sink = &Sink;
   if (Gen) {
     Opts.Generational.Enabled = true;
     Opts.Generational.NurseryBytes = 256 * KB;
@@ -72,7 +76,7 @@ Footprint measure(const ir::Program &P,
     std::fprintf(stderr, "run failed: %s\n", Err.c_str());
     std::exit(1);
   }
-  return {Obs.meanKB(), Obs.GCs};
+  return {Footprints.meanKB(), Footprints.GCs};
 }
 
 } // namespace

@@ -90,7 +90,7 @@ void BM_InterpreterPlain(benchmark::State &State) {
 }
 BENCHMARK(BM_InterpreterPlain)->Arg(10000);
 
-/// Observer-overhead ladder, step 2 of 3: the VM emits, encodes and
+/// Instrumentation-overhead ladder, step 2 of 3: the VM emits, encodes and
 /// chunks every event but the sink discards the bytes -- isolating the
 /// pure event-production cost from the consumer (compare against
 /// BM_InterpreterPlain below it and BM_InterpreterProfiled above it).
@@ -112,79 +112,10 @@ void BM_InterpreterNullSink(benchmark::State &State) {
 }
 BENCHMARK(BM_InterpreterNullSink)->Arg(10000);
 
-/// Hot-path ladder, dispatch rung: the null-sink run on the portable
-/// `switch` loop instead of computed-goto threading. The delta against
-/// BM_InterpreterNullSink is what threaded dispatch buys; the streams
-/// are bit-identical either way (docs/vm-hotpath.md).
-void BM_InterpreterSwitchDispatch(benchmark::State &State) {
-  Program P = buildHotLoop();
-  std::int64_t Iters = State.range(0);
-  for (auto _ : State) {
-    profiler::NullSink Sink;
-    VMOptions Opts;
-    Opts.DeepGCIntervalBytes = 100 * KB;
-    Opts.Sink = &Sink;
-    Opts.Dispatch = DispatchMode::Switch;
-    VirtualMachine VM(P, Opts);
-    VM.setInputs({Iters});
-    if (VM.run() != Interpreter::Status::Ok)
-      std::abort();
-    benchmark::DoNotOptimize(Sink.bytesDiscarded());
-  }
-  State.SetItemsProcessed(State.iterations() * Iters);
-}
-BENCHMARK(BM_InterpreterSwitchDispatch)->Arg(10000);
-
-/// Hot-path ladder, emission rung: the null-sink run with the per-pc
-/// site-id/callee-context inline caches disabled, forcing every event
-/// through the context-trie probe. The delta against
-/// BM_InterpreterNullSink is what the caches save.
-void BM_InterpreterNoSiteCache(benchmark::State &State) {
-  Program P = buildHotLoop();
-  std::int64_t Iters = State.range(0);
-  for (auto _ : State) {
-    profiler::NullSink Sink;
-    VMOptions Opts;
-    Opts.DeepGCIntervalBytes = 100 * KB;
-    Opts.Sink = &Sink;
-    Opts.SiteInlineCache = false;
-    VirtualMachine VM(P, Opts);
-    VM.setInputs({Iters});
-    if (VM.run() != Interpreter::Status::Ok)
-      std::abort();
-    benchmark::DoNotOptimize(Sink.bytesDiscarded());
-  }
-  State.SetItemsProcessed(State.iterations() * Iters);
-}
-BENCHMARK(BM_InterpreterNoSiteCache)->Arg(10000);
-
-/// Hot-path ladder, allocation rung: the null-sink run with the
-/// size-class allocation fast path off (every New/NewArray takes the
-/// full slow path: budget check, fresh object, policy checks).
-void BM_InterpreterNoAllocFastPath(benchmark::State &State) {
-  Program P = buildHotLoop();
-  std::int64_t Iters = State.range(0);
-  for (auto _ : State) {
-    profiler::NullSink Sink;
-    VMOptions Opts;
-    Opts.DeepGCIntervalBytes = 100 * KB;
-    Opts.Sink = &Sink;
-    Opts.AllocFastPath = false;
-    VirtualMachine VM(P, Opts);
-    VM.setInputs({Iters});
-    if (VM.run() != Interpreter::Status::Ok)
-      std::abort();
-    benchmark::DoNotOptimize(Sink.bytesDiscarded());
-  }
-  State.SetItemsProcessed(State.iterations() * Iters);
-}
-BENCHMARK(BM_InterpreterNoAllocFastPath)->Arg(10000);
-
 /// The allocator in isolation: rounds of short-lived allocations with a
-/// collection between rounds, so the fast path's size-class free lists
-/// actually recycle. Arg is the fast-path switch (0 = legacy
-/// delete/new, 1 = size-class recycling + slot templates).
-void BM_AllocFastPath(benchmark::State &State) {
+/// collection between rounds, so span records (and their Slots
+/// capacity) actually recycle.
+void BM_HeapAllocRecycle(benchmark::State &State) {
   ProgramBuilder PB;
   MiniJDK J = MiniJDK::build(PB);
   (void)J;
@@ -201,7 +132,6 @@ void BM_AllocFastPath(benchmark::State &State) {
     std::abort();
 
   Heap H(P);
-  H.setFastPathAlloc(State.range(0) != 0);
   ClassId NodeClass = P.findClass("Node");
   constexpr std::int64_t Round = 4096;
   std::int64_t Allocs = 0;
@@ -209,12 +139,12 @@ void BM_AllocFastPath(benchmark::State &State) {
     for (std::int64_t I = 0; I != Round; ++I)
       benchmark::DoNotOptimize(H.allocateObject(NodeClass));
     Allocs += Round;
-    GCStats S = H.collect(); // everything is garbage; refill free lists
+    GCStats S = H.collect(); // everything is garbage; records recycle
     benchmark::DoNotOptimize(S.FreedObjects);
   }
   State.SetItemsProcessed(Allocs);
 }
-BENCHMARK(BM_AllocFastPath)->Arg(0)->Arg(1);
+BENCHMARK(BM_HeapAllocRecycle);
 
 /// The legacy fixed-width wire format on the same null-sink run. The
 /// delta against BM_InterpreterNullSink (which encodes v3 varints) is
@@ -262,29 +192,6 @@ void BM_InterpreterNullSinkAsync(benchmark::State &State) {
   State.SetItemsProcessed(State.iterations() * Iters);
 }
 BENCHMARK(BM_InterpreterNullSinkAsync)->Arg(10000);
-
-/// The integrity tax: the same null-sink run with chunk CRC-32C framing
-/// disabled. The delta against BM_InterpreterNullSink is the whole cost
-/// of checksumming every flushed chunk (EventCrc=false is bench-only;
-/// decoders reject unchecksummed streams).
-void BM_InterpreterNullSinkNoCrc(benchmark::State &State) {
-  Program P = buildHotLoop();
-  std::int64_t Iters = State.range(0);
-  for (auto _ : State) {
-    profiler::NullSink Sink;
-    VMOptions Opts;
-    Opts.DeepGCIntervalBytes = 100 * KB;
-    Opts.Sink = &Sink;
-    Opts.EventCrc = false;
-    VirtualMachine VM(P, Opts);
-    VM.setInputs({Iters});
-    if (VM.run() != Interpreter::Status::Ok)
-      std::abort();
-    benchmark::DoNotOptimize(Sink.bytesDiscarded());
-  }
-  State.SetItemsProcessed(State.iterations() * Iters);
-}
-BENCHMARK(BM_InterpreterNullSinkNoCrc)->Arg(10000);
 
 void BM_InterpreterProfiled(benchmark::State &State) {
   Program P = buildHotLoop();
@@ -470,30 +377,6 @@ void BM_CompressedRecordAsync(benchmark::State &State) {
 BENCHMARK(BM_SampledRecordAsync)->Args({10000, 0});
 BENCHMARK(BM_CompressedRecordAsync)->Args({10000, 0});
 
-/// The trailer-store ladder rung: the same profiled run with the
-/// hash-map trailer store instead of the paged dense array. The delta
-/// against BM_InterpreterProfiled is the hashing cost on the per-Use
-/// consumer hot path.
-void BM_InterpreterProfiledMap(benchmark::State &State) {
-  Program P = buildHotLoop();
-  std::int64_t Iters = State.range(0);
-  for (auto _ : State) {
-    profiler::ProfilerConfig PC;
-    PC.UseDenseTrailers = false;
-    profiler::DragProfiler Prof(P, PC);
-    VMOptions Opts;
-    Opts.DeepGCIntervalBytes = 100 * KB;
-    Prof.attachTo(Opts);
-    VirtualMachine VM(P, Opts);
-    VM.setInputs({Iters});
-    if (VM.run() != Interpreter::Status::Ok)
-      std::abort();
-    benchmark::DoNotOptimize(Prof.log().Records.size());
-  }
-  State.SetItemsProcessed(State.iterations() * Iters);
-}
-BENCHMARK(BM_InterpreterProfiledMap)->Arg(10000);
-
 /// Shared scaffolding for the GC benches: a program with a linked Node
 /// class, and a one-handle root pin.
 Program buildNodeGCProgram() {
@@ -522,11 +405,10 @@ public:
 };
 
 /// GC cost against live-set size: a linked list of `n` nodes survives
-/// each collection. range(0) = list length, range(1) = span backend.
+/// each collection. range(0) = list length.
 void BM_MarkSweepGC(benchmark::State &State) {
   Program P = buildNodeGCProgram();
   Heap H(P);
-  H.setSpanBackend(State.range(1) != 0);
   HeadPin Roots;
   H.addRootSource(&Roots);
   FieldId Next = P.findField(P.findClass("Node"), "next");
@@ -544,25 +426,16 @@ void BM_MarkSweepGC(benchmark::State &State) {
   State.SetItemsProcessed(State.iterations() * N);
   H.removeRootSource(&Roots);
 }
-BENCHMARK(BM_MarkSweepGC)
-    ->Args({1000, 0})
-    ->Args({1000, 1})
-    ->Args({10000, 0})
-    ->Args({10000, 1})
-    ->Args({100000, 0})
-    ->Args({100000, 1});
+BENCHMARK(BM_MarkSweepGC)->Arg(1000)->Arg(10000)->Arg(100000);
 
 /// Minor-collection cost against OLD-generation size. A promoted list
 /// of range(0) nodes sits in the old generation; each iteration churns
 /// a fixed 64 young objects and runs a minor collection. The work a
-/// minor GC does should depend on the young population only: the
-/// legacy backend's sweep walks the whole handle table (so time grows
-/// with range(0)), while the span backend sweeps just the young span
-/// set (time flat in range(0)). range(1) = span backend.
+/// minor GC does should depend on the young population only: the sweep
+/// walks just the young span set, so time should stay flat in range(0).
 void BM_MinorGC(benchmark::State &State) {
   Program P = buildNodeGCProgram();
   Heap H(P);
-  H.setSpanBackend(State.range(1) != 0);
   GenerationalConfig G;
   G.Enabled = true;
   G.PromoteAge = 1;
@@ -589,13 +462,7 @@ void BM_MinorGC(benchmark::State &State) {
   State.SetItemsProcessed(State.iterations());
   H.removeRootSource(&Roots);
 }
-BENCHMARK(BM_MinorGC)
-    ->Args({1000, 0})
-    ->Args({1000, 1})
-    ->Args({10000, 0})
-    ->Args({10000, 1})
-    ->Args({100000, 0})
-    ->Args({100000, 1});
+BENCHMARK(BM_MinorGC)->Arg(1000)->Arg(10000)->Arg(100000);
 
 void BM_SiteInterning(benchmark::State &State) {
   profiler::SiteTable Sites;

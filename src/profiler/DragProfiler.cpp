@@ -32,9 +32,7 @@ void DragProfiler::onSite(SiteId Id, std::span<const SiteFrame> Frames) {
 void DragProfiler::onEvent(const EventRecord &E) {
   switch (E.kind()) {
   case EventKind::Alloc: {
-    Trailer &T = Config.UseDenseTrailers
-                     ? Dense.insert(E.Id)
-                     : Trailers[E.Id];
+    Trailer &T = Trailers.insert(E.Id);
     T.Class = ir::ClassId(static_cast<std::uint32_t>(E.Arg1));
     T.AKind = static_cast<ir::ArrayKind>(E.Sub);
     T.IsArray = E.Flags & 1;
@@ -48,7 +46,7 @@ void DragProfiler::onEvent(const EventRecord &E) {
     break;
   }
   case EventKind::Use: {
-    Trailer *T = findTrailer(E.Id);
+    Trailer *T = Trailers.find(E.Id);
     if (!T)
       break; // VM-internal object (e.g. the preallocated OOM instance)
     bool DuringOwnInit = E.Flags & 1;
@@ -77,12 +75,12 @@ void DragProfiler::onEvent(const EventRecord &E) {
     break;
   case EventKind::Collect:
   case EventKind::Survivor: {
-    Trailer *T = findTrailer(E.Id);
+    Trailer *T = Trailers.find(E.Id);
     if (!T)
       break;
     emitRecord(E.Id, *T, E.Time,
                /*Survived=*/E.kind() == EventKind::Survivor);
-    eraseTrailer(E.Id);
+    Trailers.erase(E.Id);
     break;
   }
   case EventKind::Terminate:
@@ -91,20 +89,6 @@ void DragProfiler::onEvent(const EventRecord &E) {
   case EventKind::DefineSite:
     break; // delivered via onSite
   }
-}
-
-DragProfiler::Trailer *DragProfiler::findTrailer(ObjectId Id) {
-  if (Config.UseDenseTrailers)
-    return Dense.find(Id);
-  auto It = Trailers.find(Id);
-  return It == Trailers.end() ? nullptr : &It->second;
-}
-
-void DragProfiler::eraseTrailer(ObjectId Id) {
-  if (Config.UseDenseTrailers)
-    Dense.erase(Id);
-  else
-    Trailers.erase(Id);
 }
 
 void DragProfiler::emitRecord(ObjectId Id, const Trailer &T, ByteTime Now,

@@ -46,7 +46,6 @@
 #include "vm/VirtualMachine.h"
 
 #include <memory>
-#include <unordered_map>
 #include <unordered_set>
 
 namespace jdrag::profiler {
@@ -63,11 +62,6 @@ struct ProfilerConfig {
   /// Classes whose instances are excluded from the log, mirroring the
   /// paper's exclusion of Class objects and class-reachable specials.
   std::vector<ir::ClassId> ExcludedClasses;
-  /// Keep trailers in a paged dense array indexed by object id (object
-  /// ids are dense and monotonic) instead of a hash map -- no hashing on
-  /// the per-Use hot path. The map fallback exists so the bench ladder
-  /// can measure the difference.
-  bool UseDenseTrailers = true;
 };
 
 /// Receives finished object records as the profiler emits them, instead
@@ -131,9 +125,7 @@ public:
   }
 
   /// Live (not yet logged) object count -- should be 0 after a run.
-  std::size_t liveTrailers() const {
-    return Config.UseDenseTrailers ? Dense.size() : Trailers.size();
-  }
+  std::size_t liveTrailers() const { return Trailers.size(); }
 
   /// High-water mark of liveTrailers() over the run: the O(live objects)
   /// part of the streaming engine's resident state (BENCH_9).
@@ -226,8 +218,6 @@ private:
     std::size_t LiveTotal = 0;
   };
 
-  Trailer *findTrailer(vm::ObjectId Id);
-  void eraseTrailer(vm::ObjectId Id);
   void emitRecord(vm::ObjectId Id, const Trailer &T, ByteTime Now,
                   bool Survived);
   SiteId localSite(SiteId StreamId) const {
@@ -241,10 +231,7 @@ private:
   /// Stream site id -> id in Log.Sites. Stream ids are dense and arrive
   /// in order, so in practice this is the identity map.
   std::vector<SiteId> SiteMap;
-  TrailerTable Dense;
-  /// Hash-map fallback (Config.UseDenseTrailers = false), kept so the
-  /// bench ladder can measure the dense table's win.
-  std::unordered_map<vm::ObjectId, Trailer> Trailers;
+  TrailerTable Trailers;
   std::unordered_set<std::uint32_t> Excluded; ///< class indices
   ByteTime IntervalStart = 0; ///< last deep-GC boundary on the byte clock
   RecordSink *RecSink = nullptr;

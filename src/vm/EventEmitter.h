@@ -8,11 +8,10 @@
 /// EventEmitter is the thin, non-virtual facade the interpreter and heap
 /// use to produce the binary instrumentation stream. It owns the hot-path
 /// optimisation that motivates the pipeline: instead of capturing a call
-/// chain on every allocation/use (the old VMObserver contract), the
-/// interpreter maintains a *call-context trie* -- one node per distinct
-/// call path, computed incrementally with a single hash lookup at frame
-/// push -- and an event's nested site is the trie child of (context,
-/// method, pc). The chain is materialised, interned and emitted as a
+/// chain on every allocation/use, the interpreter maintains a
+/// *call-context trie* -- one node per distinct call path, computed
+/// incrementally with a single hash lookup at frame push -- and an
+/// event's nested site is the trie child of (context, method, pc). The chain is materialised, interned and emitted as a
 /// DefineSite record only the first time a given site occurs; every later
 /// occurrence costs one cached 4-byte SiteId.
 ///
@@ -40,8 +39,6 @@ public:
     std::uint32_t SiteDepth = 4;
     /// Buffer chunk size; 0 = EventBuffer::DefaultChunkBytes.
     std::size_t ChunkBytes = 0;
-    /// CRC-32C chunk framing (see EventBuffer); off is bench-only.
-    bool Checksum = true;
     /// Record encoding of the produced stream (see WireFormat).
     profiler::WireFormat Format = profiler::DefaultWireFormat;
     /// Size-weighted allocation sampling (SampleBytes 0 = exact mode).

@@ -1,16 +1,17 @@
-//===- vm/Events.h - VM observation interface -------------------*- C++ -*-===//
+//===- vm/Events.h - VM event vocabulary ------------------------*- C++ -*-===//
 //
 // Part of jdrag (PLDI 2001 "Heap Profiling for Space-Efficient Java").
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// VMObserver is the instrumentation seam: the drag profiler implements it
-/// to receive the exact event set the paper's instrumented JVM hooks --
-/// object creation, the five kinds of object use (getfield, putfield,
-/// invocation, monitor enter/exit, native handle dereference; we add array
-/// element access, which dereferences the array's handle), GC completion,
-/// object reclamation, and end-of-program survivor enumeration.
+/// Shared vocabulary of the VM's instrumentation events. The events are
+/// the exact set the paper's instrumented JVM hooks -- object creation,
+/// the five kinds of object use (getfield, putfield, invocation, monitor
+/// enter/exit, native handle dereference; we add array element access,
+/// which dereferences the array's handle), GC completion, object
+/// reclamation, and end-of-program survivor enumeration -- and the VM
+/// streams them through EventEmitter (vm/EventEmitter.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,11 +22,7 @@
 #include "support/Units.h"
 #include "vm/Value.h"
 
-#include <span>
-
 namespace jdrag::vm {
-
-class HeapObject;
 
 /// One frame of a captured call chain (innermost first).
 struct CallFrameRef {
@@ -53,67 +50,6 @@ static_assert(static_cast<std::size_t>(UseKind::Throw) + 1 == NumUseKinds,
               "update NumUseKinds (and useKindName) when adding a UseKind");
 
 const char *useKindName(UseKind K);
-
-/// Instrumentation callbacks. All default to no-ops so observers override
-/// only what they need. Chains are innermost-frame-first and only valid
-/// during the callback.
-class VMObserver {
-public:
-  virtual ~VMObserver();
-
-  /// A new object was allocated (before its constructor runs). \p Now is
-  /// the byte clock including the new object's bytes.
-  virtual void onAllocate(ObjectId Id, Handle H, const HeapObject &Obj,
-                          std::span<const CallFrameRef> Chain, ByteTime Now) {
-    (void)Id;
-    (void)H;
-    (void)Obj;
-    (void)Chain;
-    (void)Now;
-  }
-
-  /// An object was used. \p DuringOwnInit is true while the use happens
-  /// inside the object's own constructor (or is the constructor
-  /// invocation itself); the paper treats constructor-only uses as
-  /// never-used (section 3.4, pattern 1).
-  virtual void onUse(ObjectId Id, UseKind Kind,
-                     std::span<const CallFrameRef> Chain, bool DuringOwnInit,
-                     ByteTime Now) {
-    (void)Id;
-    (void)Kind;
-    (void)Chain;
-    (void)DuringOwnInit;
-    (void)Now;
-  }
-
-  /// A GC cycle finished; \p ReachableBytes/Objects describe what survived.
-  virtual void onGCEnd(ByteTime Now, std::uint64_t ReachableBytes,
-                       std::uint64_t ReachableObjects) {
-    (void)Now;
-    (void)ReachableBytes;
-    (void)ReachableObjects;
-  }
-
-  /// A deep GC (GC + finalization + GC, section 2.1.1) finished.
-  virtual void onDeepGCEnd(ByteTime Now) { (void)Now; }
-
-  /// \p Obj was found unreachable and is being reclaimed.
-  virtual void onCollect(ObjectId Id, const HeapObject &Obj, ByteTime Now) {
-    (void)Id;
-    (void)Obj;
-    (void)Now;
-  }
-
-  /// \p Obj survived the final deep GC at program termination.
-  virtual void onSurvivor(ObjectId Id, const HeapObject &Obj, ByteTime Now) {
-    (void)Id;
-    (void)Obj;
-    (void)Now;
-  }
-
-  /// The program (including the final deep GC) is done.
-  virtual void onTerminate(ByteTime Now) { (void)Now; }
-};
 
 } // namespace jdrag::vm
 

@@ -12,7 +12,6 @@ using namespace jdrag;
 using namespace jdrag::vm;
 
 RootSource::~RootSource() = default;
-VMObserver::~VMObserver() = default;
 
 namespace {
 constexpr const char *UseKindNames[] = {
@@ -27,51 +26,27 @@ const char *jdrag::vm::useKindName(UseKind K) {
   return I < NumUseKinds ? UseKindNames[I] : "?";
 }
 
-Heap::Heap(const ir::Program &P) : P(P) {
+Heap::Heap(const ir::Program &P)
+    : P(P), Store(std::make_unique<SpanStore>()) {
   Templates.resize(P.Classes.size());
-  if (Spans)
-    Store = std::make_unique<SpanStore>();
 }
 
-Heap::~Heap() {
-  if (Spans)
-    return; // SpanStore owns and destroys every record
-  for (HeapObject *Obj : Table)
-    delete Obj;
-  for (auto &L : FreeLists)
-    for (HeapObject *Obj : L)
-      delete Obj;
-}
-
-void Heap::setSpanBackend(bool On) {
-  assert(Table.empty() && AllocatedTotal == 0 &&
-         "backend selection must precede the first allocation");
-  if (On == Spans)
-    return;
-  Spans = On;
-  Store = On ? std::make_unique<SpanStore>() : nullptr;
-}
+Heap::~Heap() = default; // SpanStore owns and destroys every record
 
 HeapObject *Heap::spanAcquire(unsigned SizeClass) {
   return Store->acquire(SizeClass, /*Old=*/false);
 }
 
-void Heap::rememberContainer(HeapObject &Obj) {
-  if (Spans)
-    Store->remember(Obj);
-  else
-    RememberedSet.insert(Obj.Self);
-}
+void Heap::rememberContainer(HeapObject &Obj) { Store->remember(Obj); }
 
 std::size_t Heap::rememberedSetSize() const {
-  return Spans ? static_cast<std::size_t>(Store->rememberedCount())
-               : RememberedSet.size();
+  return static_cast<std::size_t>(Store->rememberedCount());
 }
 
 void Heap::buildTemplate(ir::ClassId C, const ir::ClassInfo &CI,
                          ClassTemplate &T) {
-  // Same image the slow path produces: default (Int 0) slots overlaid
-  // with the declared kind's zero, walking the super chain.
+  // Default (Int 0) slots overlaid with the declared kind's zero,
+  // walking the super chain.
   T.ZeroSlots.resize(CI.NumInstanceSlots);
   for (ir::ClassId Cur = C; Cur.isValid(); Cur = P.classOf(Cur).Super)
     for (ir::FieldId F : P.classOf(Cur).DeclaredInstanceFields) {
@@ -79,44 +54,6 @@ void Heap::buildTemplate(ir::ClassId C, const ir::ClassInfo &CI,
       T.ZeroSlots[FI.Slot] = Value::zeroOf(FI.Kind);
     }
   T.Built = true;
-}
-
-Handle Heap::allocateObjectSlow(ir::ClassId C) {
-  const ir::ClassInfo &CI = P.classOf(C);
-  // Under the span backend the record may be recycled, so the slot
-  // image is rebuilt with assign (identical to resize on a fresh
-  // record, and it scrubs any previous occupant's values).
-  HeapObject *Obj =
-      Spans ? spanAcquire(sizeClassOf(CI.NumInstanceSlots)) : new HeapObject();
-  Obj->Class = C;
-  Obj->IsArray = false;
-  Obj->AccountedBytes = CI.InstanceAccountedBytes;
-  Obj->Id = NextObjectId++;
-  Obj->Slots.assign(CI.NumInstanceSlots, Value());
-  // Zero fields by declared kind, walking the super chain.
-  for (ir::ClassId Cur = C; Cur.isValid(); Cur = P.classOf(Cur).Super)
-    for (ir::FieldId F : P.classOf(Cur).DeclaredInstanceFields) {
-      const ir::FieldInfo &FI = P.fieldOf(F);
-      Obj->Slots[FI.Slot] = Value::zeroOf(FI.Kind);
-    }
-  AllocatedTotal += Obj->AccountedBytes;
-  LiveBytes += Obj->AccountedBytes;
-  ++LiveObjects;
-  return newHandle(Obj);
-}
-
-Handle Heap::allocateArraySlow(ir::ArrayKind K, std::uint32_t Len) {
-  HeapObject *Obj = Spans ? spanAcquire(sizeClassOf(Len)) : new HeapObject();
-  Obj->Class = ir::ClassId();
-  Obj->IsArray = true;
-  Obj->AKind = K;
-  Obj->AccountedBytes = ir::Program::arrayAccountedBytes(K, Len);
-  Obj->Id = NextObjectId++;
-  Obj->Slots.assign(Len, Value::zeroOf(ir::elementValueKind(K)));
-  AllocatedTotal += Obj->AccountedBytes;
-  LiveBytes += Obj->AccountedBytes;
-  ++LiveObjects;
-  return newHandle(Obj);
 }
 
 void Heap::removeRootSource(RootSource *S) {
@@ -131,8 +68,7 @@ void Heap::mark(Handle H, std::vector<Handle> &Stack) {
   if (Obj.Marked)
     return;
   Obj.Marked = true;
-  if (Obj.Owner)
-    SpanStore::setMark(Obj); // mirror into the span bitmap for the sweep
+  SpanStore::setMark(Obj); // mirror into the span bitmap for the sweep
   Stack.push_back(H);
 }
 
@@ -173,22 +109,12 @@ GCStats Heap::collect() {
   // reachable totals are NOT re-accumulated object by object: every
   // survivor stays in LiveObjects/LiveBytes (maintained at allocate and
   // free), so the sweep's per-object bookkeeping reduces to clearing
-  // the mark bit. Both backends funnel dead candidates through
-  // reclaimOrResurrect in ascending handle-index order (the observable
-  // contract; docs/heap.md).
-  if (Spans)
-    sweepSpans(Stats, /*Minor=*/false);
-  else
-    sweepTable(Stats, /*Minor=*/false);
+  // the mark bit. Dead candidates funnel through reclaimOrResurrect in
+  // ascending handle-index order (the observable contract; docs/heap.md).
+  sweepSpans(Stats, /*Minor=*/false);
   Stats.ReachableObjects = LiveObjects;
   Stats.ReachableBytes = LiveBytes;
 
-  if (!Spans)
-    shrinkRememberedSet();
-
-  if (Observer)
-    Observer->onGCEnd(AllocatedTotal, Stats.ReachableBytes,
-                      Stats.ReachableObjects);
   if (Emitter)
     Emitter->gcEnd(AllocatedTotal, Stats.ReachableBytes,
                    Stats.ReachableObjects);
@@ -211,36 +137,17 @@ void Heap::reclaimOrResurrect(std::uint32_t Index, GCStats &Stats) {
     return; // still waiting for its finalizer to run; keep it
   ++Stats.FreedObjects;
   Stats.FreedBytes += Obj->AccountedBytes;
-  if (Observer)
-    Observer->onCollect(Obj->Id, *Obj, AllocatedTotal);
   if (Emitter && Obj->Sampled)
     Emitter->collect(Obj->Id, AllocatedTotal);
   free(Index);
-}
-
-void Heap::sweepTable(GCStats &Stats, bool Minor) {
-  for (std::uint32_t Index = 0, E = static_cast<std::uint32_t>(Table.size());
-       Index != E; ++Index) {
-    HeapObject *Obj = Table[Index];
-    if (!Obj || (Minor && Obj->Old))
-      continue;
-    if (Obj->Marked) {
-      Obj->Marked = false;
-      if (Minor && ++Obj->Age >= Gen.PromoteAge)
-        Obj->Old = true;
-      continue;
-    }
-    reclaimOrResurrect(Index, Stats);
-  }
 }
 
 void Heap::sweepSpans(GCStats &Stats, bool Minor) {
   // Pass 1: scan span bitmaps. Survivors are handled in place (clear
   // the mark; on a minor cycle age and, past PromoteAge, move to an old
   // span). Dead candidates are only GATHERED here -- running the
-  // reclaim protocol in span order would reorder observer events,
-  // finalizer queueing and handle reuse relative to the legacy table
-  // sweep. Promotion appends to the old span set, which this pass never
+  // reclaim protocol in span order would reorder events, finalizer
+  // queueing and handle reuse relative to handle order. Promotion appends to the old span set, which this pass never
   // iterates on a minor cycle (and a major cycle never promotes), so
   // the sets are stable under iteration.
   DeadScratch.clear();
@@ -279,28 +186,15 @@ void Heap::sweepSpans(GCStats &Stats, bool Minor) {
     SweepSet(Store->oldSpans());
 
   // Pass 2: restore the handle table's ordering authority, then run the
-  // exact legacy per-candidate protocol.
+  // per-candidate protocol.
   std::sort(DeadScratch.begin(), DeadScratch.end());
   for (std::uint32_t Index : DeadScratch)
     reclaimOrResurrect(Index, Stats);
 
   // Park fully-empty spans for reuse: keeps future sweeps and card
-  // scans proportional to occupied spans (the span analog of the
-  // legacy remembered-set storage shrink).
+  // scans proportional to occupied spans, and releases the remembered
+  // set's card storage after a burst of old containers dies.
   Store->parkEmptySpans(/*IncludeOld=*/!Minor);
-}
-
-void Heap::shrinkRememberedSet() {
-  // free() erases entries one at a time but unordered_set never gives
-  // buckets back, so a transient spike of old containers would pin the
-  // peak bucket array forever. After a major collection (which empties
-  // or thins the set) rebuild-and-swap when the buckets dwarf the
-  // survivors; rehash(0) is not required to shrink, a fresh set is.
-  if (RememberedSet.bucket_count() > 64 &&
-      RememberedSet.bucket_count() > 4 * (RememberedSet.size() + 1))
-    std::unordered_set<std::uint32_t>(RememberedSet.begin(),
-                                      RememberedSet.end())
-        .swap(RememberedSet);
 }
 
 void Heap::markYoung(Handle H, std::vector<Handle> &Stack) {
@@ -310,8 +204,7 @@ void Heap::markYoung(Handle H, std::vector<Handle> &Stack) {
   if (Obj.Marked || Obj.Old)
     return; // old objects are covered by the remembered set
   Obj.Marked = true;
-  if (Obj.Owner)
-    SpanStore::setMark(Obj); // mirror into the span bitmap for the sweep
+  SpanStore::setMark(Obj); // mirror into the span bitmap for the sweep
   Stack.push_back(H);
 }
 
@@ -332,9 +225,9 @@ GCStats Heap::collectMinor() {
     S->visitRoots(Visit);
   for (Handle H : PendingQueue)
     markYoung(H, Stack);
-  // Remembered-set scan. Iteration order differs between the backends
-  // (hash order vs card order) but cannot be observed: marking is an
-  // order-insensitive fixed point and only the sweep emits events.
+  // Remembered-set scan in card order. The order cannot be observed:
+  // marking is an order-insensitive fixed point and only the sweep
+  // emits events.
   auto ScanRemembered = [&](const HeapObject &Old) {
     if (Old.isArray()) {
       if (Old.AKind == ir::ArrayKind::Ref)
@@ -346,26 +239,18 @@ GCStats Heap::collectMinor() {
       if (V.Kind == ir::ValueKind::Ref)
         markYoung(V.asRef(), Stack);
   };
-  if (Spans) {
-    // Card bits are cleared on free, so every set bit is a live old
-    // container -- no dead-entry skip needed.
-    for (const HeapSpan *S : Store->oldSpans())
-      for (std::size_t W = 0; W != HeapSpan::BitmapWords; ++W) {
-        std::uint64_t Cards = S->CardBits[W] & S->AllocBits[W];
-        while (Cards) {
-          std::uint32_t Slot =
-              static_cast<std::uint32_t>(W * 64 + std::countr_zero(Cards));
-          Cards &= Cards - 1;
-          ScanRemembered(S->Records[Slot]);
-        }
+  // Card bits are cleared on free, so every set bit is a live old
+  // container -- no dead-entry skip needed.
+  for (const HeapSpan *S : Store->oldSpans())
+    for (std::size_t W = 0; W != HeapSpan::BitmapWords; ++W) {
+      std::uint64_t Cards = S->CardBits[W] & S->AllocBits[W];
+      while (Cards) {
+        std::uint32_t Slot =
+            static_cast<std::uint32_t>(W * 64 + std::countr_zero(Cards));
+        Cards &= Cards - 1;
+        ScanRemembered(S->Records[Slot]);
       }
-  } else {
-    for (std::uint32_t Index : RememberedSet) {
-      if (!Table[Index])
-        continue;
-      ScanRemembered(*Table[Index]);
     }
-  }
 
   while (!Stack.empty()) {
     Handle H = Stack.back();
@@ -385,19 +270,13 @@ GCStats Heap::collectMinor() {
   // Sweep the nursery; age and promote survivors. Like collect(), the
   // reachable totals come from the maintained LiveObjects/LiveBytes
   // counters after the frees, not from per-object accumulation. The
-  // span sweep touches only young spans -- this is the point of the
-  // generation-segregated span sets (the legacy walk visits the whole
-  // handle table no matter how small the nursery is).
-  if (Spans)
-    sweepSpans(Stats, /*Minor=*/true);
-  else
-    sweepTable(Stats, /*Minor=*/true);
+  // sweep touches only young spans -- the point of the
+  // generation-segregated span sets (a handle-table walk would visit
+  // the whole heap no matter how small the nursery is).
+  sweepSpans(Stats, /*Minor=*/true);
   Stats.ReachableObjects = LiveObjects;
   Stats.ReachableBytes = LiveBytes;
 
-  if (Observer)
-    Observer->onGCEnd(AllocatedTotal, Stats.ReachableBytes,
-                      Stats.ReachableObjects);
   if (Emitter)
     Emitter->gcEnd(AllocatedTotal, Stats.ReachableBytes,
                    Stats.ReachableObjects);
@@ -432,38 +311,18 @@ void Heap::free(std::uint32_t Index) {
   HeapObject *Obj = Table[Index];
   LiveBytes -= Obj->AccountedBytes;
   --LiveObjects;
-  if (Spans) {
-    // Returns the record (and its card/mark bits) to its span; the
-    // record stays constructed so its Slots capacity is recycled.
-    Store->release(*Obj);
-  } else if (FastPath) {
-    FreeLists[sizeClassOf(Obj->Slots.size())].push_back(Obj);
-  } else {
-    delete Obj;
-  }
+  // Returns the record (and its card/mark bits) to its span; the record
+  // stays constructed so its Slots capacity is recycled.
+  Store->release(*Obj);
   Table[Index] = nullptr;
   FreeHandles.push_back(Index);
-  if (!Spans && !RememberedSet.empty())
-    RememberedSet.erase(Index);
 }
 
 HeapOccupancy Heap::occupancy() const {
   HeapOccupancy O;
   O.HandleSlots = Table.size();
   O.FreeHandleSlots = FreeHandles.size();
-  if (Spans) {
-    Store->fillOccupancy(O);
-    return O;
-  }
-  O.RememberedEntries = RememberedSet.size();
-  O.RememberedCapacity = RememberedSet.bucket_count();
-  for (unsigned C = 0; C != NumSizeClasses; ++C)
-    if (!FreeLists[C].empty()) {
-      HeapOccupancyRow R;
-      R.SizeClass = C;
-      R.FreeRecords = FreeLists[C].size();
-      O.Rows.push_back(R);
-    }
+  Store->fillOccupancy(O);
   return O;
 }
 

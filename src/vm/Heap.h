@@ -13,25 +13,18 @@
 /// whose class has a finalizer is resurrected onto a pending queue, its
 /// finalizer runs (driven by the VM), and the next GC reclaims it.
 ///
-/// Allocation has a fast path (docs/vm-hotpath.md): reclaimed
-/// HeapObjects are recycled through size-class free lists (the tcmalloc
-/// idea: freed storage is bucketed by size so a later allocation of a
-/// similar size reuses it without touching the system allocator), and
-/// instance zeroing copies a per-class precomputed slot template instead
-/// of walking the super chain per allocation. The fast path changes no
-/// observable behavior: object ids, the byte clock, GC scheduling and
-/// the emitted event stream are bit-identical with it on or off.
-///
-/// Object storage itself is pluggable (docs/heap.md). The default page-
-/// span backend carves fixed-size page runs from a growable arena; each
-/// span holds HeapObject records of one size class under per-span
-/// allocation/mark bitmaps, young and old generations live in disjoint
-/// span sets (so a minor sweep touches only young spans), and the
-/// remembered set is a card-style bitmap over old spans. The legacy
-/// new/delete-per-object backend is retained as the differential
-/// baseline; both produce bit-identical observable behavior because the
-/// handle table stays the sweep-ordering authority (spans only
-/// accelerate storage and dead-object discovery).
+/// Object storage is page spans (docs/heap.md): fixed-size page runs
+/// carved from a growable arena, each holding HeapObject records of one
+/// size class under per-span allocation/mark bitmaps. Reclaimed records
+/// stay in their span and are recycled with their Slots capacity (the
+/// tcmalloc idea: storage bucketed by size is reused without touching
+/// the system allocator), and instance zeroing copies a per-class
+/// precomputed slot template instead of walking the super chain per
+/// allocation (docs/vm-hotpath.md). Young and old generations live in
+/// disjoint span sets, so a minor sweep touches only young spans, and
+/// the remembered set is a card-style bitmap over old spans. The handle
+/// table stays the sweep-ordering authority: spans only accelerate
+/// storage and dead-object discovery.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,24 +39,7 @@
 
 #include <bit>
 #include <memory>
-#include <unordered_set>
 #include <vector>
-
-/// Compile-time default for the allocation fast path (CMake option
-/// JDRAG_ALLOC_FASTPATH; the fastpath-off preset turns it off so the
-/// legacy allocator stays exercised in CI). Runs can override it either
-/// way at runtime through VMOptions::AllocFastPath.
-#ifndef JDRAG_ALLOC_FASTPATH_DEFAULT
-#define JDRAG_ALLOC_FASTPATH_DEFAULT 1
-#endif
-
-/// Compile-time default for the page-span heap backend (CMake option
-/// JDRAG_HEAP_SPANS; the heap-spans-off preset turns it off so the
-/// legacy flat backend stays exercised in CI). Runs can override it
-/// either way at runtime through VMOptions::HeapSpans.
-#ifndef JDRAG_HEAP_SPANS_DEFAULT
-#define JDRAG_HEAP_SPANS_DEFAULT 1
-#endif
 
 namespace jdrag::vm {
 
@@ -72,10 +48,9 @@ struct HeapSpan;
 class SpanStore;
 
 /// A heap object: a plain instance (Slots = fields) or an array
-/// (Slots = elements). Stored behind a handle. Under the legacy backend
-/// the C++ storage never moves; under the span backend promotion moves
-/// the record from a young to an old span, with the handle table
-/// absorbing the move (handles never change).
+/// (Slots = elements). Stored behind a handle. Promotion moves the
+/// record from a young to an old span, with the handle table absorbing
+/// the move (handles never change).
 class HeapObject {
 public:
   ir::ClassId Class;          ///< instance class; invalid for arrays
@@ -103,15 +78,13 @@ public:
   bool Sampled = true;
   std::uint8_t Age = 0;          ///< minor collections survived
   std::vector<Value> Slots;
-  /// Span-backend back references (null/0 under the legacy backend):
-  /// the owning span and the record's slot index within it.
+  /// The owning span and the record's slot index within it.
   HeapSpan *Owner = nullptr;
   std::uint32_t SpanSlot = 0;
   /// This object's own handle-table index. The handle table is the
   /// sweep-ordering authority; span sweeps gather dead candidates by
-  /// bitmap and then process them in ascending Self order so observer
-  /// events, finalizer queueing and handle recycling stay bit-identical
-  /// with the legacy table walk.
+  /// bitmap and then process them in ascending Self order, so events,
+  /// finalizer queueing and handle recycling follow handle order.
   std::uint32_t Self = 0;
 
   bool isArray() const { return IsArray; }
@@ -120,8 +93,7 @@ public:
   }
 
   /// Resets the per-lifetime profile/GC state a recycled record must not
-  /// carry over from its previous occupant (shared by the legacy
-  /// free-list recycler and the span allocator).
+  /// carry over from its previous occupant.
   void resetProfileState() {
     InitDepth = 0;
     BirthCtorSerial = 0;
@@ -159,21 +131,19 @@ struct GCStats {
 };
 
 /// One row of the --heap-stats occupancy dump: object-record usage for
-/// a (generation, size class) pair, aggregated across that pair's spans
-/// under the span backend, or one legacy free list (Spans = 0).
+/// a (generation, size class) pair, aggregated across that pair's spans.
 struct HeapOccupancyRow {
   unsigned SizeClass = 0;
   bool Old = false;
-  std::size_t Spans = 0;       ///< spans of this (gen, class); 0 = legacy
+  std::size_t Spans = 0;       ///< spans of this (gen, class)
   std::size_t LiveRecords = 0; ///< allocated object records
-  std::size_t FreeRecords = 0; ///< recyclable records (span slots or list)
+  std::size_t FreeRecords = 0; ///< recyclable span slots
 };
 
-/// Snapshot of backend occupancy for debugging/regression reports
+/// Snapshot of heap occupancy for debugging/regression reports
 /// (jdrag run --heap-stats). Purely informational; never consulted by
 /// allocation or collection.
 struct HeapOccupancy {
-  bool SpanBackend = false;
   std::size_t HandleSlots = 0;      ///< handle-table size
   std::size_t FreeHandleSlots = 0;  ///< recyclable handle indices
   std::size_t YoungSpans = 0;       ///< spans in the young set
@@ -181,11 +151,10 @@ struct HeapOccupancy {
   std::size_t PooledSpans = 0;      ///< empty spans parked for reuse
   std::size_t RecordsPerSpan = 0;   ///< object records per span
   std::size_t SpanBytes = 0;        ///< bytes per span
-  /// Remembered-set occupancy: entries is live old-container count
-  /// (legacy: set size; spans: set card bits), capacity is the storage
-  /// the entries sit in (legacy: bucket count; spans: card-bit slots
-  /// across old spans). The post-major-collect shrink policy keeps
-  /// capacity from staying pinned at a transient peak.
+  /// Remembered-set occupancy: entries is the live old-container count
+  /// (set card bits), capacity is the card-bit slots across old spans.
+  /// Parking emptied spans after a major collection keeps capacity from
+  /// staying pinned at a transient peak.
   std::size_t RememberedEntries = 0;
   std::size_t RememberedCapacity = 0;
   std::vector<HeapOccupancyRow> Rows;
@@ -212,33 +181,16 @@ public:
   Heap(const Heap &) = delete;
   Heap &operator=(const Heap &) = delete;
 
-  /// Sets the observer notified of GC/collection events (may be null).
-  void setObserver(VMObserver *O) { Observer = O; }
-
   /// Sets the event emitter GC/collection events are streamed through
-  /// (may be null; independent of the legacy observer).
+  /// (may be null).
   void setEmitter(EventEmitter *E) { Emitter = E; }
-
-  /// Enables/disables the size-class free-list + slot-template
-  /// allocation fast path. Behavior-neutral; off reproduces the legacy
-  /// new/delete allocator exactly (the differential-test baseline).
-  void setFastPathAlloc(bool On) { FastPath = On; }
-  bool fastPathAlloc() const { return FastPath; }
-
-  /// Selects the object-storage backend: page spans (on) or the legacy
-  /// flat new-per-object allocator (off). Behavior-neutral by the
-  /// sweep-ordering invariant (docs/heap.md); must be called before the
-  /// first allocation.
-  void setSpanBackend(bool On);
-  bool spanBackend() const { return Spans; }
 
   /// Size classes bucket object records by ceil-log2 of the slot count:
   /// class K holds records whose Slots held up to 2^K values. Class 0
-  /// covers 0..1 slots; the top class is open-ended. Shared by the
-  /// legacy free lists and the span backend (a span holds records of
-  /// one class, so recycling a record reuses right-sized Slots
-  /// capacity). Bit-scan form of the old linear search: for Slots >= 2,
-  /// ceil(log2(Slots)) == bit_width(Slots - 1).
+  /// covers 0..1 slots; the top class is open-ended. A span holds
+  /// records of one class, so recycling a record reuses right-sized
+  /// Slots capacity. Bit-scan form of the old linear search: for
+  /// Slots >= 2, ceil(log2(Slots)) == bit_width(Slots - 1).
   static constexpr unsigned NumSizeClasses = 14;
   static unsigned sizeClassOf(std::size_t Slots) {
     if (Slots <= 1)
@@ -247,27 +199,13 @@ public:
     return C < NumSizeClasses ? C : NumSizeClasses - 1;
   }
 
-  /// Allocates an instance of \p C with zeroed fields. Never fails (the
-  /// byte budget is enforced by the VM, not here). Advances the clock.
+  /// Allocates an instance of \p C with zeroed fields: a recycled span
+  /// record, slot zeroing by template copy, counter bumps. Never fails
+  /// (the byte budget is enforced by the VM, not here). Advances the
+  /// clock. Inline so the interpreter's allocation fast path gets it.
   Handle allocateObject(ir::ClassId C) {
-    if (FastPath)
-      return allocateObjectFast(C);
-    return allocateObjectSlow(C);
-  }
-
-  /// Allocates an array of \p Len elements of kind \p K, zeroed.
-  Handle allocateArray(ir::ArrayKind K, std::uint32_t Len) {
-    if (FastPath)
-      return allocateArrayFast(K, Len);
-    return allocateArraySlow(K, Len);
-  }
-
-  /// The fast-path instance allocation the interpreter inlines: recycled
-  /// (or fresh) HeapObject, slot zeroing by template copy, counter
-  /// bumps. Requires the fast path to be enabled.
-  Handle allocateObjectFast(ir::ClassId C) {
     const ir::ClassInfo &CI = P.classOf(C);
-    HeapObject *Obj = recycledOrNew(CI.NumInstanceSlots);
+    HeapObject *Obj = spanAcquire(sizeClassOf(CI.NumInstanceSlots));
     Obj->Class = C;
     Obj->IsArray = false;
     Obj->AccountedBytes = CI.InstanceAccountedBytes;
@@ -279,9 +217,9 @@ public:
     return newHandle(Obj);
   }
 
-  /// Fast-path array allocation (recycled storage, assign-fill).
-  Handle allocateArrayFast(ir::ArrayKind K, std::uint32_t Len) {
-    HeapObject *Obj = recycledOrNew(Len);
+  /// Allocates an array of \p Len elements of kind \p K, zeroed.
+  Handle allocateArray(ir::ArrayKind K, std::uint32_t Len) {
+    HeapObject *Obj = spanAcquire(sizeClassOf(Len));
     Obj->Class = ir::ClassId();
     Obj->IsArray = true;
     Obj->AKind = K;
@@ -350,17 +288,16 @@ public:
   /// through the slow path, docs/vm-hotpath.md). Today this is exactly
   /// the scheduled-GC slack: span-remaining capacity folds in as
   /// "infinite" because carving or refilling a span inside
-  /// allocateObjectFast/allocateArrayFast is policy-free -- no GC,
-  /// finalizer or OOM check can fire there, so the span backend adds no
-  /// boundary the gate must stop at. A future backend whose refill DOES
-  /// carry policy (e.g. a page-budget check) must min() its remaining
-  /// bytes here rather than teaching the interpreter a new input.
+  /// allocateObject/allocateArray is policy-free -- no GC, finalizer or
+  /// OOM check can fire there, so spans add no boundary the gate must
+  /// stop at. A span refill that DOES carry policy (e.g. a page-budget
+  /// check) must min() its remaining bytes here rather than teaching
+  /// the interpreter a new input.
   std::uint64_t allocationSlack() const { return scheduledGCSlack(); }
 
   /// Write barrier: the interpreter calls this when a reference is
   /// stored into \p Container; old containers join the remembered set
-  /// (legacy: unordered_set of handle indices; spans: a card bit on the
-  /// container's record in its old span).
+  /// (a card bit on the container's record in its old span).
   void writeBarrier(Handle Container) {
     if (Gen.Enabled && isLive(Container) && object(Container).Old)
       rememberContainer(object(Container));
@@ -369,7 +306,7 @@ public:
   std::uint64_t minorGCCount() const { return MinorGCCount; }
   std::size_t rememberedSetSize() const;
 
-  /// Snapshot of span/free-list/remembered-set occupancy for the
+  /// Snapshot of span/remembered-set occupancy for the
   /// jdrag run --heap-stats debug dump.
   HeapOccupancy occupancy() const;
 
@@ -395,32 +332,14 @@ public:
   std::uint64_t gcCount() const { return GCCount; }
 
 private:
-  /// Returns a reset object record for a \p Slots-slot allocation: a
-  /// young-span record under the span backend, otherwise a legacy
-  /// free-list pop (the popped record usually has enough Slots capacity
-  /// for the request; when it does not, the slot assign grows it --
-  /// correct either way, the buckets only raise the reuse hit rate) or
-  /// a fresh heap allocation.
-  HeapObject *recycledOrNew(std::size_t Slots) {
-    if (Spans)
-      return spanAcquire(sizeClassOf(Slots));
-    std::vector<HeapObject *> &L = FreeLists[sizeClassOf(Slots)];
-    if (L.empty())
-      return new HeapObject();
-    HeapObject *Obj = L.back();
-    L.pop_back();
-    Obj->resetProfileState();
-    return Obj;
-  }
-
   /// Acquires a reset record from a young span of \p SizeClass
   /// (out-of-line: needs the SpanStore definition). Policy-free: never
   /// triggers GC, finalization or OOM, which is what keeps the
   /// interpreter's AllocSlack gate ignorant of span boundaries.
   HeapObject *spanAcquire(unsigned SizeClass);
 
-  /// Backend-dispatched write-barrier tail (container already known to
-  /// be live and old).
+  /// Write-barrier tail: sets the card bit (container already known to
+  /// be live and old; out-of-line like spanAcquire).
   void rememberContainer(HeapObject &Obj);
 
   /// The precomputed zeroed-slot image of class \p C (built on first
@@ -448,9 +367,6 @@ private:
     return Handle(Index);
   }
 
-  Handle allocateObjectSlow(ir::ClassId C);
-  Handle allocateArraySlow(ir::ArrayKind K, std::uint32_t Len);
-
   struct ClassTemplate {
     bool Built = false;
     std::vector<Value> ZeroSlots;
@@ -471,25 +387,15 @@ private:
   /// handle-index order -- that ordering IS the observable contract.
   void reclaimOrResurrect(std::uint32_t Index, GCStats &Stats);
 
-  /// Span-backend sweep: scans the young span set (plus the old set for
-  /// a major collection) by bitmap, clears mark bits, ages/promotes
-  /// survivors on a minor cycle, gathers dead candidates into
-  /// DeadScratch, sorts them ascending and runs reclaimOrResurrect on
-  /// each. Finishes by parking fully-empty spans in the per-class pool
-  /// (the card bitmap's analog of the legacy remembered-set shrink).
+  /// The sweep: scans the young span set (plus the old set for a major
+  /// collection) by bitmap, clears mark bits, ages/promotes survivors on
+  /// a minor cycle, gathers dead candidates into DeadScratch, sorts them
+  /// ascending and runs reclaimOrResurrect on each. Finishes by parking
+  /// fully-empty spans in the per-class pool, which also releases
+  /// remembered-set storage.
   void sweepSpans(GCStats &Stats, bool Minor);
 
-  /// Legacy-backend sweep: the original handle-table walk.
-  void sweepTable(GCStats &Stats, bool Minor);
-
-  /// Post-major-collect remembered-set storage release (legacy backend):
-  /// erase() never shrinks an unordered_set's bucket array, so a
-  /// transient old-container spike would pin its peak bucket count
-  /// forever; rebuild-and-swap when the buckets dwarf the survivors.
-  void shrinkRememberedSet();
-
   const ir::Program &P;
-  VMObserver *Observer = nullptr;
   EventEmitter *Emitter = nullptr;
   std::vector<HeapObject *> Table;
   std::vector<std::uint32_t> FreeHandles;
@@ -501,18 +407,14 @@ private:
   /// to the handle-table size -- the worst case, since each live object
   /// enters the stack at most once.
   std::vector<Handle> MarkStack;
-  /// Size-class recycling pools (legacy backend, fast path only).
-  std::vector<HeapObject *> FreeLists[NumSizeClasses];
   /// Per-class zeroed slot images, indexed by ClassId.
   std::vector<ClassTemplate> Templates;
-  /// Span-backend storage (arena, span sets, free vectors, cards);
-  /// null when the legacy backend is active.
+  /// Object storage: arena, span sets, free vectors, cards. Owns every
+  /// HeapObject record.
   std::unique_ptr<SpanStore> Store;
   /// Scratch for sweepSpans' gather-sort-reclaim pass; persistent so a
   /// GC-heavy phase does not reallocate it every cycle.
   std::vector<std::uint32_t> DeadScratch;
-  bool FastPath = JDRAG_ALLOC_FASTPATH_DEFAULT != 0;
-  bool Spans = JDRAG_HEAP_SPANS_DEFAULT != 0;
   ByteTime AllocatedTotal = 0;
   std::uint64_t LiveBytes = 0;
   std::uint64_t LiveObjects = 0;
@@ -520,7 +422,6 @@ private:
   ObjectId NextObjectId = 1;
 
   GenerationalConfig Gen;
-  std::unordered_set<std::uint32_t> RememberedSet; ///< old handle indices
   std::uint64_t MinorGCCount = 0;
   ByteTime LastScheduledGC = 0;
 };

@@ -156,7 +156,6 @@ std::size_t SpanStore::pooledSpanCount() const {
 }
 
 void SpanStore::fillOccupancy(HeapOccupancy &O) const {
-  O.SpanBackend = true;
   O.YoungSpans = YoungSet.size();
   O.OldSpans = OldSet.size();
   O.PooledSpans = pooledSpanCount();

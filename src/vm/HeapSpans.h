@@ -1,4 +1,4 @@
-//===- vm/HeapSpans.h - Page-span object storage backend --------*- C++ -*-===//
+//===- vm/HeapSpans.h - Page-span object storage ----------------*- C++ -*-===//
 //
 // Part of jdrag (PLDI 2001 "Heap Profiling for Space-Efficient Java").
 //
@@ -10,13 +10,13 @@
 /// holds records of exactly one size class, tracked by per-span
 /// allocation, mark, constructed and card bitmaps. Young and old
 /// generations occupy disjoint span sets, so a minor collection's sweep
-/// walks only young spans; the card bitmap over old spans replaces the
-/// legacy unordered_set remembered set.
+/// walks only young spans; the card bitmap over old spans is the
+/// remembered set.
 ///
 /// The store is deliberately policy-free: acquire/release/promote never
 /// trigger GC, finalization or OOM. All collection policy -- and the
-/// observable sweep ordering, which must stay bit-identical with the
-/// legacy backend -- lives in Heap (see Heap::sweepSpans).
+/// observable sweep ordering (handle order) -- lives in Heap (see
+/// Heap::sweepSpans).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,9 +37,8 @@ namespace jdrag::vm {
 /// single size class, plus the bitmaps that describe them. Record
 /// payloads (the Slots vectors) live in each record's inline
 /// std::vector and are recycled with the record, so the size class
-/// governs which allocations inherit which recycled Slots capacity --
-/// the same affinity the legacy free lists provided, now with the
-/// records themselves packed for cache-friendly sweeps.
+/// governs which allocations inherit which recycled Slots capacity,
+/// with the records themselves packed for cache-friendly sweeps.
 struct HeapSpan {
   static constexpr std::size_t PageBytes = 4 * KB;
   static constexpr std::size_t SpanPages = 8;
@@ -105,8 +104,7 @@ public:
   /// and releases its young slot. Returns the new record location; the
   /// caller owns re-pointing the handle table. The new record's card
   /// bit starts clear -- a freshly promoted object is NOT in the
-  /// remembered set until a write barrier fires, exactly matching the
-  /// legacy collector.
+  /// remembered set until a write barrier fires.
   HeapObject *promote(HeapObject &Obj);
 
   /// Mark-phase hook: mirrors Obj.Marked into the owning span's bitmap
@@ -115,10 +113,9 @@ public:
     HeapSpan::setBit(Obj.Owner->MarkBits, Obj.SpanSlot);
   }
 
-  /// Card ops (old-generation records only). remember() is idempotent,
-  /// like unordered_set::insert; RememberedCount tracks set bits so
-  /// Heap::rememberedSetSize() stays semantically identical to the
-  /// legacy set's size().
+  /// Card ops (old-generation records only). remember() is idempotent;
+  /// RememberedCount tracks set bits, so Heap::rememberedSetSize() is
+  /// the number of distinct remembered containers.
   void remember(HeapObject &Obj) {
     if (!HeapSpan::testBit(Obj.Owner->CardBits, Obj.SpanSlot)) {
       HeapSpan::setBit(Obj.Owner->CardBits, Obj.SpanSlot);
@@ -135,8 +132,7 @@ public:
   /// when \p IncludeOld) into the per-class pool. Pooled spans keep
   /// their constructed records, so reactivation recycles their Slots
   /// capacity; detaching them shrinks the sets every sweep and card
-  /// scan walks -- the card-bitmap analog of the legacy remembered-set
-  /// bucket release.
+  /// scan walks, and with them the remembered set's card storage.
   void parkEmptySpans(bool IncludeOld);
 
   std::size_t pooledSpanCount() const;

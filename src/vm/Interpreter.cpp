@@ -31,18 +31,17 @@ HeapObject &NativeContext::deref(Handle H) {
 }
 
 Interpreter::Interpreter(const Program &P, Heap &H, std::vector<Value> &Statics,
-                         std::vector<NativeFn> Natives, VMObserver *Observer,
+                         std::vector<NativeFn> Natives,
                          InterpreterConfig Config)
     : P(P), TheHeap(H), Statics(Statics), Natives(std::move(Natives)),
-      Observer(Observer), Config(Config), SiteCache(Config.SiteInlineCache) {
+      Config(Config) {
   TheHeap.addRootSource(this);
   Decoded.resize(P.Methods.size());
   // Steady-state capacities: benchmarks reach tens of frames and a
-  // handful of chain/arg slots; reserving here keeps the first deep call
-  // chain from paying a reallocation ladder inside the hot loop.
+  // handful of arg slots; reserving here keeps the first deep call chain
+  // from paying a reallocation ladder inside the hot loop.
   Frames.reserve(64);
   ActiveCtorSerials.reserve(16);
-  ChainScratch.reserve(Config.ChainDepth);
   ArgScratch.reserve(16);
   CachedClock = TheHeap.clock();
 }
@@ -84,22 +83,6 @@ Interpreter::DecodedInsn *Interpreter::decodedCode(const MethodInfo &M) {
   return D.data();
 }
 
-std::span<const CallFrameRef> Interpreter::captureChain() {
-  ChainScratch.clear();
-  bool Top = true;
-  for (auto It = Frames.rbegin();
-       It != Frames.rend() && ChainScratch.size() < Config.ChainDepth; ++It) {
-    // Caller frames have already advanced past their invoke instruction;
-    // report the call site itself.
-    std::uint32_t Pc = Top ? It->Pc : It->Pc - 1;
-    Top = false;
-    if (Pc >= It->M->Code.size())
-      continue;
-    ChainScratch.push_back({It->M->Id, Pc, It->M->Code[Pc].Line});
-  }
-  return {ChainScratch.data(), ChainScratch.size()};
-}
-
 std::string Interpreter::here() const {
   if (Frames.empty())
     return "<no frame>";
@@ -109,14 +92,23 @@ std::string Interpreter::here() const {
                       P.qualifiedMethodName(F.M->Id).c_str(), F.Pc, Line);
 }
 
+std::uint32_t Interpreter::currentSite() {
+  Frame &F = Frames.back();
+  DecodedInsn &DI = F.Code[F.Pc];
+  if (DI.SiteCtx != F.Ctx) {
+    DI.Site = Emitter->siteFor(F.Ctx, F.M->Id, F.Pc, DI.Line);
+    DI.SiteCtx = F.Ctx;
+  }
+  return DI.Site;
+}
+
 void Interpreter::fireUse(Handle H, UseKind Kind, bool CalleeIsCtor) {
-  if ((!Observer && !Emitter) || H.isNull())
+  if (!Emitter || H.isNull())
     return;
   HeapObject &Obj = TheHeap.object(H);
-  // Unsampled objects carry no trailers: skip everything (including the
-  // DuringInit computation) unless a legacy observer still needs the
-  // callback. This early-out is the sampled-mode fast path.
-  if (!Obj.Sampled && !Observer)
+  // Unsampled objects carry no trailers: skip everything, including the
+  // DuringInit computation. This early-out is the sampled-mode fast path.
+  if (!Obj.Sampled)
     return;
   // Initialization uses: the object's own <init> is active, this IS its
   // constructor invocation, or the constructor frame it was born inside
@@ -127,57 +119,25 @@ void Interpreter::fireUse(Handle H, UseKind Kind, bool CalleeIsCtor) {
       (Obj.BirthCtorSerial != 0 &&
        std::binary_search(ActiveCtorSerials.begin(), ActiveCtorSerials.end(),
                           Obj.BirthCtorSerial));
-  if (Observer)
-    Observer->onUse(Obj.Id, Kind, captureChain(), DuringInit, CachedClock);
-  if (Emitter && Obj.Sampled) {
-    Frame &F = Frames.back();
-    DecodedInsn &DI = F.Code[F.Pc];
-    profiler::SiteId Site;
-    if (SiteCache && DI.SiteCtx == F.Ctx) {
-      Site = DI.Site;
-    } else {
-      Site = Emitter->siteFor(F.Ctx, F.M->Id, F.Pc, DI.Line);
-      if (SiteCache) {
-        DI.SiteCtx = F.Ctx;
-        DI.Site = Site;
-      }
-    }
-    Emitter->use(Obj.Id, Kind, Site, DuringInit, CachedClock);
-  }
+  Emitter->use(Obj.Id, Kind, currentSite(), DuringInit, CachedClock);
 }
 
 void Interpreter::fireNativeUse(Handle H) { fireUse(H, UseKind::NativeDeref); }
 
 void Interpreter::fireAllocate(Handle H) {
-  if (!Observer && !Emitter)
+  if (!Emitter)
     return;
   HeapObject &Obj = TheHeap.object(H);
-  if (Observer)
-    Observer->onAllocate(Obj.Id, H, Obj, captureChain(), CachedClock);
-  if (Emitter) {
-    // The sampling decision runs here, once per allocation; an
-    // unsampled object skips site interning and the Alloc record (and,
-    // via its Sampled bit, every later Use/Survivor/Collect record).
-    if (!Emitter->sampleAllocation(Obj))
-      return;
-    Frame &F = Frames.back();
-    DecodedInsn &DI = F.Code[F.Pc];
-    profiler::SiteId Site;
-    if (SiteCache && DI.SiteCtx == F.Ctx) {
-      Site = DI.Site;
-    } else {
-      Site = Emitter->siteFor(F.Ctx, F.M->Id, F.Pc, DI.Line);
-      if (SiteCache) {
-        DI.SiteCtx = F.Ctx;
-        DI.Site = Site;
-      }
-    }
-    Emitter->alloc(Obj.Id, Obj, Site, CachedClock);
-  }
+  // The sampling decision runs here, once per allocation; an unsampled
+  // object skips site interning and the Alloc record (and, via its
+  // Sampled bit, every later Use/Survivor/Collect record).
+  if (!Emitter->sampleAllocation(Obj))
+    return;
+  Emitter->alloc(Obj.Id, Obj, currentSite(), CachedClock);
 }
 
 void Interpreter::recomputeAllocSlack() {
-  // The heap folds every backend-side boundary into allocationSlack()
+  // The heap folds every heap-side boundary into allocationSlack()
   // (today: the scheduled-GC budget; span-refill is policy-free and
   // contributes nothing -- see Heap::allocationSlack). The two
   // interpreter-side budgets below min() in on top; the strict-<
@@ -298,8 +258,6 @@ void Interpreter::runDeepGC() {
   runPendingFinalizers();
   TheHeap.collect();
   LastDeepGC = TheHeap.clock();
-  if (Observer)
-    Observer->onDeepGCEnd(TheHeap.clock());
   if (Emitter)
     Emitter->deepGCEnd(TheHeap.clock());
   InDeepGC = false;
@@ -320,29 +278,7 @@ Interpreter::Status Interpreter::call(MethodId M, std::span<const Value> Args,
   return S;
 }
 
-Interpreter::Status Interpreter::execute(std::size_t Base, std::string *Err) {
-#if JDRAG_HAVE_COMPUTED_GOTO
-  if (Config.Dispatch == DispatchMode::Threaded)
-    return executeThreaded(Base, Err);
-#endif
-  // Threaded dispatch unavailable (or switch requested): the switch loop
-  // runs the same handler bodies with identical observable behavior.
-  return executeSwitch(Base, Err);
-}
-
-// The two dispatch expansions of the shared loop body. See
-// InterpreterLoop.inc for the discipline both follow.
-
-#define JDRAG_INTERP_NAME executeSwitch
-#define JDRAG_INTERP_THREADED 0
+// The main loop, Interpreter::execute. Kept in its own file for
+// readability; it must stay in this translation unit so the event hooks
+// above inline into it.
 #include "vm/InterpreterLoop.inc"
-#undef JDRAG_INTERP_NAME
-#undef JDRAG_INTERP_THREADED
-
-#if JDRAG_HAVE_COMPUTED_GOTO
-#define JDRAG_INTERP_NAME executeThreaded
-#define JDRAG_INTERP_THREADED 1
-#include "vm/InterpreterLoop.inc"
-#undef JDRAG_INTERP_NAME
-#undef JDRAG_INTERP_THREADED
-#endif

@@ -8,7 +8,7 @@
 /// The execution engine: a frame-stack bytecode interpreter over the
 /// jdrag IR with Java-style exception unwinding, virtual dispatch, the
 /// deep-GC protocol (GC, run finalizers, GC -- paper section 2.1.1) and
-/// instrumentation callbacks for every allocation and object use.
+/// an instrumentation event for every allocation and object use.
 ///
 /// Runtime faults that a correct benchmark never commits (null
 /// dereference, array bounds, division by zero) are *traps*: execution
@@ -16,18 +16,17 @@
 /// OutOfMemoryError is thrown as a real exception, since the paper's lazy
 /// allocation transformation reasons about OOM handlers (section 3.3.3).
 ///
-/// The hot path is layered (docs/vm-hotpath.md), each layer independently
-/// switchable and bit-identical in output to the baseline:
+/// The hot path is layered (docs/vm-hotpath.md):
 ///  - dispatch: instructions are pre-decoded into a dense execution form
-///    and dispatched by computed goto where the compiler supports it
-///    (InterpreterConfig::Dispatch; JDRAG_THREADED_DISPATCH in CMake);
+///    and dispatched by computed goto (GNU labels-as-values, which every
+///    compiler that builds jdrag supports -- see support/Format.h);
 ///  - emission: per-code-index inline caches resolve (context, method,
 ///    pc) -> SiteId / callee context with one compare instead of a hash
-///    lookup per event (InterpreterConfig::SiteInlineCache);
+///    lookup per event;
 ///  - allocation: an allocation-slack budget folds the deep-GC,
 ///    scheduled-GC and live-byte checks into a single decrement so the
-///    common allocation never consults the heap's policy state
-///    (Heap::setFastPathAlloc).
+///    common allocation never consults the heap's policy state.
+/// tests/data/vm_golden.txt pins the observable result of all three.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,24 +39,7 @@
 
 #include <string>
 
-/// Compile-time opt-in for computed-goto threaded dispatch (CMake option
-/// JDRAG_THREADED_DISPATCH). Requires the GNU labels-as-values extension;
-/// on other compilers the interpreter silently falls back to the switch
-/// loop, which executes the identical handler bodies.
-#ifndef JDRAG_THREADED_DISPATCH_OPT
-#define JDRAG_THREADED_DISPATCH_OPT 1
-#endif
-#if JDRAG_THREADED_DISPATCH_OPT && (defined(__GNUC__) || defined(__clang__))
-#define JDRAG_HAVE_COMPUTED_GOTO 1
-#else
-#define JDRAG_HAVE_COMPUTED_GOTO 0
-#endif
-
 namespace jdrag::vm {
-
-/// Interpreter main-loop strategy. Threaded requires computed-goto
-/// support; when unavailable it degrades to Switch (same semantics).
-enum class DispatchMode : std::uint8_t { Switch, Threaded };
 
 /// Interpreter configuration.
 struct InterpreterConfig {
@@ -68,13 +50,6 @@ struct InterpreterConfig {
   std::uint64_t MaxSteps = 1ull << 42;
   /// Live-byte budget; exceeding it after a forced GC throws OOM.
   std::uint64_t MaxLiveBytes = ~0ull;
-  /// Frames captured per allocation/use event.
-  std::uint32_t ChainDepth = 8;
-  /// Main-loop dispatch strategy (see DispatchMode).
-  DispatchMode Dispatch = DispatchMode::Threaded;
-  /// Per-code-index site-id / callee-context inline caches. Off forces
-  /// every event through the trie hash lookup (differential baseline).
-  bool SiteInlineCache = true;
 };
 
 /// The bytecode interpreter. Owns the frame stack; registers itself as a
@@ -87,8 +62,7 @@ public:
   /// \p Natives maps NativeId index to a bound callback (empty entries
   /// trap when called).
   Interpreter(const ir::Program &P, Heap &H, std::vector<Value> &Statics,
-              std::vector<NativeFn> Natives, VMObserver *Observer,
-              InterpreterConfig Config);
+              std::vector<NativeFn> Natives, InterpreterConfig Config);
   ~Interpreter() override;
 
   /// Calls \p M with \p Args (receiver first for instance methods) and
@@ -105,7 +79,7 @@ public:
   void setOOMInstance(Handle H) { OOMInstance = H; }
 
   /// Sets the event emitter allocation/use events are streamed through
-  /// (set by the VM; may be null). Independent of the legacy observer.
+  /// (set by the VM; may be null).
   void setEmitter(EventEmitter *E) { Emitter = E; }
 
   /// The exception that escaped the last call(), if any.
@@ -166,21 +140,16 @@ private:
     std::vector<Value> Stack;
   };
 
-  /// Executes until the frame stack shrinks back to \p Base frames.
-  /// Dispatches to the switch or threaded loop per Config.Dispatch; both
-  /// loops share one handler body (InterpreterLoop.inc).
+  /// Executes until the frame stack shrinks back to \p Base frames (the
+  /// threaded main loop, InterpreterLoop.inc).
   Status execute(std::size_t Base, std::string *Err);
-  Status executeSwitch(std::size_t Base, std::string *Err);
-#if JDRAG_HAVE_COMPUTED_GOTO
-  Status executeThreaded(std::size_t Base, std::string *Err);
-#endif
 
   /// Returns (decoding on first request) the dense code of \p M.
   DecodedInsn *decodedCode(const ir::MethodInfo &M);
 
   /// Recomputes AllocSlack from the heap's policy state
-  /// (Heap::allocationSlack -- the single point where heap backends
-  /// fold their boundaries into the gate) plus the interpreter's own
+  /// (Heap::allocationSlack -- the single point where the heap folds
+  /// its boundaries into the gate) plus the interpreter's own
   /// deep-GC and live-byte budgets. Safe at any point where CachedClock
   /// equals the true clock.
   void recomputeAllocSlack();
@@ -204,14 +173,15 @@ private:
   /// Runs all pending finalizers (swallowing their exceptions).
   void runPendingFinalizers();
 
-  /// Fires the observer's use event for \p H.
+  /// Emits the use event for \p H.
   void fireUse(Handle H, UseKind Kind, bool CalleeIsCtor = false);
 
-  /// Fires the observer's allocate event for the object behind \p H.
+  /// Emits the allocate event for the object behind \p H.
   void fireAllocate(Handle H);
 
-  /// Captures the innermost ChainDepth frames into ChainScratch.
-  std::span<const CallFrameRef> captureChain();
+  /// The interned site (a profiler::SiteId) of the current frame's pc,
+  /// through the pc's inline cache. Requires an emitter.
+  std::uint32_t currentSite();
 
   /// Formats "Class.method pc N (line L)" for diagnostics.
   std::string here() const;
@@ -220,7 +190,6 @@ private:
   Heap &TheHeap;
   std::vector<Value> &Statics;
   std::vector<NativeFn> Natives;
-  VMObserver *Observer;
   EventEmitter *Emitter = nullptr;
   InterpreterConfig Config;
 
@@ -231,7 +200,6 @@ private:
   std::vector<Handle> FinalizingNow; ///< roots while finalizers run
   Handle PendingException;
   Handle OOMInstance;
-  std::vector<CallFrameRef> ChainScratch;
   std::vector<Value> ArgScratch;
   Value TopReturn;
   std::string TrapMessage;
@@ -256,10 +224,8 @@ private:
   /// `Bytes < AllocSlack` and decrements; every slow-path allocation (or
   /// any GC) recomputes it exactly. The decrement keeps the invariant
   /// AllocSlack <= true slack, so the fast path can never overrun a GC
-  /// trigger point the baseline would have hit.
+  /// trigger point the slow path would have stopped at.
   std::uint64_t AllocSlack = 0;
-  bool FastAlloc = false; ///< TheHeap.fastPathAlloc(), cached per execute()
-  bool SiteCache = true;  ///< Config.SiteInlineCache (hot-loop copy)
 };
 
 const char *statusName(Interpreter::Status S);

@@ -21,8 +21,6 @@ VirtualMachine::VirtualMachine(const Program &P, VMOptions Opts)
       Statics.Values[F.Slot] = Value::zeroOf(F.Kind);
   TheHeap.addRootSource(&Statics);
   TheHeap.setGenerational(Opts.Generational);
-  TheHeap.setFastPathAlloc(Opts.AllocFastPath);
-  TheHeap.setSpanBackend(Opts.HeapSpans); // before any allocation
 
   bindStandardNatives();
 }
@@ -71,7 +69,6 @@ Value VirtualMachine::staticValue(FieldId F) const {
 Interpreter::Status VirtualMachine::run(std::string *Err) {
   assert(!Ran && "a VirtualMachine runs exactly once");
   Ran = true;
-  TheHeap.setObserver(Opts.Observer);
   profiler::EventSink *RunSink = Opts.Sink;
   if (RunSink && Opts.AsyncEvents) {
     profiler::AsyncEventSink::Options AO;
@@ -85,12 +82,8 @@ Interpreter::Status VirtualMachine::run(std::string *Err) {
   }
   if (RunSink) {
     EventEmitter::Config EC;
-    // Old per-event chain capture took ChainDepth frames and interned
-    // the innermost SiteDepth of them; the streamed equivalent is one
-    // depth bound.
-    EC.SiteDepth = std::min(Opts.SiteDepth, Opts.ChainDepth);
+    EC.SiteDepth = std::min(Opts.SiteDepth, MaxSiteDepth);
     EC.ChunkBytes = Opts.EventChunkBytes;
-    EC.Checksum = Opts.EventCrc;
     EC.Sampling.SampleBytes = Opts.SampleBytes;
     EC.Sampling.SampleSeed = Opts.SampleSeed;
     // Active sampling upgrades a v4 stream to v5 (the header gains the
@@ -112,12 +105,8 @@ Interpreter::Status VirtualMachine::run(std::string *Err) {
   IC.DeepGCIntervalBytes = Opts.DeepGCIntervalBytes;
   IC.MaxSteps = Opts.MaxSteps;
   IC.MaxLiveBytes = Opts.MaxLiveBytes;
-  IC.ChainDepth = Opts.ChainDepth;
-  IC.Dispatch = Opts.Dispatch;
-  IC.SiteInlineCache = Opts.SiteInlineCache;
   Interp = std::make_unique<Interpreter>(P, TheHeap, Statics.Values,
-                                         std::move(NativeTable), Opts.Observer,
-                                         IC);
+                                         std::move(NativeTable), IC);
   Interp->setEmitter(Emitter.get());
 
   // Preallocate the OutOfMemoryError instance so OOM can be raised
@@ -132,12 +121,6 @@ Interpreter::Status VirtualMachine::run(std::string *Err) {
   // and then we log information for all objects that still remain in the
   // heap."
   Interp->runDeepGC();
-  if (Opts.Observer) {
-    TheHeap.forEachLiveObject([&](Handle, const HeapObject &Obj) {
-      Opts.Observer->onSurvivor(Obj.Id, Obj, TheHeap.clock());
-    });
-    Opts.Observer->onTerminate(TheHeap.clock());
-  }
   if (Emitter) {
     TheHeap.forEachLiveObject([&](Handle, const HeapObject &Obj) {
       if (Obj.Sampled)

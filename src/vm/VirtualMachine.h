@@ -38,6 +38,10 @@ namespace jdrag::vm {
 
 class EventEmitter;
 
+/// Upper bound on streamed site nesting: a deeper VMOptions::SiteDepth
+/// (e.g. `jdrag report --depth 20`) records this many frames.
+inline constexpr std::uint32_t MaxSiteDepth = 8;
+
 /// Options controlling one VM instance.
 struct VMOptions {
   /// Deep-GC period (bytes of allocation); 0 disables instrumented GC.
@@ -46,23 +50,14 @@ struct VMOptions {
   std::uint64_t MaxLiveBytes = ~0ull;
   /// Instruction budget for runaway protection.
   std::uint64_t MaxSteps = 1ull << 42;
-  /// Frames captured per legacy-observer profiling event, and the upper
-  /// bound on streamed site nesting.
-  std::uint32_t ChainDepth = 8;
-  /// Observer receiving instrumentation events (may be null). Legacy
-  /// virtual-dispatch path; prefer Sink for new consumers.
-  VMObserver *Observer = nullptr;
   /// Sink receiving the binary instrumentation event stream (may be
   /// null). Attach a profiler::DispatchSink for live profiling or a
   /// profiler::FileEventSink to record a `.jdev` file.
   profiler::EventSink *Sink = nullptr;
-  /// Nesting depth of streamed event sites (capped by ChainDepth).
+  /// Nesting depth of streamed event sites (capped by MaxSiteDepth).
   std::uint32_t SiteDepth = 4;
   /// Event-buffer chunk size in bytes; 0 = the default (64 KB).
   std::size_t EventChunkBytes = 0;
-  /// CRC-32C framing on event-stream chunks. Turning it off is a
-  /// benchmarking aid only -- decoders reject unframed streams.
-  bool EventCrc = true;
   /// Record encoding of the emitted stream. V3 (compact varint records)
   /// is the default; V2 writes the legacy fixed-width records. An
   /// attached DispatchSink must be configured with the same format
@@ -89,22 +84,6 @@ struct VMOptions {
   /// Two-generation runtime collection policy (off by default; the
   /// profiler's deep GCs are always full collections regardless).
   GenerationalConfig Generational;
-  /// Interpreter main-loop strategy. Threaded (computed goto) where the
-  /// compiler supports it, silently degrading to Switch elsewhere. Both
-  /// produce bit-identical event streams (docs/vm-hotpath.md).
-  DispatchMode Dispatch = DispatchMode::Threaded;
-  /// Per-code-index site-id/callee-context inline caches in the
-  /// interpreter. Off forces every event through the context-trie hash
-  /// lookup; output is identical either way.
-  bool SiteInlineCache = true;
-  /// Heap allocation fast path (size-class recycling + slot templates +
-  /// the interpreter's allocation-slack check). Behavior-neutral.
-  bool AllocFastPath = JDRAG_ALLOC_FASTPATH_DEFAULT != 0;
-  /// Page-span object storage with generation-segregated span sets and
-  /// a card-bitmap remembered set (docs/heap.md). Behavior-neutral; off
-  /// selects the legacy flat new-per-object backend, the differential
-  /// baseline.
-  bool HeapSpans = JDRAG_HEAP_SPANS_DEFAULT != 0;
 };
 
 /// One executable VM instance over a verified Program.
@@ -125,8 +104,8 @@ public:
   /// Values the program emitted via `jdrag.emitResult[D]`.
   const std::vector<std::int64_t> &outputs() const { return Outputs; }
 
-  /// Runs main to completion, then the final deep GC, then reports
-  /// survivors and termination to the observer.
+  /// Runs main to completion, then the final deep GC, then emits the
+  /// survivor and termination events.
   Interpreter::Status run(std::string *Err = nullptr);
 
   Heap &heap() { return TheHeap; }

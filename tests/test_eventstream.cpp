@@ -506,24 +506,6 @@ TEST(RecordReplay, AsyncRecordingIsByteIdenticalToSync) {
   std::remove(AsyncPath.c_str());
 }
 
-// The hash-map trailer fallback and the dense paged table must be
-// observationally identical -- same log, bit for bit.
-TEST(RecordReplay, DenseAndMapTrailerTablesAgree) {
-  ir::Program P = buildChurnProgram();
-  std::string Path = tempPath("trailers.jdev");
-  recordRun(P, {400}, Path);
-  ProfilerConfig DenseCfg, MapCfg;
-  DenseCfg.UseDenseTrailers = true;
-  MapCfg.UseDenseTrailers = false;
-  ProfileLog A, B;
-  std::string Err;
-  ASSERT_TRUE(replayProfile(Path, P, DenseCfg, A, &Err)) << Err;
-  ASSERT_TRUE(replayProfile(Path, P, MapCfg, B, &Err)) << Err;
-  std::remove(Path.c_str());
-  ASSERT_FALSE(A.Records.empty());
-  expectBitIdentical(A, B);
-}
-
 // Pinned observables of tests/data/juru_v2.jdev, captured when the
 // fixture was generated (see CommittedV2FixtureStillReplays).
 constexpr std::size_t FixtureRecords = 1011;

@@ -28,10 +28,19 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 using namespace jdrag;
 using namespace jdrag::profiler;
 
 namespace {
+
+/// Pid-unique scratch path: concurrent ctest runs (e.g. the default and
+/// sanitize presets) must not share files.
+std::string tempPath(const char *Name) {
+  return std::string("/tmp/jdrag_sampling_") + std::to_string(getpid()) +
+         "_" + Name;
+}
 
 //===----------------------------------------------------------------------===//
 // The sampling decision: SamplePolicy and the probability math
@@ -117,7 +126,7 @@ TEST(SamplingMath, ProbabilityWeightVariance) {
 //===----------------------------------------------------------------------===//
 
 TEST(SampledStream, V5HeaderRoundTrip) {
-  std::string Path = "/tmp/jdrag_sampling_hdr.jdev";
+  std::string Path = tempPath("hdr.jdev");
   {
     FileEventSink Sink;
     FileEventSink::Options FO;
@@ -142,7 +151,7 @@ TEST(SampledStream, V5HeaderRoundTrip) {
 TEST(SampledStream, DisabledSamplingKeepsV4) {
   SamplingParams Off;
   EXPECT_EQ(effectiveFormat(DefaultWireFormat, Off), DefaultWireFormat);
-  std::string Path = "/tmp/jdrag_sampling_v4hdr.jdev";
+  std::string Path = tempPath("v4hdr.jdev");
   {
     FileEventSink Sink;
     ASSERT_TRUE(Sink.open(Path, FileEventSink::Options()));
@@ -358,7 +367,7 @@ TEST(SampledProfile, FileRoundTripMatchesLive) {
     if (W.Name == "jack")
       Jack = &W;
   ASSERT_NE(Jack, nullptr);
-  std::string Path = "/tmp/jdrag_sampling_roundtrip.jdev";
+  std::string Path = tempPath("roundtrip.jdev");
   {
     FileEventSink Sink;
     FileEventSink::Options FO;
@@ -393,7 +402,7 @@ TEST(SampledProfile, FileRoundTripMatchesLive) {
 TEST(SampledProfile, ProfileLogSerializationKeepsParams) {
   auto All = benchmarks::buildAll();
   profiler::ProfileLog Log = profileWorkload(All.front(), DefaultSampleBytes);
-  std::string Path = "/tmp/jdrag_sampling_log.bin";
+  std::string Path = tempPath("log.bin");
   ASSERT_TRUE(Log.writeFile(Path));
   profiler::ProfileLog Back;
   ASSERT_TRUE(profiler::ProfileLog::readFile(Path, Back));

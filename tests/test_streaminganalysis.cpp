@@ -36,11 +36,19 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 using namespace jdrag;
 using namespace jdrag::analysis;
 using namespace jdrag::profiler;
 
 namespace {
+
+/// Pid-unique scratch path: concurrent ctest runs (e.g. the default and
+/// sanitize presets) must not share files.
+std::string tempPath(const std::string &Name) {
+  return "/tmp/jdrag_sa_" + std::to_string(getpid()) + "_" + Name;
+}
 
 //===----------------------------------------------------------------------===//
 // ExactSum: the determinism bedrock
@@ -209,7 +217,7 @@ void checkIdentity(const benchmarks::BenchmarkProgram &B,
                    bool &SawSharded) {
   std::string Tag = B.Name + (SampleBytes ? "_sampled" : "_exact") +
                     (Compress ? "_v6" : "_v4");
-  std::string Jdev = "/tmp/jdrag_sa_" + Tag + ".jdev";
+  std::string Jdev = tempPath(Tag + ".jdev");
   recordWorkload(B, SampleBytes, Compress, Jdev);
 
   StreamAnalysisOptions Base;
@@ -219,7 +227,7 @@ void checkIdentity(const benchmarks::BenchmarkProgram &B,
 
   // Sequential streaming pass, with the CSV riding along.
   StreamAnalysisOptions SO = Base;
-  SO.ExportCsvPath = "/tmp/jdrag_sa_" + Tag + "_s.csv";
+  SO.ExportCsvPath = tempPath(Tag + "_s.csv");
   StreamAnalysisResult S;
   std::string Err;
   ASSERT_TRUE(analyzeEventStream(Jdev, B.Prog, SO, S, &Err)) << Err;
@@ -229,7 +237,7 @@ void checkIdentity(const benchmarks::BenchmarkProgram &B,
   // Materialized oracle.
   StreamAnalysisOptions MO = Base;
   MO.ForceMaterialize = true;
-  MO.ExportCsvPath = "/tmp/jdrag_sa_" + Tag + "_m.csv";
+  MO.ExportCsvPath = tempPath(Tag + "_m.csv");
   StreamAnalysisResult M;
   ASSERT_TRUE(analyzeEventStream(Jdev, B.Prog, MO, M, &Err)) << Err;
   EXPECT_TRUE(M.Materialized);
@@ -347,7 +355,7 @@ TEST(StreamingAnalysis, PeekEndTimeMatchesDecode) {
   auto All = benchmarks::buildAll();
   const auto &B = All.front();
   for (bool Compress : {false, true}) {
-    std::string Jdev = "/tmp/jdrag_sa_peek.jdev";
+    std::string Jdev = tempPath("peek.jdev");
     recordWorkload(B, 0, Compress, Jdev);
     ByteTime Peeked = 0;
     ASSERT_TRUE(peekStreamEndTime(Jdev, Peeked));

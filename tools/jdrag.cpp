@@ -92,9 +92,8 @@ struct Options {
   std::string OutPath;    ///< optimizeasm: write the revised .jasm here
   std::string Connect;    ///< record: stream to a jdragd at this address
   std::string Name;       ///< send: client name announced in HELLO
-  bool HeapStats = false; ///< run: dump heap-backend occupancy
-  bool LegacyHeap = false; ///< run: flat new-per-object backend
-  bool Gen = false;        ///< run: enable the generational policy
+  bool HeapStats = false; ///< run: dump heap occupancy
+  bool Gen = false;       ///< run: enable the generational policy
 };
 
 int usage() {
@@ -158,9 +157,8 @@ int usage() {
       "                               off a recording; --materialize as\n"
       "                               above)\n"
       "  run <bench>                  plain uninstrumented run\n"
-      "                               (--heap-stats: span/free-list/\n"
+      "                               (--heap-stats: span and\n"
       "                               remembered-set occupancy dump;\n"
-      "                               --legacy-heap: flat backend;\n"
       "                               --gen: generational collection)\n");
   return 2;
 }
@@ -881,18 +879,13 @@ int cmdOptimizeAsm(const std::string &Path,
 }
 
 void printHeapStats(const vm::HeapOccupancy &Occ) {
-  if (Occ.SpanBackend)
-    std::printf("heap backend: page-spans (%zu-byte spans, %zu records "
-                "each)\n",
-                Occ.SpanBytes, Occ.RecordsPerSpan);
-  else
-    std::printf("heap backend: legacy flat (new per object, size-class "
-                "free lists)\n");
+  std::printf("heap backend: page-spans (%zu-byte spans, %zu records "
+              "each)\n",
+              Occ.SpanBytes, Occ.RecordsPerSpan);
   std::printf("handle table: %zu slots, %zu free\n", Occ.HandleSlots,
               Occ.FreeHandleSlots);
-  if (Occ.SpanBackend)
-    std::printf("spans: %zu young, %zu old, %zu pooled\n", Occ.YoungSpans,
-                Occ.OldSpans, Occ.PooledSpans);
+  std::printf("spans: %zu young, %zu old, %zu pooled\n", Occ.YoungSpans,
+              Occ.OldSpans, Occ.PooledSpans);
   std::printf("remembered set: %zu entries, capacity %zu\n",
               Occ.RememberedEntries, Occ.RememberedCapacity);
   if (Occ.Rows.empty())
@@ -907,7 +900,6 @@ void printHeapStats(const vm::HeapOccupancy &Occ) {
 
 int cmdRun(const BenchmarkProgram &B, const Options &O) {
   vm::VMOptions Opts;
-  Opts.HeapSpans = !O.LegacyHeap;
   Opts.Generational.Enabled = O.Gen;
   vm::VirtualMachine VM(B.Prog, Opts);
   VM.setInputs(B.DefaultInputs);
@@ -988,8 +980,6 @@ int main(int argc, char **argv) {
       O.Name = Args[++I];
     else if (Args[I] == "--heap-stats")
       O.HeapStats = true;
-    else if (Args[I] == "--legacy-heap")
-      O.LegacyHeap = true;
     else if (Args[I] == "--gen")
       O.Gen = true;
     else
