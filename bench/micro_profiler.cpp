@@ -9,7 +9,6 @@
 
 #include "analysis/RecordFold.h"
 #include "analysis/StreamingAnalysis.h"
-#include "support/Statistics.h"
 #include "benchmarks/Benchmarks.h"
 #include "benchmarks/MiniJDK.h"
 #include "ir/Verifier.h"
@@ -23,8 +22,6 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <array>
-#include <unordered_map>
 
 #include <cstdio>
 #include <cstring>
@@ -145,28 +142,6 @@ void BM_HeapAllocRecycle(benchmark::State &State) {
   State.SetItemsProcessed(Allocs);
 }
 BENCHMARK(BM_HeapAllocRecycle);
-
-/// The legacy fixed-width wire format on the same null-sink run. The
-/// delta against BM_InterpreterNullSink (which encodes v3 varints) is
-/// what the compact format costs -- or saves -- on the producer side.
-void BM_InterpreterNullSinkV2(benchmark::State &State) {
-  Program P = buildHotLoop();
-  std::int64_t Iters = State.range(0);
-  for (auto _ : State) {
-    profiler::NullSink Sink;
-    VMOptions Opts;
-    Opts.DeepGCIntervalBytes = 100 * KB;
-    Opts.Sink = &Sink;
-    Opts.EventFormat = profiler::WireFormat::V2;
-    VirtualMachine VM(P, Opts);
-    VM.setInputs({Iters});
-    if (VM.run() != Interpreter::Status::Ok)
-      std::abort();
-    benchmark::DoNotOptimize(Sink.bytesDiscarded());
-  }
-  State.SetItemsProcessed(State.iterations() * Iters);
-}
-BENCHMARK(BM_InterpreterNullSinkV2)->Arg(10000);
 
 /// The background-writer hand-off cost: same null-sink run, but every
 /// flushed chunk takes the AsyncEventSink path (copy + mutex + condvar)
@@ -506,8 +481,8 @@ BENCHMARK(BM_Crc32cSW)->Arg(4096)->Arg(64 * 1024);
 
 /// Phase-2 decode throughput: frames + records of an in-memory
 /// recording through the full FrameDecoder/StreamDecoder path into a
-/// null consumer. Arg selects the wire format (2 or 3); items are
-/// decoded event records.
+/// null consumer. Arg is the wire format (4, the only one written);
+/// items are decoded event records.
 void BM_ReplayDecode(benchmark::State &State) {
   Program P = buildHotLoop();
   auto Format = static_cast<profiler::WireFormat>(State.range(0));
@@ -540,46 +515,7 @@ void BM_ReplayDecode(benchmark::State &State) {
   State.SetItemsProcessed(State.iterations() * EventsPerPass);
   State.SetBytesProcessed(State.iterations() * Mem.bytes().size());
 }
-BENCHMARK(BM_ReplayDecode)->Arg(2)->Arg(3)->Arg(4);
-
-/// The same decode with the varint batch fast path disabled -- the gap
-/// between this and BM_ReplayDecode/3 is what the contiguous-bytes
-/// fast path buys on the per-byte bounds-checked fallback.
-void BM_ReplayDecodeNoBatch(benchmark::State &State) {
-  Program P = buildHotLoop();
-  auto Format = static_cast<profiler::WireFormat>(State.range(0));
-  profiler::MemorySink Mem;
-  VMOptions Opts;
-  Opts.DeepGCIntervalBytes = 100 * KB;
-  Opts.Sink = &Mem;
-  Opts.EventFormat = Format;
-  VirtualMachine VM(P, Opts);
-  VM.setInputs({10000});
-  if (VM.run() != Interpreter::Status::Ok)
-    std::abort();
-
-  class NullConsumer : public profiler::EventConsumer {
-  public:
-    std::uint64_t Events = 0;
-    void onSite(profiler::SiteId,
-                std::span<const profiler::SiteFrame>) override {}
-    void onEvent(const profiler::EventRecord &) override { ++Events; }
-  };
-  std::uint64_t EventsPerPass = 0;
-  for (auto _ : State) {
-    NullConsumer C;
-    profiler::FrameDecoder D(C, Format);
-    D.setBatchDecode(false);
-    if (!D.feed(Mem.bytes().data(), Mem.bytes().size()) ||
-        !D.atRecordBoundary())
-      std::abort();
-    EventsPerPass = C.Events;
-    benchmark::DoNotOptimize(C.Events);
-  }
-  State.SetItemsProcessed(State.iterations() * EventsPerPass);
-  State.SetBytesProcessed(State.iterations() * Mem.bytes().size());
-}
-BENCHMARK(BM_ReplayDecodeNoBatch)->Arg(3);
+BENCHMARK(BM_ReplayDecode)->Arg(4);
 
 /// Raw codec throughput: lzCompress + lzDecompress over the hot loop's
 /// real event stream, one 64 KiB block at a time (the production chunk
@@ -723,94 +659,18 @@ void BM_ReplayParallel(benchmark::State &State) {
 }
 BENCHMARK(BM_ReplayParallel)->Arg(1)->Arg(2)->Arg(4);
 
-/// The pre-fold DragReport aggregation loop, reproduced line-for-line
-/// from the old constructor as BM_Report's baseline: one
-/// unordered_map::try_emplace per record, three Welford RunningStat
-/// updates, and a per-group unordered_map last-use partition -- the
-/// per-record hashing and allocation churn the fold engine replaced.
-struct LegacySiteGroup {
-  profiler::SiteId Site = profiler::InvalidSite;
-  std::uint64_t ObjectCount = 0;
-  std::uint64_t TotalBytes = 0;
-  std::uint64_t NeverUsedCount = 0;
-  std::uint64_t LargeDragCount = 0;
-  SpaceTime EstObjects = 0, EstBytes = 0, TotalDrag = 0, DragVariance = 0,
-            NeverUsedDrag = 0;
-  RunningStat DragPerObject, DragTimePerObject, LifeTimePerObject;
-  std::array<std::uint64_t, analysis::SiteGroup::NumHistoBuckets>
-      DragTimeHisto = {};
-  std::unordered_map<profiler::SiteId, SpaceTime> DragByLastUse;
-};
-
-std::vector<LegacySiteGroup> legacyAggregate(const profiler::ProfileLog &Log) {
-  const std::uint64_t Rate = Log.SampleRate;
-  std::vector<LegacySiteGroup> Groups;
-  std::unordered_map<profiler::SiteId, std::size_t> Index;
-  SpaceTime TotalDragSum = 0, ReachableSum = 0, InUseSum = 0;
-  for (const profiler::ObjectRecord &R : Log.Records) {
-    auto [It, Fresh] = Index.try_emplace(R.AllocSite, Groups.size());
-    if (Fresh) {
-      Groups.emplace_back();
-      Groups.back().Site = R.AllocSite;
-    }
-    LegacySiteGroup &G = Groups[It->second];
-    ++G.ObjectCount;
-    G.TotalBytes += R.Bytes;
-    double Prob = profiler::sampleProbability(R.Bytes, Rate);
-    SpaceTime W = 1.0 / Prob;
-    SpaceTime Drag = R.drag() * W;
-    G.EstObjects += W;
-    G.EstBytes += W * static_cast<double>(R.Bytes);
-    G.TotalDrag += Drag;
-    G.DragVariance += profiler::sampleVarianceTerm(R.drag(), Prob);
-    G.DragPerObject.add(R.drag());
-    G.DragTimePerObject.add(static_cast<double>(R.dragTime()));
-    G.LifeTimePerObject.add(static_cast<double>(R.lifeTime()));
-    if (R.neverUsed()) {
-      ++G.NeverUsedCount;
-      G.NeverUsedDrag += Drag;
-    }
-    if (R.lifeTime() > 0 && static_cast<double>(R.dragTime()) >=
-                                static_cast<double>(R.lifeTime()) / 3.0)
-      ++G.LargeDragCount;
-    ++G.DragTimeHisto[analysis::SiteGroup::histoBucket(R.dragTime())];
-    G.DragByLastUse[R.neverUsed() ? profiler::InvalidSite : R.LastUseSite] +=
-        Drag;
-    TotalDragSum += Drag;
-    ReachableSum += W * static_cast<SpaceTime>(R.Bytes) *
-                    static_cast<SpaceTime>(R.lifeTime());
-    InUseSum += W * static_cast<SpaceTime>(R.Bytes) *
-                static_cast<SpaceTime>(R.inUseTime());
-  }
-  std::sort(Groups.begin(), Groups.end(),
-            [](const LegacySiteGroup &A, const LegacySiteGroup &B) {
-              if (A.TotalDrag != B.TotalDrag)
-                return A.TotalDrag > B.TotalDrag;
-              return A.Site < B.Site;
-            });
-  benchmark::DoNotOptimize(TotalDragSum + ReachableSum + InUseSum);
-  return Groups;
-}
-
-/// Phase-2 report ladder over one recorded .jdev (docs/analysis.md):
+/// Phase-2 report ladder over one recorded .jdev (docs/analysis.md).
+/// The arg numbers are kept from the full ladder (BENCH_9.json) so rungs
+/// stay comparable across runs:
 ///
-///   arg 0: materialized, legacy map pipeline -- replay into
-///          ProfileLog::Records, then the pre-fold DragReport loop
-///          (legacyAggregate above; the denominator of the >=2x gate in
-///          BENCH_9.json)
-///   arg 1: materialized, open-addressed -- same replay, fold engine over
-///          the vector (what DragReport(P, Log) runs today)
-///   arg 2: streaming, open-addressed -- the production analyzeEventStream
-///          path: records fold as the decoder emits them, Records never
-///          materializes
-///   arg 3: streaming, map-index ablation -- the fold with unordered_map
-///          indexes, isolating the open-addressed index win from the
-///          no-materialization win
+///   arg 1: materialized -- replay into ProfileLog::Records, then the
+///          fold engine over the vector (what DragReport(P, Log) runs)
+///   arg 2: streaming -- the production analyzeEventStream path: records
+///          fold as the decoder emits them, Records never materializes
 ///   arg 4: sharded streaming merge (jobs=2; on a 1-CPU box this prices
 ///          the shard/merge machinery, not parallel speedup)
-///   arg 5: aggregation only, legacy map pipeline -- over a pre-decoded
-///          record vector (decode floor factored out)
-///   arg 6: aggregation only, open-addressed fold
+///   arg 6: aggregation only -- the fold over a pre-decoded record
+///          vector (decode floor factored out)
 ///   arg 7: decode floor -- the streaming driver with every fold
 ///          disabled; what "reports at decode speed" is measured against
 ///
@@ -821,7 +681,7 @@ std::vector<LegacySiteGroup> legacyAggregate(const profiler::ProfileLog &Log) {
 void BM_Report(benchmark::State &State) {
   // A real paper workload (site-diverse, ~35k records), not the
   // single-site hot loop: report aggregation cost scales with site
-  // spread, which is exactly what the map-vs-open rungs measure.
+  // spread.
   BenchmarkProgram B = buildJavac();
   const Program &P = B.Prog;
   char Path[64];
@@ -840,29 +700,23 @@ void BM_Report(benchmark::State &State) {
     if (VM.run() != Interpreter::Status::Ok || !VM.streamIntact())
       std::abort();
   }
+  auto Aggregate = [&](const profiler::ProfileLog &Log) {
+    analysis::SiteGroupFold F(Log.SampleRate);
+    for (const profiler::ObjectRecord &R : Log.Records)
+      F.fold(R);
+    analysis::DragReportData Data = F.finish(P, Log.Sites);
+    benchmark::DoNotOptimize(Data.Groups.data());
+  };
   const int Mode = static_cast<int>(State.range(0));
   std::uint64_t Records = 0;
   std::size_t Resident = 0;
-  if (Mode == 5 || Mode == 6) {
-    // Aggregation-only rungs: the decode floor (shared by every rung
-    // above) factored out. This pair prices exactly the per-record
-    // hashing the open-addressed index killed.
+  if (Mode == 6) {
     profiler::ProfileLog Log;
     if (!profiler::replayProfileParallel(Path, P, profiler::ProfilerConfig(),
                                          1, Log))
       std::abort();
-    for (auto _ : State) {
-      if (Mode == 5) {
-        std::vector<LegacySiteGroup> Groups = legacyAggregate(Log);
-        benchmark::DoNotOptimize(Groups.data());
-      } else {
-        analysis::SiteGroupFold F(Log.SampleRate);
-        for (const profiler::ObjectRecord &R : Log.Records)
-          F.fold(R);
-        analysis::DragReportData Data = F.finish(P, Log.Sites);
-        benchmark::DoNotOptimize(Data.Groups.data());
-      }
-    }
+    for (auto _ : State)
+      Aggregate(Log);
     State.SetItemsProcessed(State.iterations() * Log.Records.size());
     State.counters["resident_bytes"] =
         static_cast<double>(Log.Records.size() * sizeof(profiler::ObjectRecord));
@@ -870,27 +724,17 @@ void BM_Report(benchmark::State &State) {
     return;
   }
   for (auto _ : State) {
-    if (Mode <= 1) {
+    if (Mode == 1) {
       profiler::ProfileLog Log;
       if (!profiler::replayProfileParallel(Path, P,
                                            profiler::ProfilerConfig(), 1, Log))
         std::abort();
-      if (Mode == 0) {
-        std::vector<LegacySiteGroup> Groups = legacyAggregate(Log);
-        benchmark::DoNotOptimize(Groups.data());
-      } else {
-        analysis::SiteGroupFold F(Log.SampleRate);
-        for (const profiler::ObjectRecord &R : Log.Records)
-          F.fold(R);
-        analysis::DragReportData Data = F.finish(P, Log.Sites);
-        benchmark::DoNotOptimize(Data.Groups.data());
-      }
+      Aggregate(Log);
       Records = Log.Records.size();
       Resident = Log.Records.size() * sizeof(profiler::ObjectRecord);
     } else {
       analysis::StreamAnalysisOptions O;
       O.Jobs = Mode == 4 ? 2 : 1;
-      O.UseMapIndex = Mode == 3;
       if (Mode == 7) {
         O.WantReport = false;
         O.WantLifetimes = false;
@@ -910,12 +754,9 @@ void BM_Report(benchmark::State &State) {
   std::remove(Path);
 }
 BENCHMARK(BM_Report)
-    ->Arg(0)
     ->Arg(1)
     ->Arg(2)
-    ->Arg(3)
     ->Arg(4)
-    ->Arg(5)
     ->Arg(6)
     ->Arg(7)
     ->UseRealTime();

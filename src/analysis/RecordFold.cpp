@@ -20,8 +20,8 @@ void RecordFold::remapSites(const std::vector<profiler::SiteId> &) {}
 //===----------------------------------------------------------------------===//
 
 SiteGroupFold::SiteGroupFold(std::uint64_t SampleRate,
-                             std::uint32_t SiteCountHint, bool UseMapIndex)
-    : Rate(SampleRate), UseMap(UseMapIndex), SiteIndex(SiteCountHint),
+                             std::uint32_t SiteCountHint)
+    : Rate(SampleRate), SiteIndex(SiteCountHint),
       LastUseIndex(SiteCountHint * 2), ClassIndex(64) {
   Groups.reserve(SiteCountHint);
   LastUse.reserve(SiteCountHint * 2);
@@ -30,9 +30,7 @@ SiteGroupFold::SiteGroupFold(std::uint64_t SampleRate,
 
 std::uint32_t SiteGroupFold::groupFor(SiteId Site) {
   std::uint32_t Next = static_cast<std::uint32_t>(Groups.size());
-  std::uint32_t GI =
-      UseMap ? MapSiteIndex.try_emplace(Site, Next).first->second
-             : SiteIndex.lookupOrInsert(Site, Next);
+  std::uint32_t GI = SiteIndex.lookupOrInsert(Site, Next);
   if (GI == Next) {
     Groups.emplace_back();
     Groups.back().Site = Site;
@@ -42,9 +40,7 @@ std::uint32_t SiteGroupFold::groupFor(SiteId Site) {
 
 std::uint32_t SiteGroupFold::lastUseFor(std::uint64_t Key) {
   std::uint32_t Next = static_cast<std::uint32_t>(LastUse.size());
-  std::uint32_t LI =
-      UseMap ? MapLastUseIndex.try_emplace(Key, Next).first->second
-             : LastUseIndex.lookupOrInsert(Key, Next);
+  std::uint32_t LI = LastUseIndex.lookupOrInsert(Key, Next);
   if (LI == Next) {
     LastUse.emplace_back();
     LastUse.back().Key = Key;
@@ -54,9 +50,7 @@ std::uint32_t SiteGroupFold::lastUseFor(std::uint64_t Key) {
 
 std::uint32_t SiteGroupFold::classFor(std::uint64_t Key) {
   std::uint32_t Next = static_cast<std::uint32_t>(Classes.size());
-  std::uint32_t CI =
-      UseMap ? MapClassIndex.try_emplace(Key, Next).first->second
-             : ClassIndex.lookupOrInsert(Key, Next);
+  std::uint32_t CI = ClassIndex.lookupOrInsert(Key, Next);
   if (CI == Next) {
     Classes.emplace_back();
     Classes.back().Key = Key;

@@ -169,12 +169,9 @@ class SiteGroupFold : public RecordFold {
 public:
   /// \p SampleRate is ProfileLog::SampleRate (0 = exact log).
   /// \p SiteCountHint presizes the index and group storage (pass the
-  /// site-table size; 0 is fine). \p UseMapIndex swaps the
-  /// open-addressed index for unordered_map -- the bench ablation rung,
-  /// never used by production callers.
+  /// site-table size; 0 is fine).
   explicit SiteGroupFold(std::uint64_t SampleRate,
-                         std::uint32_t SiteCountHint = 0,
-                         bool UseMapIndex = false);
+                         std::uint32_t SiteCountHint = 0);
 
   void fold(const profiler::ObjectRecord &R) override;
   void merge(const RecordFold &O) override;
@@ -236,7 +233,6 @@ private:
   std::uint32_t classFor(std::uint64_t Key);
 
   std::uint64_t Rate;
-  bool UseMap;
   std::uint64_t Records = 0;
   std::vector<GroupAccum> Groups;
   std::vector<LastUseAccum> LastUse;
@@ -244,10 +240,6 @@ private:
   OpenIndex<std::uint32_t> SiteIndex;
   OpenIndex<std::uint64_t> LastUseIndex;
   OpenIndex<std::uint64_t> ClassIndex;
-  // Ablation-only twins of the three indexes (UseMapIndex == true).
-  std::unordered_map<std::uint32_t, std::uint32_t> MapSiteIndex;
-  std::unordered_map<std::uint64_t, std::uint32_t> MapLastUseIndex;
-  std::unordered_map<std::uint64_t, std::uint32_t> MapClassIndex;
   ExactSum TotalDragSum, ReachableSum, InUseSum;
 };
 

@@ -102,7 +102,7 @@ public:
     Sets.resize(ShardCount);
     for (Set &S : Sets) {
       if (O.WantReport)
-        S.SG.emplace(SampleRate, 0, O.UseMapIndex);
+        S.SG.emplace(SampleRate);
       if (O.WantLifetimes)
         S.LF.emplace();
       if (O.CurveSamples)
@@ -282,7 +282,7 @@ bool jdrag::analysis::analyzeEventStream(const std::string &Path,
   std::optional<CsvExportFold> EX;
   FoldPipeline Pipe;
   if (O.WantReport) {
-    SG.emplace(SampleRate, 0, O.UseMapIndex);
+    SG.emplace(SampleRate);
     Pipe.attach(*SG);
   }
   if (O.WantLifetimes) {

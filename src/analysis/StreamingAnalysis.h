@@ -50,9 +50,6 @@ struct StreamAnalysisOptions {
   std::uint32_t CurveSamples = 0;
   /// Non-empty = stream the per-object CSV to this path as records fold.
   std::string ExportCsvPath;
-  /// Bench ablation: aggregate through unordered_map instead of the
-  /// open-addressed index. Never set by production callers.
-  bool UseMapIndex = false;
   /// Skip streaming entirely and run the materialized pipeline (replay
   /// into ProfileLog::Records, analyze the vector). The CLI's
   /// `--materialize` bit-identity oracle.

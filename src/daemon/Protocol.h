@@ -179,6 +179,15 @@ inline bool decodeHello(std::span<const std::byte> Payload, HelloInfo &Out,
     std::memcpy(&Out.SampleBytes, Payload.data() + 20 + NameLen, 8);
     std::memcpy(&Out.SampleSeed, Payload.data() + 28 + NameLen, 8);
   }
+  // The session's .jdev header is written in Format; before v5 it has no
+  // slot for the sampling params, so the recording would replay as exact
+  // while the live fold scaled it (the rule effectiveFormat encodes).
+  if (Out.SampleBytes != 0 && Out.Format < profiler::WireFormat::V5) {
+    if (Err)
+      *Err = "sampled HELLO needs wire format 5 or later, got " +
+             std::to_string(Fmt);
+    return false;
+  }
   return true;
 }
 

@@ -5,6 +5,7 @@
 #include "support/Crc32c.h"
 #include "support/Lz.h"
 
+#include <cassert>
 #include <chrono>
 #include <cstring>
 #include <thread>
@@ -539,9 +540,10 @@ bool FileEventSink::finish() {
 //===----------------------------------------------------------------------===//
 
 EventBuffer::EventBuffer(EventSink &Sink, std::size_t ChunkBytes,
-                         bool Checksum, WireFormat Format)
+                         bool Checksum, [[maybe_unused]] WireFormat Format)
     : Sink(Sink), ChunkBytes(ChunkBytes ? ChunkBytes : DefaultChunkBytes),
-      Format(Format), Checksum(Checksum) {
+      Checksum(Checksum) {
+  assert(chunkSelfContained(Format) && "v2/v3 streams are read-only");
   Chunk.reserve(sizeof(ChunkHeader) + this->ChunkBytes);
   beginChunk();
 }
@@ -549,44 +551,28 @@ EventBuffer::EventBuffer(EventSink &Sink, std::size_t ChunkBytes,
 void EventBuffer::beginChunk() {
   Chunk.clear();
   Chunk.resize(sizeof(ChunkHeader)); // placeholder, filled at flush
-  if (chunkSelfContained(Format)) {
-    // Every v4/v5 chunk is self-contained: the delta chain restarts, so
-    // the first timed record carries its absolute time.
-    LastTime = 0;
-    ChunkRecords = 0;
-    ChunkHasTime = false;
-    ChunkFirstTime = ChunkLastTime = 0;
-    ChunkFirstRecord = Events;
-  }
+  // Every chunk is self-contained: the delta chain restarts, so the
+  // first timed record carries its absolute time.
+  LastTime = 0;
+  ChunkRecords = 0;
+  ChunkHasTime = false;
+  ChunkFirstTime = ChunkLastTime = 0;
+  ChunkFirstRecord = Events;
 }
 
-void EventBuffer::writeBytes(const void *Data, std::size_t Size) {
-  const auto *Src = static_cast<const std::byte *>(Data);
-  std::size_t Cap = sizeof(ChunkHeader) + ChunkBytes;
-  while (Size) {
-    std::size_t Room = Cap - Chunk.size();
-    std::size_t N = Size < Room ? Size : Room;
-    Chunk.insert(Chunk.end(), Src, Src + N);
-    Src += N;
-    Size -= N;
-    if (Chunk.size() == Cap)
-      flush(); // dropped chunks are accounted; keep emitting regardless
-  }
-}
-
-void EventBuffer::writeEventV3(const EventRecord &E) {
+void EventBuffer::writeEvent(const EventRecord &E) {
   // Largest non-site record: tag + 5 varints -- comfortably under 64.
-  std::uint8_t Buf[1 + 5 * MaxVarintBytes];
+  std::uint8_t Buf[MaxV3EventBytes];
   std::size_t N = 0;
   std::uint8_t Tag = E.Kind;
   auto Kind = E.kind();
 
-  // v4/v5 keep chunks record-aligned, and the delta below depends on
-  // which chunk the record lands in (the chain restarts per chunk) --
-  // so the chunk decision comes first: if the worst-case record might
-  // not fit, flush now and encode against the fresh chunk's zero base.
-  // Costs at most 50 slack bytes per chunk.
-  if (chunkSelfContained(Format) && Chunk.size() > sizeof(ChunkHeader) &&
+  // Chunks stay record-aligned, and the delta below depends on which
+  // chunk the record lands in (the chain restarts per chunk) -- so the
+  // chunk decision comes first: if the worst-case record might not fit,
+  // flush now and encode against the fresh chunk's zero base. Costs at
+  // most 50 slack bytes per chunk.
+  if (Chunk.size() > sizeof(ChunkHeader) &&
       sizeof(ChunkHeader) + ChunkBytes - Chunk.size() < sizeof(Buf))
     flush();
 
@@ -631,20 +617,48 @@ void EventBuffer::writeEventV3(const EventRecord &E) {
     N += putSvar(Buf + N, Delta);
     break;
   case EventKind::DefineSite:
-    // DefineSite goes through writeSite(); never reaches here.
+    // DefineSite goes through writeSite(); never encoded here.
+    ++Events;
     return;
   }
-  if (chunkSelfContained(Format))
-    appendRecordV4(Buf, N, /*Timed=*/true, E.Time);
-  else
-    writeBytes(Buf, N);
+  appendRecord(Buf, N, /*Timed=*/true, E.Time);
+  ++Events;
 }
 
-void EventBuffer::appendRecordV4(const void *Data, std::size_t Size,
-                                 bool Timed, ByteTime Time) {
-  // Timed records already secured their room in writeEventV3 (the
-  // chunk decision had to precede the delta encoding); untimed site
-  // records are placement-independent, so they flush-on-demand here.
+void EventBuffer::writeSite(SiteId Id, std::span<const SiteFrame> Frames) {
+  // DefineSite is untimed (Time is always 0) and does NOT participate in
+  // the time-delta chain: sites intern lazily, so their position in the
+  // stream is not meaningful to the clock. The record is staged whole so
+  // it lands in exactly one chunk.
+  SiteScratch.clear();
+  auto Put = [&](const std::uint8_t *P, std::size_t N) {
+    SiteScratch.insert(SiteScratch.end(),
+                       reinterpret_cast<const std::byte *>(P),
+                       reinterpret_cast<const std::byte *>(P) + N);
+  };
+  std::uint8_t Buf[1 + 2 * MaxVarintBytes];
+  std::size_t N = 0;
+  Buf[N++] = static_cast<std::uint8_t>(EventKind::DefineSite);
+  N += putUvar(Buf + N, Id);
+  N += putUvar(Buf + N, Frames.size());
+  Put(Buf, N);
+  for (const SiteFrame &F : Frames) {
+    std::uint8_t FB[3 * MaxVarintBytes];
+    std::size_t FN = 0;
+    FN += putUvar(FB + FN, F.Method.Index);
+    FN += putUvar(FB + FN, F.Pc);
+    FN += putUvar(FB + FN, F.Line);
+    Put(FB, FN);
+  }
+  appendRecord(SiteScratch.data(), SiteScratch.size(), /*Timed=*/false, 0);
+  ++Events;
+}
+
+void EventBuffer::appendRecord(const void *Data, std::size_t Size, bool Timed,
+                               ByteTime Time) {
+  // Timed records already secured their room in writeEvent (the chunk
+  // decision had to precede the delta encoding); untimed site records
+  // are placement-independent, so they flush-on-demand here.
   std::size_t Cap = sizeof(ChunkHeader) + ChunkBytes;
   if (!Timed && Chunk.size() > sizeof(ChunkHeader) &&
       Chunk.size() + Size > Cap)
@@ -667,72 +681,6 @@ void EventBuffer::appendRecordV4(const void *Data, std::size_t Size,
     flush();
 }
 
-void EventBuffer::writeEvent(const EventRecord &E) {
-  if (Format == WireFormat::V2)
-    writeBytes(&E, sizeof(E));
-  else
-    writeEventV3(E);
-  ++Events;
-}
-
-void EventBuffer::writeSite(SiteId Id, std::span<const SiteFrame> Frames) {
-  if (Format == WireFormat::V2) {
-    EventRecord E;
-    E.Kind = static_cast<std::uint8_t>(EventKind::DefineSite);
-    E.Site = Id;
-    E.Arg0 = Frames.size();
-    writeBytes(&E, sizeof(E));
-    for (const SiteFrame &F : Frames) {
-      WireFrame W{F.Method.Index, F.Pc, F.Line};
-      writeBytes(&W, sizeof(W));
-    }
-  } else if (Format == WireFormat::V3) {
-    // DefineSite is untimed (Time is always 0) and does NOT participate
-    // in the time-delta chain: sites intern lazily, so their position
-    // in the stream is not meaningful to the clock.
-    std::uint8_t Buf[1 + 2 * MaxVarintBytes];
-    std::size_t N = 0;
-    Buf[N++] = static_cast<std::uint8_t>(EventKind::DefineSite);
-    N += putUvar(Buf + N, Id);
-    N += putUvar(Buf + N, Frames.size());
-    writeBytes(Buf, N);
-    for (const SiteFrame &F : Frames) {
-      std::uint8_t FB[3 * MaxVarintBytes];
-      std::size_t FN = 0;
-      FN += putUvar(FB + FN, F.Method.Index);
-      FN += putUvar(FB + FN, F.Pc);
-      FN += putUvar(FB + FN, F.Line);
-      writeBytes(FB, FN);
-    }
-  } else {
-    // v4: same bytes as v3, but staged whole so the record lands in
-    // exactly one chunk.
-    SiteScratch.clear();
-    auto Put = [&](const std::uint8_t *P, std::size_t N) {
-      SiteScratch.insert(SiteScratch.end(),
-                         reinterpret_cast<const std::byte *>(P),
-                         reinterpret_cast<const std::byte *>(P) + N);
-    };
-    std::uint8_t Buf[1 + 2 * MaxVarintBytes];
-    std::size_t N = 0;
-    Buf[N++] = static_cast<std::uint8_t>(EventKind::DefineSite);
-    N += putUvar(Buf + N, Id);
-    N += putUvar(Buf + N, Frames.size());
-    Put(Buf, N);
-    for (const SiteFrame &F : Frames) {
-      std::uint8_t FB[3 * MaxVarintBytes];
-      std::size_t FN = 0;
-      FN += putUvar(FB + FN, F.Method.Index);
-      FN += putUvar(FB + FN, F.Pc);
-      FN += putUvar(FB + FN, F.Line);
-      Put(FB, FN);
-    }
-    appendRecordV4(SiteScratch.data(), SiteScratch.size(), /*Timed=*/false,
-                   0);
-  }
-  ++Events;
-}
-
 bool EventBuffer::flush() {
   std::size_t Payload = Chunk.size() - sizeof(ChunkHeader);
   if (!Payload)
@@ -752,19 +700,17 @@ bool EventBuffer::flush() {
   if (Accepted) {
     ++Health.ChunksWritten;
     Health.BytesWritten += Chunk.size();
-    if (chunkSelfContained(Format)) {
-      ChunkIndexEntry E;
-      E.Offset = StreamOffset;
-      E.Seq = H.Seq;
-      E.PayloadBytes = H.PayloadBytes;
-      E.Crc = H.Crc;
-      E.RecordCount = ChunkRecords;
-      E.FirstTime = ChunkHasTime ? ChunkFirstTime : 0;
-      E.LastTime = ChunkHasTime ? ChunkLastTime : 0;
-      E.FirstRecord = ChunkFirstRecord;
-      Index.push_back(E);
-      StreamOffset += Chunk.size();
-    }
+    ChunkIndexEntry E;
+    E.Offset = StreamOffset;
+    E.Seq = H.Seq;
+    E.PayloadBytes = H.PayloadBytes;
+    E.Crc = H.Crc;
+    E.RecordCount = ChunkRecords;
+    E.FirstTime = ChunkHasTime ? ChunkFirstTime : 0;
+    E.LastTime = ChunkHasTime ? ChunkLastTime : 0;
+    E.FirstRecord = ChunkFirstRecord;
+    Index.push_back(E);
+    StreamOffset += Chunk.size();
   } else {
     ++Health.ChunksDropped;
     Health.BytesDropped += Chunk.size();
@@ -787,7 +733,7 @@ bool EventBuffer::flush() {
 
 bool EventBuffer::finishStream() {
   bool FlushOk = flush();
-  if (!chunkSelfContained(Format) || FooterWritten)
+  if (FooterWritten)
     return FlushOk;
   FooterWritten = true;
   // A footer asserts "these chunks are all in the stream, here" -- on a
@@ -880,7 +826,7 @@ bool StreamDecoder::decodeV3(const std::byte *Cur, std::size_t Avail,
     // Batch fast path: with room for any complete non-site record, the
     // varints decode without per-byte bounds checks -- the Short
     // machinery below only matters near the end of the input.
-    if (Batch && Avail - Off >= MaxV3EventBytes) {
+    if (Avail - Off >= MaxV3EventBytes) {
       std::uint8_t Tag = std::to_integer<std::uint8_t>(Cur[Off]);
       std::uint8_t KindBits = Tag & TagKindMask;
       auto Kind = static_cast<EventKind>(KindBits);

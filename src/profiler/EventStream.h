@@ -43,12 +43,14 @@
 ///       encoded as zigzag deltas against the previous record -- the
 ///       dominant Use/Collect events shrink from 40 to ~4-8 bytes.
 ///
-/// Records may straddle chunk boundaries in both encodings --
-/// FrameDecoder verifies and strips the frames, StreamDecoder
-/// reassembles records. The framing is what makes a damaged recording
-/// *salvageable*: a decoder can verify each chunk independently, detect
-/// exactly where corruption or truncation begins, and recover every
-/// complete record before it (see profiler/StreamSalvage.h).
+/// v2 and v3 are read-only formats: decoders, fsck, salvage and sharded
+/// replay accept them (tests/data pins them), but nothing writes them.
+/// Their records may straddle chunk boundaries -- FrameDecoder verifies
+/// and strips the frames, StreamDecoder reassembles records. The framing
+/// is what makes a damaged recording *salvageable*: a decoder can verify
+/// each chunk independently, detect exactly where corruption or
+/// truncation begins, and recover every complete record before it (see
+/// profiler/StreamSalvage.h).
 ///
 ///   v4  v3's record encoding made *shard-decodable*: every chunk is
 ///       self-contained (the time-delta chain restarts at zero in each
@@ -60,7 +62,9 @@
 ///       a reader can fan chunk ranges out to N decode threads without
 ///       scanning the file first (profiler/ParallelReplay.h). Readers
 ///       rebuild a missing or untrusted index with one sequential pass
-///       (rebuildChunkIndex), which also serves v2/v3 streams.
+///       (rebuildChunkIndex), which also serves v2/v3 streams. v4 (and
+///       v5/v6, which only extend the header and compress chunks) is
+///       the only encoding EventBuffer writes.
 ///
 /// The producer side degrades gracefully instead of failing silently:
 /// when a sink write fails, EventBuffer keeps accepting events, accounts
@@ -107,10 +111,12 @@ inline constexpr std::size_t NumEventKinds = 8;
 const char *eventKindName(EventKind K);
 
 /// Record-layer encoding of a stream (the `.jdev` header version). The
-/// chunk framing is identical in both; only the record bytes differ.
+/// chunk framing is identical in all of them; only the record bytes and
+/// the header differ.
 enum class WireFormat : std::uint8_t {
-  V2 = 2, ///< fixed 40-byte EventRecords (legacy; still replayable)
+  V2 = 2, ///< fixed 40-byte EventRecords (read-only)
   V3 = 3, ///< per-kind varint records with byte-clock time deltas
+          ///< (read-only)
   V4 = 4, ///< v3 records, but chunk-self-contained + chunk index footer
   V5 = 5, ///< v4 chunks/records/footer + sampling params in the header
   V6 = 6, ///< v5 header + per-chunk transparent LZ compression: a chunk
@@ -155,9 +161,9 @@ inline constexpr std::uint64_t DefaultSampleBytes = 64 * 1024;
 
 /// The format a recording must be written as given the requested format
 /// and sampling: sampling upgrades v4 to v5 (the header must carry the
-/// params); exact recordings keep the requested format. Sampling under
-/// v2/v3 has no header slot for the params -- callers reject that
-/// combination (jdrag does) rather than record an unscalable stream.
+/// params); exact recordings keep the requested format. A pre-v5 header
+/// has no slot for the params, so a sampled stream must be v5+ (the
+/// daemon rejects a sampled HELLO that names an older format).
 inline constexpr WireFormat effectiveFormat(WireFormat F,
                                             const SamplingParams &S) {
   return S.enabled() && F == WireFormat::V4 ? WireFormat::V5 : F;
@@ -168,8 +174,6 @@ inline constexpr WireFormat effectiveFormat(WireFormat F,
 /// chunk frames may carry the compressed-payload flag); with
 /// compression off the sampling-only rule above applies, so
 /// `--compress=off` recordings stay byte-identical to pre-v6 ones.
-/// Compression under v2/v3 framing is rejected by callers (jdrag does)
-/// -- those readers have no flag bit to honour.
 inline constexpr WireFormat effectiveFormat(WireFormat F,
                                             const SamplingParams &S,
                                             bool Compress) {
@@ -187,8 +191,8 @@ inline constexpr std::size_t streamHeaderBytes(WireFormat F) {
 }
 
 /// One decoded event. This is the *in-memory* record every consumer
-/// sees regardless of wire format; it is also, verbatim, the v2 wire
-/// encoding. Field meaning depends on Kind:
+/// sees regardless of wire format; it is also, verbatim, the (read-only)
+/// v2 wire encoding. Field meaning depends on Kind:
 ///
 ///   Kind        Time  Id      Arg0            Arg1           Site  Sub    Flags
 ///   DefineSite  -     -       frame count     -              id    -      -
@@ -705,15 +709,14 @@ private:
 };
 
 /// Chunked accumulator between the emitting VM and a sink. Events are
-/// encoded (v2 fixed-width or v3/v4 compact, per the constructor's
-/// WireFormat) into the current chunk; a full chunk is framed
-/// (ChunkHeader + payload) and handed to the sink, and writing continues
-/// in the next chunk. In v2/v3 records freely straddle chunk payload
-/// boundaries; in v4 every chunk is flushed at a record boundary (a
-/// record that will not fit starts the next chunk; one bigger than the
-/// chunk budget gets an oversized chunk of its own), the time-delta
-/// chain restarts per chunk, and finishStream() appends the chunk index
-/// footer.
+/// encoded as compact varint records into the current chunk; a full
+/// chunk is framed (ChunkHeader + payload) and handed to the sink, and
+/// writing continues in the next chunk. Every chunk is self-contained:
+/// it is flushed at a record boundary (a record that will not fit starts
+/// the next chunk; one bigger than the chunk budget gets an oversized
+/// chunk of its own), the time-delta chain restarts per chunk, and
+/// finishStream() appends the chunk index footer. v2/v3 streams are
+/// read-only: decoders accept them, nothing writes them.
 ///
 /// A sink failure does not stop event production: the buffer keeps
 /// accepting events, accounts every refused chunk in health(), and
@@ -726,7 +729,9 @@ public:
   /// \p Checksum = false skips the CRC computation and stamps 0 into
   /// the frame headers. Decoders reject such frames -- the switch
   /// exists ONLY to measure the integrity overhead (bench/) and must
-  /// never be used for real recordings.
+  /// never be used for real recordings. \p Format is the stream's
+  /// header version; v4, v5 and v6 share one record encoding, so it must
+  /// only be chunk-self-contained (v2/v3 are read-only).
   explicit EventBuffer(EventSink &Sink,
                        std::size_t ChunkBytes = DefaultChunkBytes,
                        bool Checksum = true,
@@ -738,10 +743,9 @@ public:
   /// Frames the current partial chunk and hands it to the sink.
   /// Returns false if the chunk was dropped (accounted in health()).
   bool flush();
-  /// End-of-stream: flushes and, for v4, appends the chunk index
-  /// footer frame (skipped when the stream is already known damaged --
-  /// a footer must only describe chunks that were actually written).
-  /// For v2/v3 this is exactly flush(). Idempotent.
+  /// End-of-stream: flushes and appends the chunk index footer frame
+  /// (skipped when the stream is already known damaged -- a footer must
+  /// only describe chunks that were actually written). Idempotent.
   bool finishStream();
   /// True while no sink write has failed.
   bool ok() const { return !SinkFailed; }
@@ -749,15 +753,12 @@ public:
   /// and any chunks the sink accepted but later shed (droppedChunks()).
   StreamHealth health() const;
   std::uint64_t eventsWritten() const { return Events; }
-  WireFormat wireFormat() const { return Format; }
-  /// The v4 chunk index accumulated so far (what finishStream writes).
+  /// The chunk index accumulated so far (what finishStream writes).
   const std::vector<ChunkIndexEntry> &chunkIndex() const { return Index; }
 
 private:
-  void writeBytes(const void *Data, std::size_t Size);
-  void writeEventV3(const EventRecord &E);
-  void appendRecordV4(const void *Data, std::size_t Size, bool Timed,
-                      ByteTime Time);
+  void appendRecord(const void *Data, std::size_t Size, bool Timed,
+                    ByteTime Time);
   void beginChunk();
 
   EventSink &Sink;
@@ -765,15 +766,14 @@ private:
   std::size_t ChunkBytes;
   std::uint64_t Events = 0;
   std::uint32_t NextSeq = 0;
-  ByteTime LastTime = 0; ///< v3/v4 time-delta chain (v4: per chunk)
+  ByteTime LastTime = 0; ///< time-delta chain (restarts per chunk)
   StreamHealth Health;
-  WireFormat Format;
   bool Checksum = true;
   bool SinkFailed = false;
   bool Warned = false;
-  // v4 chunk-index bookkeeping (empty/idle for v2/v3).
+  // Chunk-index bookkeeping.
   std::vector<ChunkIndexEntry> Index;
-  std::vector<std::byte> SiteScratch; ///< whole-record staging for v4
+  std::vector<std::byte> SiteScratch; ///< whole-record DefineSite staging
   std::uint64_t StreamOffset = 0;     ///< offset of the next chunk
   std::uint64_t ChunkFirstRecord = 0;
   std::uint32_t ChunkRecords = 0;
@@ -812,12 +812,6 @@ public:
   /// TimeBase from the rebuilt index. Only valid at a record boundary.
   void resetTimeBase(ByteTime T = 0) { LastTime = T; }
 
-  /// Toggles the batch fast path: when enough contiguous bytes remain
-  /// to hold any non-site record, varints are decoded without per-byte
-  /// bounds checks. On by default; off exists only so the decode bench
-  /// can measure the gap (BM_ReplayDecodeNoBatch).
-  void setBatchDecode(bool On) { Batch = On; }
-
   /// Decodes as much as possible. Returns false (sticky) on malformed
   /// input; error() describes the problem.
   bool feed(const std::byte *Data, std::size_t Size);
@@ -846,7 +840,6 @@ private:
   ByteTime LastTime = 0; ///< v3/v4 time-delta chain
   std::string Error;
   bool Failed = false;
-  bool Batch = true;
 };
 
 /// Incremental *chunk-layer* decoder: feed() arbitrary byte slices of a
@@ -866,9 +859,6 @@ public:
     Records.setWireFormat(F);
     Format = F;
   }
-
-  /// Forwarded to the record layer (bench knob; see StreamDecoder).
-  void setBatchDecode(bool On) { Records.setBatchDecode(On); }
 
   bool feed(const std::byte *Data, std::size_t Size);
 

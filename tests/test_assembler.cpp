@@ -237,6 +237,10 @@ struct DiagCase {
   const char *Expect;
 };
 
+// gtest would otherwise print the struct's raw bytes (string pointers),
+// so test names would change with the binary's layout and ASLR.
+void PrintTo(const DiagCase &C, std::ostream *OS) { *OS << C.Name; }
+
 class AssemblerDiagnostics : public testing::TestWithParam<DiagCase> {};
 
 TEST_P(AssemblerDiagnostics, RejectsWithMessageAndLine) {

@@ -215,6 +215,34 @@ TEST(SessionProtocol, HelloRoundTripsThroughDribbledReader) {
   EXPECT_EQ(Rd.pendingBytes(), 0u);
 }
 
+// A sampled session must announce a v5+ stream: older headers have no
+// slot for the sampling params, so the session's recording would replay
+// as exact while the live fleet aggregate was scaled by sample weights.
+TEST(SessionProtocol, SampledHelloNeedsV5Format) {
+  auto Decode = [](WireFormat F, std::uint64_t SampleBytes,
+                   std::string &Err) {
+    HelloInfo In;
+    In.Name = "javac";
+    In.Format = F;
+    In.SampleBytes = SampleBytes;
+    std::vector<std::byte> Wire = encodeHello(In);
+    HelloInfo Out;
+    Err.clear();
+    return decodeHello(
+        std::span<const std::byte>(Wire).subspan(sizeof(MsgHeader)), Out,
+        &Err);
+  };
+  std::string Err;
+  for (WireFormat F : {WireFormat::V2, WireFormat::V3, WireFormat::V4}) {
+    EXPECT_FALSE(Decode(F, 64 * 1024, Err)) << static_cast<int>(F);
+    EXPECT_NE(Err.find("format 5"), std::string::npos) << Err;
+    // Exact sessions keep every format.
+    EXPECT_TRUE(Decode(F, 0, Err)) << Err;
+  }
+  for (WireFormat F : {WireFormat::V5, WireFormat::V6})
+    EXPECT_TRUE(Decode(F, 64 * 1024, Err)) << Err;
+}
+
 TEST(SessionProtocol, ReaderRejectsGarbageSticky) {
   MessageReader Rd;
   std::uint32_t Junk[4] = {0xdeadbeef, 1, 0, 0};

@@ -73,15 +73,12 @@ struct Options {
   bool Revised = false;   ///< dumpjasm: dump the rewritten program
   bool Async = false;     ///< record: background writer thread
   bool AsyncDrop = false; ///< record: shed chunks instead of blocking
-  profiler::WireFormat Format = profiler::DefaultWireFormat;
   /// record: sample ~1 allocation per this many heap bytes (0 = exact).
   std::uint64_t SampleBytes = 0;
   /// record: PRNG seed for the sampling gap sequence.
   std::uint64_t SampleSeed = profiler::SamplingParams{}.SampleSeed;
   /// record: LZ-compress chunk payloads (v6 stream). On by default --
-  /// --compress=off restores the pre-v6, byte-identical output. No
-  /// effect on --v2/--v3 recordings (those formats predate chunks that
-  /// can carry the flag).
+  /// --compress=off restores the pre-v6, byte-identical output.
   bool Compress = true;
   /// replay/fsck/salvage decode threads (0 = all cores).
   unsigned Jobs = 0;
@@ -107,11 +104,10 @@ int usage() {
       "  record <bench> <file.jdev>   phase 1: record the raw event stream\n"
       "                               (--async: background writer thread;\n"
       "                               --async-drop: shed chunks instead of\n"
-      "                               blocking; --v2/--v3: older formats;\n"
-      "                               --sample-bytes N: record ~1 allocation\n"
-      "                               per N heap bytes (0 = exact, default;\n"
-      "                               writes a v5 stream); --sample-seed S:\n"
-      "                               sampling PRNG seed;\n"
+      "                               blocking; --sample-bytes N: record\n"
+      "                               ~1 allocation per N heap bytes (0 =\n"
+      "                               exact, default; writes a v5 stream);\n"
+      "                               --sample-seed S: sampling PRNG seed;\n"
       "                               --compress[=off]: LZ-compress chunk\n"
       "                               payloads (v6 stream; on by default,\n"
       "                               =off restores the uncompressed v4/v5\n"
@@ -210,19 +206,11 @@ int cmdRecord(const BenchmarkProgram &B, const std::string &Path,
   profiler::SamplingParams SP;
   SP.SampleBytes = O.SampleBytes;
   SP.SampleSeed = O.SampleSeed;
-  if (SP.enabled() && O.Format < profiler::WireFormat::V4) {
-    std::fprintf(stderr,
-                 "jdrag: --sample-bytes needs the v4+ wire format "
-                 "(sampling params live in the v5 stream header); drop "
-                 "--v2/--v3 or record exact\n");
-    return 2;
-  }
   // A sampled recording self-describes via the v5 header, a compressed
   // one via v6; `--sample-bytes 0 --compress=off` output stays
-  // byte-identical to a pre-v6 plain record. Compression only upgrades
-  // v4/v5 -- an explicit --v2/--v3 recording stays uncompressed.
-  profiler::WireFormat EffFmt =
-      profiler::effectiveFormat(O.Format, SP, O.Compress);
+  // byte-identical to a pre-v6 plain record.
+  profiler::WireFormat EffFmt = profiler::effectiveFormat(
+      profiler::DefaultWireFormat, SP, O.Compress);
   // Default: record to the local file. With --connect, stream to a
   // jdragd instead and keep the positional path as the failover spool.
   profiler::FileEventSink FileSink;
@@ -235,14 +223,14 @@ int cmdRecord(const BenchmarkProgram &B, const std::string &Path,
     SO.Name = O.Name.empty() ? B.Name : O.Name;
     SO.Format = EffFmt;
     SO.Sampling = SP;
-    SO.Compress = O.Compress && EffFmt >= profiler::WireFormat::V6;
+    SO.Compress = O.Compress;
     SockSink = std::make_unique<profiler::SocketEventSink>(SO);
     Sink = SockSink.get();
   } else {
     profiler::FileEventSink::Options FO;
     FO.Format = EffFmt;
     FO.Sampling = SP;
-    FO.Compress = O.Compress && EffFmt >= profiler::WireFormat::V6;
+    FO.Compress = O.Compress;
     if (!FileSink.open(Path, FO)) {
       std::fprintf(stderr, "cannot write %s\n", Path.c_str());
       return 1;
@@ -252,7 +240,7 @@ int cmdRecord(const BenchmarkProgram &B, const std::string &Path,
   Opts.DeepGCIntervalBytes = O.IntervalBytes;
   Opts.SiteDepth = O.Depth;
   Opts.Sink = Sink;
-  Opts.EventFormat = O.Format;
+  Opts.EventFormat = profiler::DefaultWireFormat;
   Opts.SampleBytes = O.SampleBytes;
   Opts.SampleSeed = O.SampleSeed;
   Opts.AsyncEvents = O.Async || O.AsyncDrop;
@@ -939,51 +927,65 @@ int cmdCallGraph(const BenchmarkProgram &B) {
 int main(int argc, char **argv) {
   std::vector<std::string> Args(argv + 1, argv + argc);
   Options O;
-  // Strip flag arguments.
+  // Strip flag arguments. Anything starting with "--" must be a known
+  // option; single-dash arguments (e.g. negative program inputs) stay
+  // positional.
   std::vector<std::string> Pos;
+  const char *Missing = nullptr; // value option given last
+  auto Next = [&](std::size_t &I) -> const std::string & {
+    static const std::string None;
+    if (I + 1 < Args.size())
+      return Args[++I];
+    Missing = Args[I].c_str();
+    return None;
+  };
   for (std::size_t I = 0; I != Args.size(); ++I) {
-    if (Args[I] == "--interval" && I + 1 < Args.size())
-      O.IntervalBytes = std::strtoull(Args[++I].c_str(), nullptr, 10) * KB;
-    else if (Args[I] == "--depth" && I + 1 < Args.size())
+    const std::string &A = Args[I];
+    if (A == "--interval")
+      O.IntervalBytes = std::strtoull(Next(I).c_str(), nullptr, 10) * KB;
+    else if (A == "--depth")
       O.Depth = static_cast<std::uint32_t>(
-          std::strtoul(Args[++I].c_str(), nullptr, 10));
-    else if (Args[I] == "--exact")
+          std::strtoul(Next(I).c_str(), nullptr, 10));
+    else if (A == "--exact")
       O.Exact = true;
-    else if (Args[I] == "--revised")
+    else if (A == "--revised")
       O.Revised = true;
-    else if (Args[I] == "--async")
+    else if (A == "--async")
       O.Async = true;
-    else if (Args[I] == "--async-drop")
+    else if (A == "--async-drop")
       O.AsyncDrop = true;
-    else if (Args[I] == "--v2")
-      O.Format = profiler::WireFormat::V2;
-    else if (Args[I] == "--v3")
-      O.Format = profiler::WireFormat::V3;
-    else if (Args[I] == "--compress" || Args[I] == "--compress=on")
+    else if (A == "--compress" || A == "--compress=on")
       O.Compress = true;
-    else if (Args[I] == "--compress=off")
+    else if (A == "--compress=off")
       O.Compress = false;
-    else if (Args[I] == "--sample-bytes" && I + 1 < Args.size())
-      O.SampleBytes = std::strtoull(Args[++I].c_str(), nullptr, 0);
-    else if (Args[I] == "--sample-seed" && I + 1 < Args.size())
-      O.SampleSeed = std::strtoull(Args[++I].c_str(), nullptr, 0);
-    else if (Args[I] == "--jobs" && I + 1 < Args.size())
+    else if (A == "--sample-bytes")
+      O.SampleBytes = std::strtoull(Next(I).c_str(), nullptr, 0);
+    else if (A == "--sample-seed")
+      O.SampleSeed = std::strtoull(Next(I).c_str(), nullptr, 0);
+    else if (A == "--jobs")
       O.Jobs = static_cast<unsigned>(
-          std::strtoul(Args[++I].c_str(), nullptr, 10));
-    else if (Args[I] == "--materialize")
+          std::strtoul(Next(I).c_str(), nullptr, 10));
+    else if (A == "--materialize")
       O.Materialize = true;
-    else if (Args[I] == "--out" && I + 1 < Args.size())
-      O.OutPath = Args[++I];
-    else if (Args[I] == "--connect" && I + 1 < Args.size())
-      O.Connect = Args[++I];
-    else if (Args[I] == "--name" && I + 1 < Args.size())
-      O.Name = Args[++I];
-    else if (Args[I] == "--heap-stats")
+    else if (A == "--out")
+      O.OutPath = Next(I);
+    else if (A == "--connect")
+      O.Connect = Next(I);
+    else if (A == "--name")
+      O.Name = Next(I);
+    else if (A == "--heap-stats")
       O.HeapStats = true;
-    else if (Args[I] == "--gen")
+    else if (A == "--gen")
       O.Gen = true;
-    else
-      Pos.push_back(Args[I]);
+    else if (A.starts_with("--")) {
+      std::fprintf(stderr, "jdrag: unknown option '%s'\n", A.c_str());
+      return usage();
+    } else
+      Pos.push_back(A);
+  }
+  if (Missing) {
+    std::fprintf(stderr, "jdrag: option '%s' needs a value\n", Missing);
+    return usage();
   }
   if (Pos.empty())
     return usage();
