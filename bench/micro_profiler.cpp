@@ -745,8 +745,8 @@ void BM_Report(benchmark::State &State) {
         std::abort();
       benchmark::DoNotOptimize(R.Report.get());
       Records = R.RecordsFolded;
-      // ~64 B per live decode trailer (PartialTrailer + page slack).
-      Resident = R.FoldStateBytes + R.PeakTrailers * 64;
+      // Measured trailer-table peak (0 on the sharded Mode 4 path).
+      Resident = R.FoldStateBytes + R.TrailerStateBytes;
     }
   }
   State.SetItemsProcessed(State.iterations() * Records);

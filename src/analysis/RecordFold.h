@@ -31,6 +31,7 @@
 #include "analysis/HeapCurves.h"
 #include "analysis/LagDragVoid.h"
 #include "support/ExactSum.h"
+#include "support/OpenIndex.h"
 
 #include <cstdio>
 #include <limits>
@@ -68,83 +69,6 @@ public:
   /// Approximate resident bytes of fold state; the O(sites) claim made
   /// measurable (BENCH_9).
   virtual std::size_t stateBytes() const = 0;
-};
-
-/// Open-addressed hash index from an integer key to a dense uint32
-/// value: linear probing, power-of-two capacity grown at 50% load,
-/// multiplicative hashing -- the same trick the PR-5 site-table trie
-/// uses for child lookup. This replaces the per-record
-/// `unordered_map::try_emplace` on the fold hot path. Empty slots are
-/// tagged on the *value* (NoVal), so every key bit pattern -- including
-/// InvalidSite (~0u), the never-used last-use bucket -- is storable.
-template <typename KeyT> class OpenIndex {
-public:
-  static constexpr std::uint32_t NoVal = 0xFFFFFFFFu;
-
-  explicit OpenIndex(std::size_t ExpectedKeys = 0) {
-    if (ExpectedKeys)
-      rehash(slotCountFor(ExpectedKeys));
-  }
-
-  /// Returns the value stored under \p Key, inserting \p ValIfNew first
-  /// if the key is not present.
-  std::uint32_t lookupOrInsert(KeyT Key, std::uint32_t ValIfNew) {
-    if (Slots.empty() || Used * 2 >= Slots.size())
-      rehash(Slots.empty() ? 16 : Slots.size() * 2);
-    std::size_t I = bucket(Key);
-    while (Slots[I].Val != NoVal) {
-      if (Slots[I].Key == Key)
-        return Slots[I].Val;
-      I = (I + 1) & (Slots.size() - 1);
-    }
-    Slots[I].Key = Key;
-    Slots[I].Val = ValIfNew;
-    ++Used;
-    return ValIfNew;
-  }
-
-  std::size_t size() const { return Used; }
-  std::size_t stateBytes() const { return Slots.capacity() * sizeof(Slot); }
-
-private:
-  struct Slot {
-    KeyT Key;
-    std::uint32_t Val = NoVal;
-  };
-
-  static std::size_t slotCountFor(std::size_t Keys) {
-    std::size_t N = 16;
-    while (N < Keys * 2)
-      N *= 2;
-    return N;
-  }
-
-  std::size_t bucket(KeyT Key) const {
-    // Fibonacci hashing: the high bits of Key * 2^64/phi spread runs of
-    // consecutive ids; shift keeps exactly log2(capacity) of them.
-    return static_cast<std::size_t>(
-        (static_cast<std::uint64_t>(Key) * 0x9E3779B97F4A7C15ull) >> Shift);
-  }
-
-  void rehash(std::size_t NewSize) {
-    std::vector<Slot> Old = std::move(Slots);
-    Slots.assign(NewSize, Slot());
-    Shift = 64;
-    for (std::size_t N = NewSize; N > 1; N /= 2)
-      --Shift;
-    for (const Slot &S : Old) {
-      if (S.Val == NoVal)
-        continue;
-      std::size_t I = bucket(S.Key);
-      while (Slots[I].Val != NoVal)
-        I = (I + 1) & (NewSize - 1);
-      Slots[I] = S;
-    }
-  }
-
-  std::vector<Slot> Slots;
-  std::size_t Used = 0;
-  unsigned Shift = 64;
 };
 
 /// Everything the DragReport presents, produced by SiteGroupFold::finish

@@ -311,6 +311,7 @@ bool jdrag::analysis::analyzeEventStream(const std::string &Path,
   if (!replayFile(Path, Prof, Err, &Info))
     return false;
   Out.PeakTrailers = Prof.peakLiveTrailers();
+  Out.TrailerStateBytes = Prof.peakTrailerStateBytes();
   auto Shell = std::make_unique<ProfileLog>(Prof.takeLog());
   Shell->SampleRate = Info.Sampling.SampleBytes;
   Shell->SampleSeed = Info.Sampling.enabled() ? Info.Sampling.SampleSeed : 0;

@@ -73,6 +73,9 @@ struct StreamAnalysisResult {
   /// measurable (BENCH_9).
   std::size_t FoldStateBytes = 0;
   std::size_t PeakTrailers = 0;
+  /// Peak resident bytes of the trailer table on the sequential path
+  /// (ObjectTable::stateBytes): O(live objects), whatever the ids.
+  std::size_t TrailerStateBytes = 0;
   bool Sharded = false;      ///< the sharded fold path actually ran
   bool Materialized = false; ///< fell back to the materialized pass
 };

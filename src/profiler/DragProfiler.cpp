@@ -7,9 +7,7 @@ using namespace jdrag::profiler;
 using namespace jdrag::vm;
 
 DragProfiler::DragProfiler(const ir::Program &P, ProfilerConfig Config)
-    : P(P), Config(std::move(Config)) {
-  for (ir::ClassId C : this->Config.ExcludedClasses)
-    Excluded.insert(C.Index);
+    : P(P), Config(std::move(Config)), Excluded(this->Config.ExcludedClasses) {
   // Typical runs intern a few hundred sites and log thousands of
   // objects; reserving up front keeps reallocation out of the measured
   // consumer path.
@@ -41,8 +39,9 @@ void DragProfiler::onEvent(const EventRecord &E) {
     T.FirstUseTime = E.Time;
     T.LastUseTime = E.Time; // never-used objects drag from creation
     T.AllocSite = localSite(E.Site);
-    T.Excluded = !T.IsArray && Excluded.count(T.Class.Index) != 0;
+    T.Excluded = !T.IsArray && Excluded.excludes(T.Class);
     PeakLive = std::max(PeakLive, liveTrailers());
+    PeakStateBytes = std::max(PeakStateBytes, Trailers.stateBytes());
     break;
   }
   case EventKind::Use: {

@@ -7,13 +7,14 @@
 /// \file
 /// DragProfiler implements the paper's instrumented-JVM phase as an
 /// *event-stream consumer*: it keeps a trailer per live object (in a side
-/// table keyed by immortal object id, so the heap's byte accounting
-/// excludes the trailer exactly as the paper specifies), timestamps every
-/// use on the byte clock (optionally snapped to the start of the current
-/// deep-GC interval, mirroring the paper's "all uses ... are performed at
-/// the beginning of the interval" assumption), records nested allocation
-/// and last-use sites, and logs a record when the object is reclaimed or
-/// survives termination.
+/// table keyed by immortal object id -- profiler/ObjectTable.h, sized by
+/// the live objects rather than the id space -- so the heap's byte
+/// accounting excludes the trailer exactly as the paper specifies),
+/// timestamps every use on the byte clock (optionally snapped to the
+/// start of the current deep-GC interval, mirroring the paper's "all
+/// uses ... are performed at the beginning of the interval" assumption),
+/// records nested allocation and last-use sites, and logs a record when
+/// the object is reclaimed or survives termination.
 ///
 /// Because its only input is the binary event stream, the same profiler
 /// runs in two modes:
@@ -42,11 +43,9 @@
 #define JDRAG_PROFILER_DRAGPROFILER_H
 
 #include "profiler/EventStream.h"
+#include "profiler/ObjectTable.h"
 #include "profiler/ProfileLog.h"
 #include "vm/VirtualMachine.h"
-
-#include <memory>
-#include <unordered_set>
 
 namespace jdrag::profiler {
 
@@ -62,6 +61,29 @@ struct ProfilerConfig {
   /// Classes whose instances are excluded from the log, mirroring the
   /// paper's exclusion of Class objects and class-reachable specials.
   std::vector<ir::ClassId> ExcludedClasses;
+};
+
+/// ProfilerConfig::ExcludedClasses as a flat per-class-index lookup,
+/// built once and probed on every Alloc. A class index past the end --
+/// including any a hostile stream invents -- is not excluded; an invalid
+/// ClassId in the config excludes nothing.
+class ClassExclusion {
+public:
+  explicit ClassExclusion(const std::vector<ir::ClassId> &Classes) {
+    for (ir::ClassId C : Classes) {
+      if (!C.isValid())
+        continue;
+      if (C.Index >= Mask.size())
+        Mask.resize(C.Index + 1, 0);
+      Mask[C.Index] = 1;
+    }
+  }
+  bool excludes(ir::ClassId C) const {
+    return C.Index < Mask.size() && Mask[C.Index];
+  }
+
+private:
+  std::vector<std::uint8_t> Mask;
 };
 
 /// Receives finished object records as the profiler emits them, instead
@@ -131,6 +153,10 @@ public:
   /// part of the streaming engine's resident state (BENCH_9).
   std::size_t peakLiveTrailers() const { return PeakLive; }
 
+  /// High-water mark of the trailer table's resident bytes
+  /// (ObjectTable::stateBytes) over the run.
+  std::size_t peakTrailerStateBytes() const { return PeakStateBytes; }
+
   /// Diverts finished records to \p S; the log keeps everything else
   /// (sites, GC samples, end time, health) and Log.Records stays empty.
   /// Pass nullptr to restore the default materializing behaviour.
@@ -152,72 +178,6 @@ private:
     bool Excluded = false;
   };
 
-  /// Paged dense trailer store indexed by object id. The heap hands out
-  /// object ids densely and monotonically, so id -> slot is a shift and
-  /// a mask with no hashing on the per-Use hot path; the per-slot Live
-  /// flag is the free-slot check (a stale or VM-internal id hits a dead
-  /// slot, never a neighbour's trailer). A page whose live count drains
-  /// to zero *behind* the allocation frontier is released, so resident
-  /// memory tracks the live-object population, not the total number of
-  /// objects ever allocated.
-  class TrailerTable {
-  public:
-    Trailer &insert(vm::ObjectId Id) {
-      std::size_t Pi = static_cast<std::size_t>(Id) / PageSize;
-      std::size_t Si = static_cast<std::size_t>(Id) % PageSize;
-      if (Pi >= Pages.size())
-        Pages.resize(Pi + 1);
-      if (!Pages[Pi])
-        Pages[Pi] = std::make_unique<Page>();
-      if (Pi > Frontier)
-        Frontier = Pi;
-      Page &Pg = *Pages[Pi];
-      if (!Pg.Live[Si]) {
-        Pg.Live[Si] = true;
-        ++Pg.LiveCount;
-        ++LiveTotal;
-      }
-      Pg.Slots[Si] = Trailer();
-      return Pg.Slots[Si];
-    }
-    Trailer *find(vm::ObjectId Id) {
-      std::size_t Pi = static_cast<std::size_t>(Id) / PageSize;
-      if (Pi >= Pages.size() || !Pages[Pi])
-        return nullptr;
-      Page &Pg = *Pages[Pi];
-      std::size_t Si = static_cast<std::size_t>(Id) % PageSize;
-      return Pg.Live[Si] ? &Pg.Slots[Si] : nullptr;
-    }
-    void erase(vm::ObjectId Id) {
-      std::size_t Pi = static_cast<std::size_t>(Id) / PageSize;
-      if (Pi >= Pages.size() || !Pages[Pi])
-        return;
-      Page &Pg = *Pages[Pi];
-      std::size_t Si = static_cast<std::size_t>(Id) % PageSize;
-      if (!Pg.Live[Si])
-        return;
-      Pg.Live[Si] = false;
-      --Pg.LiveCount;
-      --LiveTotal;
-      // Keep the frontier page even when briefly empty: allocation is
-      // still filling it and releasing would just recreate it.
-      if (Pg.LiveCount == 0 && Pi < Frontier)
-        Pages[Pi].reset();
-    }
-    std::size_t size() const { return LiveTotal; }
-
-  private:
-    static constexpr std::size_t PageSize = 4096;
-    struct Page {
-      Trailer Slots[PageSize];
-      bool Live[PageSize] = {};
-      std::size_t LiveCount = 0;
-    };
-    std::vector<std::unique_ptr<Page>> Pages;
-    std::size_t Frontier = 0;
-    std::size_t LiveTotal = 0;
-  };
-
   void emitRecord(vm::ObjectId Id, const Trailer &T, ByteTime Now,
                   bool Survived);
   SiteId localSite(SiteId StreamId) const {
@@ -231,11 +191,12 @@ private:
   /// Stream site id -> id in Log.Sites. Stream ids are dense and arrive
   /// in order, so in practice this is the identity map.
   std::vector<SiteId> SiteMap;
-  TrailerTable Trailers;
-  std::unordered_set<std::uint32_t> Excluded; ///< class indices
+  ObjectTable<Trailer> Trailers;
+  ClassExclusion Excluded;
   ByteTime IntervalStart = 0; ///< last deep-GC boundary on the byte clock
   RecordSink *RecSink = nullptr;
   std::size_t PeakLive = 0;
+  std::size_t PeakStateBytes = 0;
 };
 
 /// Detached phase 2: replays the `.jdev` recording at \p Path through a

@@ -6,9 +6,7 @@
 
 #include <cstring>
 #include <fstream>
-#include <memory>
 #include <thread>
-#include <unordered_set>
 #include <utility>
 
 using namespace jdrag;
@@ -76,86 +74,6 @@ struct MergedTrailer {
   SiteId LastUseSiteStream = InvalidSite;
 };
 
-/// Paged dense store keyed by object id -- the same id -> slot scheme
-/// as DragProfiler's TrailerTable (ids are dense and monotonic). A page
-/// whose live count drains to zero behind the allocation frontier is
-/// released, so in fold mode (where in-shard objects erase their
-/// partial the moment they die) a shard's resident state tracks its
-/// live-object population, not every object it ever decoded.
-template <typename T> class PagedTable {
-public:
-  T &get(ObjectId Id) {
-    std::size_t Pi = static_cast<std::size_t>(Id) / PageSize;
-    std::size_t Si = static_cast<std::size_t>(Id) % PageSize;
-    if (Pi >= Pages.size())
-      Pages.resize(Pi + 1);
-    if (!Pages[Pi])
-      Pages[Pi] = std::make_unique<Page>();
-    if (Pi > Frontier)
-      Frontier = Pi;
-    Page &Pg = *Pages[Pi];
-    if (!Pg.Live[Si]) {
-      Pg.Live[Si] = true;
-      Pg.Slots[Si] = T();
-      ++Pg.LiveCount;
-    }
-    return Pg.Slots[Si];
-  }
-  /// get() that also resets the slot (an Alloc starts the object over,
-  /// exactly like TrailerTable::insert).
-  T &reset(ObjectId Id) {
-    T &Slot = get(Id);
-    Slot = T();
-    return Slot;
-  }
-  T *find(ObjectId Id) {
-    std::size_t Pi = static_cast<std::size_t>(Id) / PageSize;
-    if (Pi >= Pages.size() || !Pages[Pi])
-      return nullptr;
-    Page &Pg = *Pages[Pi];
-    std::size_t Si = static_cast<std::size_t>(Id) % PageSize;
-    return Pg.Live[Si] ? &Pg.Slots[Si] : nullptr;
-  }
-  void erase(ObjectId Id) {
-    std::size_t Pi = static_cast<std::size_t>(Id) / PageSize;
-    if (Pi >= Pages.size() || !Pages[Pi])
-      return;
-    Page &Pg = *Pages[Pi];
-    std::size_t Si = static_cast<std::size_t>(Id) % PageSize;
-    if (!Pg.Live[Si])
-      return;
-    Pg.Live[Si] = false;
-    --Pg.LiveCount;
-    // Keep the frontier page even when briefly empty: the id sequence is
-    // still filling it and releasing would just recreate it.
-    if (Pg.LiveCount == 0 && Pi < Frontier)
-      Pages[Pi].reset();
-  }
-  /// Visits every live slot in id order. Merge-side folding is per-id
-  /// independent, so id order (vs the old first-touch order) changes no
-  /// observable result -- each id appears at most once per shard.
-  template <typename Fn> void forEachLive(Fn F) const {
-    for (std::size_t Pi = 0; Pi < Pages.size(); ++Pi) {
-      if (!Pages[Pi] || Pages[Pi]->LiveCount == 0)
-        continue;
-      const Page &Pg = *Pages[Pi];
-      for (std::size_t Si = 0; Si < PageSize; ++Si)
-        if (Pg.Live[Si])
-          F(static_cast<ObjectId>(Pi * PageSize + Si), Pg.Slots[Si]);
-    }
-  }
-
-private:
-  static constexpr std::size_t PageSize = 4096;
-  struct Page {
-    T Slots[PageSize];
-    bool Live[PageSize] = {};
-    std::size_t LiveCount = 0;
-  };
-  std::vector<std::unique_ptr<Page>> Pages;
-  std::size_t Frontier = 0;
-};
-
 struct EndEvent {
   ObjectId Id = 0;
   ByteTime Time = 0;
@@ -164,7 +82,10 @@ struct EndEvent {
 
 /// Everything one worker produces from its chunk range.
 struct ShardResult {
-  PagedTable<PartialTrailer> Table;
+  /// Partials by object id. In fold mode an in-shard object erases its
+  /// partial the moment it dies, so the table tracks the shard's live
+  /// objects, not every object it ever decoded.
+  ObjectTable<PartialTrailer> Table;
   std::vector<EndEvent> Ends; ///< Collect/Survivor, in stream order
   std::vector<GCSample> Samples;
   /// DefineSite records in arrival order (stream id + frames); interned
@@ -189,7 +110,7 @@ class ShardConsumer : public EventConsumer {
 public:
   ShardConsumer(ShardResult &R, bool Snap, bool IntervalKnown,
                 unsigned ShardIdx = 0, ShardFoldSink *Fold = nullptr,
-                const std::unordered_set<std::uint32_t> *Excluded = nullptr)
+                const ClassExclusion *Excluded = nullptr)
       : R(R), Snap(Snap), IntervalKnown(IntervalKnown), ShardIdx(ShardIdx),
         Fold(Fold), Excluded(Excluded) {}
 
@@ -201,7 +122,7 @@ public:
   void onEvent(const EventRecord &E) override {
     switch (E.kind()) {
     case EventKind::Alloc: {
-      PartialTrailer &T = R.Table.reset(E.Id);
+      PartialTrailer &T = R.Table.insert(E.Id);
       T.HasAlloc = true;
       T.Class = ir::ClassId(static_cast<std::uint32_t>(E.Arg1));
       T.AKind = static_cast<ir::ArrayKind>(E.Sub);
@@ -216,7 +137,7 @@ public:
       // partial still creates one; if no shard ever saw the alloc the
       // merged trailer stays HasAlloc = false and is never emitted
       // (sequential semantics for VM-internal ids).
-      PartialTrailer &T = R.Table.get(E.Id);
+      PartialTrailer &T = R.Table.findOrInsert(E.Id);
       bool DuringOwnInit = E.Flags & 1;
       bool Known = !Snap || IntervalKnown;
       ByteTime Raw = Snap ? Interval : E.Time;
@@ -281,7 +202,7 @@ private:
   /// the value the Known-less branches below produce.
   void emitLocal(ObjectId Id, const PartialTrailer &T, ByteTime Now,
                  bool Survived) {
-    if (!T.IsArray && Excluded->count(T.Class.Index) != 0)
+    if (!T.IsArray && Excluded->excludes(T.Class))
       return;
     ObjectRecord Rec;
     Rec.Id = Id;
@@ -312,7 +233,7 @@ private:
   ByteTime Interval = 0;
   unsigned ShardIdx;
   ShardFoldSink *Fold;
-  const std::unordered_set<std::uint32_t> *Excluded;
+  const ClassExclusion *Excluded;
 };
 
 bool shardFail(ShardResult &R, std::string Msg) {
@@ -361,7 +282,7 @@ void runShard(std::span<const std::byte> Framed, WireFormat F,
               const ChunkIndex &Idx, std::size_t B, std::size_t E, bool Snap,
               ShardResult &R, unsigned ShardIdx = 0,
               ShardFoldSink *Fold = nullptr,
-              const std::unordered_set<std::uint32_t> *Excluded = nullptr) {
+              const ClassExclusion *Excluded = nullptr) {
   const std::vector<ChunkIndexEntry> &Ents = Idx.Entries;
   ShardConsumer C(R, Snap, /*IntervalKnown=*/B == 0, ShardIdx, Fold, Excluded);
   StreamDecoder Dec(C, F);
@@ -449,7 +370,7 @@ bool runSharded(std::span<const std::byte> Framed, WireFormat F,
                 const ChunkIndex &Idx, unsigned Jobs, bool Snap,
                 std::vector<ShardResult> &Shards, std::string &Err,
                 ShardFoldSink *Fold = nullptr,
-                const std::unordered_set<std::uint32_t> *Excluded = nullptr) {
+                const ClassExclusion *Excluded = nullptr) {
   std::size_t N = Idx.Entries.size();
   std::size_t S = std::min<std::size_t>(Jobs, N);
   // Balance by on-wire bytes (masking the v6 compressed flag, a no-op
@@ -555,15 +476,16 @@ void mergeShards(std::vector<ShardResult> &Shards,
     Entry[K] =
         Shards[K - 1].HasExit ? Shards[K - 1].ExitInterval : Entry[K - 1];
 
-  PagedTable<MergedTrailer> Merged;
+  // Merge-side folding is per-id independent, so the tables' visiting
+  // order changes no observable result -- each id appears at most once
+  // per shard.
+  ObjectTable<MergedTrailer> Merged;
   for (std::size_t K = 0; K < Shards.size(); ++K)
     Shards[K].Table.forEachLive([&](ObjectId Id, const PartialTrailer &Pt) {
-      foldPartial(Merged.get(Id), Pt, Entry[K]);
+      foldPartial(Merged.findOrInsert(Id), Pt, Entry[K]);
     });
 
-  std::unordered_set<std::uint32_t> Excluded;
-  for (ir::ClassId C : Config.ExcludedClasses)
-    Excluded.insert(C.Index);
+  ClassExclusion Excluded(Config.ExcludedClasses);
 
   for (ShardResult &Sh : Shards) {
     for (const EndEvent &End : Sh.Ends) {
@@ -571,7 +493,7 @@ void mergeShards(std::vector<ShardResult> &Shards,
       if (!T || !T->HasAlloc || T->Ended)
         continue; // VM-internal id, or already collected (first wins)
       T->Ended = true;
-      if (!T->IsArray && Excluded.count(T->Class.Index) != 0)
+      if (!T->IsArray && Excluded.excludes(T->Class))
         continue;
       ObjectRecord Rec;
       Rec.Id = End.Id;
@@ -737,9 +659,7 @@ bool jdrag::profiler::replayProfileParallelFold(
   if (!loadForSharding(Path, S))
     return Sequential();
 
-  std::unordered_set<std::uint32_t> Excluded;
-  for (ir::ClassId C : Config.ExcludedClasses)
-    Excluded.insert(C.Index);
+  ClassExclusion Excluded(Config.ExcludedClasses);
   bool Snap = Config.SnapUseTimes;
   for (int Attempt = 0; Attempt < 2; ++Attempt) {
     // A retry decodes the stream again, so the sink must drop whatever

@@ -16,7 +16,10 @@
 //  - a slow consumer under the Drop policy sheds chunks with exact
 //    accounting instead of wedging the VM;
 //  - a dribbling client (1-byte reads) exercises the daemon's
-//    incremental message reassembly.
+//    incremental message reassembly;
+//  - well-formed sessions carrying object ids at 2^40 and 2^62 decode in
+//    trailer state sized by their live objects, and the daemon keeps
+//    serving.
 //
 //===----------------------------------------------------------------------===//
 
@@ -27,9 +30,12 @@
 #include "profiler/SocketEventSink.h"
 #include "profiler/StreamSalvage.h"
 
+#include "HostileStream.h"
+
 #include "gtest/gtest.h"
 
 #include <cerrno>
+#include <cstdlib>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -757,6 +763,62 @@ TEST(Daemon, AdminFloodWithoutNewlineIsDisconnected) {
 
   // The daemon itself is unharmed.
   EXPECT_EQ(H.admin("PING"), "PONG\n");
+  EXPECT_EQ(H.shutdown(), 0);
+}
+
+TEST(Daemon, HostileIdsKeepServing) {
+  DaemonHarness H;
+  H.start();
+
+  // Two CRC-valid sessions for a known benchmark, so the daemon decodes
+  // them into its per-session profiler, each with one hostile object id.
+  for (std::uint64_t Hostile :
+       {std::uint64_t(1) << 40, std::uint64_t(1) << 62}) {
+    SocketEventSink::Options SO;
+    SO.Connect = H.SessionAddr;
+    SO.Name = "jess";
+    SocketEventSink Sock(SO);
+    EventBuffer Buf(Sock);
+    testutil::writeHostileIdEvents(Buf, Hostile);
+    EXPECT_TRUE(Sock.finish()) << Hostile;
+  }
+  bool Done = false;
+  for (int I = 0; I != 500 && !Done; ++I) {
+    Done = H.admin("HEALTH").find("sessions_clean=2") != std::string::npos;
+    if (!Done)
+      ::usleep(5000);
+  }
+  ASSERT_TRUE(Done) << H.admin("HEALTH");
+  EXPECT_NE(H.admin("HEALTH").find("decode_errors=0"), std::string::npos);
+
+  // Each session's trailer table held two objects, not an id space.
+  std::string Clients = H.admin("CLIENTS");
+  std::size_t Sessions = 0;
+  for (std::size_t At = Clients.find("trailer-bytes=");
+       At != std::string::npos; At = Clients.find("trailer-bytes=", At + 1)) {
+    unsigned long long Bytes =
+        std::strtoull(Clients.c_str() + At + 14, nullptr, 10);
+    EXPECT_GT(Bytes, 0u);
+    EXPECT_LT(Bytes, 1ull << 20) << Clients;
+    ++Sessions;
+  }
+  EXPECT_EQ(Sessions, 2u) << Clients;
+
+  // And the daemon keeps serving: a real workload still streams through.
+  SocketEventSink::Options SO;
+  SO.Connect = H.SessionAddr;
+  SO.Name = "jess";
+  SocketEventSink Sock(SO);
+  EXPECT_TRUE(runWorkload(Sock).intact());
+  Done = false;
+  for (int I = 0; I != 500 && !Done; ++I) {
+    Done = H.admin("HEALTH").find("sessions_clean=3") != std::string::npos;
+    if (!Done)
+      ::usleep(5000);
+  }
+  EXPECT_TRUE(Done) << H.admin("HEALTH");
+  EXPECT_EQ(H.admin("PING"), "PONG\n");
+  EXPECT_FALSE(H.admin("TOP 5").empty());
   EXPECT_EQ(H.shutdown(), 0);
 }
 

@@ -1,6 +1,7 @@
 //===- tests/test_profiler.cpp - drag profiler (phase 1) tests ------------===//
 
 #include "profiler/DragProfiler.h"
+#include "profiler/ObjectTable.h"
 
 #include "vm/VirtualMachine.h"
 
@@ -8,7 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <limits>
+#include <random>
 #include <vector>
 
 using namespace jdrag;
@@ -475,4 +479,191 @@ TEST(Profiler, FirstUseTimeTracked) {
       EXPECT_LE(R.AllocTime, R.FirstUseTime);
       EXPECT_LE(R.FirstUseTime, R.LastUseTime);
     }
+}
+
+//===----------------------------------------------------------------------===//
+// ObjectTable: the live-object side table
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// A slot type whose default value shows whether insert() constructed it.
+struct Cell {
+  std::uint64_t Val = 7;
+  std::uint32_t Touches = 0;
+};
+
+/// Ids Base, Base + Stride, ... (N of them, wrapping mod 2^64).
+std::vector<std::uint64_t> strided(std::uint64_t Base, std::uint64_t Stride,
+                                   std::size_t N) {
+  std::vector<std::uint64_t> Ids;
+  for (std::size_t I = 0; I != N; ++I)
+    Ids.push_back(Base + Stride * I);
+  return Ids;
+}
+
+std::vector<std::uint64_t> liveIds(const ObjectTable<Cell> &T) {
+  std::vector<std::uint64_t> Ids;
+  T.forEachLive([&](std::uint64_t Id, const Cell &C) {
+    EXPECT_EQ(C.Val, Id ^ 0x5a5a) << Id;
+    Ids.push_back(Id);
+  });
+  return Ids;
+}
+
+} // namespace
+
+TEST(ObjectTable, DenseIds) {
+  ObjectTable<Cell> T;
+  for (std::uint64_t Id = 1; Id <= 10000; ++Id)
+    T.insert(Id).Val = Id ^ 0x5a5a;
+  EXPECT_EQ(T.size(), 10000u);
+  for (std::uint64_t Id = 1; Id <= 10000; Id += 2)
+    T.erase(Id);
+  EXPECT_EQ(T.size(), 5000u);
+  EXPECT_EQ(T.find(0), nullptr);
+  EXPECT_EQ(T.find(10001), nullptr);
+  for (std::uint64_t Id = 1; Id <= 10000; ++Id) {
+    Cell *C = T.find(Id);
+    if (Id % 2) {
+      EXPECT_EQ(C, nullptr) << Id;
+    } else {
+      ASSERT_NE(C, nullptr) << Id;
+      EXPECT_EQ(C->Val, Id ^ 0x5a5a);
+    }
+  }
+}
+
+TEST(ObjectTable, SparseIdsAtSampledStride) {
+  // A 64 KiB-sampled javac stream carries about one id in 2 300.
+  ObjectTable<Cell> T;
+  std::vector<std::uint64_t> Ids = strided(1, 2300, 2000);
+  for (std::uint64_t Id : Ids)
+    T.insert(Id).Val = Id ^ 0x5a5a;
+  EXPECT_EQ(T.size(), Ids.size());
+  for (std::uint64_t Id : Ids) {
+    ASSERT_NE(T.find(Id), nullptr) << Id;
+    EXPECT_EQ(T.find(Id + 1), nullptr) << Id;
+    EXPECT_EQ(T.find(Id + 1150), nullptr) << Id;
+  }
+  EXPECT_EQ(liveIds(T), Ids);
+  // One page per live object, not one per 4 096 ids of span.
+  EXPECT_LT(T.stateBytes(), Ids.size() * (64 * sizeof(Cell) + 256));
+}
+
+TEST(ObjectTable, IdsAtTheTopOfTheRange) {
+  constexpr std::uint64_t Max = std::numeric_limits<std::uint64_t>::max();
+  ObjectTable<Cell> T;
+  T.insert(Max - 1).Val = (Max - 1) ^ 0x5a5a;
+  T.insert(Max).Val = Max ^ 0x5a5a;
+  T.insert(0).Val = 0x5a5a;
+  ASSERT_NE(T.find(Max - 1), nullptr);
+  EXPECT_EQ(T.find(Max - 1)->Val, (Max - 1) ^ 0x5a5a);
+  EXPECT_EQ(T.find(Max - 2), nullptr);
+  EXPECT_EQ(liveIds(T), (std::vector<std::uint64_t>{0, Max - 1, Max}));
+  T.erase(Max - 1);
+  EXPECT_EQ(T.find(Max - 1), nullptr);
+  EXPECT_NE(T.find(Max), nullptr);
+  EXPECT_LT(T.stateBytes(), std::size_t(64) << 10);
+}
+
+TEST(ObjectTable, EraseThenReinsertStartsFresh) {
+  ObjectTable<Cell> T;
+  Cell &C = T.insert(42);
+  EXPECT_EQ(C.Val, 7u); // constructed on insert
+  C.Val = 99;
+  C.Touches = 3;
+  T.erase(42);
+  EXPECT_EQ(T.find(42), nullptr);
+  EXPECT_EQ(T.size(), 0u);
+  Cell &D = T.findOrInsert(42);
+  EXPECT_EQ(D.Val, 7u);
+  EXPECT_EQ(D.Touches, 0u);
+  // findOrInsert keeps a live slot; insert starts it over.
+  D.Touches = 5;
+  EXPECT_EQ(T.findOrInsert(42).Touches, 5u);
+  EXPECT_EQ(T.insert(42).Touches, 0u);
+  EXPECT_EQ(T.size(), 1u);
+}
+
+TEST(ObjectTable, StaleIdFindsNull) {
+  ObjectTable<Cell> T;
+  for (std::uint64_t Id = 0; Id != 200; ++Id)
+    T.insert(Id);
+  for (std::uint64_t Id = 0; Id != 128; ++Id)
+    T.erase(Id); // drains two whole pages behind the frontier
+  T.erase(5);    // double erase is a no-op
+  EXPECT_EQ(T.size(), 72u);
+  for (std::uint64_t Id = 0; Id != 128; ++Id)
+    EXPECT_EQ(T.find(Id), nullptr) << Id;
+  EXPECT_EQ(T.find(std::uint64_t(1) << 40), nullptr);
+  // A drained page is reused for a far-away id without leaking the
+  // old page's slots into it.
+  T.insert(std::uint64_t(1) << 40);
+  EXPECT_EQ(T.find((std::uint64_t(1) << 40) + 1), nullptr);
+  EXPECT_EQ(T.find(3), nullptr);
+}
+
+TEST(ObjectTable, ForEachLiveVisitsEachIdOnceInIdOrder) {
+  std::vector<std::uint64_t> Ids = strided(3, 37, 3000);
+  std::vector<std::uint64_t> Far = strided(std::uint64_t(1) << 50,
+                                           std::uint64_t(1) << 33, 50);
+  Ids.insert(Ids.end(), Far.begin(), Far.end());
+  std::vector<std::uint64_t> Shuffled = Ids;
+  std::shuffle(Shuffled.begin(), Shuffled.end(), std::mt19937_64(11));
+
+  ObjectTable<Cell> A, B;
+  for (std::uint64_t Id : Ids)
+    A.insert(Id).Val = Id ^ 0x5a5a;
+  for (std::uint64_t Id : Shuffled)
+    B.insert(Id).Val = Id ^ 0x5a5a;
+  std::vector<std::uint64_t> Live;
+  for (std::size_t I = 0; I != Ids.size(); ++I) {
+    if (I % 3 == 0) {
+      A.erase(Ids[I]);
+      B.erase(Ids[I]);
+    } else {
+      Live.push_back(Ids[I]);
+    }
+  }
+  std::sort(Live.begin(), Live.end());
+  EXPECT_EQ(liveIds(A), Live);
+  EXPECT_EQ(liveIds(B), Live); // insertion order does not leak through
+}
+
+TEST(ObjectTable, StateBytesIndependentOfIdStride) {
+  ObjectTable<Cell> Sampled, Hostile;
+  for (std::uint64_t Id : strided(1, 2300, 500))
+    Sampled.insert(Id);
+  for (std::uint64_t Id : strided(1, std::uint64_t(1) << 40, 500))
+    Hostile.insert(Id);
+  EXPECT_EQ(Sampled.stateBytes(), Hostile.stateBytes());
+  EXPECT_LT(Hostile.stateBytes(), std::size_t(4) << 20);
+}
+
+TEST(ObjectTable, ChurnBehindTheFrontierStaysBounded) {
+  // A million short-lived objects, at most 100 live at once: drained
+  // pages are recycled, so state follows the live set.
+  ObjectTable<Cell> T;
+  std::size_t Peak = 0;
+  for (std::uint64_t Id = 0; Id != 1000000; ++Id) {
+    T.insert(Id);
+    if (Id >= 100)
+      T.erase(Id - 100);
+    Peak = std::max(Peak, T.stateBytes());
+  }
+  EXPECT_EQ(T.size(), 100u);
+  EXPECT_LT(Peak, std::size_t(64) << 10);
+}
+
+TEST(ObjectTable, SparseChurnKeepsNoEmptyPages) {
+  // Each sampled object dies before the next one is allocated: an empty
+  // frontier page is released as soon as a later page replaces it.
+  ObjectTable<Cell> T;
+  for (std::uint64_t Id : strided(1, 2300, 10000)) {
+    T.insert(Id);
+    T.erase(Id);
+  }
+  EXPECT_EQ(T.size(), 0u);
+  EXPECT_LT(T.stateBytes(), std::size_t(16) << 10);
 }

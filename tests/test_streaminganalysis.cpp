@@ -369,4 +369,22 @@ TEST(StreamingAnalysis, PeekEndTimeMatchesDecode) {
   }
 }
 
+TEST(StreamingAnalysis, SampledJavacTrailerStateUnderOneMiB) {
+  // The trailer table follows the sampled objects, not the object-id
+  // space a 64 KiB-sampled stream skips through.
+  benchmarks::BenchmarkProgram B = benchmarks::buildJavac();
+  std::string Jdev = tempPath("javac_sampled.jdev");
+  recordWorkload(B, DefaultSampleBytes, /*Compress=*/true, Jdev);
+  StreamAnalysisOptions O;
+  StreamAnalysisResult R;
+  std::string Err;
+  ASSERT_TRUE(analyzeEventStream(Jdev, B.Prog, O, R, &Err)) << Err;
+  EXPECT_FALSE(R.Materialized);
+  EXPECT_GT(R.PeakTrailers, 0u);
+  EXPECT_GT(R.TrailerStateBytes, 0u);
+  EXPECT_LT(R.TrailerStateBytes, std::size_t(1) << 20)
+      << R.PeakTrailers << " peak trailers";
+  std::remove(Jdev.c_str());
+}
+
 } // namespace

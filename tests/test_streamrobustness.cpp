@@ -13,19 +13,25 @@
 //   Salvage           fsck/salvage recover the longest valid event
 //                     prefix of damaged recordings, and replaying the
 //                     salvaged file reproduces the profile of the
-//                     pre-damage prefix bit for bit.
+//                     pre-damage prefix bit for bit;
+//   HostileIds        a CRC-valid stream whose object ids sit at 2^40
+//                     or 2^62 replays, sequentially and sharded, in
+//                     trailer state sized by its two live objects.
 //
 //===----------------------------------------------------------------------===//
 
 #include "analysis/DragReport.h"
 #include "analysis/ReportPrinter.h"
+#include "analysis/StreamingAnalysis.h"
 #include "profiler/AsyncEventSink.h"
 #include "profiler/DragProfiler.h"
 #include "profiler/EventStream.h"
+#include "profiler/ParallelReplay.h"
 #include "profiler/StreamSalvage.h"
 #include "support/Crc32c.h"
 #include "vm/VirtualMachine.h"
 
+#include "HostileStream.h"
 #include "VMTestUtils.h"
 
 #include <gtest/gtest.h>
@@ -39,6 +45,7 @@
 #include <thread>
 #include <vector>
 
+#include <sys/resource.h>
 #include <unistd.h>
 
 using namespace jdrag;
@@ -819,6 +826,76 @@ TEST(Salvage, CrashedRecordingSalvagesToTheExactPrefixProfile) {
   std::remove(RefPath.c_str());
   std::remove(CrashPath.c_str());
   std::remove(Salvaged.c_str());
+}
+
+//===----------------------------------------------------------------------===//
+// HostileIds: object ids far outside the heap's dense range
+//===----------------------------------------------------------------------===//
+
+constexpr std::uint64_t HostileIdValues[] = {std::uint64_t(1) << 40,
+                                             std::uint64_t(1) << 62};
+
+std::string writeHostileIdFile(std::uint64_t Hostile) {
+  std::string Path = tempPath("hostile_id.jdev");
+  FileEventSink Sink;
+  EXPECT_TRUE(Sink.open(Path));
+  EventBuffer Buf(Sink);
+  writeHostileIdEvents(Buf, Hostile);
+  EXPECT_TRUE(Sink.finish());
+  return Path;
+}
+
+std::size_t peakRssBytes() {
+  rusage U{};
+  ::getrusage(RUSAGE_SELF, &U);
+  return static_cast<std::size_t>(U.ru_maxrss) * 1024;
+}
+
+TEST(HostileIds, SequentialReplayKeepsTrailerStateSmall) {
+  ir::Program P = buildChurnProgram();
+  for (std::uint64_t Hostile : HostileIdValues) {
+    std::string Path = writeHostileIdFile(Hostile);
+    DragProfiler Prof(P);
+    std::string Err;
+    ASSERT_TRUE(replayFile(Path, Prof, &Err)) << Err;
+    EXPECT_EQ(Prof.liveTrailers(), 0u);
+    EXPECT_EQ(Prof.peakLiveTrailers(), 2u);
+    EXPECT_LT(Prof.peakTrailerStateBytes(), std::size_t(1) << 20) << Hostile;
+    const ProfileLog &Log = Prof.log();
+    ASSERT_EQ(Log.Records.size(), 2u);
+    EXPECT_EQ(Log.Records[0].Id, 1u);
+    EXPECT_EQ(Log.Records[1].Id, Hostile);
+    EXPECT_TRUE(Log.Records[1].SurvivedToEnd);
+    EXPECT_EQ(Log.Records[1].UseCount, 1u);
+    std::remove(Path.c_str());
+  }
+}
+
+TEST(HostileIds, ParallelReplayMatchesSequentialInBoundedMemory) {
+  ir::Program P = buildChurnProgram();
+  for (std::uint64_t Hostile : HostileIdValues) {
+    std::string Path = writeHostileIdFile(Hostile);
+    ProfileLog Seq, Par;
+    std::string Err;
+    ASSERT_TRUE(replayProfile(Path, P, ProfilerConfig(), Seq, &Err)) << Err;
+    // The two chunks land in different shards: the hostile object is
+    // allocated in one and ended in the other, so both the shard tables
+    // and the merged table hold it.
+    std::size_t RssBefore = peakRssBytes();
+    ASSERT_TRUE(replayProfileParallel(Path, P, ProfilerConfig(), 4, Par, &Err))
+        << Err;
+    EXPECT_LT(peakRssBytes() - RssBefore, std::size_t(64) << 20) << Hostile;
+    ASSERT_EQ(Par.Records.size(), 2u);
+    expectBitIdentical(Seq, Par);
+    // The streaming sharded pass over the same bytes really splits.
+    analysis::StreamAnalysisOptions O;
+    O.Jobs = 4;
+    analysis::StreamAnalysisResult R;
+    ASSERT_TRUE(analysis::analyzeEventStream(Path, P, O, R, &Err)) << Err;
+    EXPECT_TRUE(R.Sharded);
+    EXPECT_EQ(R.RecordsFolded, 2u);
+    std::remove(Path.c_str());
+  }
 }
 
 } // namespace

@@ -2,6 +2,7 @@
 
 #include "support/Csv.h"
 #include "support/Format.h"
+#include "support/OpenIndex.h"
 #include "support/Random.h"
 #include "support/Statistics.h"
 #include "support/StringInterner.h"
@@ -138,4 +139,23 @@ TEST(StringInterner, DenseIdsAndLookup) {
   EXPECT_EQ(SI.lookup("beta"), B);
   EXPECT_EQ(SI.lookup("gamma"), StringInterner::InvalidId);
   EXPECT_EQ(SI.size(), 2u);
+}
+
+TEST(OpenIndex, FindAndEraseKeepProbeRunsIntact) {
+  // Consecutive keys collide into shared probe runs; erasing every third
+  // key must leave every survivor reachable (backward-shift deletion).
+  OpenIndex<std::uint64_t> Idx;
+  const std::uint32_t N = 5000;
+  for (std::uint32_t I = 0; I != N; ++I)
+    Idx.lookupOrInsert(I, I);
+  EXPECT_EQ(Idx.find(N), OpenIndex<std::uint64_t>::NoVal);
+  for (std::uint32_t I = 0; I < N; I += 3)
+    EXPECT_EQ(Idx.erase(I), I);
+  EXPECT_EQ(Idx.erase(0), OpenIndex<std::uint64_t>::NoVal);
+  for (std::uint32_t I = 0; I != N; ++I)
+    EXPECT_EQ(Idx.find(I), I % 3 ? I : OpenIndex<std::uint64_t>::NoVal) << I;
+  EXPECT_EQ(Idx.size(), N - (N + 2) / 3);
+  // Erased keys can come back with new values.
+  EXPECT_EQ(Idx.lookupOrInsert(3, 77), 77u);
+  EXPECT_EQ(Idx.find(3), 77u);
 }
