@@ -201,9 +201,11 @@ bool jdrag::analysis::peekStreamEndTime(const std::string &Path,
       return true;
     }
   }
-  // Footerless (v2/v3, or an interrupted v4/v5/v6 producer): one strict
-  // record-free pass rebuilds the index. O(chunks) state, and the bytes
-  // are released before the replay proper starts.
+  // Footerless v4+ stream (an interrupted producer): one strict pass
+  // rebuilds the index. O(chunks) state, and the bytes are released
+  // before the replay proper starts. A v2/v3 stream has no index to
+  // rebuild, so it fails here and curve requests take the materialized
+  // path.
   StreamHeaderInfo Info;
   if (!readStreamHeader(Path, Info))
     return false;

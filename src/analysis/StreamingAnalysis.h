@@ -82,9 +82,10 @@ struct StreamAnalysisResult {
 
 /// Peeks the recording's end time (the Terminate event's byte-clock
 /// time) without replaying it: reads the chunk-index footer from the
-/// file tail, or rebuilds the index with one record-free pass for
-/// footerless streams. Footer claims are unverified -- callers that act
-/// on them must cross-check against the replay's observed end time.
+/// file tail, or rebuilds the index with one pass for footerless v4+
+/// streams. Returns false for v2/v3 streams, which have no chunk index.
+/// Footer claims are unverified -- callers that act on them must
+/// cross-check against the replay's observed end time.
 bool peekStreamEndTime(const std::string &Path, ByteTime &End);
 
 /// Runs the requested analyses in one streaming pass over the `.jdev`

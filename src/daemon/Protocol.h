@@ -165,9 +165,14 @@ inline bool decodeHello(std::span<const std::byte> Payload, HelloInfo &Out,
       *Err = "malformed HELLO name length";
     return false;
   }
-  if (Fmt < 2 || Fmt > 6) {
+  // Sessions decode chunk by chunk, so only self-contained formats
+  // qualify; `jdrag salvage` rewrites a v2/v3 recording in the current
+  // format.
+  if (Fmt < static_cast<std::uint32_t>(profiler::WireFormat::V4) ||
+      Fmt > static_cast<std::uint32_t>(profiler::WireFormat::V6)) {
     if (Err)
-      *Err = "HELLO carries unknown wire format " + std::to_string(Fmt);
+      *Err = "HELLO carries unsupported wire format " + std::to_string(Fmt) +
+             " (jdragd reads formats 4 to 6)";
     return false;
   }
   Out.Format = static_cast<profiler::WireFormat>(Fmt);

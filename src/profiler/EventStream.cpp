@@ -2,6 +2,7 @@
 
 #include "profiler/EventStream.h"
 
+#include "profiler/LegacyStream.h"
 #include "support/Crc32c.h"
 #include "support/Lz.h"
 
@@ -91,9 +92,8 @@ inline std::uint64_t biasSite(SiteId S) {
 }
 
 /// Bounded varint reader over one contiguous span. Distinguishes "ran
-/// out of bytes" (Short: the record straddles the feed boundary, wait
-/// for more) from "malformed" (Bad: overlong varint or u64 overflow,
-/// the stream is corrupt).
+/// out of bytes" (Short: the end of the chunk body cuts the record off)
+/// from "malformed" (Bad: overlong varint or u64 overflow).
 struct VarReader {
   const std::byte *P;
   std::size_t N;
@@ -201,121 +201,6 @@ struct WireIndexEntry {
 };
 static_assert(sizeof(WireIndexEntry) == 48, "footer wire format");
 static_assert(std::is_trivially_copyable_v<WireIndexEntry>);
-
-/// Result of measuring one record without dispatching it (the index
-/// rebuild scan): Len = 0 means the record straddles past the end of
-/// the span.
-struct WalkResult {
-  std::size_t Len = 0;
-  bool Malformed = false;
-  bool Timed = false;
-  ByteTime Time = 0;
-};
-
-WalkResult walkRecordV2(const std::byte *P, std::size_t N) {
-  WalkResult R;
-  if (N < sizeof(EventRecord))
-    return R;
-  EventRecord E;
-  std::memcpy(&E, P, sizeof(E));
-  if (E.Kind >= NumEventKinds) {
-    R.Malformed = true;
-    return R;
-  }
-  if (E.kind() == EventKind::DefineSite) {
-    if (E.Arg0 > MaxWireFrames) {
-      R.Malformed = true;
-      return R;
-    }
-    std::size_t Len = sizeof(EventRecord) +
-                      static_cast<std::size_t>(E.Arg0) * sizeof(WireFrame);
-    if (N < Len)
-      return R;
-    R.Len = Len;
-    return R;
-  }
-  R.Len = sizeof(EventRecord);
-  R.Timed = true;
-  R.Time = E.Time;
-  return R;
-}
-
-WalkResult walkRecordV3(const std::byte *P, std::size_t N,
-                        ByteTime LastTime) {
-  WalkResult R;
-  VarReader V{P, N};
-  std::uint8_t Tag;
-  if (!V.byte(Tag))
-    return R;
-  auto Kind = static_cast<EventKind>(Tag & TagKindMask);
-  if (Kind == EventKind::DefineSite) {
-    if (Tag & ~TagKindMask) {
-      R.Malformed = true;
-      return R;
-    }
-    V.uvar32(); // site id
-    std::uint64_t FrameCount = V.uvar();
-    if (!V.Short && !V.Bad && FrameCount > MaxWireFrames) {
-      R.Malformed = true;
-      return R;
-    }
-    for (std::uint64_t I = 0; I != FrameCount && !V.Short && !V.Bad; ++I) {
-      V.uvar32();
-      V.uvar32();
-      V.uvar32();
-    }
-  } else {
-    std::int64_t Delta = V.svar();
-    R.Timed = true;
-    R.Time = LastTime + static_cast<std::uint64_t>(Delta);
-    std::uint8_t SpareMask = ~TagKindMask;
-    switch (Kind) {
-    case EventKind::Alloc:
-      SpareMask = AllocSpareMask;
-      V.uvar();
-      V.uvar();
-      V.uvar();
-      V.uvar32();
-      break;
-    case EventKind::Use:
-      SpareMask = UseSpareMask;
-      if (!V.Short && ((Tag >> UseKindShift) & 0x7) == 7) {
-        R.Malformed = true;
-        return R;
-      }
-      V.uvar();
-      V.uvar32();
-      break;
-    case EventKind::GCEnd:
-      V.uvar();
-      V.uvar();
-      break;
-    case EventKind::Collect:
-    case EventKind::Survivor:
-      V.uvar();
-      break;
-    case EventKind::DeepGCEnd:
-    case EventKind::Terminate:
-      break;
-    case EventKind::DefineSite:
-      break; // unreachable: handled above
-    }
-    if (Tag & SpareMask) {
-      R.Malformed = true;
-      return R;
-    }
-  }
-  if (V.Bad) {
-    R.Malformed = true;
-    return R;
-  }
-  if (V.Short) {
-    R.Timed = false;
-    return R;
-  }
-  R.Len = V.Off;
-  return R;
-}
 
 } // namespace
 
@@ -784,141 +669,113 @@ bool StreamDecoder::fail(std::string Msg) {
   return false;
 }
 
-bool StreamDecoder::decodeV2(const std::byte *Cur, std::size_t Avail,
-                             std::size_t &Off) {
-  while (true) {
-    if (Avail - Off < sizeof(EventRecord))
-      break;
-    EventRecord E;
-    std::memcpy(&E, Cur + Off, sizeof(E));
-    if (E.Kind >= NumEventKinds)
-      return fail("malformed event stream: unknown event kind " +
-                  std::to_string(E.Kind));
-    if (E.kind() == EventKind::DefineSite) {
-      if (E.Arg0 > MaxWireFrames)
-        return fail("malformed event stream: site with " +
-                    std::to_string(E.Arg0) + " frames");
-      std::size_t Payload =
-          static_cast<std::size_t>(E.Arg0) * sizeof(WireFrame);
-      if (Avail - Off < sizeof(EventRecord) + Payload)
-        break;
-      FrameScratch.clear();
-      const std::byte *P = Cur + Off + sizeof(EventRecord);
-      for (std::uint64_t I = 0; I != E.Arg0; ++I) {
-        WireFrame W;
-        std::memcpy(&W, P + I * sizeof(WireFrame), sizeof(W));
-        FrameScratch.push_back({ir::MethodId(W.Method), W.Pc, W.Line});
-      }
-      C.onSite(E.Site, FrameScratch);
-      Off += sizeof(EventRecord) + Payload;
-    } else {
-      C.onEvent(E);
-      Off += sizeof(EventRecord);
-    }
-    ++Events;
+namespace {
+
+/// Decodes the fields that follow the tag byte of one timed record into
+/// \p E, with its time delta taken against \p Base. Instantiated for
+/// both readers: FastVarReader where the whole record is known to be in
+/// range, VarReader near the end of a body. Returns what is malformed,
+/// or null -- a VarReader may still have run short, which the caller
+/// checks.
+template <class Reader>
+const char *readTimedRecord(Reader &R, std::uint8_t Tag, ByteTime Base,
+                            EventRecord &E) {
+  auto Kind = static_cast<EventKind>(Tag & TagKindMask);
+  E.Kind = Tag & TagKindMask;
+  E.Time = Base + static_cast<std::uint64_t>(R.svar());
+  switch (Kind) {
+  case EventKind::Alloc:
+    if (Tag & AllocSpareMask)
+      return "spare tag bits set on";
+    E.Flags = (Tag & AllocIsArrayBit) ? 1 : 0;
+    E.Sub = static_cast<std::uint8_t>((Tag >> AllocKindShift) & 0x3);
+    E.Id = R.uvar();
+    E.Arg0 = R.uvar();
+    E.Arg1 = R.uvar();
+    E.Site = static_cast<SiteId>(R.uvar32() - 1);
+    break;
+  case EventKind::Use:
+    if (Tag & UseSpareMask)
+      return "spare tag bits set on";
+    E.Flags = (Tag & UseDuringInitBit) ? 1 : 0;
+    E.Sub = static_cast<std::uint8_t>((Tag >> UseKindShift) & 0x7);
+    if (E.Sub == 7)
+      return "unknown use kind 7 in";
+    E.Id = R.uvar();
+    E.Site = static_cast<SiteId>(R.uvar32() - 1);
+    break;
+  case EventKind::GCEnd:
+    if (Tag & ~TagKindMask)
+      return "spare tag bits set on";
+    E.Arg0 = R.uvar();
+    E.Arg1 = R.uvar();
+    break;
+  case EventKind::Collect:
+  case EventKind::Survivor:
+    if (Tag & ~TagKindMask)
+      return "spare tag bits set on";
+    E.Id = R.uvar();
+    break;
+  case EventKind::DeepGCEnd:
+  case EventKind::Terminate:
+  case EventKind::DefineSite: // never reaches here
+    if (Tag & ~TagKindMask)
+      return "spare tag bits set on";
+    break;
   }
-  return true;
+  return R.Bad ? "bad varint in" : nullptr;
 }
 
-bool StreamDecoder::decodeV3(const std::byte *Cur, std::size_t Avail,
-                             std::size_t &Off) {
-  while (Off < Avail) {
-    // Batch fast path: with room for any complete non-site record, the
-    // varints decode without per-byte bounds checks -- the Short
-    // machinery below only matters near the end of the input.
-    if (Avail - Off >= MaxV3EventBytes) {
-      std::uint8_t Tag = std::to_integer<std::uint8_t>(Cur[Off]);
-      std::uint8_t KindBits = Tag & TagKindMask;
-      auto Kind = static_cast<EventKind>(KindBits);
-      if (Kind != EventKind::DefineSite) {
-        FastVarReader R{Cur + Off + 1};
-        EventRecord E;
-        E.Kind = KindBits;
-        E.Time = LastTime + static_cast<std::uint64_t>(R.svar());
-        switch (Kind) {
-        case EventKind::Alloc:
-          if (Tag & AllocSpareMask)
-            return fail("malformed event stream: spare tag bits set on "
-                        "alloc record");
-          E.Flags = (Tag & AllocIsArrayBit) ? 1 : 0;
-          E.Sub = static_cast<std::uint8_t>((Tag >> AllocKindShift) & 0x3);
-          E.Id = R.uvar();
-          E.Arg0 = R.uvar();
-          E.Arg1 = R.uvar();
-          E.Site = static_cast<SiteId>(R.uvar32() - 1);
-          break;
-        case EventKind::Use:
-          if (Tag & UseSpareMask)
-            return fail("malformed event stream: spare tag bits set on "
-                        "use record");
-          E.Flags = (Tag & UseDuringInitBit) ? 1 : 0;
-          E.Sub = static_cast<std::uint8_t>((Tag >> UseKindShift) & 0x7);
-          if (E.Sub == 7)
-            return fail("malformed event stream: unknown use kind 7");
-          E.Id = R.uvar();
-          E.Site = static_cast<SiteId>(R.uvar32() - 1);
-          break;
-        case EventKind::GCEnd:
-          if (Tag & ~TagKindMask)
-            return fail("malformed event stream: spare tag bits set on "
-                        "gc-end record");
-          E.Arg0 = R.uvar();
-          E.Arg1 = R.uvar();
-          break;
-        case EventKind::Collect:
-        case EventKind::Survivor:
-          if (Tag & ~TagKindMask)
-            return fail("malformed event stream: spare tag bits set on " +
-                        std::string(eventKindName(Kind)) + " record");
-          E.Id = R.uvar();
-          break;
-        case EventKind::DeepGCEnd:
-        case EventKind::Terminate:
-          if (Tag & ~TagKindMask)
-            return fail("malformed event stream: spare tag bits set on " +
-                        std::string(eventKindName(Kind)) + " record");
-          break;
-        case EventKind::DefineSite:
-          break; // unreachable: filtered above
-        }
-        if (R.Bad)
-          return fail("malformed event stream: bad varint in " +
-                      std::string(eventKindName(Kind)) + " record");
-        LastTime = E.Time;
-        C.onEvent(E);
-        ++Events;
-        Off += 1 + R.Off;
-        continue;
-      }
+} // namespace
+
+bool StreamDecoder::decodeChunk(const std::byte *Data, std::size_t Size) {
+  if (Failed)
+    return false;
+  ByteTime LastTime = 0; // every chunk restarts the time-delta chain
+  std::size_t Off = 0;
+  // Every failure happens at the record starting at At, and the
+  // records before it have been dispatched. These lambdas capture only
+  // `this` and take At by value: capturing the loop's locals by
+  // reference measurably slowed the loop.
+  auto Malformed = [this](std::size_t At, const char *What, EventKind Kind) {
+    Bytes += At;
+    return fail(std::string("malformed event stream: ") + What + " " +
+                eventKindName(Kind) + " record");
+  };
+  auto CutOff = [this](std::size_t At) {
+    Bytes += At;
+    Cut = true;
+    return fail("corrupt event stream: record straddles a chunk boundary "
+                "in a self-contained chunk");
+  };
+  while (Off < Size) {
+    std::uint8_t Tag = std::to_integer<std::uint8_t>(Data[Off]);
+    auto Kind = static_cast<EventKind>(Tag & TagKindMask);
+    EventRecord E;
+
+    if (Kind != EventKind::DefineSite && Size - Off >= MaxV3EventBytes) {
+      // Room for any non-site record: no per-byte bounds checks.
+      FastVarReader R{Data + Off + 1};
+      if (const char *Bad = readTimedRecord(R, Tag, LastTime, E))
+        return Malformed(Off, Bad, Kind);
+      LastTime = E.Time;
+      C.onEvent(E);
+      ++Events;
+      Off += 1 + R.Off;
+      continue;
     }
 
-    VarReader R{Cur + Off, Avail - Off};
-    std::uint8_t Tag;
-    R.byte(Tag);
-    std::uint8_t KindBits = Tag & TagKindMask;
-    auto Kind = static_cast<EventKind>(KindBits);
-
-    EventRecord E;
-    E.Kind = KindBits;
-    ByteTime NewLast = LastTime;
-
-    // Decode the whole record before committing anything: if the reader
-    // runs short the record straddles the feed boundary and we retry it
-    // once more bytes arrive, so no state (LastTime, Events, consumer
-    // dispatch) may change until the record is complete.
-    bool IsSite = Kind == EventKind::DefineSite;
-    SiteId SiteDef = InvalidSite;
-    std::uint64_t FrameCount = 0;
-
-    if (IsSite) {
+    VarReader R{Data + Off + 1, Size - Off - 1};
+    if (Kind == EventKind::DefineSite) {
       if (Tag & ~TagKindMask)
-        return fail("malformed event stream: spare tag bits set on "
-                    "define-site record");
-      SiteDef = R.uvar32();
-      FrameCount = R.uvar();
-      if (!R.Short && !R.Bad && FrameCount > MaxWireFrames)
+        return Malformed(Off, "spare tag bits set on", Kind);
+      SiteId Id = R.uvar32();
+      std::uint64_t FrameCount = R.uvar();
+      if (!R.Short && !R.Bad && FrameCount > MaxWireFrames) {
+        Bytes += Off;
         return fail("malformed event stream: site with " +
                     std::to_string(FrameCount) + " frames");
+      }
       FrameScratch.clear();
       for (std::uint64_t I = 0; I != FrameCount && !R.Short && !R.Bad; ++I) {
         std::uint32_t Method = R.uvar32();
@@ -926,106 +783,25 @@ bool StreamDecoder::decodeV3(const std::byte *Cur, std::size_t Avail,
         std::uint32_t Line = R.uvar32();
         FrameScratch.push_back({ir::MethodId(Method), Pc, Line});
       }
+      // Malformation wins over a cut: Bad never depends on the bytes
+      // past the end of the body.
+      if (R.Bad)
+        return Malformed(Off, "bad varint in", Kind);
+      if (R.Short)
+        return CutOff(Off);
+      C.onSite(Id, FrameScratch);
     } else {
-      std::int64_t Delta = R.svar();
-      NewLast = LastTime + static_cast<std::uint64_t>(Delta);
-      E.Time = NewLast;
-      switch (Kind) {
-      case EventKind::Alloc:
-        if (Tag & AllocSpareMask)
-          return fail("malformed event stream: spare tag bits set on "
-                      "alloc record");
-        E.Flags = (Tag & AllocIsArrayBit) ? 1 : 0;
-        E.Sub = static_cast<std::uint8_t>((Tag >> AllocKindShift) & 0x3);
-        E.Id = R.uvar();
-        E.Arg0 = R.uvar();
-        E.Arg1 = R.uvar();
-        E.Site = static_cast<SiteId>(R.uvar32() - 1);
-        break;
-      case EventKind::Use:
-        if (Tag & UseSpareMask)
-          return fail("malformed event stream: spare tag bits set on "
-                      "use record");
-        E.Flags = (Tag & UseDuringInitBit) ? 1 : 0;
-        E.Sub = static_cast<std::uint8_t>((Tag >> UseKindShift) & 0x7);
-        if (E.Sub == 7 && !R.Short)
-          return fail("malformed event stream: unknown use kind 7");
-        E.Id = R.uvar();
-        E.Site = static_cast<SiteId>(R.uvar32() - 1);
-        break;
-      case EventKind::GCEnd:
-        if (Tag & ~TagKindMask)
-          return fail("malformed event stream: spare tag bits set on "
-                      "gc-end record");
-        E.Arg0 = R.uvar();
-        E.Arg1 = R.uvar();
-        break;
-      case EventKind::Collect:
-      case EventKind::Survivor:
-        if (Tag & ~TagKindMask)
-          return fail("malformed event stream: spare tag bits set on " +
-                      std::string(eventKindName(Kind)) + " record");
-        E.Id = R.uvar();
-        break;
-      case EventKind::DeepGCEnd:
-      case EventKind::Terminate:
-        if (Tag & ~TagKindMask)
-          return fail("malformed event stream: spare tag bits set on " +
-                      std::string(eventKindName(Kind)) + " record");
-        break;
-      case EventKind::DefineSite:
-        break; // unreachable: handled above
-      }
-    }
-
-    // Malformation wins over shortness: Bad never depends on bytes
-    // that have not arrived yet (a reader that ran short after hitting
-    // an overlong varint is still malformed, not merely incomplete).
-    if (R.Bad)
-      return fail("malformed event stream: bad varint in " +
-                  std::string(eventKindName(Kind)) + " record");
-    if (R.Short)
-      break; // partial record at feed boundary: wait for more bytes
-
-    // Commit.
-    if (IsSite) {
-      C.onSite(SiteDef, FrameScratch);
-    } else {
-      LastTime = NewLast;
+      if (const char *Bad = readTimedRecord(R, Tag, LastTime, E))
+        return Malformed(Off, Bad, Kind);
+      if (R.Short)
+        return CutOff(Off);
+      LastTime = E.Time;
       C.onEvent(E);
     }
     ++Events;
-    Off += R.Off;
+    Off += 1 + R.Off;
   }
-  return true;
-}
-
-bool StreamDecoder::feed(const std::byte *Data, std::size_t Size) {
-  if (Failed)
-    return false;
-
-  // Work over the concatenation of leftover bytes and the new slice
-  // without copying the new slice unless a record straddles its end.
-  const std::byte *Cur = Data;
-  std::size_t Avail = Size;
-  if (!Pending.empty()) {
-    Pending.insert(Pending.end(), Data, Data + Size);
-    Cur = Pending.data();
-    Avail = Pending.size();
-  }
-
-  std::size_t Off = 0;
-  if (!(Format == WireFormat::V2 ? decodeV2(Cur, Avail, Off)
-                                 : decodeV3(Cur, Avail, Off)))
-    return false;
-
-  // Stash the incomplete tail for the next feed.
-  if (!Pending.empty()) {
-    Pending.erase(Pending.begin(),
-                  Pending.begin() + static_cast<std::ptrdiff_t>(Off));
-  } else if (Off < Avail) {
-    Pending.assign(Cur + Off, Cur + Avail);
-  }
+  Bytes += Size;
   return true;
 }
 
@@ -1043,6 +819,11 @@ bool FrameDecoder::fail(std::string Msg) {
 bool FrameDecoder::feed(const std::byte *Data, std::size_t Size) {
   if (Failed)
     return false;
+  if (!chunkSelfContained(Format))
+    return fail("unsupported event stream: v" +
+                std::to_string(static_cast<unsigned>(Format)) +
+                " records straddle chunks; read it with replayFile or "
+                "replayBytes");
 
   // Same zero-copy-unless-straddling strategy as the record layer; on
   // the live path each feed is exactly one whole frame, so Pending
@@ -1059,7 +840,7 @@ bool FrameDecoder::feed(const std::byte *Data, std::size_t Size) {
   while (Avail - Off >= sizeof(ChunkHeader)) {
     ChunkHeader H;
     std::memcpy(&H, Cur + Off, sizeof(H));
-    if (chunkSelfContained(Format) && H.Magic == FooterMagic) {
+    if (H.Magic == FooterMagic) {
       // Terminal chunk index footer: CRC-verify and swallow it -- its
       // contents are a seek index, not stream data.
       if (H.PayloadBytes > MaxChunkPayload)
@@ -1119,16 +900,14 @@ bool FrameDecoder::feed(const std::byte *Data, std::size_t Size) {
       return fail("corrupt event stream: chunk " + std::to_string(NextSeq) +
                   " CRC mismatch (stored " + std::to_string(H.Crc) +
                   ", computed " + std::to_string(Crc) + ")");
-    if (chunkSelfContained(Format))
-      Records.resetTimeBase(); // every v4+ chunk is self-contained
-    if (!Records.feed(Body.data(), Body.size())) {
+    if (!Records.decodeChunk(Body.data(), Body.size())) {
+      if (Records.recordCut())
+        return fail("corrupt event stream: record straddles a chunk "
+                    "boundary in self-contained chunk " +
+                    std::to_string(NextSeq));
       Failed = true;
       return false; // record-layer error() is surfaced by error()
     }
-    if (chunkSelfContained(Format) && !Records.atRecordBoundary())
-      return fail("corrupt event stream: record straddles a chunk "
-                  "boundary in self-contained chunk " +
-                  std::to_string(NextSeq));
     ++Chunks;
     ++NextSeq;
     Off += sizeof(ChunkHeader) + WireLen;
@@ -1290,6 +1069,26 @@ bool jdrag::profiler::peekChunkIndexFooterTail(std::span<const std::byte> Tail,
   return true;
 }
 
+namespace {
+
+/// The first and last time of one chunk's records, for rebuildChunkIndex
+/// (the decoder counts the records).
+class ChunkTimes : public EventConsumer {
+public:
+  bool HasTime = false;
+  ByteTime First = 0, Last = 0;
+  void onSite(SiteId, std::span<const SiteFrame>) override {}
+  void onEvent(const EventRecord &E) override {
+    if (!HasTime) {
+      HasTime = true;
+      First = E.Time;
+    }
+    Last = E.Time;
+  }
+};
+
+} // namespace
+
 bool jdrag::profiler::rebuildChunkIndex(std::span<const std::byte> Stream,
                                         WireFormat F, ChunkIndex &Out,
                                         std::string *Err) {
@@ -1298,16 +1097,20 @@ bool jdrag::profiler::rebuildChunkIndex(std::span<const std::byte> Stream,
       *Err = std::move(Msg);
     return false;
   };
-  Out.Entries.clear();
-  Out.TotalRecords = 0;
-  Out.FromFooter = false;
+  Out = ChunkIndex();
+  if (!chunkSelfContained(F))
+    return Fail("a v" + std::to_string(static_cast<unsigned>(F)) +
+                " stream has no chunk index: its records straddle chunks");
 
-  // Pass 1: walk the chunk frames (structure only -- payload CRCs are
-  // verified by whoever decodes the payloads).
+  // One pass over the frames (structure only -- payload CRCs are
+  // verified by whoever decodes the payloads), decoding each chunk
+  // body on its own.
+  ChunkTimes Times;
+  StreamDecoder Dec(Times);
+  std::vector<std::uint8_t> Inflate;
   std::size_t End = Stream.size();
   std::size_t Off = 0;
   std::uint32_t NextSeq = 0;
-  std::size_t PayloadTotal = 0;
   while (Off < End) {
     if (End - Off < sizeof(ChunkHeader))
       return Fail("truncated chunk header at offset " + std::to_string(Off));
@@ -1339,94 +1142,37 @@ bool jdrag::profiler::rebuildChunkIndex(std::span<const std::byte> Stream,
     if (End - Off < sizeof(ChunkHeader) + WireLen)
       return Fail("truncated chunk payload in chunk " +
                   std::to_string(NextSeq));
+    // The record walk needs uncompressed bytes; a v6 chunk whose
+    // compressed payload does not decode is structural damage, same
+    // class as a truncated frame.
+    const std::byte *Payload = Stream.data() + Off + sizeof(ChunkHeader);
+    std::span<const std::byte> Body(Payload, WireLen);
+    if (Compressed && !chunkPayloadBytes(H, Payload, Inflate, Body))
+      return Fail("corrupt compressed payload in chunk " +
+                  std::to_string(NextSeq));
     ChunkIndexEntry E;
     E.Offset = Off;
     E.Seq = H.Seq;
     E.PayloadBytes = H.PayloadBytes; // on-wire field, flag included
     E.Crc = H.Crc;
-    E.HeadSkip = WireLen; // overwritten if a record starts here
+    E.FirstRecord = Dec.eventsDecoded();
+    Times.HasTime = false;
+    if (!Dec.decodeChunk(Body.data(), Body.size()))
+      return Fail((Dec.recordCut() ? "record straddles a chunk boundary in "
+                                     "self-contained chunk "
+                                   : "malformed record in chunk ") +
+                  std::to_string(NextSeq));
+    E.RecordCount =
+        static_cast<std::uint32_t>(Dec.eventsDecoded() - E.FirstRecord);
+    if (Times.HasTime) {
+      E.FirstTime = Times.First;
+      E.LastTime = Times.Last;
+    }
     Out.Entries.push_back(E);
-    PayloadTotal += WireLen;
     ++NextSeq;
     Off += sizeof(ChunkHeader) + WireLen;
   }
-
-  if (Out.Entries.empty())
-    return true;
-
-  // Pass 2: walk the records over the concatenated payloads (records
-  // straddle chunks in v2/v3), attributing each record to the chunk
-  // its first byte lands in and tracking the decoder state (time-delta
-  // seed, straddle skip) a shard worker needs to start there.
-  std::vector<std::byte> Buf;
-  Buf.reserve(PayloadTotal);
-  std::vector<std::size_t> Starts(Out.Entries.size());
-  std::vector<std::uint8_t> Inflate;
-  for (std::size_t I = 0; I != Out.Entries.size(); ++I) {
-    Starts[I] = Buf.size();
-    ChunkIndexEntry &E = Out.Entries[I];
-    const std::byte *P = Stream.data() + E.Offset + sizeof(ChunkHeader);
-    // The record walk needs uncompressed bytes; a v6 chunk whose
-    // compressed payload does not decode is structural damage, same
-    // class as a truncated frame. (CRCs are still not checked here.)
-    ChunkHeader H;
-    H.PayloadBytes = E.PayloadBytes;
-    std::span<const std::byte> Body;
-    if (!chunkPayloadBytes(H, P, Inflate, Body))
-      return Fail("corrupt compressed payload in chunk " +
-                  std::to_string(E.Seq));
-    Buf.insert(Buf.end(), Body.begin(), Body.end());
-  }
-
-  std::size_t Pos = 0;
-  std::size_t Cur = 0;
-  ByteTime LastTime = 0;
-  bool CurHasTime = false;
-  std::uint64_t Records = 0;
-  while (Pos < Buf.size()) {
-    std::size_t Prev = Cur;
-    while (Cur + 1 < Starts.size() && Pos >= Starts[Cur + 1])
-      ++Cur;
-    if (Cur != Prev) {
-      CurHasTime = false;
-      if (chunkSelfContained(F))
-        LastTime = 0; // the v4/v5 delta chain restarts per chunk
-    }
-    ChunkIndexEntry &E = Out.Entries[Cur];
-    WalkResult W =
-        F == WireFormat::V2
-            ? walkRecordV2(Buf.data() + Pos, Buf.size() - Pos)
-            : walkRecordV3(Buf.data() + Pos, Buf.size() - Pos, LastTime);
-    if (W.Malformed)
-      return Fail("malformed record in chunk " + std::to_string(E.Seq));
-    if (W.Len == 0)
-      return Fail("truncated event stream: partial trailing record");
-    // Chunk extents in Buf come from Starts, not E.PayloadBytes: for a
-    // compressed chunk the entry holds the on-wire field, while Buf
-    // holds the decompressed payload.
-    std::size_t CurEnd =
-        Cur + 1 < Starts.size() ? Starts[Cur + 1] : Buf.size();
-    if (chunkSelfContained(F) && Pos + W.Len > CurEnd)
-      return Fail("record straddles a chunk boundary in v4 chunk " +
-                  std::to_string(E.Seq));
-    if (E.RecordCount == 0) {
-      E.HeadSkip = static_cast<std::uint32_t>(Pos - Starts[Cur]);
-      E.TimeBase = F == WireFormat::V2 ? 0 : LastTime;
-      E.FirstRecord = Records;
-    }
-    ++E.RecordCount;
-    if (W.Timed) {
-      if (!CurHasTime) {
-        CurHasTime = true;
-        E.FirstTime = W.Time;
-      }
-      E.LastTime = W.Time;
-      LastTime = W.Time;
-    }
-    ++Records;
-    Pos += W.Len;
-  }
-  Out.TotalRecords = Records;
+  Out.TotalRecords = Dec.eventsDecoded();
   return true;
 }
 
@@ -1437,17 +1183,29 @@ bool jdrag::profiler::rebuildChunkIndex(std::span<const std::byte> Stream,
 bool jdrag::profiler::replayBytes(std::span<const std::byte> Bytes,
                                   EventConsumer &C, std::string *Err,
                                   WireFormat Format) {
+  auto Fail = [&](const std::string &Msg) {
+    if (Err)
+      *Err = Msg;
+    return false;
+  };
+  const char *Truncated =
+      "truncated event stream: partial trailing chunk or record";
+  if (!chunkSelfContained(Format)) {
+    std::string LegacyErr;
+    switch (replayLegacyStream(Bytes, Format, C, LegacyErr)) {
+    case LegacyStatus::Ok:
+      return true;
+    case LegacyStatus::Truncated:
+      return Fail(Truncated);
+    case LegacyStatus::Corrupt:
+      return Fail(LegacyErr);
+    }
+  }
   FrameDecoder D(C, Format);
-  if (!D.feed(Bytes.data(), Bytes.size())) {
-    if (Err)
-      *Err = D.error();
-    return false;
-  }
-  if (!D.atRecordBoundary()) {
-    if (Err)
-      *Err = "truncated event stream: partial trailing chunk or record";
-    return false;
-  }
+  if (!D.feed(Bytes.data(), Bytes.size()))
+    return Fail(D.error());
+  if (!D.atRecordBoundary())
+    return Fail(Truncated);
   return true;
 }
 
@@ -1508,6 +1266,10 @@ bool jdrag::profiler::replayFile(const std::string &Path, EventConsumer &C,
   if (Info)
     *Info = Hdr;
 
+  // v2/v3 records straddle chunks, so LegacyStream reads the whole
+  // framed stream at once; v4+ streams decode as they are read.
+  bool Legacy = !chunkSelfContained(Hdr.Format);
+  std::vector<std::byte> Framed;
   FrameDecoder D(C, Hdr.Format);
   std::byte Buf[64 * 1024];
   bool Ok = true;
@@ -1515,7 +1277,9 @@ bool jdrag::profiler::replayFile(const std::string &Path, EventConsumer &C,
     std::size_t N = std::fread(Buf, 1, sizeof(Buf), F);
     if (N == 0)
       break;
-    if (!D.feed(Buf, N)) {
+    if (Legacy) {
+      Framed.insert(Framed.end(), Buf, Buf + N);
+    } else if (!D.feed(Buf, N)) {
       Ok = false;
       break;
     }
@@ -1526,7 +1290,15 @@ bool jdrag::profiler::replayFile(const std::string &Path, EventConsumer &C,
     return Fail(D.error());
   if (ReadError)
     return Fail(Path + ": read error");
-  if (!D.atRecordBoundary())
+  bool Complete = D.atRecordBoundary();
+  if (Legacy) {
+    std::string LegacyErr;
+    LegacyStatus S = replayLegacyStream(Framed, Hdr.Format, C, LegacyErr);
+    if (S == LegacyStatus::Corrupt)
+      return Fail(LegacyErr);
+    Complete = S == LegacyStatus::Ok;
+  }
+  if (!Complete)
     return Fail(Path +
                 ": truncated event stream (partial trailing chunk or "
                 "record); try `jdrag salvage`");

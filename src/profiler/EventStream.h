@@ -43,14 +43,12 @@
 ///       encoded as zigzag deltas against the previous record -- the
 ///       dominant Use/Collect events shrink from 40 to ~4-8 bytes.
 ///
-/// v2 and v3 are read-only formats: decoders, fsck, salvage and sharded
-/// replay accept them (tests/data pins them), but nothing writes them.
-/// Their records may straddle chunk boundaries -- FrameDecoder verifies
-/// and strips the frames, StreamDecoder reassembles records. The framing
-/// is what makes a damaged recording *salvageable*: a decoder can verify
-/// each chunk independently, detect exactly where corruption or
-/// truncation begins, and recover every complete record before it (see
-/// profiler/StreamSalvage.h).
+/// v2 and v3 are read-only formats (tests/data pins them); nothing
+/// writes them. Their records may straddle chunk boundaries and v3's
+/// time deltas chain across chunks, so they are read in exactly one
+/// place: profiler/LegacyStream.h verifies their frames, joins the
+/// payloads and decodes the result. replayFile, replayBytes and the
+/// salvage scan send them there; every other reader refuses them.
 ///
 ///   v4  v3's record encoding made *shard-decodable*: every chunk is
 ///       self-contained (the time-delta chain restarts at zero in each
@@ -62,9 +60,16 @@
 ///       a reader can fan chunk ranges out to N decode threads without
 ///       scanning the file first (profiler/ParallelReplay.h). Readers
 ///       rebuild a missing or untrusted index with one sequential pass
-///       (rebuildChunkIndex), which also serves v2/v3 streams. v4 (and
-///       v5/v6, which only extend the header and compress chunks) is
-///       the only encoding EventBuffer writes.
+///       (rebuildChunkIndex). v4 (and v5/v6, which only extend the
+///       header and compress chunks) is the only encoding EventBuffer
+///       writes.
+///
+/// FrameDecoder verifies and strips the frames of a v4+ stream and
+/// StreamDecoder decodes each chunk body on its own. The framing is what
+/// makes a damaged recording *salvageable*: a decoder can verify each
+/// chunk independently, detect exactly where corruption or truncation
+/// begins, and recover every complete record before it (see
+/// profiler/StreamSalvage.h).
 ///
 /// The producer side degrades gracefully instead of failing silently:
 /// when a sink write fails, EventBuffer keeps accepting events, accounts
@@ -133,9 +138,9 @@ enum class WireFormat : std::uint8_t {
 inline constexpr WireFormat DefaultWireFormat = WireFormat::V4;
 
 /// v4 introduced chunk-self-contained framing (per-chunk time baseline,
-/// record-aligned flushes, terminal index footer); v5 keeps all of it
-/// and only extends the file header. Every framing decision keys on
-/// this predicate, not on an exact version compare.
+/// record-aligned flushes, terminal index footer); v5 and v6 keep all of
+/// it. Only profiler/LegacyStream.h reads streams for which this is
+/// false; every other reader refuses them.
 inline constexpr bool chunkSelfContained(WireFormat F) {
   return F >= WireFormat::V4;
 }
@@ -307,11 +312,8 @@ inline constexpr std::uint32_t FooterMagic = 0x7849646aU;
 /// (u32 block size, u32 this magic) -- no forward scan needed.
 inline constexpr std::uint32_t FooterTailMagic = 0x7446646aU;
 
-/// One chunk's entry in the index. The first five fields are what the
-/// footer serializes (48 bytes each on the wire, after a u64 record
-/// total); HeadSkip and TimeBase only exist for *rebuilt* indexes of
-/// v2/v3 streams, where records straddle chunks and time deltas chain
-/// across them -- both are structurally zero in v4 streams.
+/// One chunk's entry in the index: what the footer serializes (48 bytes
+/// each on the wire, after a u64 record total).
 struct ChunkIndexEntry {
   std::uint64_t Offset = 0;      ///< stream offset of the ChunkHeader
                                  ///< (first chunk = 0; file readers add
@@ -319,17 +321,11 @@ struct ChunkIndexEntry {
   std::uint32_t Seq = 0;         ///< chunk sequence number
   std::uint32_t PayloadBytes = 0;
   std::uint32_t Crc = 0;         ///< CRC-32C of the payload
-  std::uint32_t RecordCount = 0; ///< records *starting* in this chunk
-  ByteTime FirstTime = 0;        ///< first timed record starting here
-                                 ///< (0 if none)
-  ByteTime LastTime = 0;         ///< last timed record starting here
-  std::uint64_t FirstRecord = 0; ///< global index of the first record
-                                 ///< starting in this chunk
-  // Rebuild-only fields (never serialized; zero for v4 streams):
-  std::uint32_t HeadSkip = 0; ///< leading payload bytes that belong to
-                              ///< a record begun in an earlier chunk
-  ByteTime TimeBase = 0;      ///< decoder time-delta seed at the first
-                              ///< record starting in this chunk
+  std::uint32_t RecordCount = 0; ///< records in this chunk
+  ByteTime FirstTime = 0;        ///< first timed record here (0 if none)
+  ByteTime LastTime = 0;         ///< last timed record here
+  std::uint64_t FirstRecord = 0; ///< global index of the chunk's first
+                                 ///< record
 };
 
 /// A stream's chunk map: either parsed from a v4 footer or rebuilt by
@@ -372,13 +368,14 @@ bool peekChunkIndexFooterTail(std::span<const std::byte> Tail,
                               ChunkIndex &Out);
 
 /// Rebuilds the chunk index with one strict sequential pass over
-/// \p Stream (raw framed bytes): walks every frame and record, filling
-/// per-chunk record counts, times, straddle skips and time-delta seeds.
-/// Serves v2/v3 streams (which never have a footer), v4 streams whose
-/// footer is missing or untrusted, and footer-vs-reality audits.
-/// Returns false with \p Err on structural damage (truncation, bad
-/// magic/sequence, malformed records) -- CRCs are NOT checked here;
-/// consumers verify payload CRCs when they decode.
+/// \p Stream (raw framed bytes): walks every frame and decodes each
+/// chunk body on its own, filling per-chunk record counts and times.
+/// Serves v4+ streams whose footer is missing or untrusted, and
+/// footer-vs-reality audits. Returns false with \p Err on structural
+/// damage (truncation, bad magic/sequence, malformed or cut-off
+/// records) and for v2/v3 streams, which have no chunk index -- CRCs
+/// are NOT checked here; consumers verify payload CRCs when they
+/// decode.
 bool rebuildChunkIndex(std::span<const std::byte> Stream, WireFormat F,
                        ChunkIndex &Out, std::string *Err = nullptr);
 
@@ -479,8 +476,7 @@ struct StreamHealth {
 
 /// Where flushed chunks go. Implementations must tolerate any chunk
 /// sizes; each writeChunk call carries exactly one framed chunk (header
-/// plus payload), but record boundaries do NOT align with chunk
-/// boundaries.
+/// plus payload, or the footer block).
 class EventSink {
 public:
   virtual ~EventSink();
@@ -715,8 +711,8 @@ private:
 /// it is flushed at a record boundary (a record that will not fit starts
 /// the next chunk; one bigger than the chunk budget gets an oversized
 /// chunk of its own), the time-delta chain restarts per chunk, and
-/// finishStream() appends the chunk index footer. v2/v3 streams are
-/// read-only: decoders accept them, nothing writes them.
+/// finishStream() appends the chunk index footer. Nothing writes v2/v3
+/// streams (profiler/LegacyStream.h reads them).
 ///
 /// A sink failure does not stop event production: the buffer keeps
 /// accepting events, accounts every refused chunk in health(), and
@@ -793,72 +789,56 @@ public:
   virtual void onEvent(const EventRecord &E) = 0;
 };
 
-/// Incremental *record-layer* decoder: feed() payload byte slices (whole
-/// chunks, single bytes) and complete records are dispatched to the
-/// consumer; partial tail bytes are buffered until the next feed. Does
-/// not know about chunk frames -- FrameDecoder strips those first.
+/// *Record-layer* decoder of self-contained (v4+) chunks: each
+/// decodeChunk() call decodes one whole chunk body and dispatches its
+/// records to the consumer. The time-delta chain starts at zero in
+/// every body, and a record cut off by the end of a body is an error:
+/// records never straddle v4+ chunks. Does not know about chunk frames
+/// -- FrameDecoder strips those first.
 class StreamDecoder {
 public:
-  explicit StreamDecoder(EventConsumer &C,
-                         WireFormat Format = DefaultWireFormat)
-      : C(C), Format(Format) {}
+  explicit StreamDecoder(EventConsumer &C) : C(C) {}
 
-  /// Selects the record encoding. Only valid before the first feed().
-  void setWireFormat(WireFormat F) { Format = F; }
-
-  /// Seeds or resets the v3/v4 time-delta chain. v4 framing resets it
-  /// to 0 at every chunk boundary (FrameDecoder does this); sharded
-  /// replay of v2/v3 streams seeds a worker's decoder with the chunk's
-  /// TimeBase from the rebuilt index. Only valid at a record boundary.
-  void resetTimeBase(ByteTime T = 0) { LastTime = T; }
-
-  /// Decodes as much as possible. Returns false (sticky) on malformed
-  /// input; error() describes the problem.
-  bool feed(const std::byte *Data, std::size_t Size);
-
-  /// True when no partial record is pending -- i.e. the stream so far is
-  /// well-formed and complete up to a record boundary.
-  bool atRecordBoundary() const { return Pending.empty() && !Failed; }
+  /// Decodes one chunk body. Returns false (sticky) on a malformed or
+  /// cut-off record; error() describes it. The records before it have
+  /// already reached the consumer.
+  bool decodeChunk(const std::byte *Data, std::size_t Size);
 
   std::uint64_t eventsDecoded() const { return Events; }
-  /// Bytes of the buffered partial record (0 at a record boundary).
-  std::size_t pendingBytes() const { return Pending.size(); }
+  /// Body bytes of the records dispatched so far.
+  std::uint64_t bytesDecoded() const { return Bytes; }
+  /// True when decoding stopped at a record cut off by the end of its
+  /// body, rather than at malformed bytes.
+  bool recordCut() const { return Cut; }
   const std::string &error() const { return Error; }
 
 private:
   bool fail(std::string Msg);
-  /// Decodes records from [Cur, Cur+Avail), advancing \p Off past every
-  /// complete record. Returns false on malformed input (sticky).
-  bool decodeV2(const std::byte *Cur, std::size_t Avail, std::size_t &Off);
-  bool decodeV3(const std::byte *Cur, std::size_t Avail, std::size_t &Off);
 
   EventConsumer &C;
-  WireFormat Format;
-  std::vector<std::byte> Pending;
   std::vector<SiteFrame> FrameScratch;
   std::uint64_t Events = 0;
-  ByteTime LastTime = 0; ///< v3/v4 time-delta chain
+  std::uint64_t Bytes = 0;
   std::string Error;
   bool Failed = false;
+  bool Cut = false;
 };
 
-/// Incremental *chunk-layer* decoder: feed() arbitrary byte slices of a
-/// framed stream; it validates each ChunkHeader (magic, sequence,
-/// length, CRC-32C of the payload) and passes verified payloads to the
-/// record layer. Any integrity violation fails sticky with a precise
-/// error naming the chunk -- use StreamSalvage to recover what precedes
-/// the damage.
+/// Incremental *chunk-layer* decoder of v4+ streams: feed() arbitrary
+/// byte slices of a framed stream; it validates each ChunkHeader (magic,
+/// sequence, length, CRC-32C of the payload) and hands each verified
+/// chunk body to the record layer. Any integrity violation fails sticky
+/// with a precise error naming the chunk -- use StreamSalvage to recover
+/// what precedes the damage. A v2/v3 \p Format fails the first feed():
+/// those streams are read by profiler/LegacyStream.h.
 class FrameDecoder {
 public:
   explicit FrameDecoder(EventConsumer &C,
                         WireFormat Format = DefaultWireFormat)
-      : Records(C, Format), Format(Format) {}
+      : Records(C), Format(Format) {}
 
-  /// Selects the record encoding. Only valid before the first feed().
-  void setWireFormat(WireFormat F) {
-    Records.setWireFormat(F);
-    Format = F;
-  }
+  /// Selects the stream's format. Only valid before the first feed().
+  void setWireFormat(WireFormat F) { Format = F; }
 
   bool feed(const std::byte *Data, std::size_t Size);
 
@@ -867,9 +847,7 @@ public:
   /// (A v4 stream whose footer frame has not arrived still qualifies:
   /// the footer is an index, not data, and readers rebuild missing
   /// ones.)
-  bool atRecordBoundary() const {
-    return !Failed && Pending.empty() && Records.atRecordBoundary();
-  }
+  bool atRecordBoundary() const { return !Failed && Pending.empty(); }
 
   std::uint64_t eventsDecoded() const { return Records.eventsDecoded(); }
   std::uint64_t chunksDecoded() const { return Chunks; }
@@ -915,15 +893,18 @@ private:
 };
 
 /// Replays raw framed stream bytes (no file header) into \p C. Returns
-/// false and sets \p Err on malformed or truncated input.
+/// false and sets \p Err on malformed or truncated input. A v2/v3
+/// \p Format goes through profiler/LegacyStream.h, which delivers
+/// nothing to \p C unless every frame verifies.
 bool replayBytes(std::span<const std::byte> Bytes, EventConsumer &C,
                  std::string *Err = nullptr,
                  WireFormat Format = DefaultWireFormat);
 
 /// Replays a `.jdev` recording into \p C, validating the file header,
 /// every chunk frame (sequence + CRC), and record completeness. v2
-/// through v6 recordings are accepted (the header version selects the
-/// record decoder; v6 chunk payloads are decompressed transparently). A header-only file (zero events) replays
+/// through v6 recordings are accepted (v2/v3 through
+/// profiler/LegacyStream.h; v6 chunk payloads are decompressed
+/// transparently). A header-only file (zero events) replays
 /// successfully. Damaged files fail with a precise error;
 /// `jdrag salvage` recovers their prefix. When \p Info is non-null it
 /// receives the header's format and sampling params (exact defaults for

@@ -274,93 +274,32 @@ bool validateChunk(std::span<const std::byte> Framed, const ChunkIndexEntry &En,
   return true;
 }
 
-/// Decodes chunks [B, E) of the stream into \p R. v4 chunks are
-/// self-contained; v2/v3 shards seed the decoder from the rebuilt
-/// index and finish a range-straddling tail record by reading the
-/// continuation (HeadSkip) bytes of the chunks after the range.
+/// Decodes chunks [B, E) of the stream into \p R. Every chunk is
+/// self-contained, so each one decodes on its own.
 void runShard(std::span<const std::byte> Framed, WireFormat F,
               const ChunkIndex &Idx, std::size_t B, std::size_t E, bool Snap,
               ShardResult &R, unsigned ShardIdx = 0,
               ShardFoldSink *Fold = nullptr,
               const ClassExclusion *Excluded = nullptr) {
-  const std::vector<ChunkIndexEntry> &Ents = Idx.Entries;
   ShardConsumer C(R, Snap, /*IntervalKnown=*/B == 0, ShardIdx, Fold, Excluded);
-  StreamDecoder Dec(C, F);
+  StreamDecoder Dec(C);
   std::vector<std::uint8_t> Inflate; // per-shard v6 scratch
   std::span<const std::byte> Body;
-  auto Payload = [&](const ChunkIndexEntry &En) {
-    return Framed.data() + En.Offset + sizeof(ChunkHeader);
-  };
-
-  if (chunkSelfContained(F)) {
-    for (std::size_t I = B; I < E; ++I) {
-      const ChunkIndexEntry &En = Ents[I];
-      if (!validateChunk(Framed, En, I, Idx.FromFooter, F, Inflate, Body, R))
-        return;
-      std::uint64_t Before = Dec.eventsDecoded();
-      Dec.resetTimeBase(0);
-      if (!Dec.feed(Body.data(), Body.size())) {
-        shardFail(R, Dec.error());
-        return;
-      }
-      if (!Dec.atRecordBoundary()) {
-        shardFail(R, "record straddles a chunk boundary in v4 chunk " +
-                         std::to_string(I));
-        return;
-      }
-      if (Dec.eventsDecoded() - Before != En.RecordCount) {
-        shardFail(R, "chunk index record count lies for chunk " +
-                         std::to_string(I));
-        return;
-      }
-    }
-    return;
-  }
-
-  // v2/v3: records may straddle chunks and (v3) time deltas chain
-  // across them. Skip leading chunks that only continue an earlier
-  // shard's record (that shard decodes those bytes as its tail), seed
-  // the time base at the first record that starts in this range, then
-  // decode to the end of the range.
-  std::size_t First = B;
-  while (First < E && Ents[First].RecordCount == 0) {
-    if (!validateChunk(Framed, Ents[First], First, Idx.FromFooter, F, Inflate,
-                       Body, R))
+  for (std::size_t I = B; I < E; ++I) {
+    const ChunkIndexEntry &En = Idx.Entries[I];
+    if (!validateChunk(Framed, En, I, Idx.FromFooter, F, Inflate, Body, R))
       return;
-    ++First;
-  }
-  if (First == E)
-    return; // no record starts in this range
-  if (!validateChunk(Framed, Ents[First], First, Idx.FromFooter, F, Inflate,
-                     Body, R))
-    return;
-  Dec.resetTimeBase(Ents[First].TimeBase);
-  if (!Dec.feed(Payload(Ents[First]) + Ents[First].HeadSkip,
-                Ents[First].PayloadBytes - Ents[First].HeadSkip)) {
-    shardFail(R, Dec.error());
-    return;
-  }
-  for (std::size_t I = First + 1; I < E; ++I) {
-    if (!validateChunk(Framed, Ents[I], I, Idx.FromFooter, F, Inflate, Body,
-                       R))
-      return;
-    if (!Dec.feed(Payload(Ents[I]), Ents[I].PayloadBytes)) {
+    std::uint64_t Before = Dec.eventsDecoded();
+    if (!Dec.decodeChunk(Body.data(), Body.size())) {
       shardFail(R, Dec.error());
       return;
     }
-  }
-  // Tail completion: a record begun in our last chunk may continue into
-  // the next range. Its bytes are exactly the HeadSkip prefixes of the
-  // following chunks (whole payloads while RecordCount is 0). Those
-  // chunks' CRCs are verified by their owning shard.
-  for (std::size_t I = E; I < Ents.size() && Dec.pendingBytes() > 0; ++I) {
-    if (!Dec.feed(Payload(Ents[I]), Ents[I].HeadSkip)) {
-      shardFail(R, Dec.error());
+    if (Dec.eventsDecoded() - Before != En.RecordCount) {
+      shardFail(R, "chunk index record count lies for chunk " +
+                       std::to_string(I));
       return;
     }
   }
-  if (Dec.pendingBytes() > 0)
-    shardFail(R, "record at the end of the stream is incomplete");
 }
 
 /// Partitions chunks into at most \p Jobs contiguous ranges balanced by
@@ -532,7 +471,7 @@ void mergeShards(std::vector<ShardResult> &Shards,
 /// region and a chunk index with at least two entries.
 struct ShardedStream {
   std::vector<std::byte> Bytes;
-  WireFormat F = WireFormat::V2;
+  WireFormat F = DefaultWireFormat;
   SamplingParams Sampling;
   std::span<const std::byte> Framed;
   ChunkIndex Idx;
@@ -540,9 +479,10 @@ struct ShardedStream {
 
 /// Shared prologue of replayProfileParallel and the fold variant.
 /// Returns false when anything prevents sharding -- unreadable file, bad
-/// header, a damaged footer, a stream the index rebuild rejects, or too
-/// few chunks to split -- so the caller runs the sequential path, which
-/// produces the canonical result or error message for that input.
+/// header, a v2/v3 stream (whose records straddle chunks), a damaged
+/// footer, a stream the index rebuild rejects, or too few chunks to
+/// split -- so the caller runs the sequential path, which produces the
+/// canonical result or error message for that input.
 bool loadForSharding(const std::string &Path, ShardedStream &S) {
   if (!readAll(Path, S.Bytes) || S.Bytes.size() < 16)
     return false;
@@ -551,7 +491,7 @@ bool loadForSharding(const std::string &Path, ShardedStream &S) {
   std::memcpy(&Magic, S.Bytes.data(), sizeof(Magic));
   std::memcpy(&Version, S.Bytes.data() + 8, sizeof(Version));
   if (Magic != StreamFileMagic ||
-      Version < static_cast<std::uint32_t>(WireFormat::V2) ||
+      Version < static_cast<std::uint32_t>(WireFormat::V4) ||
       Version > static_cast<std::uint32_t>(WireFormat::V6))
     return false;
   S.F = static_cast<WireFormat>(Version);
@@ -566,7 +506,7 @@ bool loadForSharding(const std::string &Path, ShardedStream &S) {
                                         S.Bytes.size() - HeaderBytes);
   if (S.Framed.empty())
     return false; // header-only recording
-  if (chunkSelfContained(S.F) && footerBlockSize(S.Framed) != 0) {
+  if (footerBlockSize(S.Framed) != 0) {
     // A structurally present but unparsable footer is damage; let the
     // strict sequential path report it.
     if (!readChunkIndexFooter(S.Framed, S.Idx))

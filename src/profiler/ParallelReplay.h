@@ -9,14 +9,13 @@
 /// threads and merges their partial trailer tables into a ProfileLog
 /// that is bit-identical to the sequential replayProfile() result.
 ///
-/// The map side partitions the stream's chunk index (parsed from a v4
-/// footer, or rebuilt with one sequential pass for v2/v3 and footerless
-/// v4 files) into contiguous chunk ranges balanced by payload bytes.
-/// Each worker verifies its chunks (magic, sequence, CRC-32C) and
-/// decodes them independently: v4 chunks are self-contained (per-chunk
-/// time baseline, record-aligned), while v2/v3 workers seed the time
-/// delta chain from the rebuilt index and finish a range-straddling
-/// tail record by reading into the next range's head bytes.
+/// The map side partitions the stream's chunk index (parsed from the
+/// footer, or rebuilt with one sequential pass for a footerless file)
+/// into contiguous chunk ranges balanced by payload bytes. Each worker
+/// verifies its chunks (magic, sequence, CRC-32C) and decodes each one
+/// on its own: v4+ chunks are self-contained (per-chunk time baseline,
+/// record-aligned). v2/v3 records straddle chunks, so those recordings
+/// take the sequential path (profiler/LegacyStream.h).
 ///
 /// The reduce side folds the per-shard partials in shard order:
 /// allocation facts are first-wins, last-use times fold as a max,
@@ -49,9 +48,10 @@ unsigned defaultReplayJobs();
 /// threads and moves the merged log into \p Out. The result (records,
 /// GC samples, site table, end time -- every serialized byte) is
 /// identical to replayProfile()'s for any readable recording. Jobs of
-/// 0 means defaultReplayJobs(); Jobs <= 1, single-chunk streams, and
-/// any pre-shard validation failure run the sequential path, so error
-/// behaviour on malformed files matches replayProfile() exactly.
+/// 0 means defaultReplayJobs(); Jobs <= 1, single-chunk streams, v2/v3
+/// recordings and any pre-shard validation failure run the sequential
+/// path, so error behaviour on malformed files matches replayProfile()
+/// exactly.
 bool replayProfileParallel(const std::string &Path, const ir::Program &P,
                            ProfilerConfig Config, unsigned Jobs,
                            ProfileLog &Out, std::string *Err = nullptr);

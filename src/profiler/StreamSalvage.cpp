@@ -2,6 +2,7 @@
 
 #include "profiler/StreamSalvage.h"
 
+#include "profiler/LegacyStream.h"
 #include "support/Crc32c.h"
 #include "support/Format.h"
 
@@ -179,9 +180,9 @@ SalvageReport jdrag::profiler::scanEventFile(const std::string &Path,
         "unsupported .jdev version " + std::to_string(Rep.Version);
     return Rep;
   }
-  bool SelfContained = chunkSelfContained(static_cast<WireFormat>(Rep.Version));
-  std::size_t FileHeaderBytes =
-      streamHeaderBytes(static_cast<WireFormat>(Rep.Version));
+  auto Format = static_cast<WireFormat>(Rep.Version);
+  bool SelfContained = chunkSelfContained(Format);
+  std::size_t FileHeaderBytes = streamHeaderBytes(Format);
   if (Bytes.size() < FileHeaderBytes) {
     Rep.FileError = "truncated stream header";
     return Rep;
@@ -207,12 +208,14 @@ SalvageReport jdrag::profiler::scanEventFile(const std::string &Path,
   }
 
   NullConsumer Discard;
-  StreamDecoder Records(C ? *C : static_cast<EventConsumer &>(Discard),
-                        static_cast<WireFormat>(Rep.Version));
+  EventConsumer &Out = C ? *C : Discard;
+  StreamDecoder Records(Out);
+  // v2/v3 records straddle chunks: the valid prefix's payloads are
+  // joined and decoded after the walk (profiler/LegacyStream.h).
+  std::vector<std::byte> Legacy;
   std::size_t Off = FileHeaderBytes;
   std::uint32_t ExpectedSeq = 0;
   bool Damaged = false;
-  std::uint64_t FedBytes = 0;
   std::vector<std::uint8_t> Inflate; // v6 decompression scratch
 
   auto judge = [&](ChunkVerdict V) {
@@ -269,24 +272,17 @@ SalvageReport jdrag::profiler::scanEventFile(const std::string &Path,
       } else {
         Rep.WirePayloadBytes += WireLen;
         Rep.RawPayloadBytes += Body.size();
-        if (!Damaged) {
-          // Valid, in-sequence chunk before any damage: extend the
-          // prefix.
-          if (SelfContained)
-            Records.resetTimeBase(); // every v4+ chunk is self-contained
-          if (Records.feed(Body.data(), Body.size())) {
-            FedBytes += Body.size();
-            // v4+ chunks must end at a record boundary; a straddling
-            // record means the producer (or the bytes) lied.
-            if (SelfContained && Records.pendingBytes() != 0)
-              V.Status = ChunkStatus::BadRecords;
-          } else {
-            V.Status = ChunkStatus::BadRecords;
-          }
+        if (!Damaged && !SelfContained) {
+          Legacy.insert(Legacy.end(), Body.begin(), Body.end());
+        } else if (!Damaged &&
+                   !Records.decodeChunk(Body.data(), Body.size())) {
+          // A malformed record, or one the chunk's end cuts off: the
+          // producer (or the bytes) lied.
+          V.Status = ChunkStatus::BadRecords;
         }
       }
       // Valid chunks after damage are judged but not replayed: a
-      // straddling record or missing site definition poisons them.
+      // missing site definition poisons them.
     }
     judge(V);
 
@@ -302,16 +298,34 @@ SalvageReport jdrag::profiler::scanEventFile(const std::string &Path,
     }
   }
 
-  Rep.EventsRecovered = Records.eventsDecoded();
-  Rep.TailPartialRecord = Records.pendingBytes() != 0;
-  Rep.BytesRecovered = FedBytes - Records.pendingBytes();
+  if (SelfContained) {
+    Rep.EventsRecovered = Records.eventsDecoded();
+    Rep.BytesRecovered = Records.bytesDecoded();
+    Rep.TailPartialRecord = Records.recordCut();
+    return Rep;
+  }
+  LegacyRecords R = decodeLegacyRecords(Legacy, Format, Out);
+  Rep.EventsRecovered = R.Events;
+  Rep.BytesRecovered = R.Bytes;
+  Rep.TailPartialRecord = R.Cut;
+  if (R.Malformed) {
+    // The chunk the malformed record starts in is the first damage
+    // (the prefix is Rep.Chunks[0..], none of them compressed).
+    std::size_t K = 0;
+    for (std::size_t At = R.Bytes; At >= Rep.Chunks[K].PayloadBytes; ++K)
+      At -= Rep.Chunks[K].PayloadBytes;
+    Rep.FirstDamaged = K;
+    Rep.Chunks[K].Status = ChunkStatus::BadRecords;
+  }
   return Rep;
 }
 
 SalvageReport jdrag::profiler::scanEventFileParallel(const std::string &Path,
                                                      unsigned Jobs,
                                                      EventConsumer *C) {
-  if (Jobs <= 1)
+  // Replaying into a consumer decodes every chunk in order anyway, and
+  // the sequential scan does that in the same pass as the CRCs.
+  if (Jobs <= 1 || C)
     return scanEventFile(Path, C);
 
   // The parallel scan only handles the common case -- a structurally
@@ -331,12 +345,13 @@ SalvageReport jdrag::profiler::scanEventFileParallel(const std::string &Path,
   std::uint32_t Version = 0;
   std::memcpy(&Magic, Bytes.data(), sizeof(Magic));
   std::memcpy(&Version, Bytes.data() + 8, sizeof(Version));
+  // v2/v3 records straddle chunks: the sequential scan hands their
+  // whole prefix to LegacyStream.
   if (Magic != StreamFileMagic ||
-      Version < static_cast<std::uint32_t>(WireFormat::V2) ||
+      Version < static_cast<std::uint32_t>(WireFormat::V4) ||
       Version > static_cast<std::uint32_t>(WireFormat::V6))
     return Sequential();
   auto Format = static_cast<WireFormat>(Version);
-  bool SelfContained = chunkSelfContained(Format);
   bool CompFmt = Format >= WireFormat::V6;
   std::size_t FileHeaderBytes = streamHeaderBytes(Format);
   if (Bytes.size() < FileHeaderBytes)
@@ -348,7 +363,7 @@ SalvageReport jdrag::profiler::scanEventFileParallel(const std::string &Path,
   }
 
   auto Framed = std::span<const std::byte>(Bytes).subspan(FileHeaderBytes);
-  std::size_t FooterBytes = SelfContained ? footerBlockSize(Framed) : 0;
+  std::size_t FooterBytes = footerBlockSize(Framed);
   ChunkIndex FooterIdx;
   if (FooterBytes && !readChunkIndexFooter(Framed, FooterIdx))
     return Sequential(); // damaged footer: report it sequentially
@@ -441,28 +456,12 @@ SalvageReport jdrag::profiler::scanEventFileParallel(const std::string &Path,
   }
   Rep.BytesRecovered = Rep.RawPayloadBytes;
 
-  // Validate the record layer BEFORE any dispatch (a fallback after
-  // partially feeding \p C would replay events twice).
+  // The record layer: any malformed or cut-off record is damage.
   ChunkIndex Idx;
   if (!rebuildChunkIndex(Framed.first(ScanEnd - FileHeaderBytes), Format,
                          Idx, nullptr))
     return Sequential();
   Rep.EventsRecovered = Idx.TotalRecords;
-  if (C) {
-    StreamDecoder Records(*C, Format);
-    std::vector<std::uint8_t> Inflate;
-    for (const ChunkVerdict &V : Rep.Chunks) {
-      if (SelfContained)
-        Records.resetTimeBase();
-      ChunkHeader H;
-      std::memcpy(&H, Bytes.data() + V.Offset, sizeof(H));
-      const std::byte *Payload = Bytes.data() + V.Offset + sizeof(ChunkHeader);
-      std::span<const std::byte> Body(Payload, V.PayloadBytes);
-      if (CompFmt && chunkCompressed(H.PayloadBytes))
-        chunkPayloadBytes(H, Payload, Inflate, Body); // verified above
-      Records.feed(Body.data(), Body.size()); // known well-formed
-    }
-  }
   return Rep;
 }
 

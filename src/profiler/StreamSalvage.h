@@ -18,8 +18,15 @@
 /// After the first damaged chunk the scan resynchronizes on the next
 /// chunk magic and keeps judging chunks (so `jdrag fsck` can report the
 /// full extent of the damage), but no further events are replayed: site
-/// definitions or a straddling record may be missing, so anything past
-/// the damage cannot be trusted.
+/// definitions may be missing, so anything past the damage cannot be
+/// trusted.
+///
+/// The record layer decodes each v4+ chunk on its own. A v2/v3 file's
+/// records straddle chunks, so the scan joins the valid prefix's
+/// payloads and decodes them once the walk ends
+/// (profiler/LegacyStream.h); a malformed record then marks the chunk it
+/// starts in. The parallel scan hands v2/v3 files to the sequential
+/// one.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -119,10 +126,10 @@ SalvageReport scanEventFile(const std::string &Path, EventConsumer *C);
 
 /// scanEventFile with the per-chunk CRC verification fanned out over
 /// \p Jobs threads. Only the verification parallelizes -- the verdict
-/// walk and any prefix replay into \p C stay sequential and the report
-/// is identical to the sequential scan's; damaged or non-contiguous
-/// files fall back to scanEventFile wholesale. Jobs <= 1 is exactly
-/// scanEventFile.
+/// walk stays sequential and the report is identical to the sequential
+/// scan's; damaged, non-contiguous and v2/v3 files fall back to
+/// scanEventFile wholesale. Jobs <= 1, or a non-null \p C (a replay
+/// decodes every chunk in order anyway), is exactly scanEventFile.
 SalvageReport scanEventFileParallel(const std::string &Path, unsigned Jobs,
                                     EventConsumer *C = nullptr);
 

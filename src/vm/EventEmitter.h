@@ -82,8 +82,7 @@ public:
   /// Flushes buffered events to the sink.
   bool flush() { return Buf.flush(); }
   /// End-of-run flush: also appends the v4 chunk index footer so the
-  /// recording is seekable (profiler/ParallelReplay.h). No-op beyond
-  /// flush() for v2/v3 streams.
+  /// recording is seekable (profiler/ParallelReplay.h).
   bool finishStream() { return Buf.finishStream(); }
   /// False once a sink write has failed (events are then dropped and
   /// accounted in health(); emission itself keeps going).

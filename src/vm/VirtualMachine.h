@@ -58,9 +58,8 @@ struct VMOptions {
   std::uint32_t SiteDepth = 4;
   /// Event-buffer chunk size in bytes; 0 = the default (64 KB).
   std::size_t EventChunkBytes = 0;
-  /// Record encoding of the emitted stream. V3 (compact varint records)
-  /// is the default; V2 writes the legacy fixed-width records. An
-  /// attached DispatchSink must be configured with the same format
+  /// Format of the emitted stream: v4 or later (nothing writes v2/v3).
+  /// An attached DispatchSink must be configured with the same format
   /// (DragProfiler::attachTo handles this).
   profiler::WireFormat EventFormat = profiler::DefaultWireFormat;
   /// Byte interval of size-weighted allocation sampling; 0 = exact

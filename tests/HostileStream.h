@@ -1,4 +1,4 @@
-//===- tests/HostileStream.h - CRC-valid streams with hostile ids -*- C++ -*-===//
+//===- tests/HostileStream.h - CRC-valid hostile streams --------*- C++ -*-===//
 //
 // Part of jdrag test suite.
 //
@@ -8,8 +8,11 @@
 #define JDRAG_TESTS_HOSTILESTREAM_H
 
 #include "profiler/EventStream.h"
+#include "support/Crc32c.h"
 
 #include <cstdint>
+#include <cstring>
+#include <vector>
 
 namespace jdrag::testutil {
 
@@ -40,6 +43,57 @@ inline void writeHostileIdEvents(profiler::EventBuffer &Buf,
   Event(EventKind::Survivor, 80, Hostile);
   Event(EventKind::Terminate, 80, 0);
   Buf.finishStream();
+}
+
+/// Writes a three-chunk v4 stream into \p Sink, one frame per
+/// writeChunk call, whose middle chunk is CRC-valid but ends inside its
+/// last record. Chunk 0 allocates objects 1 and 2 (16 bytes each);
+/// chunk 1 uses object 1 and then holds a Collect of object 1 (tag,
+/// one-byte time delta, one-byte id) whose id byte is cut off, with
+/// the frame's length and CRC rewritten to match; chunk 2 ends object 2
+/// and terminates. The stream has no footer, so every frame check
+/// passes and only the record layer can see the damage.
+inline void writeCutRecordChunks(profiler::EventSink &Sink) {
+  using profiler::ChunkHeader;
+  using profiler::EventKind;
+  profiler::MemorySink Mem;
+  profiler::EventBuffer Buf(Mem);
+  auto Event = [&](EventKind K, ByteTime Time, std::uint64_t Id) {
+    profiler::EventRecord E;
+    E.Kind = static_cast<std::uint8_t>(K);
+    E.Time = Time;
+    E.Id = Id;
+    if (K == EventKind::Alloc)
+      E.Arg0 = 16;
+    Buf.writeEvent(E);
+  };
+  Event(EventKind::Alloc, 16, 1);
+  Event(EventKind::Alloc, 32, 2);
+  Buf.flush();
+  Event(EventKind::Use, 48, 1);
+  Event(EventKind::Collect, 64, 1);
+  Buf.flush();
+  Event(EventKind::Survivor, 80, 2);
+  Event(EventKind::Terminate, 80, 0);
+  Buf.flush();
+
+  std::span<const std::byte> Bytes = Mem.bytes();
+  std::size_t Off = 0;
+  while (Off < Bytes.size()) {
+    ChunkHeader H;
+    std::memcpy(&H, Bytes.data() + Off, sizeof(H));
+    std::vector<std::byte> Frame(Bytes.begin() + Off,
+                                 Bytes.begin() + Off + sizeof(H) +
+                                     H.PayloadBytes);
+    Off += Frame.size();
+    if (H.Seq == 1) {
+      Frame.pop_back();
+      --H.PayloadBytes;
+      H.Crc = support::crc32c(Frame.data() + sizeof(H), H.PayloadBytes);
+      std::memcpy(Frame.data(), &H, sizeof(H));
+    }
+    Sink.writeChunk(Frame.data(), Frame.size());
+  }
 }
 
 } // namespace jdrag::testutil

@@ -239,12 +239,18 @@ TEST(SessionProtocol, SampledHelloNeedsV5Format) {
         &Err);
   };
   std::string Err;
-  for (WireFormat F : {WireFormat::V2, WireFormat::V3, WireFormat::V4}) {
-    EXPECT_FALSE(Decode(F, 64 * 1024, Err)) << static_cast<int>(F);
-    EXPECT_NE(Err.find("format 5"), std::string::npos) << Err;
-    // Exact sessions keep every format.
-    EXPECT_TRUE(Decode(F, 0, Err)) << Err;
-  }
+  // v2/v3 records straddle chunks, which a session cannot decode chunk
+  // by chunk: refused, sampled or exact.
+  for (WireFormat F : {WireFormat::V2, WireFormat::V3})
+    for (std::uint64_t SampleBytes : {std::uint64_t(64 * 1024),
+                                      std::uint64_t(0)}) {
+      EXPECT_FALSE(Decode(F, SampleBytes, Err)) << static_cast<int>(F);
+      EXPECT_NE(Err.find("unsupported wire format"), std::string::npos)
+          << Err;
+    }
+  EXPECT_FALSE(Decode(WireFormat::V4, 64 * 1024, Err));
+  EXPECT_NE(Err.find("format 5"), std::string::npos) << Err;
+  EXPECT_TRUE(Decode(WireFormat::V4, 0, Err)) << Err; // exact v4 is fine
   for (WireFormat F : {WireFormat::V5, WireFormat::V6})
     EXPECT_TRUE(Decode(F, 64 * 1024, Err)) << Err;
 }

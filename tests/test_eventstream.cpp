@@ -12,6 +12,7 @@
 #include "benchmarks/Benchmarks.h"
 #include "profiler/DragProfiler.h"
 #include "profiler/EventStream.h"
+#include "profiler/LegacyStream.h"
 #include "profiler/ParallelReplay.h"
 #include "profiler/StreamSalvage.h"
 #include "vm/Events.h"
@@ -308,15 +309,16 @@ TEST(EventWire, DecoderReassemblesByteAtATime) {
 }
 
 TEST(EventWire, DecoderRejectsUnknownKind) {
-  // A raw 40-byte record is the v2 encoding; pin the decoder to V2.
+  // A raw 40-byte record is the v2 encoding, which only LegacyStream
+  // reads.
   EventRecord E;
   E.Kind = 200;
   CollectingConsumer C;
-  StreamDecoder D(C, WireFormat::V2);
-  EXPECT_FALSE(D.feed(reinterpret_cast<const std::byte *>(&E), sizeof(E)));
-  EXPECT_NE(D.error().find("kind"), std::string::npos) << D.error();
-  // Sticky: further feeds keep failing.
-  EXPECT_FALSE(D.feed(reinterpret_cast<const std::byte *>(&E), sizeof(E)));
+  LegacyRecords R = decodeLegacyRecords(
+      {reinterpret_cast<const std::byte *>(&E), sizeof(E)}, WireFormat::V2, C);
+  EXPECT_TRUE(R.Malformed);
+  EXPECT_NE(R.Error.find("kind"), std::string::npos) << R.Error;
+  EXPECT_EQ(R.Events, 0u);
 }
 
 TEST(EventWire, DecoderRejectsOversizedFrameCount) {
@@ -324,8 +326,9 @@ TEST(EventWire, DecoderRejectsOversizedFrameCount) {
   E.Kind = static_cast<std::uint8_t>(EventKind::DefineSite);
   E.Arg0 = MaxWireFrames + 1;
   CollectingConsumer C;
-  StreamDecoder D(C, WireFormat::V2);
-  EXPECT_FALSE(D.feed(reinterpret_cast<const std::byte *>(&E), sizeof(E)));
+  LegacyRecords R = decodeLegacyRecords(
+      {reinterpret_cast<const std::byte *>(&E), sizeof(E)}, WireFormat::V2, C);
+  EXPECT_TRUE(R.Malformed);
 }
 
 TEST(EventWire, V3DecoderRejectsSpareTagBits) {
@@ -333,10 +336,10 @@ TEST(EventWire, V3DecoderRejectsSpareTagBits) {
   // the spare tag bits: any set spare bit must fail the decode.
   std::byte Tag{0xF8}; // DefineSite kind with all spare bits set
   CollectingConsumer C;
-  StreamDecoder D(C, WireFormat::V3);
-  EXPECT_FALSE(D.feed(&Tag, 1));
+  StreamDecoder D(C);
+  EXPECT_FALSE(D.decodeChunk(&Tag, 1));
   EXPECT_NE(D.error().find("spare tag bits"), std::string::npos) << D.error();
-  EXPECT_FALSE(D.feed(&Tag, 1)); // sticky
+  EXPECT_FALSE(D.decodeChunk(&Tag, 1)); // sticky
 }
 
 TEST(EventWire, V3DecoderRejectsOversizedFrameCount) {
@@ -352,8 +355,8 @@ TEST(EventWire, V3DecoderRejectsOversizedFrameCount) {
   }
   Buf[N++] = static_cast<std::uint8_t>(Count);
   CollectingConsumer C;
-  StreamDecoder D(C, WireFormat::V3);
-  EXPECT_FALSE(D.feed(reinterpret_cast<const std::byte *>(Buf), N));
+  StreamDecoder D(C);
+  EXPECT_FALSE(D.decodeChunk(reinterpret_cast<const std::byte *>(Buf), N));
   EXPECT_NE(D.error().find("frames"), std::string::npos) << D.error();
 }
 
@@ -366,23 +369,24 @@ TEST(EventWire, V3DecoderRejectsOverlongVarint) {
   for (int I = 0; I != 11; ++I)
     Buf[N++] = 0x80;
   CollectingConsumer C;
-  StreamDecoder D(C, WireFormat::V3);
-  EXPECT_FALSE(D.feed(reinterpret_cast<const std::byte *>(Buf), N));
+  StreamDecoder D(C);
+  EXPECT_FALSE(D.decodeChunk(reinterpret_cast<const std::byte *>(Buf), N));
   EXPECT_NE(D.error().find("varint"), std::string::npos) << D.error();
 }
 
 TEST(EventWire, V3RecordsStraddleFeedBoundaries) {
   // One v3 chunk holding an Alloc (time 1000, object 7, 24 bytes, class
-  // 3, site 5) and a Use (time 1500, object 7, site 6). Fed one byte at
-  // a time, the decoder must buffer partial records without corrupting
-  // the time-delta chain.
+  // 3, site 5) and a Use (time 1500, object 7, site 6). A one-chunk v3
+  // stream is byte-identical to a footerless one-chunk v4 stream, so the
+  // v4 frame decoder reads it. Fed one byte at a time, it must buffer
+  // the partial frame without corrupting the time-delta chain.
   static constexpr std::uint8_t Stream[] = {
       0x6a, 0x64, 0x43, 0x6b, 0x00, 0x00, 0x00, 0x00, 0x0c, 0x00,
       0x00, 0x00, 0xde, 0xeb, 0x90, 0x4c, 0x01, 0xd0, 0x0f, 0x07,
       0x18, 0x03, 0x06, 0x02, 0xe8, 0x07, 0x07, 0x07};
 
   CollectingConsumer C;
-  FrameDecoder D(C, WireFormat::V3);
+  FrameDecoder D(C, WireFormat::V4);
   for (std::uint8_t B : Stream) {
     std::byte Byte{B};
     ASSERT_TRUE(D.feed(&Byte, 1)) << D.error();
@@ -501,10 +505,11 @@ TEST(RecordReplay, CommittedV2FixtureStillReplays) {
 
 // Same contract for the committed v3 fixture: recorded before v4 added
 // record-aligned chunks and the index footer, so it has neither, and it
-// must keep replaying -- sequentially and sharded -- to the same
-// profile forever. Same benchmark and knobs as the v2 fixture, so the
-// pinned observables are shared. If this fails after a pipeline change,
-// v3 backward compatibility broke; fix the decoder, do not regenerate.
+// must keep replaying -- sequentially and through the parallel entry
+// point -- to the same profile forever. Same benchmark and knobs as the
+// v2 fixture, so the pinned observables are shared. If this fails after
+// a pipeline change, v3 backward compatibility broke; fix the decoder,
+// do not regenerate.
 TEST(RecordReplay, CommittedV3FixtureStillReplays) {
   const std::string Path =
       std::string(JDRAG_TEST_DATA_DIR) + "/juru_v3.jdev";
@@ -532,7 +537,8 @@ TEST(RecordReplay, CommittedV3FixtureStillReplays) {
   ProfileLog Live = liveRun(B.Prog, B.DefaultInputs);
   expectBitIdentical(Live, Replayed);
 
-  // And the sharded reader accepts the footerless v3 stream too.
+  // And the parallel entry point reads the footerless v3 stream too,
+  // through its sequential fallback.
   ProfileLog Par;
   ASSERT_TRUE(
       replayProfileParallel(Path, B.Prog, ProfilerConfig(), 4, Par, &Err))

@@ -171,8 +171,8 @@ TEST(ParallelReplay, V4FooterParallelMatchesSequential) {
 
 // Committed fixtures (tests/data/README.md). The v3 recording is juru at
 // 512-byte chunks: records straddle chunks and the time-delta chain runs
-// across them, so every shard needs the rebuilt index's HeadSkip and
-// TimeBase.
+// across them, so the parallel entry point must hand it to the
+// sequential path (LegacyStream) and still match.
 TEST(ParallelReplay, V3NoFooterParallelMatchesSequential) {
   const std::string Path =
       std::string(JDRAG_TEST_DATA_DIR) + "/juru_v3_512.jdev";
@@ -188,7 +188,7 @@ TEST(ParallelReplay, V3NoFooterParallelMatchesSequential) {
 }
 
 // juru_v2.jdev: four 64 KiB chunks of fixed 40-byte records, which
-// straddle every chunk boundary.
+// straddle every chunk boundary; replayed sequentially like v3.
 TEST(ParallelReplay, V2ParallelMatchesSequential) {
   const std::string Path = std::string(JDRAG_TEST_DATA_DIR) + "/juru_v2.jdev";
   benchmarks::BenchmarkProgram B = benchmarks::buildJuru();

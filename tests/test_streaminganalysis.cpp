@@ -387,4 +387,32 @@ TEST(StreamingAnalysis, SampledJavacTrailerStateUnderOneMiB) {
   std::remove(Jdev.c_str());
 }
 
+// The committed v2/v3 recordings (tests/data/README.md) have no footer
+// to peek an end time from, so a curve request sends them down the
+// materialized fallback. Sequential or sharded, the result must be the
+// materialized analysis of a live run of the same benchmark.
+TEST(StreamingAnalysis, LegacyFixturesMatchTheLiveAnalysis) {
+  benchmarks::BenchmarkProgram B = benchmarks::buildJuru();
+  profiler::ProfileLog Live = profileLive(B, 0);
+  std::string LiveReport = renderDragReport(DragReport(B.Prog, Live));
+  HeapCurve LiveCurve = buildHeapCurve(Live, 64);
+  for (const char *Fixture : {"juru_v2.jdev", "juru_v3_512.jdev"})
+    for (unsigned Jobs : {1u, 4u}) {
+      std::string Tag = std::string(Fixture) + " jobs " + std::to_string(Jobs);
+      StreamAnalysisOptions O;
+      O.Jobs = Jobs;
+      O.CurveSamples = 64;
+      StreamAnalysisResult R;
+      std::string Err;
+      ASSERT_TRUE(analyzeEventStream(
+          std::string(JDRAG_TEST_DATA_DIR) + "/" + Fixture, B.Prog, O, R, &Err))
+          << Tag << ": " << Err;
+      EXPECT_TRUE(R.Materialized) << Tag;
+      EXPECT_EQ(renderDragReport(*R.Report), LiveReport) << Tag;
+      EXPECT_EQ(R.Curve.Times, LiveCurve.Times) << Tag;
+      EXPECT_EQ(R.Curve.ReachableBytes, LiveCurve.ReachableBytes) << Tag;
+      EXPECT_EQ(R.Curve.InUseBytes, LiveCurve.InUseBytes) << Tag;
+    }
+}
+
 } // namespace

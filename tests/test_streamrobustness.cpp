@@ -342,6 +342,58 @@ TEST(CorruptionCorpus, UncrcedStreamIsRejectedByDecoders) {
   EXPECT_NE(Err.find("CRC"), std::string::npos) << Err;
 }
 
+TEST(CorruptionCorpus, RecordCutAtTheEndOfAValidChunkIsRejectedByEveryReader) {
+  // Every frame check passes; only the record layer sees that the
+  // middle chunk's last record is cut off. Each reader must refuse it
+  // the same way, and salvage keeps exactly the complete records.
+  MemorySink Mem;
+  writeCutRecordChunks(Mem);
+  std::span<const std::byte> Framed = Mem.bytes();
+
+  CountingConsumer C;
+  std::string Err;
+  EXPECT_FALSE(replayBytes(Framed, C, &Err));
+  EXPECT_NE(Err.find("straddles"), std::string::npos) << Err;
+
+  ChunkIndex Idx;
+  EXPECT_FALSE(rebuildChunkIndex(Framed, WireFormat::V4, Idx));
+
+  std::string Path = tempPath("cut_record.jdev");
+  {
+    FileEventSink Sink;
+    ASSERT_TRUE(Sink.open(Path));
+    writeCutRecordChunks(Sink);
+    ASSERT_TRUE(Sink.finish());
+  }
+  ir::Program P = buildChurnProgram();
+  ProfileLog Seq, Par;
+  std::string SeqErr, ParErr;
+  EXPECT_FALSE(replayProfile(Path, P, ProfilerConfig(), Seq, &SeqErr));
+  EXPECT_NE(SeqErr.find("straddles"), std::string::npos) << SeqErr;
+  EXPECT_FALSE(replayProfileParallel(Path, P, ProfilerConfig(), 4, Par, &ParErr));
+  EXPECT_EQ(ParErr, SeqErr);
+
+  OrderedCollector Prefix;
+  SalvageReport Rep = scanEventFile(Path, &Prefix);
+  ASSERT_TRUE(Rep.readable()) << Rep.FileError;
+  ASSERT_EQ(Rep.Chunks.size(), 3u);
+  EXPECT_EQ(Rep.FirstDamaged, 1u);
+  EXPECT_TRUE(Rep.Chunks[0].ok());
+  EXPECT_EQ(Rep.Chunks[1].Status, ChunkStatus::BadRecords);
+  EXPECT_TRUE(Rep.Chunks[2].ok());
+  // Chunk 0's two allocations and chunk 1's use; the cut Collect and
+  // everything after the damage are dropped.
+  EXPECT_EQ(Rep.EventsRecovered, 3u);
+  ASSERT_EQ(Prefix.Items.size(), 3u);
+  EXPECT_EQ(Prefix.Items[2].E.kind(), EventKind::Use);
+  // The recovered bytes end where the cut record begins: its tag and
+  // time delta (2 bytes) are the partial tail.
+  EXPECT_TRUE(Rep.TailPartialRecord);
+  EXPECT_EQ(Rep.BytesRecovered,
+            Rep.Chunks[0].PayloadBytes + Rep.Chunks[1].PayloadBytes - 2u);
+  std::remove(Path.c_str());
+}
+
 //===----------------------------------------------------------------------===//
 // FaultInjection: failing and flaky sinks
 //===----------------------------------------------------------------------===//
@@ -826,6 +878,59 @@ TEST(Salvage, CrashedRecordingSalvagesToTheExactPrefixProfile) {
   std::remove(RefPath.c_str());
   std::remove(CrashPath.c_str());
   std::remove(Salvaged.c_str());
+}
+
+// A v2 record straddles chunks, so the scan decodes the joined prefix
+// after its walk: a CRC-valid but malformed record is charged to the
+// chunk it starts in, and the prefix ends where that record begins.
+TEST(Salvage, LegacyMalformedRecordMarksTheChunkItStartsIn) {
+  EventRecord Records[3];
+  Records[0].Kind = static_cast<std::uint8_t>(EventKind::Alloc);
+  Records[0].Id = 1;
+  Records[1].Kind = 200; // no such kind
+  Records[2].Kind = static_cast<std::uint8_t>(EventKind::Terminate);
+  const auto *Bytes = reinterpret_cast<const std::byte *>(Records);
+  // Chunk 0: record 0 and the first half of record 1; chunk 1: the
+  // rest.
+  std::size_t Split = sizeof(EventRecord) + sizeof(EventRecord) / 2;
+  std::string Path = tempPath("v2_bad_record.jdev");
+  {
+    FileEventSink Sink;
+    FileEventSink::Options FO;
+    FO.Format = WireFormat::V2;
+    ASSERT_TRUE(Sink.open(Path, FO));
+    std::span<const std::byte> Payloads[] = {
+        {Bytes, Split}, {Bytes + Split, sizeof(Records) - Split}};
+    for (std::uint32_t Seq = 0; Seq != 2; ++Seq) {
+      ChunkHeader H;
+      H.Magic = ChunkMagic;
+      H.Seq = Seq;
+      H.PayloadBytes = static_cast<std::uint32_t>(Payloads[Seq].size());
+      H.Crc = support::crc32c(Payloads[Seq].data(), H.PayloadBytes);
+      std::vector<std::byte> Frame(sizeof(H));
+      std::memcpy(Frame.data(), &H, sizeof(H));
+      Frame.insert(Frame.end(), Payloads[Seq].begin(), Payloads[Seq].end());
+      ASSERT_TRUE(Sink.writeChunk(Frame.data(), Frame.size()));
+    }
+    ASSERT_TRUE(Sink.finish());
+  }
+
+  CountingConsumer Strict;
+  std::string Err;
+  EXPECT_FALSE(replayFile(Path, Strict, &Err));
+  EXPECT_NE(Err.find("unknown event kind"), std::string::npos) << Err;
+
+  CountingConsumer C;
+  SalvageReport Rep = scanEventFile(Path, &C);
+  ASSERT_EQ(Rep.Chunks.size(), 2u);
+  EXPECT_EQ(Rep.FirstDamaged, 0u);
+  EXPECT_EQ(Rep.Chunks[0].Status, ChunkStatus::BadRecords);
+  EXPECT_TRUE(Rep.Chunks[1].ok());
+  EXPECT_EQ(Rep.EventsRecovered, 1u);
+  EXPECT_EQ(C.Events, 1u);
+  EXPECT_EQ(Rep.BytesRecovered, sizeof(EventRecord));
+  EXPECT_FALSE(Rep.TailPartialRecord);
+  std::remove(Path.c_str());
 }
 
 //===----------------------------------------------------------------------===//

@@ -413,11 +413,21 @@ int cmdSend(const std::string &Path, const std::string &Addr,
   std::uint32_t Version = 0;
   std::memcpy(&Magic, Bytes.data(), 8);
   std::memcpy(&Version, Bytes.data() + 8, 4);
-  if (Magic != profiler::StreamFileMagic || Version < 2 || Version > 6) {
+  if (Magic != profiler::StreamFileMagic ||
+      Version < static_cast<std::uint32_t>(profiler::WireFormat::V2) ||
+      Version > static_cast<std::uint32_t>(profiler::WireFormat::V6)) {
     std::fprintf(stderr, "%s: not a .jdev recording\n", Path.c_str());
     return 1;
   }
   auto Fmt = static_cast<profiler::WireFormat>(Version);
+  if (!profiler::chunkSelfContained(Fmt)) {
+    // jdragd decodes chunk by chunk, and v2/v3 records straddle chunks.
+    std::fprintf(stderr,
+                 "%s: jdev v%u cannot be sent (jdragd reads v4 and later); "
+                 "rewrite it first with `jdrag salvage %s <out.jdev>`\n",
+                 Path.c_str(), Version, Path.c_str());
+    return 1;
+  }
   std::size_t HeaderBytes = profiler::streamHeaderBytes(Fmt);
   if (Bytes.size() < HeaderBytes) {
     std::fprintf(stderr, "%s: truncated stream header\n", Path.c_str());
@@ -460,7 +470,7 @@ int cmdSend(const std::string &Path, const std::string &Addr,
     }
     // v6 length fields may carry the compressed flag in bit 31; the low
     // bits are the frame's on-disk extent.
-    std::uint32_t WireLen = Version >= 6
+    std::uint32_t WireLen = Fmt >= profiler::WireFormat::V6
                                 ? profiler::chunkWireBytes(H.PayloadBytes)
                                 : H.PayloadBytes;
     std::size_t FrameSize = sizeof(H) + WireLen + (IsFooter ? 8 : 0);
