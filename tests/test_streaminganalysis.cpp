@@ -387,32 +387,47 @@ TEST(StreamingAnalysis, SampledJavacTrailerStateUnderOneMiB) {
   std::remove(Jdev.c_str());
 }
 
-// The committed v2/v3 recordings (tests/data/README.md) have no footer
-// to peek an end time from, so a curve request sends them down the
-// materialized fallback. Sequential or sharded, the result must be the
-// materialized analysis of a live run of the same benchmark.
+// The committed recordings (tests/data/README.md), sequential or
+// sharded, must analyze to the materialized analysis of a live run of
+// the same benchmark with the same sampling. v2/v3 have no footer to
+// peek an end time from, so a curve request sends them down the
+// materialized fallback; v4-v6 carry a footer and stream.
 TEST(StreamingAnalysis, LegacyFixturesMatchTheLiveAnalysis) {
+  struct Fixture {
+    const char *File;
+    std::uint64_t SampleBytes;
+    bool Materialized;
+  };
+  const Fixture Fixtures[] = {
+      {"juru_v2.jdev", 0, true},
+      {"juru_v3_512.jdev", 0, true},
+      {"juru_v4.jdev", 0, false},
+      {"juru_v5.jdev", DefaultSampleBytes, false},
+      {"juru_v6.jdev", 0, false},
+  };
   benchmarks::BenchmarkProgram B = benchmarks::buildJuru();
-  profiler::ProfileLog Live = profileLive(B, 0);
-  std::string LiveReport = renderDragReport(DragReport(B.Prog, Live));
-  HeapCurve LiveCurve = buildHeapCurve(Live, 64);
-  for (const char *Fixture : {"juru_v2.jdev", "juru_v3_512.jdev"})
+  for (const Fixture &Fx : Fixtures) {
+    profiler::ProfileLog Live = profileLive(B, Fx.SampleBytes);
+    std::string LiveReport = renderDragReport(DragReport(B.Prog, Live));
+    HeapCurve LiveCurve = buildHeapCurve(Live, 64);
     for (unsigned Jobs : {1u, 4u}) {
-      std::string Tag = std::string(Fixture) + " jobs " + std::to_string(Jobs);
+      std::string Tag = std::string(Fx.File) + " jobs " + std::to_string(Jobs);
       StreamAnalysisOptions O;
       O.Jobs = Jobs;
       O.CurveSamples = 64;
       StreamAnalysisResult R;
       std::string Err;
       ASSERT_TRUE(analyzeEventStream(
-          std::string(JDRAG_TEST_DATA_DIR) + "/" + Fixture, B.Prog, O, R, &Err))
+          std::string(JDRAG_TEST_DATA_DIR) + "/" + Fx.File, B.Prog, O, R,
+          &Err))
           << Tag << ": " << Err;
-      EXPECT_TRUE(R.Materialized) << Tag;
+      EXPECT_EQ(R.Materialized, Fx.Materialized) << Tag;
       EXPECT_EQ(renderDragReport(*R.Report), LiveReport) << Tag;
       EXPECT_EQ(R.Curve.Times, LiveCurve.Times) << Tag;
       EXPECT_EQ(R.Curve.ReachableBytes, LiveCurve.ReachableBytes) << Tag;
       EXPECT_EQ(R.Curve.InUseBytes, LiveCurve.InUseBytes) << Tag;
     }
+  }
 }
 
 } // namespace
