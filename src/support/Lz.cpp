@@ -340,7 +340,9 @@ bool jdrag::support::lzDecompress(const void *Data, std::size_t Size,
       // for the typical few-byte literal run.
       for (std::size_t I = 0; I < Lits; I += 8)
         std::memcpy(O + I, P + I, 8);
-    } else {
+    } else if (Lits) {
+      // Guarded: a block declaring RawLen 0 leaves O null, and memcpy
+      // must not see a null pointer even for zero bytes.
       std::memcpy(O, P, Lits);
     }
     O += Lits;

@@ -210,6 +210,18 @@ TEST(LzCodec, DecoderRejectsRawLenLies) {
   expectReject(LieLow, 1024);
 }
 
+TEST(LzCodec, DecoderAcceptsZeroLengthBlock) {
+  // RawLen 0 and one empty literals-only token: an empty output whose
+  // buffer has no storage at all. A reader honouring the compressed
+  // flag of a frame it did not compress can meet this (a bit flip that
+  // sets the flag); the CRC then decides.
+  std::vector<std::uint8_t> Out{0xAA};
+  std::vector<std::uint8_t> Packed{0, 0};
+  EXPECT_TRUE(lzDecompress(Packed.data(), Packed.size(), Out, 1024));
+  EXPECT_TRUE(Out.empty());
+  expectReject({0, 0x10, 'a'}, 1024); // one literal overruns RawLen 0
+}
+
 TEST(LzCodec, DecoderRejectsHostileExtensionRuns) {
   // Token demanding a literal run extended by endless 0xFF bytes: the
   // run length is capped against RawLen, so this must reject without
