@@ -189,7 +189,7 @@ BENCHMARK(BM_InterpreterProfiled)->Arg(10000);
 /// Sampled-recording overhead ladder: the full record-to-file path
 /// (emit, sample, encode, chunk, write) at a sweep of sampling rates.
 /// Arg0 is the loop count, Arg1 the --sample-bytes rate: 0 is exact
-/// mode (every allocation gets Use/Collect trailers -- the v4 stream,
+/// mode (every allocation gets Use/Collect trailers -- the exact stream,
 /// bit-identical to a plain recording), then 64Ki / 512Ki / 4Mi mean
 /// heap bytes per sample. The delta against BM_InterpreterPlain is the
 /// always-on overhead each rate pays; unsampled allocations take only
@@ -207,7 +207,6 @@ void BM_SampledRecord(benchmark::State &State) {
     profiler::SamplingParams SP;
     SP.SampleBytes = Rate;
     profiler::FileEventSink::Options FO;
-    FO.Format = profiler::effectiveFormat(profiler::DefaultWireFormat, SP);
     FO.Sampling = SP;
     profiler::FileEventSink Sink;
     if (!Sink.open(Path, FO))
@@ -236,7 +235,7 @@ BENCHMARK(BM_SampledRecord)
     ->Args({10000, 512 * 1024})
     ->Args({10000, 4 * 1024 * 1024});
 
-/// The BM_SampledRecord ladder with v6 chunk compression on -- the
+/// The BM_SampledRecord ladder with chunk compression on -- the
 /// paired rung behind the `--compress` default. Same args (Arg1 = 0 is
 /// exact mode); the time delta against BM_SampledRecord at the same
 /// args is the whole cost of compressing on the file sink, and the
@@ -256,8 +255,6 @@ void BM_CompressedRecord(benchmark::State &State) {
     profiler::SamplingParams SP;
     SP.SampleBytes = Rate;
     profiler::FileEventSink::Options FO;
-    FO.Format =
-        profiler::effectiveFormat(profiler::DefaultWireFormat, SP, true);
     FO.Sampling = SP;
     FO.Compress = true;
     profiler::FileEventSink Sink;
@@ -312,8 +309,6 @@ void BM_AsyncRecord(benchmark::State &State, bool Compress) {
     profiler::SamplingParams SP;
     SP.SampleBytes = Rate;
     profiler::FileEventSink::Options FO;
-    FO.Format =
-        profiler::effectiveFormat(profiler::DefaultWireFormat, SP, Compress);
     FO.Sampling = SP;
     FO.Compress = Compress;
     profiler::FileEventSink Sink;
@@ -479,43 +474,86 @@ void BM_Crc32cSW(benchmark::State &State) {
 }
 BENCHMARK(BM_Crc32cSW)->Arg(4096)->Arg(64 * 1024);
 
-/// Phase-2 decode throughput: frames + records of an in-memory
-/// recording through the full FrameDecoder/StreamDecoder path into a
-/// null consumer. Arg is the wire format (4, the only one written);
-/// items are decoded event records.
-void BM_ReplayDecode(benchmark::State &State) {
-  Program P = buildHotLoop();
-  auto Format = static_cast<profiler::WireFormat>(State.range(0));
-  profiler::MemorySink Mem;
-  VMOptions Opts;
-  Opts.DeepGCIntervalBytes = 100 * KB;
-  Opts.Sink = &Mem;
-  Opts.EventFormat = Format;
-  VirtualMachine VM(P, Opts);
-  VM.setInputs({10000});
-  if (VM.run() != Interpreter::Status::Ok)
-    std::abort();
+/// Counts decoded records (the decode benchmarks' null consumer).
+class CountingConsumer : public profiler::EventConsumer {
+public:
+  std::uint64_t Events = 0;
+  void onSite(profiler::SiteId,
+              std::span<const profiler::SiteFrame>) override {}
+  void onEvent(const profiler::EventRecord &) override { ++Events; }
+};
 
-  class NullConsumer : public profiler::EventConsumer {
-  public:
-    std::uint64_t Events = 0;
-    void onSite(profiler::SiteId,
-                std::span<const profiler::SiteFrame>) override {}
-    void onEvent(const profiler::EventRecord &) override { ++Events; }
-  };
+/// Replays \p Framed (no file header) in \p Format once per iteration;
+/// items are decoded event records, bytes the framed input.
+void replayLoop(benchmark::State &State, std::span<const std::byte> Framed,
+                profiler::WireFormat Format) {
   std::uint64_t EventsPerPass = 0;
   for (auto _ : State) {
-    NullConsumer C;
+    CountingConsumer C;
     std::string Err;
-    if (!profiler::replayBytes(Mem.bytes(), C, &Err, Format))
+    if (!profiler::replayBytes(Framed, C, &Err, Format))
       std::abort();
     EventsPerPass = C.Events;
     benchmark::DoNotOptimize(C.Events);
   }
   State.SetItemsProcessed(State.iterations() * EventsPerPass);
-  State.SetBytesProcessed(State.iterations() * Mem.bytes().size());
+  State.SetBytesProcessed(State.iterations() * Framed.size());
 }
-BENCHMARK(BM_ReplayDecode)->Arg(4);
+
+/// Phase-2 decode throughput: frames + records of an in-memory
+/// recording through the full FrameDecoder/StreamDecoder path into a
+/// null consumer. Arg is the wire format (7, the only one written);
+/// items are decoded event records.
+void BM_ReplayDecode(benchmark::State &State) {
+  Program P = buildHotLoop();
+  profiler::MemorySink Mem;
+  VMOptions Opts;
+  Opts.DeepGCIntervalBytes = 100 * KB;
+  Opts.Sink = &Mem;
+  VirtualMachine VM(P, Opts);
+  VM.setInputs({10000});
+  if (VM.run() != Interpreter::Status::Ok)
+    std::abort();
+  replayLoop(State, Mem.bytes(),
+             static_cast<profiler::WireFormat>(State.range(0)));
+}
+BENCHMARK(BM_ReplayDecode)->Arg(7);
+
+/// The decoder's two id codings on the same events: Arg 4 decodes the
+/// committed juru v4 recording (tests/data/juru_v4.jdev, absolute ids),
+/// Arg 7 a v7 recording of the same run (2 KiB chunks, delta-coded
+/// ids). Items/s compare the per-record cost of the two instantiations
+/// of the record loop.
+void BM_ReplayDecodeFixture(benchmark::State &State) {
+  auto Format = static_cast<profiler::WireFormat>(State.range(0));
+  std::vector<std::byte> Framed;
+  if (Format == profiler::WireFormat::V4) {
+    std::FILE *F = std::fopen(JDRAG_TEST_DATA_DIR "/juru_v4.jdev", "rb");
+    if (!F)
+      std::abort();
+    std::byte Buf[4096];
+    while (std::size_t N = std::fread(Buf, 1, sizeof(Buf), F))
+      Framed.insert(Framed.end(), Buf, Buf + N);
+    std::fclose(F);
+    Framed.erase(Framed.begin(),
+                 Framed.begin() + static_cast<std::ptrdiff_t>(
+                                      profiler::streamHeaderBytes(Format)));
+  } else {
+    BenchmarkProgram B = buildJuru();
+    profiler::MemorySink Mem;
+    VMOptions Opts;
+    Opts.DeepGCIntervalBytes = 100 * KB;
+    Opts.EventChunkBytes = 2048;
+    Opts.Sink = &Mem;
+    VirtualMachine VM(B.Prog, Opts);
+    VM.setInputs(B.DefaultInputs);
+    if (VM.run() != Interpreter::Status::Ok)
+      std::abort();
+    Framed.assign(Mem.bytes().begin(), Mem.bytes().end());
+  }
+  replayLoop(State, Framed, Format);
+}
+BENCHMARK(BM_ReplayDecodeFixture)->Arg(4)->Arg(7);
 
 /// Raw codec throughput: lzCompress + lzDecompress over the hot loop's
 /// real event stream, one 64 KiB block at a time (the production chunk
@@ -560,10 +598,10 @@ void BM_LzRoundTrip(benchmark::State &State) {
 BENCHMARK(BM_LzRoundTrip);
 
 /// The compressed rung of the BM_ReplayDecode ladder: the same stream,
-/// v6-compressed once up front, decoded through the FrameDecoder's
+/// compressed once up front, decoded through the FrameDecoder's
 /// transparent chunk decompression. Bytes processed are the
 /// *compressed* input bytes; the acceptance gate compares items/s (the
-/// decoded-record rate) against BM_ReplayDecode/4 -- it must stay
+/// decoded-record rate) against BM_ReplayDecode/7 -- it must stay
 /// within 1.2x.
 void BM_ReplayDecodeCompressed(benchmark::State &State) {
   Program P = buildHotLoop();
@@ -576,8 +614,8 @@ void BM_ReplayDecodeCompressed(benchmark::State &State) {
   if (VM.run() != Interpreter::Status::Ok)
     std::abort();
 
-  // One pass through the chunk compressor: the stream as a v6 sink
-  // would have put it on disk.
+  // One pass through the chunk compressor: the stream as a compressing
+  // sink would have put it on disk.
   std::vector<std::byte> Packed;
   {
     profiler::ChunkCompressor Comp;
@@ -597,24 +635,7 @@ void BM_ReplayDecodeCompressed(benchmark::State &State) {
     }
   }
 
-  class NullConsumer : public profiler::EventConsumer {
-  public:
-    std::uint64_t Events = 0;
-    void onSite(profiler::SiteId,
-                std::span<const profiler::SiteFrame>) override {}
-    void onEvent(const profiler::EventRecord &) override { ++Events; }
-  };
-  std::uint64_t EventsPerPass = 0;
-  for (auto _ : State) {
-    NullConsumer C;
-    std::string Err;
-    if (!profiler::replayBytes(Packed, C, &Err, profiler::WireFormat::V6))
-      std::abort();
-    EventsPerPass = C.Events;
-    benchmark::DoNotOptimize(C.Events);
-  }
-  State.SetItemsProcessed(State.iterations() * EventsPerPass);
-  State.SetBytesProcessed(State.iterations() * Packed.size());
+  replayLoop(State, Packed, profiler::DefaultWireFormat);
   State.counters["ratio"] = benchmark::Counter(
       static_cast<double>(Mem.bytes().size()) /
       static_cast<double>(Packed.size()));
@@ -622,7 +643,7 @@ void BM_ReplayDecodeCompressed(benchmark::State &State) {
 BENCHMARK(BM_ReplayDecodeCompressed);
 
 /// End-to-end sharded replay (read + index + decode + merge) of a
-/// multi-chunk v4 recording; Arg is the worker count, items are object
+/// multi-chunk recording; Arg is the worker count, items are object
 /// records in the resulting profile. Jobs=1 is the sequential path, so
 /// the ratio between rungs is the map-reduce speedup (ceilinged by the
 /// machine's core count).

@@ -39,7 +39,7 @@ std::string sanitizeName(const std::string &Name) {
 constexpr std::size_t MaxAdminLine = 4096;
 constexpr std::size_t MaxAdminPendingOut = 4u << 20;
 
-/// Declared uncompressed size of a v6 compressed chunk payload: the LZ
+/// Declared uncompressed size of a compressed chunk payload: the LZ
 /// block's leading uvarint (a producer claim -- accounting only; the
 /// decoder re-validates it against the real output). Returns 0 on a
 /// malformed prefix.
@@ -79,10 +79,12 @@ struct CollectorDaemon::Session {
   /// fleets are not silently summed as if comparable.
   std::uint64_t RawObjBytes = 0;
   std::uint64_t EstObjBytes = 0;
-  /// v6 compression accounting over this session's data chunks:
-  /// payload bytes on the wire vs their declared uncompressed size.
+  /// Compression accounting over this session's data chunks: payload
+  /// bytes on the wire vs their declared uncompressed size, and how many
+  /// chunks carried the compressed flag.
   std::uint64_t WirePayloadBytes = 0;
   std::uint64_t RawPayloadBytes = 0;
+  std::uint64_t CompressedChunks = 0;
   bool GotBye = false;
   ByeInfo Bye;
   bool Closed = false;    ///< fd is dead; reap on the next sweep
@@ -402,15 +404,15 @@ void CollectorDaemon::handleMessage(Session &S, const MsgHeader &H,
     }
     // The inner length must agree with the message bytes, or the
     // recording would hold frames whose headers lie about their extent
-    // and the chunk-aligned fsck-clean-prefix guarantee is void. A v6
+    // and the chunk-aligned fsck-clean-prefix guarantee is void. A v6+
     // session's length field may carry the compressed flag in bit 31;
     // the low bits are the on-wire size. A footer block carries 8 tail
     // bytes (u32 size, u32 tail magic) after its payload.
-    bool V6 = S.Info.Format >= profiler::WireFormat::V6;
+    bool Flags = profiler::chunkFlagsHonoured(S.Info.Format);
     bool Compressed =
-        V6 && !IsFooter && profiler::chunkCompressed(CH.PayloadBytes);
+        Flags && !IsFooter && profiler::chunkCompressed(CH.PayloadBytes);
     std::uint32_t WireLen =
-        V6 ? profiler::chunkWireBytes(CH.PayloadBytes) : CH.PayloadBytes;
+        Flags ? profiler::chunkWireBytes(CH.PayloadBytes) : CH.PayloadBytes;
     if (WireLen > profiler::MaxChunkPayload ||
         Payload.size() != sizeof(profiler::ChunkHeader) + WireLen +
                               (IsFooter ? 8 : 0)) {
@@ -432,6 +434,7 @@ void CollectorDaemon::handleMessage(Session &S, const MsgHeader &H,
                      : WireLen;
       S.WirePayloadBytes += WireLen;
       S.RawPayloadBytes += Raw;
+      S.CompressedChunks += Compressed;
       Stats.WirePayloadBytes += WireLen;
       Stats.RawPayloadBytes += Raw;
     }
@@ -503,7 +506,7 @@ void CollectorDaemon::finalizeSession(Session &S, bool Clean) {
     // normalize to {0, 0} (canonical exact-log form).
     Log.SampleRate = S.Info.SampleBytes;
     Log.SampleSeed = S.Info.SampleBytes ? S.Info.SampleSeed : 0;
-    Log.Compressed = S.Info.Format >= profiler::WireFormat::V6;
+    Log.Compressed = S.CompressedChunks != 0;
     double Est = 0;
     for (const profiler::ObjectRecord &R : Log.Records) {
       S.RawObjBytes += R.Bytes;
@@ -617,8 +620,8 @@ std::string CollectorDaemon::sessionLine(const Session &S) const {
     Line += formatString(
         " trailer-bytes=%llu",
         static_cast<unsigned long long>(S.Prof->peakTrailerStateBytes()));
-  // v6 sessions: what the compression bought, per session.
-  if (S.GotHello && S.Info.Format >= profiler::WireFormat::V6)
+  // Sessions whose format can compress: what the compression bought.
+  if (S.GotHello && profiler::chunkFlagsHonoured(S.Info.Format))
     Line += formatString(
         " wire-bytes=%llu uncompressed-bytes=%llu ratio=%.2f",
         static_cast<unsigned long long>(S.WirePayloadBytes),

@@ -93,7 +93,7 @@ struct DaemonStats {
   std::uint64_t RecordingErrors = 0; ///< session-file write failures
   std::uint64_t ClientReportedDrops = 0; ///< sum of BYE drop claims
   std::uint64_t ByeMismatches = 0; ///< BYE chunk count != received count
-  /// v6 compression accounting over received data chunks: bytes on the
+  /// Compression accounting over received data chunks: bytes on the
   /// wire vs their declared uncompressed size (equal for raw chunks).
   std::uint64_t WirePayloadBytes = 0;
   std::uint64_t RawPayloadBytes = 0;

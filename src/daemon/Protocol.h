@@ -168,11 +168,15 @@ inline bool decodeHello(std::span<const std::byte> Payload, HelloInfo &Out,
   // Sessions decode chunk by chunk, so only self-contained formats
   // qualify; `jdrag salvage` rewrites a v2/v3 recording in the current
   // format.
-  if (Fmt < static_cast<std::uint32_t>(profiler::WireFormat::V4) ||
-      Fmt > static_cast<std::uint32_t>(profiler::WireFormat::V6)) {
+  if (!profiler::knownWireFormat(Fmt) ||
+      !profiler::chunkSelfContained(static_cast<profiler::WireFormat>(Fmt))) {
     if (Err)
       *Err = "HELLO carries unsupported wire format " + std::to_string(Fmt) +
-             " (jdragd reads formats 4 to 6)";
+             " (jdragd reads formats " +
+             std::to_string(static_cast<unsigned>(profiler::WireFormat::V4)) +
+             " to " +
+             std::to_string(static_cast<unsigned>(profiler::NewestWireFormat)) +
+             ")";
     return false;
   }
   Out.Format = static_cast<profiler::WireFormat>(Fmt);
@@ -186,7 +190,7 @@ inline bool decodeHello(std::span<const std::byte> Payload, HelloInfo &Out,
   }
   // The session's .jdev header is written in Format; before v5 it has no
   // slot for the sampling params, so the recording would replay as exact
-  // while the live fold scaled it (the rule effectiveFormat encodes).
+  // while the live fold scaled it.
   if (Out.SampleBytes != 0 && Out.Format < profiler::WireFormat::V5) {
     if (Err)
       *Err = "sampled HELLO needs wire format 5 or later, got " +

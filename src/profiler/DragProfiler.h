@@ -105,18 +105,15 @@ public:
                         ProfilerConfig Config = ProfilerConfig());
 
   /// Configures \p Opts for live profiling: installs this profiler's
-  /// dispatch sink and its site depth, and aligns the sink's decoder
-  /// with the VM's wire format -- set Opts.EventFormat and the sampling
-  /// knobs (if non-default) *before* calling this. Active sampling
-  /// upgrades the decode format to v5 (matching the VM's emitter) and
-  /// stamps the params into the log so reports scale estimates.
+  /// dispatch sink and its site depth -- set the sampling knobs (if
+  /// non-default) *before* calling this. Active sampling stamps the
+  /// params into the log so reports scale estimates.
   void attachTo(vm::VMOptions &Opts) {
     Opts.Sink = &Sink;
     Opts.SiteDepth = Config.SiteDepth;
     SamplingParams S;
     S.SampleBytes = Opts.SampleBytes;
     S.SampleSeed = Opts.SampleSeed;
-    Sink.setWireFormat(effectiveFormat(Opts.EventFormat, S));
     Log.SampleRate = S.SampleBytes;
     // Exact logs keep the canonical {0, 0}: the seed means nothing
     // without a rate, and exact logs must be bit-identical whether the

@@ -68,7 +68,7 @@ jdrag::profiler::decodeLegacyRecords(std::span<const std::byte> Records,
     return decodeV2(Records, C);
   // v3 chains its time deltas from zero across the whole stream, so the
   // joined payload is one self-contained chunk body.
-  StreamDecoder D(C);
+  StreamDecoder D(C, F);
   LegacyRecords R;
   bool Ok = D.decodeChunk(Records.data(), Records.size());
   R.Events = D.eventsDecoded();

@@ -246,7 +246,7 @@ bool shardFail(ShardResult &R, std::string Msg) {
 /// and (for footer-sourced indexes) the footer's own claims. The index
 /// construction already bounds-checked every offset, so the reads here
 /// cannot run off the stream. On success \p Body is the chunk's record
-/// payload -- decompressed into \p Inflate for a flagged v6 chunk, the
+/// payload -- decompressed into \p Inflate for a flagged v6+ chunk, the
 /// raw wire bytes otherwise (the CRC always covers the uncompressed
 /// payload).
 bool validateChunk(std::span<const std::byte> Framed, const ChunkIndexEntry &En,
@@ -260,11 +260,12 @@ bool validateChunk(std::span<const std::byte> Framed, const ChunkIndexEntry &En,
       En.Seq != static_cast<std::uint32_t>(GlobalIdx))
     return shardFail(R, "chunk index disagrees with the header of chunk " +
                             std::to_string(GlobalIdx));
+  bool Flags = chunkFlagsHonoured(F);
   std::uint32_t WireLen =
-      F >= WireFormat::V6 ? chunkWireBytes(H.PayloadBytes) : H.PayloadBytes;
+      Flags ? chunkWireBytes(H.PayloadBytes) : H.PayloadBytes;
   const std::byte *Payload = Framed.data() + En.Offset + sizeof(ChunkHeader);
   Body = std::span<const std::byte>(Payload, WireLen);
-  if (F >= WireFormat::V6 && chunkCompressed(H.PayloadBytes) &&
+  if (Flags && chunkCompressed(H.PayloadBytes) &&
       !chunkPayloadBytes(H, Payload, Inflate, Body))
     return shardFail(R, "corrupt compressed payload in chunk " +
                             std::to_string(GlobalIdx));
@@ -282,8 +283,8 @@ void runShard(std::span<const std::byte> Framed, WireFormat F,
               ShardFoldSink *Fold = nullptr,
               const ClassExclusion *Excluded = nullptr) {
   ShardConsumer C(R, Snap, /*IntervalKnown=*/B == 0, ShardIdx, Fold, Excluded);
-  StreamDecoder Dec(C);
-  std::vector<std::uint8_t> Inflate; // per-shard v6 scratch
+  StreamDecoder Dec(C, F);
+  std::vector<std::uint8_t> Inflate; // per-shard decompression scratch
   std::span<const std::byte> Body;
   for (std::size_t I = B; I < E; ++I) {
     const ChunkIndexEntry &En = Idx.Entries[I];
@@ -484,24 +485,14 @@ struct ShardedStream {
 /// split -- so the caller runs the sequential path, which produces the
 /// canonical result or error message for that input.
 bool loadForSharding(const std::string &Path, ShardedStream &S) {
-  if (!readAll(Path, S.Bytes) || S.Bytes.size() < 16)
+  StreamHeaderInfo Hdr;
+  // A bad header is the sequential path's error to report.
+  if (!readAll(Path, S.Bytes) || !parseStreamHeader(S.Bytes, Hdr) ||
+      !chunkSelfContained(Hdr.Format))
     return false;
-  std::uint64_t Magic;
-  std::uint32_t Version;
-  std::memcpy(&Magic, S.Bytes.data(), sizeof(Magic));
-  std::memcpy(&Version, S.Bytes.data() + 8, sizeof(Version));
-  if (Magic != StreamFileMagic ||
-      Version < static_cast<std::uint32_t>(WireFormat::V4) ||
-      Version > static_cast<std::uint32_t>(WireFormat::V6))
-    return false;
-  S.F = static_cast<WireFormat>(Version);
+  S.F = Hdr.Format;
+  S.Sampling = Hdr.Sampling;
   std::size_t HeaderBytes = streamHeaderBytes(S.F);
-  if (S.Bytes.size() < HeaderBytes)
-    return false; // truncated v5+ header; sequential owns the error
-  if (S.F >= WireFormat::V5) {
-    std::memcpy(&S.Sampling.SampleBytes, S.Bytes.data() + 16, 8);
-    std::memcpy(&S.Sampling.SampleSeed, S.Bytes.data() + 24, 8);
-  }
   S.Framed = std::span<const std::byte>(S.Bytes.data() + HeaderBytes,
                                         S.Bytes.size() - HeaderBytes);
   if (S.Framed.empty())
@@ -549,7 +540,7 @@ bool jdrag::profiler::replayProfileParallel(const std::string &Path,
       mergeShards(Shards, Config, Out);
       Out.SampleRate = S.Sampling.SampleBytes;
       Out.SampleSeed = S.Sampling.enabled() ? S.Sampling.SampleSeed : 0;
-      Out.Compressed = S.F >= WireFormat::V6;
+      Out.Compressed = S.Idx.compressed();
       return true;
     }
     // A footer is a producer claim; when reality disagrees, distrust it
@@ -613,7 +604,7 @@ bool jdrag::profiler::replayProfileParallelFold(
       mergeShards(Shards, Config, Shell, &Sink, &SiteMapOut);
       Shell.SampleRate = S.Sampling.SampleBytes;
       Shell.SampleSeed = S.Sampling.enabled() ? S.Sampling.SampleSeed : 0;
-      Shell.Compressed = S.F >= WireFormat::V6;
+      Shell.Compressed = S.Idx.compressed();
       return true;
     }
     if (!S.Idx.FromFooter)

@@ -112,9 +112,9 @@ public:
   std::uint64_t SampleRate = 0;
   /// Seed of the sampling PRNG (reproducibility bookkeeping).
   std::uint64_t SampleSeed = 0;
-  /// The event stream behind this log used v6 chunk compression
-  /// (provenance only -- decompressed streams are bit-identical, so
-  /// nothing downstream scales or changes by this).
+  /// At least one data chunk of the event stream behind this log was
+  /// compressed (provenance only -- decompressed streams are
+  /// bit-identical, so nothing downstream scales or changes by this).
   bool Compressed = false;
 
   /// Serializes to \p Path. Returns false on I/O error.

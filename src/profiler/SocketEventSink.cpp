@@ -26,7 +26,7 @@ constexpr int PollSliceMs = 100;
 SocketEventSink::SocketEventSink(Options O) : Opt(std::move(O)) {
   if (!Opt.Pid)
     Opt.Pid = static_cast<std::uint64_t>(::getpid());
-  if (Opt.Compress && Opt.Format >= WireFormat::V6)
+  if (Opt.Compress && chunkFlagsHonoured(Opt.Format))
     Comp = std::make_unique<ChunkCompressor>();
 }
 
@@ -243,7 +243,7 @@ bool SocketEventSink::spoolChunk(const std::byte *Data, std::size_t Size) {
 
 bool SocketEventSink::writeChunk(const std::byte *Data, std::size_t Size) {
   // Compress up front -- before the session/spool fork -- so every
-  // destination carries the same v6 frames: the daemon records them
+  // destination carries the same frames: the daemon records them
   // verbatim and a degraded spool holds identical bytes. Like the
   // file sink, this runs on AsyncEventSink's writer thread when this
   // sink sits behind one, off the VM's critical path.

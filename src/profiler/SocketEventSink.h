@@ -90,9 +90,9 @@ public:
     /// header so a degraded recording stays self-describing.
     SamplingParams Sampling;
     /// Compress chunk payloads (LZ, support/Lz.h) before they leave the
-    /// process: the daemon receives -- and records verbatim -- v6
-    /// frames, and a degraded spool holds the same compressed bytes.
-    /// Requires Format == V6; compression happens once, here, so the
+    /// process: the daemon receives -- and records verbatim --
+    /// compressed frames, and a degraded spool holds the same bytes.
+    /// Requires a v6+ Format; compression happens once, here, so the
     /// wire and the spool never diverge. Ignored otherwise.
     bool Compress = false;
     /// Reconnect/retry schedule (shared with FileEventSink). Jitter on

@@ -163,37 +163,17 @@ SalvageReport jdrag::profiler::scanEventFile(const std::string &Path,
   }
   Rep.FileBytes = Bytes.size();
 
-  std::uint64_t Magic = 0;
-  if (Bytes.size() < 16) {
-    Rep.FileError = "not a .jdev event stream (too short)";
+  StreamHeaderInfo Hdr;
+  if (!parseStreamHeader(Bytes, Hdr, &Rep.FileError))
     return Rep;
-  }
-  std::memcpy(&Magic, Bytes.data(), sizeof(Magic));
-  if (Magic != StreamFileMagic) {
-    Rep.FileError = "not a .jdev event stream (bad magic)";
-    return Rep;
-  }
-  std::memcpy(&Rep.Version, Bytes.data() + 8, sizeof(Rep.Version));
-  if (Rep.Version < static_cast<std::uint32_t>(WireFormat::V2) ||
-      Rep.Version > static_cast<std::uint32_t>(WireFormat::V6)) {
-    Rep.FileError =
-        "unsupported .jdev version " + std::to_string(Rep.Version);
-    return Rep;
-  }
-  auto Format = static_cast<WireFormat>(Rep.Version);
+  WireFormat Format = Hdr.Format;
+  Rep.Version = static_cast<std::uint32_t>(Format);
+  Rep.Sampling = Hdr.Sampling;
   bool SelfContained = chunkSelfContained(Format);
+  bool Flags = chunkFlagsHonoured(Format);
   std::size_t FileHeaderBytes = streamHeaderBytes(Format);
-  if (Bytes.size() < FileHeaderBytes) {
-    Rep.FileError = "truncated stream header";
-    return Rep;
-  }
-  if (Rep.Version >= static_cast<std::uint32_t>(WireFormat::V5)) {
-    std::memcpy(&Rep.Sampling.SampleBytes, Bytes.data() + 16, 8);
-    std::memcpy(&Rep.Sampling.SampleSeed, Bytes.data() + 24, 8);
-  }
-  Rep.Compressed = Rep.Version >= static_cast<std::uint32_t>(WireFormat::V6);
 
-  // A v4/v5 file may end with a chunk index footer block: judge it
+  // A v4+ file may end with a chunk index footer block: judge it
   // separately (it is an index, not data) and stop the chunk walk
   // where it starts.
   std::size_t ScanEnd = Bytes.size();
@@ -209,14 +189,14 @@ SalvageReport jdrag::profiler::scanEventFile(const std::string &Path,
 
   NullConsumer Discard;
   EventConsumer &Out = C ? *C : Discard;
-  StreamDecoder Records(Out);
+  StreamDecoder Records(Out, Format);
   // v2/v3 records straddle chunks: the valid prefix's payloads are
   // joined and decoded after the walk (profiler/LegacyStream.h).
   std::vector<std::byte> Legacy;
   std::size_t Off = FileHeaderBytes;
   std::uint32_t ExpectedSeq = 0;
   bool Damaged = false;
-  std::vector<std::uint8_t> Inflate; // v6 decompression scratch
+  std::vector<std::uint8_t> Inflate; // decompression scratch
 
   auto judge = [&](ChunkVerdict V) {
     if (!V.ok() && Rep.FirstDamaged == SalvageReport::npos)
@@ -236,12 +216,12 @@ SalvageReport jdrag::profiler::scanEventFile(const std::string &Path,
     ChunkHeader H;
     std::memcpy(&H, Bytes.data() + Off, sizeof(H));
     V.Seq = H.Seq;
-    // A v6 chunk header's length field may carry the compressed flag in
-    // bit 31; the low bits are what actually sits on disk. Pre-v6 files
-    // take the field at face value, as before.
-    bool Comp = Rep.Compressed && chunkCompressed(H.PayloadBytes);
+    // A v6+ chunk header's length field may carry the compressed flag
+    // in bit 31; the low bits are what actually sits on disk. Pre-v6
+    // files take the field at face value.
+    bool Comp = Flags && chunkCompressed(H.PayloadBytes);
     std::uint32_t WireLen =
-        Rep.Compressed ? chunkWireBytes(H.PayloadBytes) : H.PayloadBytes;
+        Flags ? chunkWireBytes(H.PayloadBytes) : H.PayloadBytes;
     V.PayloadBytes = WireLen;
 
     bool Resync = false;
@@ -270,6 +250,7 @@ SalvageReport jdrag::profiler::scanEventFile(const std::string &Path,
       } else if (support::crc32c(Body.data(), Body.size()) != H.Crc) {
         V.Status = ChunkStatus::BadCrc;
       } else {
+        Rep.Compressed |= Comp;
         Rep.WirePayloadBytes += WireLen;
         Rep.RawPayloadBytes += Body.size();
         if (!Damaged && !SelfContained) {
@@ -339,28 +320,14 @@ SalvageReport jdrag::profiler::scanEventFileParallel(const std::string &Path,
   if (!readAll(Path, Bytes))
     return Sequential(); // unreadable: let the sequential path say so
 
-  if (Bytes.size() < 16)
-    return Sequential();
-  std::uint64_t Magic = 0;
-  std::uint32_t Version = 0;
-  std::memcpy(&Magic, Bytes.data(), sizeof(Magic));
-  std::memcpy(&Version, Bytes.data() + 8, sizeof(Version));
   // v2/v3 records straddle chunks: the sequential scan hands their
-  // whole prefix to LegacyStream.
-  if (Magic != StreamFileMagic ||
-      Version < static_cast<std::uint32_t>(WireFormat::V4) ||
-      Version > static_cast<std::uint32_t>(WireFormat::V6))
+  // whole prefix to LegacyStream. A bad header is its error to report.
+  StreamHeaderInfo Hdr;
+  if (!parseStreamHeader(Bytes, Hdr) || !chunkSelfContained(Hdr.Format))
     return Sequential();
-  auto Format = static_cast<WireFormat>(Version);
-  bool CompFmt = Format >= WireFormat::V6;
+  WireFormat Format = Hdr.Format;
+  bool CompFmt = chunkFlagsHonoured(Format);
   std::size_t FileHeaderBytes = streamHeaderBytes(Format);
-  if (Bytes.size() < FileHeaderBytes)
-    return Sequential();
-  SamplingParams Sampling;
-  if (Format >= WireFormat::V5) {
-    std::memcpy(&Sampling.SampleBytes, Bytes.data() + 16, 8);
-    std::memcpy(&Sampling.SampleSeed, Bytes.data() + 24, 8);
-  }
 
   auto Framed = std::span<const std::byte>(Bytes).subspan(FileHeaderBytes);
   std::size_t FooterBytes = footerBlockSize(Framed);
@@ -374,6 +341,7 @@ SalvageReport jdrag::profiler::scanEventFileParallel(const std::string &Path,
   std::vector<ChunkVerdict> Chunks;
   std::size_t Off = FileHeaderBytes;
   std::uint32_t NextSeq = 0;
+  bool AnyCompressed = false;
   while (Off < ScanEnd) {
     if (ScanEnd - Off < sizeof(ChunkHeader))
       return Sequential();
@@ -390,6 +358,7 @@ SalvageReport jdrag::profiler::scanEventFileParallel(const std::string &Path,
     V.Seq = H.Seq;
     V.PayloadBytes = WireLen;
     Chunks.push_back(V);
+    AnyCompressed |= CompFmt && chunkCompressed(H.PayloadBytes);
     ++NextSeq;
     Off += sizeof(ChunkHeader) + WireLen;
   }
@@ -443,9 +412,9 @@ SalvageReport jdrag::profiler::scanEventFileParallel(const std::string &Path,
   // All chunks verified. Count records (and replay, if asked) without
   // re-checking CRCs.
   SalvageReport Rep;
-  Rep.Version = Version;
-  Rep.Sampling = Sampling;
-  Rep.Compressed = CompFmt;
+  Rep.Version = static_cast<std::uint32_t>(Format);
+  Rep.Sampling = Hdr.Sampling;
+  Rep.Compressed = AnyCompressed;
   Rep.FileBytes = Bytes.size();
   Rep.Chunks = std::move(Chunks);
   Rep.FooterPresent = FooterBytes != 0;
@@ -485,15 +454,14 @@ bool jdrag::profiler::salvageEventFile(const std::string &In,
   FileEventSink Sink;
   FileEventSink::Options FO;
   // A sampled input stays sampled and a compressed input stays
-  // compressed: carry both into the salvage output's header (which
-  // upgrades it to v5/v6) so replay still scales and the recovered
-  // recording keeps its space savings.
+  // compressed: the v7 output header carries the sampling params so
+  // replay still scales, and the recovered recording keeps its space
+  // savings.
   FO.Sampling = Probe.Sampling;
   FO.Compress = Probe.Compressed;
-  FO.Format = effectiveFormat(FO.Format, FO.Sampling, FO.Compress);
   if (!Sink.open(Out, FO))
     return Fail("cannot write " + Out);
-  EventBuffer Buf(Sink, /*ChunkBytes=*/0, /*Checksum=*/true, FO.Format);
+  EventBuffer Buf(Sink);
   ReencodeConsumer Re(Buf);
   scanEventFile(In, &Re);
   // finishStream() appends the chunk index footer: salvage output is

@@ -51,7 +51,7 @@ enum class ChunkStatus : std::uint8_t {
   OversizedPayload, ///< length field beyond MaxChunkPayload
   BadCrc,           ///< payload bytes do not match the stored CRC-32C
   BadRecords,       ///< CRC valid but the payload decodes to garbage
-  BadCompression,   ///< v6 compressed payload does not decompress
+  BadCompression,   ///< compressed payload does not decompress
 };
 
 const char *chunkStatusName(ChunkStatus S);
@@ -60,7 +60,7 @@ struct ChunkVerdict {
   std::uint64_t Offset = 0; ///< file offset of the chunk header
   std::uint32_t Seq = 0;    ///< sequence number from the header
   std::uint32_t PayloadBytes = 0; ///< on-wire payload bytes (compressed
-                                  ///< size for a flagged v6 chunk)
+                                  ///< size for a flagged v6+ chunk)
   ChunkStatus Status = ChunkStatus::Ok;
 
   bool ok() const { return Status == ChunkStatus::Ok; }
@@ -92,13 +92,13 @@ struct SalvageReport {
   /// pre-v5 recordings). Salvage propagates them to its output so a
   /// recovered sampled recording still scales correctly.
   SamplingParams Sampling;
-  /// v6 header: chunk payloads in this file may be compressed. Salvage
-  /// propagates compression to its output too.
+  /// At least one verified data chunk carried the compressed flag.
+  /// Salvage propagates compression to its output too.
   bool Compressed = false;
   /// Compression accounting over every chunk whose payload verified:
-  /// uncompressed payload bytes vs bytes actually on disk. Equal for
-  /// pre-v6 files; the ratio Raw/Wire is the headline `jdrag fsck`
-  /// space-saving metric.
+  /// uncompressed payload bytes vs bytes actually on disk. Equal when no
+  /// chunk is compressed; the ratio Raw/Wire is the headline
+  /// `jdrag fsck` space-saving metric.
   std::uint64_t RawPayloadBytes = 0;
   std::uint64_t WirePayloadBytes = 0;
 

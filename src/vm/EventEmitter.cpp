@@ -9,7 +9,7 @@ using namespace jdrag::profiler;
 using namespace jdrag::vm;
 
 EventEmitter::EventEmitter(EventSink &Sink, Config C)
-    : Buf(Sink, C.ChunkBytes, /*Checksum=*/true, C.Format), C(C),
+    : Buf(Sink, C.ChunkBytes), C(C),
       Policy(C.Sampling) {
   Nodes.push_back(Node{}); // node 0: the root (empty) context
   Children.resize(1024);   // power of two; see growChildren()

@@ -39,8 +39,6 @@ public:
     std::uint32_t SiteDepth = 4;
     /// Buffer chunk size; 0 = EventBuffer::DefaultChunkBytes.
     std::size_t ChunkBytes = 0;
-    /// Record encoding of the produced stream (see WireFormat).
-    profiler::WireFormat Format = profiler::DefaultWireFormat;
     /// Size-weighted allocation sampling (SampleBytes 0 = exact mode).
     profiler::SamplingParams Sampling;
   };

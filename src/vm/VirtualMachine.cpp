@@ -86,10 +86,6 @@ Interpreter::Status VirtualMachine::run(std::string *Err) {
     EC.ChunkBytes = Opts.EventChunkBytes;
     EC.Sampling.SampleBytes = Opts.SampleBytes;
     EC.Sampling.SampleSeed = Opts.SampleSeed;
-    // Active sampling upgrades a v4 stream to v5 (the header gains the
-    // params a replayer needs to scale estimates); exact mode keeps the
-    // configured format so recordings stay bit-identical.
-    EC.Format = profiler::effectiveFormat(Opts.EventFormat, EC.Sampling);
     Emitter = std::make_unique<EventEmitter>(*RunSink, EC);
     TheHeap.setEmitter(Emitter.get());
   }

@@ -58,14 +58,14 @@ struct VMOptions {
   std::uint32_t SiteDepth = 4;
   /// Event-buffer chunk size in bytes; 0 = the default (64 KB).
   std::size_t EventChunkBytes = 0;
-  /// Format of the emitted stream: v4 or later (nothing writes v2/v3).
-  /// An attached DispatchSink must be configured with the same format
-  /// (DragProfiler::attachTo handles this).
+  /// Requested format of the emitted stream. Every stream is written as
+  /// v7 whatever this says (profiler::effectiveFormat); the field stays
+  /// so callers that name the format keep compiling.
   profiler::WireFormat EventFormat = profiler::DefaultWireFormat;
   /// Byte interval of size-weighted allocation sampling; 0 = exact
-  /// (every allocation instrumented). Nonzero upgrades the emitted
-  /// stream to v5, which records the interval + seed in its header so
-  /// replay can scale drag estimates back up (docs/sampling.md).
+  /// (every allocation instrumented). A recording's header carries the
+  /// interval + seed so replay can scale drag estimates back up
+  /// (docs/sampling.md).
   std::uint64_t SampleBytes = 0;
   /// PRNG seed of the sampling policy; recordings are deterministic
   /// functions of (program, interval, seed).

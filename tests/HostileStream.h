@@ -45,7 +45,48 @@ inline void writeHostileIdEvents(profiler::EventBuffer &Buf,
   Buf.finishStream();
 }
 
-/// Writes a three-chunk v4 stream into \p Sink, one frame per
+/// The object ids of writeWrappingIdEvents, in allocation order: each
+/// step from one to the next wraps the id space.
+inline constexpr std::uint64_t WrappingIds[] = {~std::uint64_t(0), 0,
+                                                std::uint64_t(1) << 63};
+
+/// Writes a well-formed three-chunk stream through \p Buf whose object
+/// ids wrap around 2^64 -- 2^64-1, then 0, then 2^63 -- once inside a
+/// chunk and once across a chunk boundary, so the v7 id deltas take
+/// their extreme values (-1, +1, -2^63, 2^63-1). Chunk 0 allocates the
+/// three objects (16 bytes each, class 0, no site); chunk 1 uses 2^63
+/// and then 2^64-1; chunk 2 uses 0 and 2^63, collects 2^64-1 and 0,
+/// keeps 2^63 to the end and terminates.
+inline void writeWrappingIdEvents(profiler::EventBuffer &Buf) {
+  using profiler::EventKind;
+  auto Event = [&](EventKind K, ByteTime Time, std::uint64_t Id) {
+    profiler::EventRecord E;
+    E.Kind = static_cast<std::uint8_t>(K);
+    E.Time = Time;
+    E.Id = Id;
+    if (K == EventKind::Alloc)
+      E.Arg0 = 16;
+    Buf.writeEvent(E);
+  };
+  const std::uint64_t A = WrappingIds[0], B = WrappingIds[1],
+                      C = WrappingIds[2];
+  Event(EventKind::Alloc, 16, A);
+  Event(EventKind::Alloc, 32, B);
+  Event(EventKind::Alloc, 48, C);
+  Buf.flush();
+  Event(EventKind::Use, 48, C);
+  Event(EventKind::Use, 48, A);
+  Buf.flush();
+  Event(EventKind::Use, 48, B);
+  Event(EventKind::Use, 48, C);
+  Event(EventKind::Collect, 64, A);
+  Event(EventKind::Collect, 64, B);
+  Event(EventKind::Survivor, 80, C);
+  Event(EventKind::Terminate, 80, 0);
+  Buf.finishStream();
+}
+
+/// Writes a three-chunk stream into \p Sink, one frame per
 /// writeChunk call, whose middle chunk is CRC-valid but ends inside its
 /// last record. Chunk 0 allocates objects 1 and 2 (16 bytes each);
 /// chunk 1 uses object 1 and then holds a Collect of object 1 (tag,

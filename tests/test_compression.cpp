@@ -178,11 +178,16 @@ TEST(CompressedStream, V6FileIsSmallerAndPayloadsAreBitIdentical) {
   recordRun(P, Comp, /*Compress=*/true);
   recordRun(P, Plain, /*Compress=*/false);
 
+  // Both are v7; Compressed says whether any chunk carried the flag.
+  class Discard : public EventConsumer {
+    void onSite(SiteId, std::span<const SiteFrame>) override {}
+    void onEvent(const EventRecord &) override {}
+  } Null;
   StreamHeaderInfo CI, PI;
   std::string Err;
-  ASSERT_TRUE(readStreamHeader(Comp, CI, &Err)) << Err;
-  ASSERT_TRUE(readStreamHeader(Plain, PI, &Err)) << Err;
-  EXPECT_EQ(CI.Format, WireFormat::V6);
+  ASSERT_TRUE(replayFile(Comp, Null, &Err, &CI)) << Err;
+  ASSERT_TRUE(replayFile(Plain, Null, &Err, &PI)) << Err;
+  EXPECT_EQ(CI.Format, WireFormat::V7);
   EXPECT_TRUE(CI.Compressed);
   EXPECT_EQ(PI.Format, DefaultWireFormat);
   EXPECT_FALSE(PI.Compressed);

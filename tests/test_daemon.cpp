@@ -27,6 +27,7 @@
 #include "daemon/Daemon.h"
 #include "daemon/Protocol.h"
 #include "profiler/DragProfiler.h"
+#include "profiler/ParallelReplay.h"
 #include "profiler/SocketEventSink.h"
 #include "profiler/StreamSalvage.h"
 
@@ -251,8 +252,12 @@ TEST(SessionProtocol, SampledHelloNeedsV5Format) {
   EXPECT_FALSE(Decode(WireFormat::V4, 64 * 1024, Err));
   EXPECT_NE(Err.find("format 5"), std::string::npos) << Err;
   EXPECT_TRUE(Decode(WireFormat::V4, 0, Err)) << Err; // exact v4 is fine
-  for (WireFormat F : {WireFormat::V5, WireFormat::V6})
+  for (WireFormat F : {WireFormat::V5, WireFormat::V6, WireFormat::V7})
     EXPECT_TRUE(Decode(F, 64 * 1024, Err)) << Err;
+  // A format newer than this build reads is refused, and the message
+  // names the range jdragd does read.
+  EXPECT_FALSE(Decode(static_cast<WireFormat>(8), 0, Err));
+  EXPECT_NE(Err.find("formats 4 to 7"), std::string::npos) << Err;
 }
 
 TEST(SessionProtocol, ReaderRejectsGarbageSticky) {
@@ -788,16 +793,27 @@ TEST(Daemon, HostileIdsKeepServing) {
     testutil::writeHostileIdEvents(Buf, Hostile);
     EXPECT_TRUE(Sock.finish()) << Hostile;
   }
+  // A third session whose ids wrap around 2^64 within and across
+  // chunks; its live decode must see the three 16-byte objects.
+  {
+    SocketEventSink::Options SO;
+    SO.Connect = H.SessionAddr;
+    SO.Name = "jess";
+    SocketEventSink Sock(SO);
+    EventBuffer Buf(Sock);
+    testutil::writeWrappingIdEvents(Buf);
+    EXPECT_TRUE(Sock.finish());
+  }
   bool Done = false;
   for (int I = 0; I != 500 && !Done; ++I) {
-    Done = H.admin("HEALTH").find("sessions_clean=2") != std::string::npos;
+    Done = H.admin("HEALTH").find("sessions_clean=3") != std::string::npos;
     if (!Done)
       ::usleep(5000);
   }
   ASSERT_TRUE(Done) << H.admin("HEALTH");
   EXPECT_NE(H.admin("HEALTH").find("decode_errors=0"), std::string::npos);
 
-  // Each session's trailer table held two objects, not an id space.
+  // Each session's trailer table held its few objects, not an id space.
   std::string Clients = H.admin("CLIENTS");
   std::size_t Sessions = 0;
   for (std::size_t At = Clients.find("trailer-bytes=");
@@ -808,7 +824,29 @@ TEST(Daemon, HostileIdsKeepServing) {
     EXPECT_LT(Bytes, 1ull << 20) << Clients;
     ++Sessions;
   }
-  EXPECT_EQ(Sessions, 2u) << Clients;
+  EXPECT_EQ(Sessions, 3u) << Clients;
+  EXPECT_NE(Clients.find("raw-obj-bytes=48 "), std::string::npos) << Clients;
+
+  // The wrapping session's recording replays to what the live session
+  // decoded, sequentially and sharded.
+  std::size_t Line = Clients.rfind('\n', Clients.find("raw-obj-bytes=48 "));
+  std::size_t At = Clients.find("file=", Line == std::string::npos ? 0 : Line);
+  ASSERT_NE(At, std::string::npos) << Clients;
+  std::string Rec = Clients.substr(At + 5, Clients.find(' ', At) - At - 5);
+  benchmarks::BenchmarkProgram Jess = benchmarks::buildJess();
+  ProfileLog Seq, Par;
+  std::string Err;
+  ASSERT_TRUE(replayProfile(Rec, Jess.Prog, ProfilerConfig(), Seq, &Err))
+      << Err;
+  ASSERT_TRUE(
+      replayProfileParallel(Rec, Jess.Prog, ProfilerConfig(), 4, Par, &Err))
+      << Err;
+  ASSERT_EQ(Seq.Records.size(), 3u);
+  ASSERT_EQ(Par.Records.size(), 3u);
+  for (std::size_t I = 0; I != 3; ++I) {
+    EXPECT_EQ(Seq.Records[I].Id, Par.Records[I].Id);
+    EXPECT_EQ(Seq.Records[I].UseCount, Par.Records[I].UseCount);
+  }
 
   // And the daemon keeps serving: a real workload still streams through.
   SocketEventSink::Options SO;
@@ -818,7 +856,7 @@ TEST(Daemon, HostileIdsKeepServing) {
   EXPECT_TRUE(runWorkload(Sock).intact());
   Done = false;
   for (int I = 0; I != 500 && !Done; ++I) {
-    Done = H.admin("HEALTH").find("sessions_clean=3") != std::string::npos;
+    Done = H.admin("HEALTH").find("sessions_clean=4") != std::string::npos;
     if (!Done)
       ::usleep(5000);
   }

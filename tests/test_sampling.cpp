@@ -133,21 +133,21 @@ TEST(SampledStream, V5HeaderRoundTrip) {
     FO.Sampling.SampleBytes = 1 << 20;
     FO.Sampling.SampleSeed = 0xabcdef;
     FO.Format = effectiveFormat(FO.Format, FO.Sampling);
-    EXPECT_EQ(FO.Format, WireFormat::V5);
+    EXPECT_EQ(FO.Format, WireFormat::V7);
     ASSERT_TRUE(Sink.open(Path, FO));
     EXPECT_TRUE(Sink.finish());
   }
   StreamHeaderInfo Info;
   std::string Err;
   ASSERT_TRUE(readStreamHeader(Path, Info, &Err)) << Err;
-  EXPECT_EQ(Info.Format, WireFormat::V5);
+  EXPECT_EQ(Info.Format, WireFormat::V7);
   EXPECT_EQ(Info.Sampling.SampleBytes, 1u << 20);
   EXPECT_EQ(Info.Sampling.SampleSeed, 0xabcdefULL);
   std::remove(Path.c_str());
 }
 
-// Sampling disabled never upgrades the wire format: the stream keeps
-// the default v4 header and readers see "exact".
+// Sampling disabled keeps the default format: the stream's header says
+// SampleBytes 0 and readers see "exact".
 TEST(SampledStream, DisabledSamplingKeepsV4) {
   SamplingParams Off;
   EXPECT_EQ(effectiveFormat(DefaultWireFormat, Off), DefaultWireFormat);

@@ -41,6 +41,8 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -356,7 +358,7 @@ TEST(CorruptionCorpus, RecordCutAtTheEndOfAValidChunkIsRejectedByEveryReader) {
   EXPECT_NE(Err.find("straddles"), std::string::npos) << Err;
 
   ChunkIndex Idx;
-  EXPECT_FALSE(rebuildChunkIndex(Framed, WireFormat::V4, Idx));
+  EXPECT_FALSE(rebuildChunkIndex(Framed, DefaultWireFormat, Idx));
 
   std::string Path = tempPath("cut_record.jdev");
   {
@@ -974,6 +976,50 @@ TEST(HostileIds, SequentialReplayKeepsTrailerStateSmall) {
     EXPECT_EQ(Log.Records[1].UseCount, 1u);
     std::remove(Path.c_str());
   }
+}
+
+// Ids that wrap around 2^64 inside a chunk and across a chunk boundary:
+// the decoder adds v7 id deltas modulo 2^64, so every reader must see
+// exactly the ids written, and sequential and sharded replay agree.
+TEST(HostileIds, WrappingIdsAgreeAcrossReaders) {
+  ir::Program P = buildChurnProgram();
+  std::string Path = tempPath("wrapping_ids.jdev");
+  {
+    FileEventSink Sink;
+    ASSERT_TRUE(Sink.open(Path));
+    EventBuffer Buf(Sink);
+    writeWrappingIdEvents(Buf);
+    ASSERT_TRUE(Sink.finish());
+  }
+  SalvageReport Rep = scanEventFile(Path, nullptr);
+  ASSERT_TRUE(Rep.clean()) << Rep.summary(Path);
+  EXPECT_EQ(Rep.Chunks.size(), 3u);
+  EXPECT_EQ(Rep.EventsRecovered, 11u);
+
+  DragProfiler Prof(P);
+  std::string Err;
+  ASSERT_TRUE(replayFile(Path, Prof, &Err)) << Err;
+  EXPECT_EQ(Prof.liveTrailers(), 0u);
+  EXPECT_EQ(Prof.peakLiveTrailers(), 3u);
+  EXPECT_LT(Prof.peakTrailerStateBytes(), std::size_t(1) << 20);
+  ProfileLog Seq = Prof.takeLog();
+  ASSERT_EQ(Seq.Records.size(), 3u);
+  std::set<std::uint64_t> Ids;
+  for (const ObjectRecord &R : Seq.Records) {
+    Ids.insert(R.Id);
+    EXPECT_EQ(R.Bytes, 16u);
+    EXPECT_EQ(R.SurvivedToEnd, R.Id == WrappingIds[2]) << R.Id;
+    EXPECT_EQ(R.UseCount, R.Id == WrappingIds[2] ? 2u : 1u) << R.Id;
+  }
+  EXPECT_EQ(Ids, std::set<std::uint64_t>(std::begin(WrappingIds),
+                                         std::end(WrappingIds)));
+
+  ProfileLog SeqFile, Par;
+  ASSERT_TRUE(replayProfile(Path, P, ProfilerConfig(), SeqFile, &Err)) << Err;
+  ASSERT_TRUE(replayProfileParallel(Path, P, ProfilerConfig(), 4, Par, &Err))
+      << Err;
+  expectBitIdentical(SeqFile, Par);
+  std::remove(Path.c_str());
 }
 
 TEST(HostileIds, ParallelReplayMatchesSequentialInBoundedMemory) {

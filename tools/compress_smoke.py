@@ -1,24 +1,25 @@
 #!/usr/bin/env python3
-"""End-to-end smoke for .jdev v6 chunk compression, driven through the
+"""End-to-end smoke for .jdev chunk compression, driven through the
 `jdrag` CLI the way a user would hit it:
 
     compress_smoke.py <jdrag-binary> <workdir>
 
 The chain, all on the `jess` workload (deterministic replayable VM):
 
-  1. record twice -- default (compressed v6) and `--compress=off`
-     (uncompressed v4) -- and check the v6 file is smaller;
+  1. record twice -- default (v7, compressed chunks) and
+     `--compress=off` (v7 with zero compressed chunks) -- and check the
+     compressed file is smaller;
   2. differential proof at the byte level: walk both files' chunk
      frames with an independent Python decoder of the LZ block format
-     and require the *decompressed* v6 data payloads, concatenated, to
-     be bit-identical to the uncompressed recording's payloads;
+     and require the *decompressed* data payloads, concatenated, to be
+     bit-identical to the uncompressed recording's payloads;
   3. replay both recordings (sequential and --jobs 4) and require all
      four drag reports to be byte-identical;
   4. fsck both recordings clean;
-  5. corrupt the v6 file with `truncate-compressed` and
+  5. corrupt the compressed file with `truncate-compressed` and
      `garble-compressed-payload`, require fsck to fail on each, salvage
      each, and require fsck of the salvaged output to pass -- with the
-     salvaged file still a v6 recording carrying compressed chunks.
+     salvaged file still a recording carrying compressed chunks.
 
 Exit status 0 = every step held; the first failing step prints why and
 exits 1. No temp files outside <workdir>.
@@ -29,6 +30,7 @@ import struct
 import subprocess
 import sys
 
+CURRENT_VERSION = 7        # the only .jdev version jdrag writes
 CHUNK_MAGIC = 0x6B43646A   # "jdCk"
 FOOTER_MAGIC = 0x7849646A  # "jdIx"
 COMPRESSED_BIT = 0x80000000
@@ -109,7 +111,7 @@ def lz_decompress(buf):
 
 def read_stream(path):
     """(version, [(compressed?, payload bytes)] for data chunks only,
-    compressed-chunk count). Payloads are decompressed for flagged v6
+    compressed-chunk count). Payloads are decompressed for flagged v6+
     chunks; a malformed flagged payload fails the smoke."""
     with open(path, "rb") as f:
         data = f.read()
@@ -163,15 +165,16 @@ def main():
 
     # 2. Bit-identical decompressed payloads.
     cver, cpayloads, cchunks = read_stream(comp)
-    rver, rpayloads, _ = read_stream(raw)
-    if cver < 6:
-        fail(f"default recording is v{cver}, expected v6")
-    if rver >= 6:
-        fail(f"--compress=off recording is v{rver}, expected pre-v6")
+    rver, rpayloads, rchunks = read_stream(raw)
+    if cver != CURRENT_VERSION:
+        fail(f"default recording is v{cver}, expected v{CURRENT_VERSION}")
+    if rver != CURRENT_VERSION or rchunks != 0:
+        fail(f"--compress=off recording is v{rver} with {rchunks} "
+             f"compressed chunks, expected v{CURRENT_VERSION} with none")
     if cchunks == 0:
-        fail("v6 recording has no compressed chunks")
+        fail("default recording has no compressed chunks")
     if b"".join(cpayloads) != b"".join(rpayloads):
-        fail("decompressed v6 payloads differ from the uncompressed "
+        fail("decompressed payloads differ from the uncompressed "
              "recording")
     print(f"compress_smoke: {cchunks} compressed chunks decompress "
           "bit-identical to the uncompressed recording")
@@ -190,7 +193,7 @@ def main():
     run([jdrag, "fsck", raw])
 
     # 5. Compressed-targeted damage -> fsck fails -> salvage recovers a
-    #    still-compressed v6 prefix that fscks clean.
+    #    still-compressed prefix that fscks clean.
     for mode in ("truncate-compressed", "garble-compressed-payload"):
         bad = os.path.join(work, f"jess_{mode}.jdev")
         fixed = os.path.join(work, f"jess_{mode}_salvaged.jdev")

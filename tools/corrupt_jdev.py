@@ -24,21 +24,23 @@ shipping corrupt binaries in the repo:
         seeking into the middle of a chunk) and readers must fall back
         to rebuilding the index from the chunk frames.
     corrupt_jdev.py truncate-compressed <in> <out>
-        cut the file midway through the payload of the first v6
+        cut the file midway through the payload of the first
         *compressed* chunk -- a torn compressed frame; everything
-        before it stays a clean salvageable prefix (v6 input only);
+        before it stays a clean salvageable prefix (v6+ input only);
     corrupt_jdev.py garble-compressed-payload <in> <out>
-        overwrite the leading bytes of the first v6 compressed chunk
+        overwrite the leading bytes of the first compressed chunk
         payload with 0xFF, turning its declared uncompressed length
         into an impossible value -- the chunk header and CRC field
         survive intact but the payload must fail decompression, not
-        just the CRC check (v6 input only).
+        just the CRC check (v6+ input only).
 
-Offsets are clamped past the file header (16 bytes through v4, 32 for
-v5/v6) so the damage lands in the chunk stream (file-header damage is
-the trivially detected case). v6 chunk headers keep the on-wire payload
-length in the low 31 bits of the PayloadBytes field; bit 31 is the
-compressed flag, and every walk here masks it off before advancing.
+Offsets are clamped past the file header (16 bytes through v4, 32 from
+v5 on, including the v7 recordings jdrag writes) so the damage lands in
+the chunk stream (file-header damage is the trivially detected case).
+v6+ chunk headers keep the on-wire payload length in the low 31 bits of
+the PayloadBytes field; bit 31 is the compressed flag, and every walk
+here masks it off before advancing. v7 changes only the record bytes
+inside a payload, which nothing here parses.
 No randomness anywhere: the same input produces the same output.
 """
 
@@ -60,14 +62,15 @@ def stream_version(data: bytes) -> int:
 
 
 def header_bytes(version: int) -> int:
-    """16 bytes (magic, version, reserved) through v4; v5/v6 append u64
-    SampleBytes + u64 SampleSeed for 32."""
+    """16 bytes (magic, version, reserved) through v4; v5 and later
+    append u64 SampleBytes + u64 SampleSeed for 32."""
     return 32 if version >= 5 else 16
 
 
 def wire_len(payload_field: int, version: int) -> int:
-    """On-wire payload bytes of a chunk: v6 keeps them in the low 31
-    bits (bit 31 = compressed flag); earlier formats use the raw word."""
+    """On-wire payload bytes of a chunk: v6 and later keep them in the
+    low 31 bits (bit 31 = compressed flag); earlier formats use the raw
+    word."""
     return payload_field & ~COMPRESSED_BIT if version >= 6 else payload_field
 
 
@@ -158,7 +161,7 @@ def main() -> int:
         hit = find_compressed_chunk(data, hdr, version,
                                     clamp_offset(data, args.at, hdr))
         if hit is None:
-            print(f"{args.infile}: no compressed chunk (not v6, or "
+            print(f"{args.infile}: no compressed chunk (pre-v6, or "
                   "recorded with --compress=off)", file=sys.stderr)
             return 2
         off, wl = hit

@@ -77,8 +77,8 @@ struct Options {
   std::uint64_t SampleBytes = 0;
   /// record: PRNG seed for the sampling gap sequence.
   std::uint64_t SampleSeed = profiler::SamplingParams{}.SampleSeed;
-  /// record: LZ-compress chunk payloads (v6 stream). On by default --
-  /// --compress=off restores the pre-v6, byte-identical output.
+  /// record: LZ-compress chunk payloads. On by default; --compress=off
+  /// stores every chunk raw (still a v7 stream).
   bool Compress = true;
   /// replay/fsck/salvage decode threads (0 = all cores).
   unsigned Jobs = 0;
@@ -106,12 +106,11 @@ int usage() {
       "                               --async-drop: shed chunks instead of\n"
       "                               blocking; --sample-bytes N: record\n"
       "                               ~1 allocation per N heap bytes (0 =\n"
-      "                               exact, default; writes a v5 stream);\n"
-      "                               --sample-seed S: sampling PRNG seed;\n"
-      "                               --compress[=off]: LZ-compress chunk\n"
-      "                               payloads (v6 stream; on by default,\n"
-      "                               =off restores the uncompressed v4/v5\n"
-      "                               output byte for byte);\n"
+      "                               exact, default; the header records\n"
+      "                               N); --sample-seed S: sampling PRNG\n"
+      "                               seed; --compress[=off]: LZ-compress\n"
+      "                               chunk payloads (on by default; =off\n"
+      "                               stores every chunk uncompressed);\n"
       "                               --connect ADDR: stream to a jdragd,\n"
       "                               file.jdev becomes the failover spool)\n"
       "  send <file.jdev> <addr>      forward a recording (e.g. a failover\n"
@@ -206,11 +205,6 @@ int cmdRecord(const BenchmarkProgram &B, const std::string &Path,
   profiler::SamplingParams SP;
   SP.SampleBytes = O.SampleBytes;
   SP.SampleSeed = O.SampleSeed;
-  // A sampled recording self-describes via the v5 header, a compressed
-  // one via v6; `--sample-bytes 0 --compress=off` output stays
-  // byte-identical to a pre-v6 plain record.
-  profiler::WireFormat EffFmt = profiler::effectiveFormat(
-      profiler::DefaultWireFormat, SP, O.Compress);
   // Default: record to the local file. With --connect, stream to a
   // jdragd instead and keep the positional path as the failover spool.
   profiler::FileEventSink FileSink;
@@ -221,14 +215,12 @@ int cmdRecord(const BenchmarkProgram &B, const std::string &Path,
     SO.Connect = O.Connect;
     SO.SpoolPath = Path;
     SO.Name = O.Name.empty() ? B.Name : O.Name;
-    SO.Format = EffFmt;
     SO.Sampling = SP;
     SO.Compress = O.Compress;
     SockSink = std::make_unique<profiler::SocketEventSink>(SO);
     Sink = SockSink.get();
   } else {
     profiler::FileEventSink::Options FO;
-    FO.Format = EffFmt;
     FO.Sampling = SP;
     FO.Compress = O.Compress;
     if (!FileSink.open(Path, FO)) {
@@ -240,7 +232,6 @@ int cmdRecord(const BenchmarkProgram &B, const std::string &Path,
   Opts.DeepGCIntervalBytes = O.IntervalBytes;
   Opts.SiteDepth = O.Depth;
   Opts.Sink = Sink;
-  Opts.EventFormat = profiler::DefaultWireFormat;
   Opts.SampleBytes = O.SampleBytes;
   Opts.SampleSeed = O.SampleSeed;
   Opts.AsyncEvents = O.Async || O.AsyncDrop;
@@ -403,50 +394,33 @@ int cmdSend(const std::string &Path, const std::string &Addr,
   }
   std::fclose(F);
 
-  // .jdev header: u64 magic, u32 wire format, u32 reserved, plus the
-  // 16-byte sampling extension (u64 interval, u64 seed) on v5 streams.
-  if (Bytes.size() < 16) {
-    std::fprintf(stderr, "%s: not a .jdev recording\n", Path.c_str());
+  profiler::StreamHeaderInfo Hdr;
+  std::string HdrErr;
+  if (!profiler::parseStreamHeader(Bytes, Hdr, &HdrErr)) {
+    std::fprintf(stderr, "%s: %s\n", Path.c_str(), HdrErr.c_str());
     return 1;
   }
-  std::uint64_t Magic = 0;
-  std::uint32_t Version = 0;
-  std::memcpy(&Magic, Bytes.data(), 8);
-  std::memcpy(&Version, Bytes.data() + 8, 4);
-  if (Magic != profiler::StreamFileMagic ||
-      Version < static_cast<std::uint32_t>(profiler::WireFormat::V2) ||
-      Version > static_cast<std::uint32_t>(profiler::WireFormat::V6)) {
-    std::fprintf(stderr, "%s: not a .jdev recording\n", Path.c_str());
-    return 1;
-  }
-  auto Fmt = static_cast<profiler::WireFormat>(Version);
+  profiler::WireFormat Fmt = Hdr.Format;
   if (!profiler::chunkSelfContained(Fmt)) {
     // jdragd decodes chunk by chunk, and v2/v3 records straddle chunks.
     std::fprintf(stderr,
                  "%s: jdev v%u cannot be sent (jdragd reads v4 and later); "
                  "rewrite it first with `jdrag salvage %s <out.jdev>`\n",
-                 Path.c_str(), Version, Path.c_str());
+                 Path.c_str(), static_cast<unsigned>(Fmt), Path.c_str());
     return 1;
   }
   std::size_t HeaderBytes = profiler::streamHeaderBytes(Fmt);
-  if (Bytes.size() < HeaderBytes) {
-    std::fprintf(stderr, "%s: truncated stream header\n", Path.c_str());
-    return 1;
-  }
 
   profiler::SocketEventSink::Options SO;
   SO.Connect = Addr;
   SO.Name = O.Name.empty() ? std::string("spool") : O.Name;
   SO.Format = Fmt;
-  if (Fmt >= profiler::WireFormat::V5) {
-    // Re-announce the spool's own sampling params in HELLO so the
-    // daemon scales this session exactly like the original recorder.
-    std::memcpy(&SO.Sampling.SampleBytes, Bytes.data() + 16, 8);
-    std::memcpy(&SO.Sampling.SampleSeed, Bytes.data() + 24, 8);
-  }
-  // A v6 spool's frames are already compressed; forward them verbatim
-  // (SO.Compress stays off -- re-compressing flagged chunks would be a
-  // no-op passthrough anyway, but verbatim is the contract).
+  // Re-announce the recording's own sampling params in HELLO so the
+  // daemon scales this session exactly like the original recorder.
+  SO.Sampling = Hdr.Sampling;
+  // Compressed frames are forwarded verbatim (SO.Compress stays off --
+  // re-compressing flagged chunks would be a no-op passthrough anyway,
+  // but verbatim is the contract).
   profiler::SocketEventSink Sink(SO);
 
   // Walk the framed stream; each frame (a chunk, or the terminal footer
@@ -468,9 +442,9 @@ int cmdSend(const std::string &Path, const std::string &Addr,
                    Path.c_str(), Off);
       return 1;
     }
-    // v6 length fields may carry the compressed flag in bit 31; the low
-    // bits are the frame's on-disk extent.
-    std::uint32_t WireLen = Fmt >= profiler::WireFormat::V6
+    // v6+ length fields may carry the compressed flag in bit 31; the
+    // low bits are the frame's on-disk extent.
+    std::uint32_t WireLen = profiler::chunkFlagsHonoured(Fmt)
                                 ? profiler::chunkWireBytes(H.PayloadBytes)
                                 : H.PayloadBytes;
     std::size_t FrameSize = sizeof(H) + WireLen + (IsFooter ? 8 : 0);

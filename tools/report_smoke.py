@@ -5,7 +5,8 @@ the `jdrag` CLI the way a user would hit it:
     report_smoke.py <jdrag-binary> <workdir>
 
 The chain, on the `jess` workload (deterministic replayable VM), once
-per wire fixture -- v4 (`--compress=off`) and v6 (default, compressed):
+per wire fixture -- `raw` (`--compress=off`: a v7 recording with every
+chunk stored uncompressed) and `lz` (default: v7, compressed chunks):
 
   1. record the .jdev fixture;
   2. for each of report / timeline / lagdragvoid: run the streaming
@@ -13,7 +14,7 @@ per wire fixture -- v4 (`--compress=off`) and v6 (default, compressed):
      streaming pass, and require all three stdouts byte-identical;
   3. export: streaming CSV vs `--materialize` CSV, byte-identical files
      AND byte-identical stdout;
-  4. cross-fixture: the v4 and v6 recordings describe the same run, so
+  4. cross-fixture: the raw and lz recordings describe the same run, so
      every report of one must equal the same report of the other.
 
 Exit status 0 = every diff came back empty; the first failing step
@@ -55,7 +56,7 @@ def main():
     bench = "jess"
 
     outputs = {}  # (fixture, command) -> canonical stdout
-    for fixture, extra in (("v4", ["--compress=off"]), ("v6", [])):
+    for fixture, extra in (("raw", ["--compress=off"]), ("lz", [])):
         jdev = os.path.join(work, f"{bench}_{fixture}.jdev")
         run([jdrag, "record", bench, jdev] + extra)
 
@@ -87,8 +88,8 @@ def main():
     # The two fixtures are recordings of the same deterministic run, so
     # every analysis must agree across them too.
     for cmd in ("report", "timeline", "lagdragvoid", "export"):
-        expect_same(f"v4 vs v6: {cmd}", outputs[("v4", cmd)],
-                    outputs[("v6", cmd)])
+        expect_same(f"raw vs lz: {cmd}", outputs[("raw", cmd)],
+                    outputs[("lz", cmd)])
 
     print("report_smoke: OK")
 
