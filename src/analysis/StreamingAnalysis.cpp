@@ -33,21 +33,6 @@ bool readTail(const std::string &Path, std::size_t MaxBytes,
   return static_cast<bool>(In);
 }
 
-bool readWhole(const std::string &Path, std::vector<std::byte> &Out) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In)
-    return false;
-  In.seekg(0, std::ios::end);
-  std::streamoff End = In.tellg();
-  if (End < 0)
-    return false;
-  In.seekg(0, std::ios::beg);
-  Out.resize(static_cast<std::size_t>(End));
-  if (End > 0)
-    In.read(reinterpret_cast<char *>(Out.data()), End);
-  return static_cast<bool>(In);
-}
-
 ByteTime maxLastTime(const ChunkIndex &Idx) {
   ByteTime End = 0;
   for (const ChunkIndexEntry &En : Idx.Entries)
@@ -210,7 +195,7 @@ bool jdrag::analysis::peekStreamEndTime(const std::string &Path,
   if (!readStreamHeader(Path, Info))
     return false;
   std::vector<std::byte> Bytes;
-  if (!readWhole(Path, Bytes))
+  if (!readWholeFile(Path, Bytes))
     return false;
   std::size_t HeaderBytes = streamHeaderBytes(Info.Format);
   if (Bytes.size() < HeaderBytes)

@@ -7,7 +7,7 @@ using namespace jdrag::profiler;
 using namespace jdrag::vm;
 
 DragProfiler::DragProfiler(const ir::Program &P, ProfilerConfig Config)
-    : P(P), Config(std::move(Config)), Excluded(this->Config.ExcludedClasses) {
+    : P(P), Config(std::move(Config)), Trailers(this->Config) {
   // Typical runs intern a few hundred sites and log thousands of
   // objects; reserving up front keeps reallocation out of the measured
   // consumer path.
@@ -29,90 +29,31 @@ void DragProfiler::onSite(SiteId Id, std::span<const SiteFrame> Frames) {
 
 void DragProfiler::onEvent(const EventRecord &E) {
   switch (E.kind()) {
-  case EventKind::Alloc: {
-    Trailer &T = Trailers.insert(E.Id);
-    T.Class = ir::ClassId(static_cast<std::uint32_t>(E.Arg1));
-    T.AKind = static_cast<ir::ArrayKind>(E.Sub);
-    T.IsArray = E.Flags & 1;
-    T.Bytes = static_cast<std::uint32_t>(E.Arg0);
-    T.AllocTime = E.Time;
-    T.FirstUseTime = E.Time;
-    T.LastUseTime = E.Time; // never-used objects drag from creation
-    T.AllocSite = localSite(E.Site);
-    T.Excluded = !T.IsArray && Excluded.excludes(T.Class);
+  case EventKind::Alloc:
+    Trailers.alloc(E, localSite(E.Site));
     PeakLive = std::max(PeakLive, liveTrailers());
-    PeakStateBytes = std::max(PeakStateBytes, Trailers.stateBytes());
+    PeakStateBytes = std::max(PeakStateBytes, Trailers.live().stateBytes());
     break;
-  }
-  case EventKind::Use: {
-    Trailer *T = Trailers.find(E.Id);
-    if (!T)
-      break; // VM-internal object (e.g. the preallocated OOM instance)
-    bool DuringOwnInit = E.Flags & 1;
-    // Paper section 2.1: "assuming that all uses of an object in the
-    // interval between consecutive garbage collection cycles are
-    // performed at the beginning of the interval."
-    ByteTime UseTime =
-        Config.SnapUseTimes ? std::max(IntervalStart, T->AllocTime) : E.Time;
-    // FirstUseTime anchors the R&R lag phase: the first use *outside*
-    // construction (initialization uses belong to the object's birth).
-    if (!DuringOwnInit && !T->UsedOutsideInit)
-      T->FirstUseTime = std::max(UseTime, T->AllocTime);
-    if (UseTime > T->LastUseTime)
-      T->LastUseTime = UseTime;
-    T->LastUseSite = localSite(E.Site);
-    ++T->UseCount;
-    if (!DuringOwnInit)
-      T->UsedOutsideInit = true;
+  case EventKind::Use:
+    Trailers.use(E, localSite(E.Site));
     break;
-  }
   case EventKind::GCEnd:
     Log.GCSamples.push_back({E.Time, E.Arg0, E.Arg1});
     break;
   case EventKind::DeepGCEnd:
-    IntervalStart = E.Time;
+    Trailers.deepGC(E.Time);
     break;
   case EventKind::Collect:
-  case EventKind::Survivor: {
-    Trailer *T = Trailers.find(E.Id);
-    if (!T)
-      break;
-    emitRecord(E.Id, *T, E.Time,
-               /*Survived=*/E.kind() == EventKind::Survivor);
-    Trailers.erase(E.Id);
+  case EventKind::Survivor:
+    Trailers.end(E.Id, E.Time, /*Survived=*/E.kind() == EventKind::Survivor,
+                 [this](const ObjectRecord &R) { emitRecord(R); });
     break;
-  }
   case EventKind::Terminate:
     Log.EndTime = E.Time;
     break;
   case EventKind::DefineSite:
     break; // delivered via onSite
   }
-}
-
-void DragProfiler::emitRecord(ObjectId Id, const Trailer &T, ByteTime Now,
-                              bool Survived) {
-  if (T.Excluded)
-    return;
-  ObjectRecord R;
-  R.Id = Id;
-  R.Class = T.Class;
-  R.AKind = T.AKind;
-  R.IsArray = T.IsArray;
-  R.Bytes = T.Bytes;
-  R.AllocTime = T.AllocTime;
-  R.FirstUseTime = T.FirstUseTime;
-  R.LastUseTime = T.LastUseTime;
-  R.CollectTime = Now;
-  R.AllocSite = T.AllocSite;
-  R.LastUseSite = T.LastUseSite;
-  R.UseCount = T.UseCount;
-  R.UsedOutsideInit = T.UsedOutsideInit;
-  R.SurvivedToEnd = Survived;
-  if (RecSink)
-    RecSink->onRecord(R);
-  else
-    Log.Records.push_back(R);
 }
 
 bool jdrag::profiler::replayProfile(const std::string &Path,

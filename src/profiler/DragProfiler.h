@@ -86,6 +86,119 @@ private:
   std::vector<std::uint8_t> Mask;
 };
 
+/// One object's trailer: the paper's per-object side record of its
+/// creation, first and last use and sites, updated on every use and
+/// logged when the object is reclaimed.
+struct Trailer {
+  ir::ClassId Class;
+  ir::ArrayKind AKind = ir::ArrayKind::Int;
+  bool IsArray = false;
+  std::uint32_t Bytes = 0;
+  ByteTime AllocTime = 0;
+  ByteTime FirstUseTime = 0;
+  ByteTime LastUseTime = 0;
+  SiteId AllocSite = InvalidSite;
+  SiteId LastUseSite = InvalidSite;
+  std::uint32_t UseCount = 0;
+  bool UsedOutsideInit = false;
+  bool Excluded = false;
+};
+
+/// The trailer rules: the live objects' trailers plus the deep-GC
+/// boundary their use times snap to. DragProfiler runs them over the
+/// whole stream and every shard of the sharded replay
+/// (profiler/ParallelReplay.h) runs them over its chunk range, so an
+/// object's record is built here and nowhere else. Callers pass site
+/// ids already resolved: the profiler maps them to log-local ids, a
+/// shard keeps stream ids.
+class TrailerTable {
+public:
+  explicit TrailerTable(const ProfilerConfig &Config)
+      : Excluded(Config.ExcludedClasses), Snap(Config.SnapUseTimes) {}
+
+  /// Alloc: starts the object's trailer, replacing any live one.
+  void alloc(const EventRecord &E, SiteId Site) {
+    Trailer &T = Live.insert(E.Id);
+    T.Class = ir::ClassId(static_cast<std::uint32_t>(E.Arg1));
+    T.AKind = static_cast<ir::ArrayKind>(E.Sub);
+    T.IsArray = E.Flags & 1;
+    T.Bytes = static_cast<std::uint32_t>(E.Arg0);
+    T.AllocTime = E.Time;
+    T.FirstUseTime = E.Time;
+    T.LastUseTime = E.Time; // never-used objects drag from creation
+    T.AllocSite = Site;
+    T.Excluded = !T.IsArray && Excluded.excludes(T.Class);
+  }
+
+  /// Use: updates the object's trailer. Returns false, changing
+  /// nothing, when the id has no live trailer (a VM-internal object such
+  /// as the preallocated OOM instance, or one ended already).
+  bool use(const EventRecord &E, SiteId Site) {
+    Trailer *T = Live.find(E.Id);
+    if (!T)
+      return false;
+    bool DuringOwnInit = E.Flags & 1;
+    // Paper section 2.1: "assuming that all uses of an object in the
+    // interval between consecutive garbage collection cycles are
+    // performed at the beginning of the interval."
+    ByteTime UseTime = Snap ? std::max(IntervalStart, T->AllocTime) : E.Time;
+    // FirstUseTime anchors the R&R lag phase: the first use *outside*
+    // construction (initialization uses belong to the object's birth).
+    if (!DuringOwnInit && !T->UsedOutsideInit)
+      T->FirstUseTime = std::max(UseTime, T->AllocTime);
+    if (UseTime > T->LastUseTime)
+      T->LastUseTime = UseTime;
+    T->LastUseSite = Site;
+    ++T->UseCount;
+    if (!DuringOwnInit)
+      T->UsedOutsideInit = true;
+    return true;
+  }
+
+  /// DeepGCEnd: later uses snap to \p Time.
+  void deepGC(ByteTime Time) { IntervalStart = Time; }
+
+  /// Collect/Survivor at \p Now: erases the object's trailer and hands
+  /// its finished record to \p Emit, unless its class is excluded.
+  /// Returns false, changing nothing, when the id has no live trailer.
+  template <typename EmitFn>
+  bool end(vm::ObjectId Id, ByteTime Now, bool Survived, EmitFn &&Emit) {
+    Trailer *T = Live.find(Id);
+    if (!T)
+      return false;
+    if (!T->Excluded) {
+      ObjectRecord R;
+      R.Id = Id;
+      R.Class = T->Class;
+      R.AKind = T->AKind;
+      R.IsArray = T->IsArray;
+      R.Bytes = T->Bytes;
+      R.AllocTime = T->AllocTime;
+      R.FirstUseTime = T->FirstUseTime;
+      R.LastUseTime = T->LastUseTime;
+      R.CollectTime = Now;
+      R.AllocSite = T->AllocSite;
+      R.LastUseSite = T->LastUseSite;
+      R.UseCount = T->UseCount;
+      R.UsedOutsideInit = T->UsedOutsideInit;
+      R.SurvivedToEnd = Survived;
+      Emit(R);
+    }
+    Live.erase(Id);
+    return true;
+  }
+
+  /// The live trailers, by object id.
+  ObjectTable<Trailer> &live() { return Live; }
+  const ObjectTable<Trailer> &live() const { return Live; }
+
+private:
+  ObjectTable<Trailer> Live;
+  ClassExclusion Excluded;
+  ByteTime IntervalStart = 0; ///< last deep-GC boundary on the byte clock
+  bool Snap;
+};
+
 /// Receives finished object records as the profiler emits them, instead
 /// of having them appended to ProfileLog::Records. The streaming
 /// analysis engine (analysis/StreamingAnalysis.h) registers one so
@@ -144,7 +257,7 @@ public:
   }
 
   /// Live (not yet logged) object count -- should be 0 after a run.
-  std::size_t liveTrailers() const { return Trailers.size(); }
+  std::size_t liveTrailers() const { return Trailers.live().size(); }
 
   /// High-water mark of liveTrailers() over the run: the O(live objects)
   /// part of the streaming engine's resident state (BENCH_9).
@@ -160,23 +273,12 @@ public:
   void setRecordSink(RecordSink *S) { RecSink = S; }
 
 private:
-  struct Trailer {
-    ir::ClassId Class;
-    ir::ArrayKind AKind = ir::ArrayKind::Int;
-    bool IsArray = false;
-    std::uint32_t Bytes = 0;
-    ByteTime AllocTime = 0;
-    ByteTime FirstUseTime = 0;
-    ByteTime LastUseTime = 0;
-    SiteId AllocSite = InvalidSite;
-    SiteId LastUseSite = InvalidSite;
-    std::uint32_t UseCount = 0;
-    bool UsedOutsideInit = false;
-    bool Excluded = false;
-  };
-
-  void emitRecord(vm::ObjectId Id, const Trailer &T, ByteTime Now,
-                  bool Survived);
+  void emitRecord(const ObjectRecord &R) {
+    if (RecSink)
+      RecSink->onRecord(R);
+    else
+      Log.Records.push_back(R);
+  }
   SiteId localSite(SiteId StreamId) const {
     return StreamId < SiteMap.size() ? SiteMap[StreamId] : InvalidSite;
   }
@@ -188,9 +290,7 @@ private:
   /// Stream site id -> id in Log.Sites. Stream ids are dense and arrive
   /// in order, so in practice this is the identity map.
   std::vector<SiteId> SiteMap;
-  ObjectTable<Trailer> Trailers;
-  ClassExclusion Excluded;
-  ByteTime IntervalStart = 0; ///< last deep-GC boundary on the byte clock
+  TrailerTable Trailers;
   RecordSink *RecSink = nullptr;
   std::size_t PeakLive = 0;
   std::size_t PeakStateBytes = 0;

@@ -1386,3 +1386,21 @@ bool jdrag::profiler::readStreamHeader(const std::string &Path,
   std::fclose(F);
   return true;
 }
+
+bool jdrag::profiler::readWholeFile(const std::string &Path,
+                                    std::vector<std::byte> &Out) {
+  std::FILE *F = std::fopen(Path.c_str(), "rb");
+  if (!F)
+    return false;
+  long End = -1;
+  if (std::fseek(F, 0, SEEK_END) == 0)
+    End = std::ftell(F);
+  bool Ok = End >= 0 && std::fseek(F, 0, SEEK_SET) == 0;
+  if (Ok) {
+    Out.resize(static_cast<std::size_t>(End));
+    Ok = Out.empty() ||
+         std::fread(Out.data(), 1, Out.size(), F) == Out.size();
+  }
+  std::fclose(F);
+  return Ok;
+}

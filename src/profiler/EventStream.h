@@ -976,6 +976,12 @@ bool replayFile(const std::string &Path, EventConsumer &C,
 bool readStreamHeader(const std::string &Path, StreamHeaderInfo &Info,
                       std::string *Err = nullptr);
 
+/// Reads the whole file at \p Path into \p Out, for the readers that
+/// need random access to a recording (sharded replay, salvage, the
+/// footerless end-time peek, `jdrag send`). Returns false when the file
+/// cannot be opened or read.
+bool readWholeFile(const std::string &Path, std::vector<std::byte> &Out);
+
 } // namespace jdrag::profiler
 
 #endif // JDRAG_PROFILER_EVENTSTREAM_H

@@ -7,9 +7,10 @@
 /// \file
 /// ObjectTable<T>: per-object state keyed by 64-bit object id, whose
 /// time and memory follow the objects it holds, not the largest id it
-/// has seen. It is the paper's "trailer" side table for phase 2: the
-/// sequential profiler keeps one Trailer per live object in it, and the
-/// sharded replay keeps its per-shard partials and merged trailers in it.
+/// has seen. It is the paper's "trailer" side table for phase 2: it
+/// holds one Trailer per live object for the sequential profiler, for
+/// each shard of the sharded replay and for the shards' merge, and the
+/// shards' partials for objects allocated before them.
 ///
 /// Layout: ids map to 64-slot pages (id >> 6) with one uint64_t live
 /// mask each. A slot is constructed when its id is inserted; creating a

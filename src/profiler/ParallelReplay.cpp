@@ -5,7 +5,6 @@
 #include "support/Crc32c.h"
 
 #include <cstring>
-#include <fstream>
 #include <thread>
 #include <utility>
 
@@ -15,104 +14,73 @@ using namespace jdrag::vm;
 
 namespace {
 
-bool readAll(const std::string &Path, std::vector<std::byte> &Out) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In)
-    return false;
-  In.seekg(0, std::ios::end);
-  std::streamoff End = In.tellg();
-  if (End < 0)
-    return false;
-  In.seekg(0, std::ios::beg);
-  Out.resize(static_cast<std::size_t>(End));
-  if (End > 0)
-    In.read(reinterpret_cast<char *>(Out.data()), End);
-  return static_cast<bool>(In);
-}
-
-/// One shard's knowledge about one object. Times that depend on the
-/// deep-GC interval boundary are split into *known* values (the shard
-/// saw the boundary locally) and *symbolic prefix* markers (the use
-/// happened before the shard's first DeepGCEnd, so its snapped time is
-/// the previous shard's exit boundary -- resolved at merge time).
-struct PartialTrailer {
-  enum class First : std::uint8_t { None, Prefix, Known };
-
-  ir::ClassId Class;
-  ir::ArrayKind AKind = ir::ArrayKind::Int;
-  bool IsArray = false;
-  bool HasAlloc = false;
-  bool PrefixUse = false;   ///< some use snapped to the entry boundary
-  bool HasKnownMax = false; ///< KnownMax holds a resolved use time
-  First FirstNonInit = First::None;
-  std::uint32_t Bytes = 0;
+/// What one shard saw of a *foreign* object -- one it did not allocate
+/// itself: its uses up to its end, and whether it ended. A snapped use
+/// before the shard's first DeepGCEnd takes the entry boundary (the
+/// previous shard's last DeepGCEnd), which only the merge knows, so it
+/// is kept as a flag and resolved there.
+struct ForeignUses {
   std::uint32_t UseCount = 0;
-  ByteTime AllocTime = 0;
-  ByteTime FirstNonInitTime = 0; ///< valid when FirstNonInit == Known
-  ByteTime KnownMax = 0;         ///< max resolved use time in this shard
-  SiteId AllocSiteStream = InvalidSite; ///< stream id; mapped at merge
-  SiteId LastUseSiteStream = InvalidSite;
+  SiteId LastUseSite = InvalidSite;
+  bool HasFirst = false;     ///< a use outside the object's own init
+  bool FirstAtEntry = false; ///< that first use snapped to the entry
+  bool UseAtEntry = false;   ///< some use snapped to the entry
+  bool Ended = false;        ///< the shard saw its Collect/Survivor
+  ByteTime FirstTime = 0;    ///< the first use's time, unless FirstAtEntry
+  ByteTime MaxTime = 0;      ///< max use time of the uses not at the entry
 };
 
-/// The fold of all shards' partials for one object, with interval
-/// symbolics already resolved (fields are raw stream-clock times; the
-/// final max against AllocTime happens at emission).
-struct MergedTrailer {
-  ir::ClassId Class;
-  ir::ArrayKind AKind = ir::ArrayKind::Int;
-  bool IsArray = false;
-  bool HasAlloc = false;
-  bool Ended = false; ///< an end event already consumed this object
-  bool HasFirstNonInit = false;
-  bool HasUseMax = false;
-  std::uint32_t Bytes = 0;
-  std::uint32_t UseCount = 0;
-  ByteTime AllocTime = 0;
-  ByteTime FirstNonInitRaw = 0;
-  ByteTime UseMaxRaw = 0;
-  SiteId AllocSiteStream = InvalidSite;
-  SiteId LastUseSiteStream = InvalidSite;
-};
-
-struct EndEvent {
+/// A foreign object's Collect/Survivor. \p Pos counts the shard's own
+/// records finished before it, which places it in stream order.
+struct ForeignEnd {
   ObjectId Id = 0;
   ByteTime Time = 0;
   bool Survived = false;
+  std::size_t Pos = 0;
 };
 
 /// Everything one worker produces from its chunk range.
 struct ShardResult {
-  /// Partials by object id. In fold mode an in-shard object erases its
-  /// partial the moment it dies, so the table tracks the shard's live
-  /// objects, not every object it ever decoded.
-  ObjectTable<PartialTrailer> Table;
-  std::vector<EndEvent> Ends; ///< Collect/Survivor, in stream order
+  explicit ShardResult(const ProfilerConfig &Config) : Trailers(Config) {}
+
+  /// Trailers of the objects this shard allocated; after the decode,
+  /// only those still live.
+  TrailerTable Trailers;
+  /// Materialized mode: the records of the objects this shard allocated
+  /// and ended, in end order, with stream site ids. Fold mode sends
+  /// them to the fold instead.
+  std::vector<ObjectRecord> Records;
+  ObjectTable<ForeignUses> Foreign;
+  std::vector<ForeignEnd> Ends; ///< in stream order
   std::vector<GCSample> Samples;
   /// DefineSite records in arrival order (stream id + frames); interned
   /// into the merged SiteTable in shard order, reproducing stream order.
   std::vector<std::pair<SiteId, std::vector<SiteFrame>>> Sites;
+  /// The smallest AllocTime before the first local DeepGCEnd. The shard
+  /// snapped those objects' early uses to 0 rather than to the entry
+  /// boundary; both give max(boundary, AllocTime) == AllocTime when the
+  /// boundary is no later than this.
+  ByteTime MinEntryAlloc = ~ByteTime(0);
+  /// Range of the ids allocated here (empty when Min > Max).
+  ObjectId MinAllocId = ~ObjectId(0);
+  ObjectId MaxAllocId = 0;
   ByteTime ExitInterval = 0; ///< last local DeepGCEnd time
   ByteTime TerminateTime = 0;
   bool HasExit = false;
   bool SawTerminate = false;
   bool Failed = false;
-  std::string Error;
 };
 
-/// EventConsumer that accumulates shard partials instead of emitting
-/// records -- the "map" side of the map-reduce. With a ShardFoldSink
-/// attached, an object whose alloc *and* end both fall in this shard is
-/// completed locally: the finished record goes straight to the fold (on
-/// this shard's decode thread) and its partial is erased, so neither the
-/// partial nor the end event survives to the merge. Only objects that
-/// straddle a shard boundary keep the materialize-path bookkeeping.
+/// The map side: runs the trailer rules (TrailerTable) over one shard.
+/// An object the shard allocates is finished here exactly as
+/// DragProfiler finishes it, its record going to the fold or to
+/// ShardResult::Records; its trailer keeps stream site ids. Uses and
+/// ends of foreign objects become ForeignUses for the merge.
 class ShardConsumer : public EventConsumer {
 public:
-  ShardConsumer(ShardResult &R, bool Snap, bool IntervalKnown,
-                unsigned ShardIdx = 0, ShardFoldSink *Fold = nullptr,
-                const ClassExclusion *Excluded = nullptr)
-      : R(R), Snap(Snap), IntervalKnown(IntervalKnown), ShardIdx(ShardIdx),
-        Fold(Fold), Excluded(Excluded) {}
+  ShardConsumer(ShardResult &R, bool Snap, unsigned Index,
+                ShardFoldSink *Fold)
+      : R(R), Snap(Snap), Index(Index), Fold(Fold) {}
 
   void onSite(SiteId Id, std::span<const SiteFrame> Frames) override {
     R.Sites.emplace_back(Id,
@@ -121,66 +89,36 @@ public:
 
   void onEvent(const EventRecord &E) override {
     switch (E.kind()) {
-    case EventKind::Alloc: {
-      PartialTrailer &T = R.Table.insert(E.Id);
-      T.HasAlloc = true;
-      T.Class = ir::ClassId(static_cast<std::uint32_t>(E.Arg1));
-      T.AKind = static_cast<ir::ArrayKind>(E.Sub);
-      T.IsArray = E.Flags & 1;
-      T.Bytes = static_cast<std::uint32_t>(E.Arg0);
-      T.AllocTime = E.Time;
-      T.AllocSiteStream = E.Site;
+    case EventKind::Alloc:
+      R.Trailers.alloc(E, E.Site);
+      if (!R.HasExit)
+        R.MinEntryAlloc = std::min(R.MinEntryAlloc, E.Time);
+      R.MinAllocId = std::min(R.MinAllocId, E.Id);
+      R.MaxAllocId = std::max(R.MaxAllocId, E.Id);
       break;
-    }
-    case EventKind::Use: {
-      // The alloc may live in an earlier shard, so a use with no local
-      // partial still creates one; if no shard ever saw the alloc the
-      // merged trailer stays HasAlloc = false and is never emitted
-      // (sequential semantics for VM-internal ids).
-      PartialTrailer &T = R.Table.findOrInsert(E.Id);
-      bool DuringOwnInit = E.Flags & 1;
-      bool Known = !Snap || IntervalKnown;
-      ByteTime Raw = Snap ? Interval : E.Time;
-      if (!DuringOwnInit && T.FirstNonInit == PartialTrailer::First::None) {
-        T.FirstNonInit = Known ? PartialTrailer::First::Known
-                               : PartialTrailer::First::Prefix;
-        T.FirstNonInitTime = Known ? Raw : 0;
-      }
-      if (Known) {
-        T.HasKnownMax = true;
-        T.KnownMax = std::max(T.KnownMax, Raw);
-      } else {
-        T.PrefixUse = true;
-      }
-      T.LastUseSiteStream = E.Site;
-      ++T.UseCount;
+    case EventKind::Use:
+      if (!R.Trailers.use(E, E.Site))
+        foreignUse(E);
       break;
-    }
     case EventKind::GCEnd:
       R.Samples.push_back({E.Time, E.Arg0, E.Arg1});
       break;
     case EventKind::DeepGCEnd:
-      IntervalKnown = true;
-      Interval = E.Time;
+      R.Trailers.deepGC(E.Time);
       R.HasExit = true;
       R.ExitInterval = E.Time;
       break;
     case EventKind::Collect:
     case EventKind::Survivor: {
-      if (Fold) {
-        PartialTrailer *T = R.Table.find(E.Id);
-        if (T && T->HasAlloc) {
-          emitLocal(E.Id, *T, E.Time,
-                    /*Survived=*/E.kind() == EventKind::Survivor);
-          R.Table.erase(E.Id);
-          break;
-        }
-        // A partial without the alloc (or no partial at all) means the
-        // object straddles a shard boundary: keep the bookkeeping and
-        // let the merge emit it -- or drop it, for VM-internal ids no
-        // shard ever saw an alloc for, matching sequential replay.
-      }
-      R.Ends.push_back({E.Id, E.Time, E.kind() == EventKind::Survivor});
+      bool Survived = E.kind() == EventKind::Survivor;
+      if (!R.Trailers.end(E.Id, E.Time, Survived,
+                          [this](const ObjectRecord &Rec) {
+                            if (Fold)
+                              Fold->onShardRecord(Index, Rec);
+                            else
+                              R.Records.push_back(Rec);
+                          }))
+        foreignEnd(E.Id, E.Time, Survived);
       break;
     }
     case EventKind::Terminate:
@@ -193,282 +131,41 @@ public:
   }
 
 private:
-  /// Builds the finished record for an object whose whole lifetime fell
-  /// inside this shard, with the exact field formulas of mergeShards'
-  /// emission loop. The formulas collapse because the alloc is local:
-  /// any symbolic (Prefix) use resolves to the shard's entry boundary,
-  /// and on the monotonic byte clock that boundary precedes everything
-  /// in this shard, so max(boundary, AllocTime) == AllocTime -- exactly
-  /// the value the Known-less branches below produce.
-  void emitLocal(ObjectId Id, const PartialTrailer &T, ByteTime Now,
-                 bool Survived) {
-    if (!T.IsArray && Excluded->excludes(T.Class))
+  void foreignUse(const EventRecord &E) {
+    ForeignUses &F = R.Foreign.findOrInsert(E.Id);
+    if (F.Ended)
+      return; // the trailer is gone, as in sequential replay
+    bool AtEntry = Snap && !R.HasExit;
+    ByteTime Time = Snap ? R.ExitInterval : E.Time;
+    if (!(E.Flags & 1) && !F.HasFirst) {
+      F.HasFirst = true;
+      F.FirstAtEntry = AtEntry;
+      F.FirstTime = Time;
+    }
+    if (AtEntry)
+      F.UseAtEntry = true;
+    else
+      F.MaxTime = std::max(F.MaxTime, Time);
+    F.LastUseSite = E.Site;
+    ++F.UseCount;
+  }
+
+  void foreignEnd(ObjectId Id, ByteTime Time, bool Survived) {
+    ForeignUses &F = R.Foreign.findOrInsert(Id);
+    if (F.Ended)
       return;
-    ObjectRecord Rec;
-    Rec.Id = Id;
-    Rec.Class = T.Class;
-    Rec.AKind = T.AKind;
-    Rec.IsArray = T.IsArray;
-    Rec.Bytes = T.Bytes;
-    Rec.AllocTime = T.AllocTime;
-    Rec.FirstUseTime = T.FirstNonInit == PartialTrailer::First::Known
-                           ? std::max(T.FirstNonInitTime, T.AllocTime)
-                           : T.AllocTime;
-    Rec.LastUseTime =
-        T.HasKnownMax ? std::max(T.KnownMax, T.AllocTime) : T.AllocTime;
-    Rec.CollectTime = Now;
-    // Stream site ids, like every fold-mode record; the driver hands the
-    // caller a stream-id -> log-id map to remap the folds once.
-    Rec.AllocSite = T.AllocSiteStream;
-    Rec.LastUseSite = T.LastUseSiteStream;
-    Rec.UseCount = T.UseCount;
-    Rec.UsedOutsideInit = T.FirstNonInit != PartialTrailer::First::None;
-    Rec.SurvivedToEnd = Survived;
-    Fold->onShardRecord(ShardIdx, Rec);
+    F.Ended = true;
+    R.Ends.push_back({Id, Time, Survived, R.Records.size()});
   }
 
   ShardResult &R;
   bool Snap;
-  bool IntervalKnown; ///< a local DeepGCEnd has fixed the boundary
-  ByteTime Interval = 0;
-  unsigned ShardIdx;
+  unsigned Index;
   ShardFoldSink *Fold;
-  const ClassExclusion *Excluded;
 };
 
-bool shardFail(ShardResult &R, std::string Msg) {
-  R.Failed = true;
-  R.Error = std::move(Msg);
-  return false;
-}
-
-/// Re-verifies one chunk against its index entry: header fields, CRC,
-/// and (for footer-sourced indexes) the footer's own claims. The index
-/// construction already bounds-checked every offset, so the reads here
-/// cannot run off the stream. On success \p Body is the chunk's record
-/// payload -- decompressed into \p Inflate for a flagged v6+ chunk, the
-/// raw wire bytes otherwise (the CRC always covers the uncompressed
-/// payload).
-bool validateChunk(std::span<const std::byte> Framed, const ChunkIndexEntry &En,
-                   std::size_t GlobalIdx, bool FromFooter, WireFormat F,
-                   std::vector<std::uint8_t> &Inflate,
-                   std::span<const std::byte> &Body, ShardResult &R) {
-  ChunkHeader H;
-  std::memcpy(&H, Framed.data() + En.Offset, sizeof(H));
-  if (H.Magic != ChunkMagic || H.Seq != En.Seq ||
-      H.PayloadBytes != En.PayloadBytes ||
-      En.Seq != static_cast<std::uint32_t>(GlobalIdx))
-    return shardFail(R, "chunk index disagrees with the header of chunk " +
-                            std::to_string(GlobalIdx));
-  bool Flags = chunkFlagsHonoured(F);
-  std::uint32_t WireLen =
-      Flags ? chunkWireBytes(H.PayloadBytes) : H.PayloadBytes;
-  const std::byte *Payload = Framed.data() + En.Offset + sizeof(ChunkHeader);
-  Body = std::span<const std::byte>(Payload, WireLen);
-  if (Flags && chunkCompressed(H.PayloadBytes) &&
-      !chunkPayloadBytes(H, Payload, Inflate, Body))
-    return shardFail(R, "corrupt compressed payload in chunk " +
-                            std::to_string(GlobalIdx));
-  std::uint32_t Crc = support::crc32c(Body.data(), Body.size());
-  if (Crc != H.Crc || (FromFooter && En.Crc != H.Crc))
-    return shardFail(R, "CRC mismatch in chunk " + std::to_string(GlobalIdx));
-  return true;
-}
-
-/// Decodes chunks [B, E) of the stream into \p R. Every chunk is
-/// self-contained, so each one decodes on its own.
-void runShard(std::span<const std::byte> Framed, WireFormat F,
-              const ChunkIndex &Idx, std::size_t B, std::size_t E, bool Snap,
-              ShardResult &R, unsigned ShardIdx = 0,
-              ShardFoldSink *Fold = nullptr,
-              const ClassExclusion *Excluded = nullptr) {
-  ShardConsumer C(R, Snap, /*IntervalKnown=*/B == 0, ShardIdx, Fold, Excluded);
-  StreamDecoder Dec(C, F);
-  std::vector<std::uint8_t> Inflate; // per-shard decompression scratch
-  std::span<const std::byte> Body;
-  for (std::size_t I = B; I < E; ++I) {
-    const ChunkIndexEntry &En = Idx.Entries[I];
-    if (!validateChunk(Framed, En, I, Idx.FromFooter, F, Inflate, Body, R))
-      return;
-    std::uint64_t Before = Dec.eventsDecoded();
-    if (!Dec.decodeChunk(Body.data(), Body.size())) {
-      shardFail(R, Dec.error());
-      return;
-    }
-    if (Dec.eventsDecoded() - Before != En.RecordCount) {
-      shardFail(R, "chunk index record count lies for chunk " +
-                       std::to_string(I));
-      return;
-    }
-  }
-}
-
-/// Partitions chunks into at most \p Jobs contiguous ranges balanced by
-/// payload bytes and decodes them on one thread each. Returns false if
-/// any shard failed (first error in \p Err).
-bool runSharded(std::span<const std::byte> Framed, WireFormat F,
-                const ChunkIndex &Idx, unsigned Jobs, bool Snap,
-                std::vector<ShardResult> &Shards, std::string &Err,
-                ShardFoldSink *Fold = nullptr,
-                const ClassExclusion *Excluded = nullptr) {
-  std::size_t N = Idx.Entries.size();
-  std::size_t S = std::min<std::size_t>(Jobs, N);
-  // Balance by on-wire bytes (masking the v6 compressed flag, a no-op
-  // for pre-v6 entries where payloads stay under 2^31).
-  std::uint64_t Total = 0;
-  for (const ChunkIndexEntry &En : Idx.Entries)
-    Total += chunkWireBytes(En.PayloadBytes);
-  std::vector<std::size_t> Cut(S + 1, 0);
-  Cut[S] = N;
-  std::size_t I = 0;
-  std::uint64_t Acc = 0;
-  for (std::size_t K = 1; K < S; ++K) {
-    std::uint64_t Target = Total * K / S;
-    while (I < N && Acc < Target)
-      Acc += chunkWireBytes(Idx.Entries[I++].PayloadBytes);
-    Cut[K] = I;
-  }
-
-  Shards = std::vector<ShardResult>(S);
-  std::vector<std::thread> Threads;
-  Threads.reserve(S);
-  for (std::size_t K = 0; K < S; ++K)
-    Threads.emplace_back([&, K] {
-      runShard(Framed, F, Idx, Cut[K], Cut[K + 1], Snap, Shards[K],
-               static_cast<unsigned>(K), Fold, Excluded);
-    });
-  for (std::thread &T : Threads)
-    T.join();
-  for (const ShardResult &Sh : Shards)
-    if (Sh.Failed) {
-      Err = Sh.Error;
-      return false;
-    }
-  return true;
-}
-
-void foldPartial(MergedTrailer &M, const PartialTrailer &P,
-                 ByteTime EntryInterval) {
-  M.UseCount += P.UseCount;
-  if (P.UseCount)
-    M.LastUseSiteStream = P.LastUseSiteStream;
-  if (P.FirstNonInit != PartialTrailer::First::None && !M.HasFirstNonInit) {
-    M.HasFirstNonInit = true;
-    M.FirstNonInitRaw = P.FirstNonInit == PartialTrailer::First::Prefix
-                            ? EntryInterval
-                            : P.FirstNonInitTime;
-  }
-  if (P.PrefixUse) {
-    M.HasUseMax = true;
-    M.UseMaxRaw = std::max(M.UseMaxRaw, EntryInterval);
-  }
-  if (P.HasKnownMax) {
-    M.HasUseMax = true;
-    M.UseMaxRaw = std::max(M.UseMaxRaw, P.KnownMax);
-  }
-  if (P.HasAlloc && !M.HasAlloc) {
-    M.HasAlloc = true;
-    M.Class = P.Class;
-    M.AKind = P.AKind;
-    M.IsArray = P.IsArray;
-    M.Bytes = P.Bytes;
-    M.AllocTime = P.AllocTime;
-    M.AllocSiteStream = P.AllocSiteStream;
-  }
-}
-
-/// The "reduce" side: folds shard partials in shard order and emits
-/// object records in the stream order of their end events, reproducing
-/// DragProfiler's output exactly. With \p Fold set, boundary-crossing
-/// records go to Fold->onMergedRecord (carrying *stream* site ids, like
-/// the shard-local records) instead of Out.Records, and \p SiteMapOut
-/// receives the stream-id -> Out.Sites-id map the caller remaps with.
-void mergeShards(std::vector<ShardResult> &Shards,
-                 const ProfilerConfig &Config, ProfileLog &Out,
-                 ShardFoldSink *Fold = nullptr,
-                 std::vector<SiteId> *SiteMapOut = nullptr) {
-  ProfileLog Log;
-  Log.Records.reserve(1024);
-  Log.GCSamples.reserve(64);
-
-  // Sites: interning in shard order reproduces stream arrival order,
-  // hence the sequential profiler's local ids.
-  std::vector<SiteId> SiteMap;
-  SiteMap.reserve(256);
-  for (ShardResult &Sh : Shards)
-    for (auto &[StreamId, Frames] : Sh.Sites) {
-      SiteId Local = Log.Sites.internFrames(std::move(Frames));
-      if (StreamId >= SiteMap.size())
-        SiteMap.resize(StreamId + 1, InvalidSite);
-      SiteMap[StreamId] = Local;
-    }
-  auto MapSite = [&](SiteId StreamId) {
-    return StreamId < SiteMap.size() ? SiteMap[StreamId] : InvalidSite;
-  };
-  if (SiteMapOut)
-    *SiteMapOut = SiteMap;
-
-  // Each shard's entry boundary is the previous shard's last deep-GC
-  // time (inherited across shards that saw none); shard 0 enters at 0,
-  // like the sequential profiler's initial IntervalStart.
-  std::vector<ByteTime> Entry(Shards.size(), 0);
-  for (std::size_t K = 1; K < Shards.size(); ++K)
-    Entry[K] =
-        Shards[K - 1].HasExit ? Shards[K - 1].ExitInterval : Entry[K - 1];
-
-  // Merge-side folding is per-id independent, so the tables' visiting
-  // order changes no observable result -- each id appears at most once
-  // per shard.
-  ObjectTable<MergedTrailer> Merged;
-  for (std::size_t K = 0; K < Shards.size(); ++K)
-    Shards[K].Table.forEachLive([&](ObjectId Id, const PartialTrailer &Pt) {
-      foldPartial(Merged.findOrInsert(Id), Pt, Entry[K]);
-    });
-
-  ClassExclusion Excluded(Config.ExcludedClasses);
-
-  for (ShardResult &Sh : Shards) {
-    for (const EndEvent &End : Sh.Ends) {
-      MergedTrailer *T = Merged.find(End.Id);
-      if (!T || !T->HasAlloc || T->Ended)
-        continue; // VM-internal id, or already collected (first wins)
-      T->Ended = true;
-      if (!T->IsArray && Excluded.excludes(T->Class))
-        continue;
-      ObjectRecord Rec;
-      Rec.Id = End.Id;
-      Rec.Class = T->Class;
-      Rec.AKind = T->AKind;
-      Rec.IsArray = T->IsArray;
-      Rec.Bytes = T->Bytes;
-      Rec.AllocTime = T->AllocTime;
-      Rec.FirstUseTime = T->HasFirstNonInit
-                             ? std::max(T->FirstNonInitRaw, T->AllocTime)
-                             : T->AllocTime;
-      Rec.LastUseTime =
-          T->HasUseMax ? std::max(T->UseMaxRaw, T->AllocTime) : T->AllocTime;
-      Rec.CollectTime = End.Time;
-      Rec.AllocSite = Fold ? T->AllocSiteStream : MapSite(T->AllocSiteStream);
-      Rec.LastUseSite =
-          Fold ? T->LastUseSiteStream : MapSite(T->LastUseSiteStream);
-      Rec.UseCount = T->UseCount;
-      Rec.UsedOutsideInit = T->HasFirstNonInit;
-      Rec.SurvivedToEnd = End.Survived;
-      if (Fold)
-        Fold->onMergedRecord(Rec);
-      else
-        Log.Records.push_back(Rec);
-    }
-    Log.GCSamples.insert(Log.GCSamples.end(), Sh.Samples.begin(),
-                         Sh.Samples.end());
-    if (Sh.SawTerminate)
-      Log.EndTime = Sh.TerminateTime;
-  }
-  Out = std::move(Log);
-}
-
-/// Everything the sharded entry points need from the file before they
-/// can split it: the raw bytes, parsed header fields, the framed chunk
+/// Everything the sharded replay needs from the file before it can
+/// split it: the raw bytes, parsed header fields, the framed chunk
 /// region and a chunk index with at least two entries.
 struct ShardedStream {
   std::vector<std::byte> Bytes;
@@ -478,7 +175,6 @@ struct ShardedStream {
   ChunkIndex Idx;
 };
 
-/// Shared prologue of replayProfileParallel and the fold variant.
 /// Returns false when anything prevents sharding -- unreadable file, bad
 /// header, a v2/v3 stream (whose records straddle chunks), a damaged
 /// footer, a stream the index rebuild rejects, or too few chunks to
@@ -486,8 +182,7 @@ struct ShardedStream {
 /// canonical result or error message for that input.
 bool loadForSharding(const std::string &Path, ShardedStream &S) {
   StreamHeaderInfo Hdr;
-  // A bad header is the sequential path's error to report.
-  if (!readAll(Path, S.Bytes) || !parseStreamHeader(S.Bytes, Hdr) ||
+  if (!readWholeFile(Path, S.Bytes) || !parseStreamHeader(S.Bytes, Hdr) ||
       !chunkSelfContained(Hdr.Format))
     return false;
   S.F = Hdr.Format;
@@ -508,36 +203,242 @@ bool loadForSharding(const std::string &Path, ShardedStream &S) {
   return S.Idx.Entries.size() >= 2;
 }
 
-} // namespace
-
-unsigned jdrag::profiler::defaultReplayJobs() {
-  unsigned N = std::thread::hardware_concurrency();
-  return N ? N : 1;
+/// Re-verifies chunk \p GlobalIdx against its index entry: header
+/// fields, CRC, and (for footer-sourced indexes) the footer's own
+/// claims. The index construction already bounds-checked every offset,
+/// so the reads here cannot run off the stream. On success \p Body is
+/// the chunk's record payload -- decompressed into \p Inflate for a
+/// flagged v6+ chunk, the raw wire bytes otherwise (the CRC always
+/// covers the uncompressed payload).
+bool validateChunk(const ShardedStream &S, std::size_t GlobalIdx,
+                   std::vector<std::uint8_t> &Inflate,
+                   std::span<const std::byte> &Body) {
+  const ChunkIndexEntry &En = S.Idx.Entries[GlobalIdx];
+  ChunkHeader H;
+  std::memcpy(&H, S.Framed.data() + En.Offset, sizeof(H));
+  if (H.Magic != ChunkMagic || H.Seq != En.Seq ||
+      H.PayloadBytes != En.PayloadBytes ||
+      En.Seq != static_cast<std::uint32_t>(GlobalIdx))
+    return false;
+  bool Flags = chunkFlagsHonoured(S.F);
+  std::uint32_t WireLen =
+      Flags ? chunkWireBytes(H.PayloadBytes) : H.PayloadBytes;
+  const std::byte *Payload = S.Framed.data() + En.Offset + sizeof(ChunkHeader);
+  Body = std::span<const std::byte>(Payload, WireLen);
+  if (Flags && chunkCompressed(H.PayloadBytes) &&
+      !chunkPayloadBytes(H, Payload, Inflate, Body))
+    return false;
+  std::uint32_t Crc = support::crc32c(Body.data(), Body.size());
+  return Crc == H.Crc && (!S.Idx.FromFooter || En.Crc == H.Crc);
 }
 
-bool jdrag::profiler::replayProfileParallel(const std::string &Path,
-                                            const ir::Program &P,
-                                            ProfilerConfig Config,
-                                            unsigned Jobs, ProfileLog &Out,
-                                            std::string *Err) {
+/// Decodes chunks [B, E) of the stream into \p C. Every chunk is
+/// self-contained, so each one decodes on its own. False on any chunk
+/// that fails validation, decoding, or its index record count.
+bool runShard(const ShardedStream &S, std::size_t B, std::size_t E,
+              EventConsumer &C) {
+  StreamDecoder Dec(C, S.F);
+  std::vector<std::uint8_t> Inflate; // per-shard decompression scratch
+  std::span<const std::byte> Body;
+  for (std::size_t I = B; I < E; ++I) {
+    if (!validateChunk(S, I, Inflate, Body))
+      return false;
+    std::uint64_t Before = Dec.eventsDecoded();
+    if (!Dec.decodeChunk(Body.data(), Body.size()) ||
+        Dec.eventsDecoded() - Before != S.Idx.Entries[I].RecordCount)
+      return false;
+  }
+  return true;
+}
+
+/// Partitions chunks into at most \p Jobs contiguous ranges balanced by
+/// payload bytes and decodes them on one thread each. Returns false if
+/// any shard failed.
+bool runSharded(const ShardedStream &S, const ProfilerConfig &Config,
+                unsigned Jobs, ShardFoldSink *Fold,
+                std::vector<ShardResult> &Shards) {
+  std::size_t N = S.Idx.Entries.size();
+  std::size_t Count = std::min<std::size_t>(Jobs, N);
+  // Balance by on-wire bytes (masking the v6+ compressed flag).
+  std::uint64_t Total = 0;
+  for (const ChunkIndexEntry &En : S.Idx.Entries)
+    Total += chunkWireBytes(En.PayloadBytes);
+  std::vector<std::size_t> Cut(Count + 1, 0);
+  Cut[Count] = N;
+  std::size_t I = 0;
+  std::uint64_t Acc = 0;
+  for (std::size_t K = 1; K < Count; ++K) {
+    std::uint64_t Target = Total * K / Count;
+    while (I < N && Acc < Target)
+      Acc += chunkWireBytes(S.Idx.Entries[I++].PayloadBytes);
+    Cut[K] = I;
+  }
+
+  // A retry decodes the stream again, so the fold must drop whatever a
+  // failed attempt already folded.
+  if (Fold)
+    Fold->beginAttempt(static_cast<unsigned>(Count));
+  Shards.clear();
+  Shards.reserve(Count);
+  for (std::size_t K = 0; K < Count; ++K)
+    Shards.emplace_back(Config);
+  std::vector<std::thread> Threads;
+  Threads.reserve(Count);
+  for (std::size_t K = 0; K < Count; ++K)
+    Threads.emplace_back([&, K] {
+      ShardConsumer C(Shards[K], Config.SnapUseTimes,
+                      static_cast<unsigned>(K), Fold);
+      Shards[K].Failed = !runShard(S, Cut[K], Cut[K + 1], C);
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  for (const ShardResult &Sh : Shards)
+    if (Sh.Failed)
+      return false;
+  return true;
+}
+
+/// Applies one shard's uses of a foreign object to its trailer, with
+/// uses at the entry boundary taking \p Entry: TrailerTable::use's
+/// arithmetic, batched. A snapped use time is max(boundary, AllocTime),
+/// and LastUseTime never drops below AllocTime, so the last-use max can
+/// take the boundary itself.
+void applyForeign(Trailer &T, const ForeignUses &F, ByteTime Entry) {
+  if (F.HasFirst && !T.UsedOutsideInit) {
+    T.FirstUseTime =
+        std::max(F.FirstAtEntry ? Entry : F.FirstTime, T.AllocTime);
+    T.UsedOutsideInit = true;
+  }
+  T.LastUseTime = std::max({T.LastUseTime, F.MaxTime,
+                            F.UseAtEntry ? Entry : ByteTime(0)});
+  if (F.UseCount)
+    T.LastUseSite = F.LastUseSite;
+  T.UseCount += F.UseCount;
+}
+
+/// The reduce side, the boundary merge. It walks the shards in order
+/// and carries the trailers still live at each shard's end into the
+/// next; a shard's uses of carried objects update them, and its ends
+/// finish them through TrailerTable::end, placed among the shard's own
+/// records in stream order. With \p Fold set, those boundary records go
+/// to Fold->onMergedRecord (with stream site ids, like the shard
+/// records) and \p SiteMapOut receives the stream-id -> Out.Sites-id
+/// map; otherwise every record lands in Out.Records with log-local ids.
+///
+/// Returns false, leaving \p Out alone, when a shard's own trailers may
+/// differ from the sequential ones: an object allocated before the
+/// shard's first DeepGCEnd at a time below the shard's entry boundary
+/// (a clock that ran backwards across shards; its early uses snapped to
+/// 0, not to the boundary), or an id allocated again while an earlier
+/// shard's object with that id may be live. The VM writes neither; the
+/// caller then replays sequentially.
+bool mergeShards(std::vector<ShardResult> &Shards,
+                 const ProfilerConfig &Config, ProfileLog &Out,
+                 ShardFoldSink *Fold, std::vector<SiteId> *SiteMapOut) {
+  // Each shard's entry boundary is the previous shard's last deep-GC
+  // time (inherited across shards that saw none); shard 0 enters at 0,
+  // like the sequential profiler's initial interval.
+  std::vector<ByteTime> Entry(Shards.size(), 0);
+  bool Allocated = false;
+  ObjectId MaxAllocated = 0;
+  for (std::size_t K = 0; K < Shards.size(); ++K) {
+    const ShardResult &Sh = Shards[K];
+    if (K > 0)
+      Entry[K] =
+          Shards[K - 1].HasExit ? Shards[K - 1].ExitInterval : Entry[K - 1];
+    if (Config.SnapUseTimes && Sh.MinEntryAlloc < Entry[K])
+      return false;
+    if (Sh.MinAllocId > Sh.MaxAllocId)
+      continue; // allocated nothing
+    if (Allocated && Sh.MinAllocId <= MaxAllocated)
+      return false;
+    Allocated = true;
+    MaxAllocated = std::max(MaxAllocated, Sh.MaxAllocId);
+  }
+
+  ProfileLog Log;
+  if (!Fold) {
+    std::size_t Records = 0;
+    for (const ShardResult &Sh : Shards)
+      Records += Sh.Records.size() + Sh.Ends.size();
+    Log.Records.reserve(Records);
+  }
+  Log.GCSamples.reserve(64);
+
+  // Sites: interning in shard order reproduces stream arrival order,
+  // hence the sequential profiler's local ids.
+  std::vector<SiteId> SiteMap;
+  SiteMap.reserve(256);
+  for (ShardResult &Sh : Shards)
+    for (auto &[StreamId, Frames] : Sh.Sites) {
+      SiteId Local = Log.Sites.internFrames(std::move(Frames));
+      if (StreamId >= SiteMap.size())
+        SiteMap.resize(StreamId + 1, InvalidSite);
+      SiteMap[StreamId] = Local;
+    }
+  auto MapSite = [&](SiteId StreamId) {
+    return StreamId < SiteMap.size() ? SiteMap[StreamId] : InvalidSite;
+  };
+  auto Deliver = [&](ObjectRecord R) {
+    if (Fold) {
+      Fold->onMergedRecord(R);
+      return;
+    }
+    R.AllocSite = MapSite(R.AllocSite);
+    R.LastUseSite = MapSite(R.LastUseSite);
+    Log.Records.push_back(R);
+  };
+
+  TrailerTable Carried(Config);
+  for (std::size_t K = 0; K < Shards.size(); ++K) {
+    ShardResult &Sh = Shards[K];
+    // Per-id independent, so the visiting order changes nothing.
+    Sh.Foreign.forEachLive([&](ObjectId Id, const ForeignUses &F) {
+      if (Trailer *T = Carried.live().find(Id))
+        applyForeign(*T, F, Entry[K]);
+    });
+    std::size_t Next = 0; // Sh.Records is empty in fold mode
+    for (const ForeignEnd &End : Sh.Ends) {
+      for (; Next < End.Pos; ++Next)
+        Deliver(Sh.Records[Next]);
+      Carried.end(End.Id, End.Time, End.Survived, Deliver);
+    }
+    for (; Next < Sh.Records.size(); ++Next)
+      Deliver(Sh.Records[Next]);
+    Sh.Trailers.live().forEachLive([&](ObjectId Id, const Trailer &T) {
+      Carried.live().insert(Id) = T;
+    });
+    Log.GCSamples.insert(Log.GCSamples.end(), Sh.Samples.begin(),
+                         Sh.Samples.end());
+    if (Sh.SawTerminate)
+      Log.EndTime = Sh.TerminateTime;
+  }
+  if (SiteMapOut)
+    *SiteMapOut = std::move(SiteMap);
+  Out = std::move(Log);
+  return true;
+}
+
+/// Both entry points' load -> shard -> retry -> fallback sequence. With
+/// \p Fold null the records materialize into \p Out.Records; otherwise
+/// they go to \p Fold and \p Out is the record-free shell. \p Sequential
+/// runs the sequential path, which owns the result -- or the canonical
+/// error -- for everything the shards do not take.
+template <typename SequentialFn>
+bool replaySharded(const std::string &Path, const ProfilerConfig &Config,
+                   unsigned Jobs, ShardFoldSink *Fold, ProfileLog &Out,
+                   std::vector<SiteId> *SiteMapOut, SequentialFn Sequential) {
   if (Jobs == 0)
     Jobs = defaultReplayJobs();
-  auto Sequential = [&] {
-    return replayProfile(Path, P, std::move(Config), Out, Err);
-  };
-  if (Jobs <= 1)
-    return Sequential();
-
   ShardedStream S;
-  if (!loadForSharding(Path, S))
+  if (Jobs <= 1 || !loadForSharding(Path, S))
     return Sequential();
 
-  bool Snap = Config.SnapUseTimes;
   for (int Attempt = 0; Attempt < 2; ++Attempt) {
     std::vector<ShardResult> Shards;
-    std::string ShardErr;
-    if (runSharded(S.Framed, S.F, S.Idx, Jobs, Snap, Shards, ShardErr)) {
-      mergeShards(Shards, Config, Out);
+    if (runSharded(S, Config, Jobs, Fold, Shards)) {
+      if (!mergeShards(Shards, Config, Out, Fold, SiteMapOut))
+        break;
       Out.SampleRate = S.Sampling.SampleBytes;
       Out.SampleSeed = S.Sampling.enabled() ? S.Sampling.SampleSeed : 0;
       Out.Compressed = S.Idx.compressed();
@@ -557,13 +458,28 @@ bool jdrag::profiler::replayProfileParallel(const std::string &Path,
   return Sequential();
 }
 
+} // namespace
+
+unsigned jdrag::profiler::defaultReplayJobs() {
+  unsigned N = std::thread::hardware_concurrency();
+  return N ? N : 1;
+}
+
+bool jdrag::profiler::replayProfileParallel(const std::string &Path,
+                                            const ir::Program &P,
+                                            ProfilerConfig Config,
+                                            unsigned Jobs, ProfileLog &Out,
+                                            std::string *Err) {
+  return replaySharded(Path, Config, Jobs, nullptr, Out, nullptr, [&] {
+    return replayProfile(Path, P, Config, Out, Err);
+  });
+}
+
 bool jdrag::profiler::replayProfileParallelFold(
     const std::string &Path, const ir::Program &P, ProfilerConfig Config,
     unsigned Jobs, ShardFoldSink &Sink, ProfileLog &Shell,
     std::vector<SiteId> &SiteMapOut, std::string *Err) {
-  if (Jobs == 0)
-    Jobs = defaultReplayJobs();
-  auto Sequential = [&] {
+  return replaySharded(Path, Config, Jobs, &Sink, Shell, &SiteMapOut, [&] {
     // One logical shard, fed by the sequential streaming profiler. Its
     // records already carry log-local site ids, so the map the caller
     // remaps with is the identity over Shell.Sites.
@@ -582,37 +498,5 @@ bool jdrag::profiler::replayProfileParallelFold(
     for (std::size_t I = 0; I < SiteMapOut.size(); ++I)
       SiteMapOut[I] = static_cast<SiteId>(I);
     return true;
-  };
-  if (Jobs <= 1)
-    return Sequential();
-
-  ShardedStream S;
-  if (!loadForSharding(Path, S))
-    return Sequential();
-
-  ClassExclusion Excluded(Config.ExcludedClasses);
-  bool Snap = Config.SnapUseTimes;
-  for (int Attempt = 0; Attempt < 2; ++Attempt) {
-    // A retry decodes the stream again, so the sink must drop whatever
-    // the failed attempt already folded.
-    Sink.beginAttempt(static_cast<unsigned>(
-        std::min<std::size_t>(Jobs, S.Idx.Entries.size())));
-    std::vector<ShardResult> Shards;
-    std::string ShardErr;
-    if (runSharded(S.Framed, S.F, S.Idx, Jobs, Snap, Shards, ShardErr, &Sink,
-                   &Excluded)) {
-      mergeShards(Shards, Config, Shell, &Sink, &SiteMapOut);
-      Shell.SampleRate = S.Sampling.SampleBytes;
-      Shell.SampleSeed = S.Sampling.enabled() ? S.Sampling.SampleSeed : 0;
-      Shell.Compressed = S.Idx.compressed();
-      return true;
-    }
-    if (!S.Idx.FromFooter)
-      break;
-    ChunkIndex Rebuilt;
-    if (!rebuildChunkIndex(S.Framed, S.F, Rebuilt))
-      break;
-    S.Idx = std::move(Rebuilt);
-  }
-  return Sequential();
+  });
 }

@@ -6,8 +6,8 @@
 ///
 /// \file
 /// Map-reduce phase 2: replays a `.jdev` recording through N decode
-/// threads and merges their partial trailer tables into a ProfileLog
-/// that is bit-identical to the sequential replayProfile() result.
+/// threads and merges their results into a ProfileLog that is
+/// bit-identical to the sequential replayProfile() result.
 ///
 /// The map side partitions the stream's chunk index (parsed from the
 /// footer, or rebuilt with one sequential pass for a footerless file)
@@ -17,13 +17,26 @@
 /// record-aligned). v2/v3 records straddle chunks, so those recordings
 /// take the sequential path (profiler/LegacyStream.h).
 ///
-/// The reduce side folds the per-shard partials in shard order:
-/// allocation facts are first-wins, last-use times fold as a max,
-/// per-shard uses that happened before the shard's first deep-GC
-/// boundary are kept *symbolic* and resolved against the previous
-/// shard's exit boundary at merge time (so SnapUseTimes semantics
-/// survive sharding exactly), and object records are emitted in the
-/// stream order of their Collect/Survivor events.
+/// Each shard runs DragProfiler's trailer rules (TrailerTable) with its
+/// interval clock starting at 0. An object the shard allocates is
+/// finished there, exactly as DragProfiler finishes it: a snapped use is
+/// max(entry boundary, AllocTime), and that is AllocTime either way as
+/// long as the true entry boundary -- the previous shard's last
+/// DeepGCEnd -- is no later than AllocTime. For an object allocated in
+/// an earlier shard (a *foreign* object) the shard keeps a small
+/// partial instead: use count, last-use site, its first non-init and
+/// max use times (known, or "the entry boundary"), and its end.
+///
+/// The reduce side is only the boundary merge: in shard order it
+/// carries each shard's still-live trailers forward, applies the next
+/// shard's partials to them with the entry boundary resolved, and
+/// finishes the ended ones through the same TrailerTable rule, placed
+/// among that shard's own records so records stay in the stream order
+/// of their Collect/Survivor events. If a shard's smallest AllocTime
+/// before its first DeepGCEnd is below its entry boundary (a clock that
+/// ran backwards across shards), or a shard allocates an id that is not
+/// above every id allocated before it, the merge refuses and the call
+/// replays sequentially. The VM writes neither.
 ///
 /// Trust model: a footer is a producer claim. Workers re-verify every
 /// structural fact they rely on (header fields, CRC, record alignment,

@@ -8,7 +8,6 @@
 
 #include <atomic>
 #include <cstring>
-#include <memory>
 #include <thread>
 
 using namespace jdrag;
@@ -96,29 +95,6 @@ std::string SalvageReport::summary(const std::string &Path) const {
 
 namespace {
 
-struct FileCloser {
-  void operator()(std::FILE *F) const {
-    if (F)
-      std::fclose(F);
-  }
-};
-
-/// Reads the whole file (recordings are scanned and resynchronized with
-/// random access, so streaming buys nothing here).
-bool readAll(const std::string &Path, std::vector<std::byte> &Out) {
-  std::unique_ptr<std::FILE, FileCloser> F(std::fopen(Path.c_str(), "rb"));
-  if (!F)
-    return false;
-  if (std::fseek(F.get(), 0, SEEK_END) != 0)
-    return false;
-  long End = std::ftell(F.get());
-  if (End < 0 || std::fseek(F.get(), 0, SEEK_SET) != 0)
-    return false;
-  Out.resize(static_cast<std::size_t>(End));
-  return Out.empty() ||
-         std::fread(Out.data(), 1, Out.size(), F.get()) == Out.size();
-}
-
 /// Byte-wise search for the next chunk magic at or after \p From.
 std::size_t findMagic(std::span<const std::byte> Bytes, std::size_t From) {
   std::uint32_t M = ChunkMagic;
@@ -157,7 +133,7 @@ SalvageReport jdrag::profiler::scanEventFile(const std::string &Path,
                                              EventConsumer *C) {
   SalvageReport Rep;
   std::vector<std::byte> Bytes;
-  if (!readAll(Path, Bytes)) {
+  if (!readWholeFile(Path, Bytes)) {
     Rep.FileError = "cannot read file";
     return Rep;
   }
@@ -317,7 +293,7 @@ SalvageReport jdrag::profiler::scanEventFileParallel(const std::string &Path,
   auto Sequential = [&] { return scanEventFile(Path, C); };
 
   std::vector<std::byte> Bytes;
-  if (!readAll(Path, Bytes))
+  if (!readWholeFile(Path, Bytes))
     return Sequential(); // unreadable: let the sequential path say so
 
   // v2/v3 records straddle chunks: the sequential scan hands their

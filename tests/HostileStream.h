@@ -86,6 +86,81 @@ inline void writeWrappingIdEvents(profiler::EventBuffer &Buf) {
   Buf.finishStream();
 }
 
+/// Writes a well-formed two-chunk stream through \p Buf whose byte
+/// clock steps backwards across the chunk boundary. Chunk 0 holds 64
+/// GCEnd samples (t = 10 .. 640, enough bytes that a byte-balanced
+/// two-way split gives it its own shard) and ends with a DeepGCEnd at
+/// t = 1000. Chunk 1 allocates object 1 (16 bytes, class 0, no site)
+/// at t = 500, uses it at t = 600, collects it at t = 700 and
+/// terminates. With snapped use times the use lands on the deep-GC
+/// boundary, max(1000, 500) = 1000, which only a reader that knows
+/// chunk 0's boundary can see.
+inline void writeBackwardClockEvents(profiler::EventBuffer &Buf) {
+  using profiler::EventKind;
+  auto Event = [&](EventKind K, ByteTime Time, std::uint64_t Id = 0,
+                   std::uint64_t Arg0 = 0, std::uint64_t Arg1 = 0) {
+    profiler::EventRecord E;
+    E.Kind = static_cast<std::uint8_t>(K);
+    E.Time = Time;
+    E.Id = Id;
+    E.Arg0 = Arg0;
+    E.Arg1 = Arg1;
+    Buf.writeEvent(E);
+  };
+  for (std::uint64_t I = 1; I <= 64; ++I)
+    Event(EventKind::GCEnd, 10 * I, 0, 1000 * I, 100000 * I);
+  Event(EventKind::DeepGCEnd, 1000);
+  Buf.flush();
+  Event(EventKind::Alloc, 500, 1, /*Bytes=*/16);
+  Event(EventKind::Use, 600, 1);
+  Event(EventKind::Collect, 700, 1);
+  Event(EventKind::Terminate, 700);
+  Buf.finishStream();
+}
+
+/// The id writeReallocatedIdEvents allocates twice.
+inline constexpr std::uint64_t ReallocatedId = 7;
+
+/// Writes a well-formed three-chunk stream through \p Buf that
+/// allocates ReallocatedId again while it is live, one chunk later.
+/// Each chunk starts with GCEnd samples (48 in chunk 0, 32 in the
+/// others) so that a byte-balanced three-way split gives every chunk its
+/// own shard. Chunk 0 allocates the object (16 bytes, class 0, no site)
+/// at t = 100. Chunk 1 allocates it again at t = 200, which replaces the
+/// first trailer, uses it at t = 250 and collects it at t = 300. Chunk 2
+/// uses and collects the id once more (t = 450 and 500), which a reader
+/// must ignore because the object is gone, and terminates.
+inline void writeReallocatedIdEvents(profiler::EventBuffer &Buf) {
+  using profiler::EventKind;
+  auto Event = [&](EventKind K, ByteTime Time, std::uint64_t Id = 0,
+                   std::uint64_t Arg0 = 0, std::uint64_t Arg1 = 0) {
+    profiler::EventRecord E;
+    E.Kind = static_cast<std::uint8_t>(K);
+    E.Time = Time;
+    E.Id = Id;
+    E.Arg0 = Arg0;
+    E.Arg1 = Arg1;
+    Buf.writeEvent(E);
+  };
+  auto Pad = [&](std::uint64_t N) {
+    for (std::uint64_t I = 1; I <= N; ++I)
+      Event(EventKind::GCEnd, I, 0, 1000 * I, 100000 * I);
+  };
+  Pad(48);
+  Event(EventKind::Alloc, 100, ReallocatedId, /*Bytes=*/16);
+  Buf.flush();
+  Pad(32);
+  Event(EventKind::Alloc, 200, ReallocatedId, /*Bytes=*/16);
+  Event(EventKind::Use, 250, ReallocatedId);
+  Event(EventKind::Collect, 300, ReallocatedId);
+  Buf.flush();
+  Pad(32);
+  Event(EventKind::Use, 450, ReallocatedId);
+  Event(EventKind::Collect, 500, ReallocatedId);
+  Event(EventKind::Terminate, 500);
+  Buf.finishStream();
+}
+
 /// Writes a three-chunk stream into \p Sink, one frame per
 /// writeChunk call, whose middle chunk is CRC-valid but ends inside its
 /// last record. Chunk 0 allocates objects 1 and 2 (16 bytes each);

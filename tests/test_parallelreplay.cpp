@@ -4,8 +4,10 @@
 //
 // The parallel replay contract is a single sentence: for any readable
 // recording, replayProfileParallel(Jobs) produces a ProfileLog that is
-// bit-identical to the sequential replayProfile() result, and for any
-// damaged recording it fails with the same error instead of crashing.
+// bit-identical to the sequential replayProfile() result (and the
+// sharded streaming analysis the same report, lifetimes and curve as
+// one job), and for any damaged recording it fails with the same error
+// instead of crashing.
 // These tests walk that contract across the format matrix (v2, v3,
 // v4-with-footer, v4-footer-stripped), across config variants (snapped
 // vs exact use times, excluded classes), and across adversarial inputs
@@ -13,6 +15,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "analysis/ReportPrinter.h"
+#include "analysis/StreamingAnalysis.h"
 #include "benchmarks/Benchmarks.h"
 #include "profiler/DragProfiler.h"
 #include "profiler/EventStream.h"
@@ -141,8 +145,10 @@ void expectBitIdentical(const ProfileLog &A, const ProfileLog &B) {
   std::remove(PathB.c_str());
 }
 
-/// The core assertion: sequential replay and parallel replay at several
-/// worker counts all succeed and serialize to identical bytes.
+/// The core assertion, for both sharded entry points: sequential
+/// replay and parallel replay at several worker counts all succeed and
+/// serialize to identical bytes, and the streaming analysis (sharded
+/// fold) gives the same report, lifetimes and curve as with one job.
 void expectParallelMatchesSequential(const std::string &Path,
                                      const ir::Program &P,
                                      ProfilerConfig Config = ProfilerConfig()) {
@@ -154,6 +160,29 @@ void expectParallelMatchesSequential(const std::string &Path,
     ASSERT_TRUE(replayProfileParallel(Path, P, Config, Jobs, Par, &Err))
         << "jobs=" << Jobs << ": " << Err;
     expectBitIdentical(Seq, Par);
+  }
+
+  analysis::StreamAnalysisOptions O;
+  O.Config = Config;
+  O.WantLifetimes = true;
+  O.CurveSamples = 64;
+  analysis::StreamAnalysisResult One;
+  ASSERT_TRUE(analysis::analyzeEventStream(Path, P, O, One, &Err)) << Err;
+  std::string Report = analysis::renderDragReport(*One.Report);
+  for (unsigned Jobs : {2u, 4u, 64u}) {
+    SCOPED_TRACE("analysis jobs=" + std::to_string(Jobs));
+    O.Jobs = Jobs;
+    analysis::StreamAnalysisResult R;
+    ASSERT_TRUE(analysis::analyzeEventStream(Path, P, O, R, &Err)) << Err;
+    EXPECT_EQ(analysis::renderDragReport(*R.Report), Report);
+    EXPECT_EQ(R.Lifetimes.Lag, One.Lifetimes.Lag);
+    EXPECT_EQ(R.Lifetimes.Use, One.Lifetimes.Use);
+    EXPECT_EQ(R.Lifetimes.Drag, One.Lifetimes.Drag);
+    EXPECT_EQ(R.Lifetimes.Void, One.Lifetimes.Void);
+    EXPECT_EQ(R.Curve.Times, One.Curve.Times);
+    EXPECT_EQ(R.Curve.ReachableBytes, One.Curve.ReachableBytes);
+    EXPECT_EQ(R.Curve.InUseBytes, One.Curve.InUseBytes);
+    EXPECT_EQ(R.RecordsFolded, One.RecordsFolded);
   }
 }
 

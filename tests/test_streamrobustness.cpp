@@ -17,6 +17,9 @@
 //   HostileIds        a CRC-valid stream whose object ids sit at 2^40
 //                     or 2^62 replays, sequentially and sharded, in
 //                     trailer state sized by its two live objects.
+//   HostileClock      a CRC-valid stream whose byte clock steps backwards
+//                     across a shard boundary replays sharded exactly
+//                     as it does sequentially.
 //
 //===----------------------------------------------------------------------===//
 
@@ -1022,6 +1025,42 @@ TEST(HostileIds, WrappingIdsAgreeAcrossReaders) {
   std::remove(Path.c_str());
 }
 
+// An id allocated again while its first object is live, one shard
+// later: the second Alloc replaces the trailer, so the object is logged
+// once, with the second allocation's time, and chunk 2's use and
+// collect of the gone object change nothing.
+TEST(HostileIds, ReallocatedIdAcrossShardsMatchesSequential) {
+  ir::Program P = buildChurnProgram();
+  std::string Path = tempPath("reallocated_id.jdev");
+  {
+    FileEventSink Sink;
+    ASSERT_TRUE(Sink.open(Path));
+    EventBuffer Buf(Sink);
+    writeReallocatedIdEvents(Buf);
+    ASSERT_TRUE(Sink.finish());
+  }
+  SalvageReport Rep = scanEventFile(Path, nullptr);
+  ASSERT_TRUE(Rep.clean()) << Rep.summary(Path);
+  ASSERT_EQ(Rep.Chunks.size(), 3u);
+
+  ProfileLog Seq, Par;
+  std::string Err;
+  ASSERT_TRUE(replayProfile(Path, P, ProfilerConfig(), Seq, &Err)) << Err;
+  ASSERT_EQ(Seq.Records.size(), 1u);
+  EXPECT_EQ(Seq.Records[0].AllocTime, 200u);
+  EXPECT_EQ(Seq.Records[0].UseCount, 1u);
+  ASSERT_TRUE(replayProfileParallel(Path, P, ProfilerConfig(), 4, Par, &Err))
+      << Err;
+  expectBitIdentical(Seq, Par);
+
+  analysis::StreamAnalysisOptions O;
+  O.Jobs = 4;
+  analysis::StreamAnalysisResult R;
+  ASSERT_TRUE(analysis::analyzeEventStream(Path, P, O, R, &Err)) << Err;
+  EXPECT_EQ(R.RecordsFolded, 1u);
+  std::remove(Path.c_str());
+}
+
 TEST(HostileIds, ParallelReplayMatchesSequentialInBoundedMemory) {
   ir::Program P = buildChurnProgram();
   for (std::uint64_t Hostile : HostileIdValues) {
@@ -1047,6 +1086,55 @@ TEST(HostileIds, ParallelReplayMatchesSequentialInBoundedMemory) {
     EXPECT_EQ(R.RecordsFolded, 2u);
     std::remove(Path.c_str());
   }
+}
+
+//===----------------------------------------------------------------------===//
+// HostileClock: a byte clock that runs backwards across a shard boundary
+//===----------------------------------------------------------------------===//
+
+// The object is allocated at t=500 in chunk 1, after chunk 0's deep-GC
+// boundary at t=1000, so its snapped use lands on max(1000, 500). The
+// shard that decodes chunk 1 alone starts its interval clock at 0 and
+// must hand the stream back to sequential replay rather than snap to 500.
+TEST(HostileClock, ShardedMatchesSequential) {
+  ir::Program P = buildChurnProgram();
+  std::string Path = tempPath("backward_clock.jdev");
+  {
+    FileEventSink Sink;
+    ASSERT_TRUE(Sink.open(Path));
+    EventBuffer Buf(Sink);
+    writeBackwardClockEvents(Buf);
+    ASSERT_TRUE(Sink.finish());
+  }
+  SalvageReport Rep = scanEventFile(Path, nullptr);
+  ASSERT_TRUE(Rep.clean()) << Rep.summary(Path);
+  ASSERT_EQ(Rep.Chunks.size(), 2u);
+
+  ProfileLog Seq, Par;
+  std::string Err;
+  ASSERT_TRUE(replayProfile(Path, P, ProfilerConfig(), Seq, &Err)) << Err;
+  ASSERT_EQ(Seq.Records.size(), 1u);
+  EXPECT_EQ(Seq.Records[0].FirstUseTime, 1000u);
+  ASSERT_TRUE(replayProfileParallel(Path, P, ProfilerConfig(), 4, Par, &Err))
+      << Err;
+  expectBitIdentical(Seq, Par);
+
+  analysis::StreamAnalysisOptions O;
+  O.WantLifetimes = true;
+  analysis::StreamAnalysisResult One, Four;
+  ASSERT_TRUE(analysis::analyzeEventStream(Path, P, O, One, &Err)) << Err;
+  O.Jobs = 4;
+  ASSERT_TRUE(analysis::analyzeEventStream(Path, P, O, Four, &Err)) << Err;
+  EXPECT_EQ(One.Lifetimes.Lag, 16.0 * 500);
+  EXPECT_EQ(Four.Lifetimes.Lag, One.Lifetimes.Lag);
+  EXPECT_EQ(Four.Lifetimes.Use, One.Lifetimes.Use);
+  EXPECT_EQ(Four.Lifetimes.Drag, One.Lifetimes.Drag);
+  EXPECT_EQ(Four.Lifetimes.Void, One.Lifetimes.Void);
+  ASSERT_TRUE(One.Report && Four.Report);
+  EXPECT_EQ(analysis::renderDragReport(*Four.Report),
+            analysis::renderDragReport(*One.Report));
+  EXPECT_EQ(Four.RecordsFolded, 1u);
+  std::remove(Path.c_str());
 }
 
 } // namespace

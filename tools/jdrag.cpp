@@ -377,22 +377,11 @@ int cmdFsck(const std::string &Path, const Options &O) {
 /// SocketEventSink the VM uses (so reconnects and backpressure apply).
 int cmdSend(const std::string &Path, const std::string &Addr,
             const Options &O) {
-  std::FILE *F = std::fopen(Path.c_str(), "rb");
-  if (!F) {
+  std::vector<std::byte> Bytes;
+  if (!profiler::readWholeFile(Path, Bytes)) {
     std::fprintf(stderr, "cannot read %s\n", Path.c_str());
     return 1;
   }
-  std::fseek(F, 0, SEEK_END);
-  long Size = std::ftell(F);
-  std::fseek(F, 0, SEEK_SET);
-  std::vector<std::byte> Bytes(Size > 0 ? static_cast<std::size_t>(Size) : 0);
-  if (!Bytes.empty() &&
-      std::fread(Bytes.data(), 1, Bytes.size(), F) != Bytes.size()) {
-    std::fclose(F);
-    std::fprintf(stderr, "cannot read %s\n", Path.c_str());
-    return 1;
-  }
-  std::fclose(F);
 
   profiler::StreamHeaderInfo Hdr;
   std::string HdrErr;
