@@ -10,16 +10,6 @@
 using namespace jdrag;
 using namespace jdrag::analysis;
 
-std::size_t SiteGroup::histoBucket(ByteTime DragTime) {
-  std::size_t Bucket = 0;
-  ByteTime Limit = 4 * 1024;
-  while (Bucket + 1 < NumHistoBuckets && DragTime >= Limit) {
-    Limit *= 4;
-    ++Bucket;
-  }
-  return Bucket;
-}
-
 std::string SiteGroup::histoBucketLabel(std::size_t Bucket) {
   auto Fmt = [](ByteTime B) {
     if (B >= 1024 * 1024)

@@ -25,7 +25,9 @@
 #include "profiler/Sampling.h"
 #include "support/Statistics.h"
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <unordered_map>
 #include <utility>
 
@@ -76,8 +78,14 @@ struct SiteGroup {
   static constexpr std::size_t NumHistoBuckets = 8;
   std::array<std::uint64_t, NumHistoBuckets> DragTimeHisto = {};
 
-  /// Bucket index for a drag time.
-  static std::size_t histoBucket(ByteTime DragTime);
+  /// Bucket index for a drag time. Bucket i >= 1 starts at 2^(2i+10),
+  /// so it is half the bit width past 11 bits; the `| 2047` floor puts
+  /// everything below 4 KB in bucket 0.
+  static std::size_t histoBucket(ByteTime DragTime) {
+    std::size_t Bucket =
+        static_cast<std::size_t>(53 - std::countl_zero(DragTime | 2047)) / 2;
+    return std::min(Bucket, NumHistoBuckets - 1);
+  }
   /// Human-readable bucket label, e.g. "16K-64K".
   static std::string histoBucketLabel(std::size_t Bucket);
 

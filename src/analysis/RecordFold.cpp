@@ -11,10 +11,6 @@ using namespace jdrag;
 using namespace jdrag::analysis;
 using profiler::ObjectRecord;
 
-RecordFold::~RecordFold() = default;
-
-void RecordFold::remapSites(const std::vector<profiler::SiteId> &) {}
-
 //===----------------------------------------------------------------------===//
 // SiteGroupFold
 //===----------------------------------------------------------------------===//
@@ -63,30 +59,32 @@ void SiteGroupFold::fold(const ObjectRecord &R) {
   std::uint32_t GI = groupFor(R.AllocSite);
   GroupAccum &G = Groups[GI];
 
+  // Sums of integer products go through ExactSum::addProduct: it adds
+  // exactly what the double product would, and a product below 2^53
+  // lands on the integer lane.
+  const std::uint64_t Bytes = R.Bytes;
+  const ByteTime DragTime = R.dragTime(), LifeTime = R.lifeTime();
   double DragRaw = R.drag();
   double Drag = DragRaw;
-  double Bytes = static_cast<double>(R.Bytes);
-  double DragTime = static_cast<double>(R.dragTime());
-  double LifeTime = static_cast<double>(R.lifeTime());
-  double InUseTime = static_cast<double>(R.inUseTime());
 
   ++G.ObjectCount;
-  G.TotalBytes += R.Bytes;
+  G.TotalBytes += Bytes;
   if (Rate != 0) {
     // Sampled logs hold a size-weighted Bernoulli subset of the
     // allocations; every space-time sum is scaled by the record's
     // inverse inclusion probability so the report estimates the exact
     // profile (Horvitz-Thompson).
-    double Prob = profiler::sampleProbability(R.Bytes, Rate);
+    double B = static_cast<double>(Bytes);
+    double Prob = profiler::sampleProbability(Bytes, Rate);
     double W = 1.0 / Prob;
     Drag = DragRaw * W;
     G.EstObjects.add(W);
-    G.EstBytes.add(W * Bytes);
+    G.EstBytes.add(W * B);
     G.TotalDrag.add(Drag);
     G.DragVariance.add(profiler::sampleVarianceTerm(DragRaw, Prob));
     TotalDragSum.add(Drag);
-    ReachableSum.add(W * Bytes * LifeTime);
-    InUseSum.add(W * Bytes * InUseTime);
+    ReachableSum.add(W * B * static_cast<double>(LifeTime));
+    InUseSum.add(W * B * static_cast<double>(R.inUseTime()));
   } else {
     // Exact logs: W == 1.0 bit-exactly, which makes five of the
     // weighted sums above recoverable from cheaper state at finish()
@@ -94,35 +92,56 @@ void SiteGroupFold::fold(const ObjectRecord &R) {
     // == DragSum, DragVariance == 0, and the program-wide drag total
     // is the (exactly associative) sum of the group drag sums -- so
     // the hot path skips those ExactSum adds entirely.
-    ReachableSum.add(Bytes * LifeTime);
-    InUseSum.add(Bytes * InUseTime);
+    ReachableSum.addProduct(Bytes, LifeTime);
+    InUseSum.addProduct(Bytes, R.inUseTime());
   }
+  // Drag as the partitions weigh it: Bytes x DragTime on exact logs,
+  // the weighted double on sampled ones.
+  auto AddDrag = [&](ExactSum &S) {
+    if (Rate != 0)
+      S.add(Drag);
+    else
+      S.addProduct(Bytes, DragTime);
+  };
+
   // Per-object distributions describe the sampled records themselves,
-  // not the population, so they stay unweighted.
-  G.DragSum.add(DragRaw);
-  G.DragSq.add(DragRaw * DragRaw);
-  G.DragTimeSum.add(DragTime);
-  G.DragTimeSq.add(DragTime * DragTime);
-  G.LifeSum.add(LifeTime);
-  G.LifeSq.add(LifeTime * LifeTime);
+  // not the population, so they stay unweighted. Below 2^53 DragRaw is
+  // exactly the integer Bytes x DragTime, so its square is an integer
+  // product too.
+  const unsigned __int128 DragInt =
+      static_cast<unsigned __int128>(Bytes) * DragTime;
+  if (DragInt < ExactSum::LaneLimit) {
+    auto D = static_cast<std::uint64_t>(DragInt);
+    G.DragSum.addProduct(D, 1);
+    G.DragSq.addProduct(D, D);
+  } else {
+    G.DragSum.add(DragRaw);
+    G.DragSq.add(DragRaw * DragRaw);
+  }
+  G.DragTimeSum.addProduct(DragTime, 1);
+  G.DragTimeSq.addProduct(DragTime, DragTime);
+  G.LifeSum.addProduct(LifeTime, 1);
+  G.LifeSq.addProduct(LifeTime, LifeTime);
+  double DragTimeD = static_cast<double>(DragTime);
+  double LifeTimeD = static_cast<double>(LifeTime);
   G.DragMin = std::min(G.DragMin, DragRaw);
   G.DragMax = std::max(G.DragMax, DragRaw);
-  G.DragTimeMin = std::min(G.DragTimeMin, DragTime);
-  G.DragTimeMax = std::max(G.DragTimeMax, DragTime);
-  G.LifeMin = std::min(G.LifeMin, LifeTime);
-  G.LifeMax = std::max(G.LifeMax, LifeTime);
+  G.DragTimeMin = std::min(G.DragTimeMin, DragTimeD);
+  G.DragTimeMax = std::max(G.DragTimeMax, DragTimeD);
+  G.LifeMin = std::min(G.LifeMin, LifeTimeD);
+  G.LifeMax = std::max(G.LifeMax, LifeTimeD);
   if (R.neverUsed()) {
     ++G.NeverUsedCount;
-    G.NeverUsedDrag.add(Drag);
+    AddDrag(G.NeverUsedDrag);
   }
-  if (R.lifeTime() > 0 && DragTime >= LifeTime / 3.0)
+  if (LifeTime > 0 && DragTimeD >= LifeTimeD / 3.0)
     ++G.LargeDragCount;
-  ++G.Histo[SiteGroup::histoBucket(R.dragTime())];
+  ++G.Histo[SiteGroup::histoBucket(DragTime)];
 
   std::uint64_t LUKey =
       (static_cast<std::uint64_t>(GI) << 32) |
       (R.neverUsed() ? profiler::InvalidSite : R.LastUseSite);
-  LastUse[lastUseFor(LUKey)].Drag.add(Drag);
+  AddDrag(LastUse[lastUseFor(LUKey)].Drag);
 
   std::uint64_t CKey =
       R.IsArray ? (1ull << 40) + static_cast<std::uint64_t>(R.AKind)
@@ -134,14 +153,13 @@ void SiteGroupFold::fold(const ObjectRecord &R) {
     C.IsArray = R.IsArray;
   }
   ++C.ObjectCount;
-  C.TotalBytes += R.Bytes;
-  C.TotalDrag.add(Drag);
+  C.TotalBytes += Bytes;
+  AddDrag(C.TotalDrag);
   if (R.neverUsed())
     ++C.NeverUsedCount;
 }
 
-void SiteGroupFold::merge(const RecordFold &Other) {
-  const auto &O = static_cast<const SiteGroupFold &>(Other);
+void SiteGroupFold::merge(const SiteGroupFold &O) {
   Records += O.Records;
 
   // Site groups: each field is either an integer sum, a min/max, or an
@@ -214,9 +232,9 @@ void SiteGroupFold::remapSites(const std::vector<profiler::SiteId> &Map) {
     SiteId Use = static_cast<SiteId>(L.Key & 0xFFFFFFFFull);
     L.Key = (L.Key & ~0xFFFFFFFFull) | Remap(Use);
   }
-  // The probe indexes now hold stale keys; per the RecordFold contract
-  // no fold()/merge() follows a remap, so they are never consulted
-  // again (finish() walks the accumulator vectors directly).
+  // The probe indexes now hold stale keys; per the fold contract
+  // (RecordFold.h) no fold()/merge() follows a remap, so they are never
+  // consulted again (finish() walks the accumulator vectors directly).
 }
 
 std::size_t SiteGroupFold::stateBytes() const {
@@ -399,8 +417,7 @@ void LifetimeFold::fold(const ObjectRecord &R) {
   Reachable += B * R.lifeTime();
 }
 
-void LifetimeFold::merge(const RecordFold &Other) {
-  const auto &O = static_cast<const LifetimeFold &>(Other);
+void LifetimeFold::merge(const LifetimeFold &O) {
   Lag += O.Lag;
   Use += O.Use;
   Drag += O.Drag;
@@ -450,8 +467,7 @@ void HeapCurveFold::fold(const ObjectRecord &R) {
     addInterval(InUseDelta, R.AllocTime, R.LastUseTime, B);
 }
 
-void HeapCurveFold::merge(const RecordFold &Other) {
-  const auto &O = static_cast<const HeapCurveFold &>(Other);
+void HeapCurveFold::merge(const HeapCurveFold &O) {
   if (O.Grid != Grid)
     jdrag_unreachable("merging curve folds over different grids");
   for (std::size_t I = 0; I != ReachDelta.size(); ++I) {
@@ -524,10 +540,6 @@ void CsvExportFold::fold(const ObjectRecord &R) {
   Row += '\n';
   Ok = std::fwrite(Row.data(), 1, Row.size(), Out) == Row.size();
   ++Rows;
-}
-
-void CsvExportFold::merge(const RecordFold &) {
-  jdrag_unreachable("CsvExportFold is order-sensitive and cannot be sharded");
 }
 
 bool CsvExportFold::finish() {

@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Phase 2 as a single streaming pass. A RecordFold consumes finished
+/// Phase 2 as a single streaming pass. A fold consumes finished
 /// ObjectRecords one at a time and keeps only O(live sites) of state, so
 /// every analysis -- the drag report (site/coarse/class partitions plus
 /// the Patterns feature set), the Roejemo-Runciman lifetime
@@ -13,14 +13,27 @@
 /// the replay decoder (or the live VM) without materializing
 /// `ProfileLog::Records` (~80 B per object ever allocated).
 ///
-/// Folds are *mergeable*: `replayProfileParallel`'s chunk shards build
-/// shard-local folds and merge them into one. Merged results are
-/// bit-identical to a sequential fold, which in turn is bit-identical to
-/// the materialized pass, because every floating-point sum is kept in an
-/// ExactSum fixed-point superaccumulator (exactly associative and
-/// commutative) and converted to double exactly once, at finalization.
-/// Everything else a fold keeps is integer arithmetic or min/max, which
-/// are order-free already. See docs/analysis.md.
+/// The folds are plain classes with no common base. Each has
+/// `fold(const ObjectRecord &)`; the mergeable ones also have a typed
+/// `merge(const Same &)`, so merging two different folds does not
+/// compile. FoldSet bundles the folds one pass requested and is what
+/// the replay feeds: one indirect RecordSink::onRecord call per record
+/// reaches every fold, and each shard of a sharded pass keeps a set of
+/// its own.
+///
+/// Contract: any number of fold() calls, then any merge() calls, then at
+/// most one remapSites(), then finalization (each fold's own typed
+/// finish()). fold() or merge() after remapSites() is undefined.
+///
+/// Merged results are bit-identical to a sequential fold, which in turn
+/// is bit-identical to the materialized pass, because every
+/// floating-point sum is kept in an ExactSum fixed-point
+/// superaccumulator (exactly associative and commutative) and converted
+/// to double exactly once, at finalization. SiteGroupFold feeds most of
+/// its sums as integer products (ExactSum::addProduct), which land on
+/// the accumulator's integer lane with the same exact value the double
+/// product has. Everything else a fold keeps is integer arithmetic or
+/// min/max, which are order-free already. See docs/analysis.md.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,46 +43,18 @@
 #include "analysis/DragReport.h"
 #include "analysis/HeapCurves.h"
 #include "analysis/LagDragVoid.h"
+#include "profiler/DragProfiler.h"
 #include "support/ExactSum.h"
 #include "support/OpenIndex.h"
 
+#include <cassert>
 #include <cstdio>
 #include <limits>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
 namespace jdrag::analysis {
-
-/// One streaming consumer of finished object records.
-///
-/// Contract: any number of fold() calls, then (optionally) merge() calls
-/// folding in other instances of the *same concrete type*, then at most
-/// one remapSites(), then finalization (each concrete fold exposes its
-/// own typed finish()). fold() after remapSites() is undefined.
-class RecordFold {
-public:
-  virtual ~RecordFold();
-
-  /// Folds one finished record into the running state.
-  virtual void fold(const profiler::ObjectRecord &R) = 0;
-
-  /// Folds another instance of the same concrete type into this one.
-  /// For every fold shipped here the merged state is bit-identical to
-  /// having fold()ed the other instance's records into *this directly,
-  /// in any order.
-  virtual void merge(const RecordFold &O) = 0;
-
-  /// Rewrites every stored site id through \p Map (index = id the
-  /// records carried, value = final log-local id). Ids outside the map
-  /// -- including InvalidSite -- are left as InvalidSite. The sharded
-  /// replay path folds in stream-id space and remaps once, here, after
-  /// the last merge.
-  virtual void remapSites(const std::vector<profiler::SiteId> &Map);
-
-  /// Approximate resident bytes of fold state; the O(sites) claim made
-  /// measurable (BENCH_9).
-  virtual std::size_t stateBytes() const = 0;
-};
 
 /// Everything the DragReport presents, produced by SiteGroupFold::finish
 /// and adopted wholesale by the DragReport(P, Log, Data) constructor.
@@ -89,7 +74,7 @@ struct DragReportData {
 /// last-use partition), the per-class partition, and the program-wide
 /// space-time totals. State is O(distinct sites + classes); per-record
 /// work is one open-addressed probe per partition, no hash maps.
-class SiteGroupFold : public RecordFold {
+class SiteGroupFold {
 public:
   /// \p SampleRate is ProfileLog::SampleRate (0 = exact log).
   /// \p SiteCountHint presizes the index and group storage (pass the
@@ -97,10 +82,24 @@ public:
   explicit SiteGroupFold(std::uint64_t SampleRate,
                          std::uint32_t SiteCountHint = 0);
 
-  void fold(const profiler::ObjectRecord &R) override;
-  void merge(const RecordFold &O) override;
-  void remapSites(const std::vector<profiler::SiteId> &Map) override;
-  std::size_t stateBytes() const override;
+  /// Folds one finished record into the running state.
+  void fold(const profiler::ObjectRecord &R);
+
+  /// Folds another instance in. The merged state is bit-identical to
+  /// having fold()ed the other instance's records into *this directly,
+  /// in any order.
+  void merge(const SiteGroupFold &O);
+
+  /// Rewrites every stored site id through \p Map (index = id the
+  /// records carried, value = final log-local id). Ids outside the map
+  /// -- including InvalidSite -- become InvalidSite. The sharded replay
+  /// path folds in stream-id space and remaps once, here, after the
+  /// last merge.
+  void remapSites(const std::vector<profiler::SiteId> &Map);
+
+  /// Approximate resident bytes of fold state; the O(sites) claim made
+  /// measurable (BENCH_9).
+  std::size_t stateBytes() const;
 
   /// Finalizes: converts every accumulator with one rounding step,
   /// attaches the per-group last-use partitions (site-ascending), sorts
@@ -173,11 +172,11 @@ private:
 ///   lag + use + drag4 + void == reachable
 /// holds *exactly*, in integer arithmetic, for sequential and merged
 /// folds alike; finish() rounds each total to double once.
-class LifetimeFold : public RecordFold {
+class LifetimeFold {
 public:
-  void fold(const profiler::ObjectRecord &R) override;
-  void merge(const RecordFold &O) override;
-  std::size_t stateBytes() const override { return sizeof(*this); }
+  void fold(const profiler::ObjectRecord &R);
+  void merge(const LifetimeFold &O);
+  std::size_t stateBytes() const { return sizeof(*this); }
 
   LifetimeDecomposition finish() const;
 
@@ -203,13 +202,14 @@ private:
 /// to the materialized event sweep: an event at time t lands in the
 /// first grid cell >= t, exactly the cells whose `Time <= T` scan would
 /// have consumed it.
-class HeapCurveFold : public RecordFold {
+class HeapCurveFold {
 public:
   HeapCurveFold(ByteTime End, std::uint32_t NumSamples);
 
-  void fold(const profiler::ObjectRecord &R) override;
-  void merge(const RecordFold &O) override;
-  std::size_t stateBytes() const override;
+  void fold(const profiler::ObjectRecord &R);
+  /// Folds in a curve over the same grid (a different grid is a bug).
+  void merge(const HeapCurveFold &O);
+  std::size_t stateBytes() const;
 
   HeapCurve finish() const;
 
@@ -223,9 +223,9 @@ private:
 
 /// Streams the `jdrag export` per-object CSV straight to a file, one row
 /// per fold, byte-identical to recordsCsv().writeFile() over the same
-/// records in the same order. Order-sensitive by nature, so the
-/// streaming driver never shards it; merge() is a hard error.
-class CsvExportFold : public RecordFold {
+/// records in the same order. Order-sensitive by nature, so it has no
+/// merge() and the streaming driver never shards it.
+class CsvExportFold {
 public:
   /// Opens \p Path and writes the header row. \p Sites may still be
   /// growing while folding (the live site table of an in-progress
@@ -233,11 +233,12 @@ public:
   /// stream's define-before-use ordering guarantees.
   CsvExportFold(const ir::Program &P, const profiler::SiteTable &Sites,
                 const std::string &Path);
-  ~CsvExportFold() override;
+  ~CsvExportFold();
+  CsvExportFold(const CsvExportFold &) = delete;
+  CsvExportFold &operator=(const CsvExportFold &) = delete;
 
-  void fold(const profiler::ObjectRecord &R) override;
-  void merge(const RecordFold &O) override;
-  std::size_t stateBytes() const override { return sizeof(*this); }
+  void fold(const profiler::ObjectRecord &R);
+  std::size_t stateBytes() const { return sizeof(*this); }
 
   /// Flushes and closes; false if any write (or the open) failed.
   bool finish();
@@ -252,36 +253,65 @@ private:
   std::uint64_t Rows = 0;
 };
 
-/// A fan-out: one record stream feeding every registered fold. This is
-/// what "one shared pass feeds every analysis" means operationally --
-/// report, lifetimes, curves and export all subscribe to the same
-/// decode.
-class FoldPipeline {
+/// The folds one pass runs: each requested fold is engaged, the rest
+/// stay empty. The sequential replay feeds the set as its RecordSink;
+/// the sharded pass keeps one set per shard and merges them.
+class FoldSet final : public profiler::RecordSink {
 public:
-  void attach(RecordFold &F) { Folds.push_back(&F); }
+  std::optional<SiteGroupFold> Report;
+  std::optional<LifetimeFold> Lifetimes;
+  std::optional<HeapCurveFold> Curve;
+  /// Sequential passes only: merge() never touches it.
+  std::optional<CsvExportFold> Export;
+
+  void onRecord(const profiler::ObjectRecord &R) override { fold(R); }
 
   void fold(const profiler::ObjectRecord &R) {
     ++Records;
-    for (RecordFold *F : Folds)
-      F->fold(R);
+    if (Report)
+      Report->fold(R);
+    if (Lifetimes)
+      Lifetimes->fold(R);
+    if (Curve)
+      Curve->fold(R);
+    if (Export)
+      Export->fold(R);
   }
 
+  /// Folds in a set that engaged the same folds and no export.
+  void merge(const FoldSet &O) {
+    assert(!Export && !O.Export && "an export cannot be merged");
+    Records += O.Records;
+    if (Report)
+      Report->merge(*O.Report);
+    if (Lifetimes)
+      Lifetimes->merge(*O.Lifetimes);
+    if (Curve)
+      Curve->merge(*O.Curve);
+  }
+
+  /// See SiteGroupFold::remapSites; the other folds keep no site ids.
   void remapSites(const std::vector<profiler::SiteId> &Map) {
-    for (RecordFold *F : Folds)
-      F->remapSites(Map);
+    if (Report)
+      Report->remapSites(Map);
   }
 
   std::uint64_t recordCount() const { return Records; }
 
   std::size_t stateBytes() const {
     std::size_t N = 0;
-    for (const RecordFold *F : Folds)
-      N += F->stateBytes();
+    if (Report)
+      N += Report->stateBytes();
+    if (Lifetimes)
+      N += Lifetimes->stateBytes();
+    if (Curve)
+      N += Curve->stateBytes();
+    if (Export)
+      N += Export->stateBytes();
     return N;
   }
 
 private:
-  std::vector<RecordFold *> Folds;
   std::uint64_t Records = 0;
 };
 

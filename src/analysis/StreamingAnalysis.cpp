@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <fstream>
-#include <optional>
 
 using namespace jdrag;
 using namespace jdrag::analysis;
@@ -71,10 +70,22 @@ bool analyzeMaterialized(const std::string &Path, const ir::Program &P,
   return true;
 }
 
-/// The per-shard fold sets and ShardFoldSink gluing the sharded replay
-/// to the fold engine. One set per shard; boundary-crossing records
-/// (delivered single-threaded by the merge step) fold into set 0, which
-/// is sound because fold-then-merge is exactly order-free.
+/// Engages in \p S every fold \p O asks for except the export, which
+/// needs the live site table and so only the sequential pass adds.
+void engageFolds(FoldSet &S, const StreamAnalysisOptions &O,
+                 std::uint64_t SampleRate, ByteTime CurveEnd) {
+  if (O.WantReport)
+    S.Report.emplace(SampleRate);
+  if (O.WantLifetimes)
+    S.Lifetimes.emplace();
+  if (O.CurveSamples)
+    S.Curve.emplace(CurveEnd, O.CurveSamples);
+}
+
+/// The ShardFoldSink gluing the sharded replay to the fold engine: one
+/// FoldSet per shard. Boundary-crossing records (delivered
+/// single-threaded by the merge step) fold into set 0, which is sound
+/// because fold-then-merge is exactly order-free.
 class ShardedFolds : public ShardFoldSink {
 public:
   ShardedFolds(const StreamAnalysisOptions &O, std::uint64_t SampleRate,
@@ -82,92 +93,54 @@ public:
       : O(O), SampleRate(SampleRate), CurveEnd(CurveEnd) {}
 
   void beginAttempt(unsigned ShardCount) override {
-    LastShardCount = ShardCount;
-    Sets.clear();
-    Sets.resize(ShardCount);
-    for (Set &S : Sets) {
-      if (O.WantReport)
-        S.SG.emplace(SampleRate);
-      if (O.WantLifetimes)
-        S.LF.emplace();
-      if (O.CurveSamples)
-        S.CF.emplace(CurveEnd, O.CurveSamples);
-    }
+    Sets = std::vector<FoldSet>(ShardCount);
+    for (FoldSet &S : Sets)
+      engageFolds(S, O, SampleRate, CurveEnd);
   }
 
   void onShardRecord(unsigned Shard, const ObjectRecord &R) override {
-    foldInto(Sets[Shard], R);
+    Sets[Shard].fold(R);
   }
 
-  void onMergedRecord(const ObjectRecord &R) override {
-    foldInto(Sets[0], R);
-  }
+  void onMergedRecord(const ObjectRecord &R) override { Sets[0].fold(R); }
 
   /// Merges shards 1..N-1 into shard 0 in shard order (any fixed order
-  /// gives the same bits) and remaps stream site ids to log-local ids.
-  void mergeAndRemap(const std::vector<SiteId> &SiteMap) {
-    for (std::size_t K = 1; K < Sets.size(); ++K) {
-      if (O.WantReport)
-        Sets[0].SG->merge(*Sets[K].SG);
-      if (O.WantLifetimes)
-        Sets[0].LF->merge(*Sets[K].LF);
-      if (O.CurveSamples)
-        Sets[0].CF->merge(*Sets[K].CF);
-    }
-    if (O.WantReport)
-      Sets[0].SG->remapSites(SiteMap);
-  }
-
-  SiteGroupFold *report() { return Sets[0].SG ? &*Sets[0].SG : nullptr; }
-  LifetimeFold *lifetimes() { return Sets[0].LF ? &*Sets[0].LF : nullptr; }
-  HeapCurveFold *curve() { return Sets[0].CF ? &*Sets[0].CF : nullptr; }
-
-  std::uint64_t recordCount() const {
-    std::uint64_t N = 0;
-    for (const Set &S : Sets)
-      N += S.Records;
-    return N;
+  /// gives the same bits), remaps stream site ids to log-local ids, and
+  /// returns the merged set.
+  FoldSet &mergeAndRemap(const std::vector<SiteId> &SiteMap) {
+    for (std::size_t K = 1; K < Sets.size(); ++K)
+      Sets[0].merge(Sets[K]);
+    Sets[0].remapSites(SiteMap);
+    return Sets[0];
   }
 
   std::size_t stateBytes() const {
     std::size_t N = 0;
-    for (const Set &S : Sets) {
-      if (S.SG)
-        N += S.SG->stateBytes();
-      if (S.LF)
-        N += S.LF->stateBytes();
-      if (S.CF)
-        N += S.CF->stateBytes();
-    }
+    for (const FoldSet &S : Sets)
+      N += S.stateBytes();
     return N;
   }
 
-  unsigned lastShardCount() const { return LastShardCount; }
+  unsigned shardCount() const { return static_cast<unsigned>(Sets.size()); }
 
 private:
-  struct Set {
-    std::optional<SiteGroupFold> SG;
-    std::optional<LifetimeFold> LF;
-    std::optional<HeapCurveFold> CF;
-    std::uint64_t Records = 0;
-  };
-
-  void foldInto(Set &S, const ObjectRecord &R) {
-    ++S.Records;
-    if (S.SG)
-      S.SG->fold(R);
-    if (S.LF)
-      S.LF->fold(R);
-    if (S.CF)
-      S.CF->fold(R);
-  }
-
   const StreamAnalysisOptions &O;
   std::uint64_t SampleRate;
   ByteTime CurveEnd;
-  std::vector<Set> Sets;
-  unsigned LastShardCount = 0;
+  std::vector<FoldSet> Sets;
 };
+
+/// Hands the finished folds of \p S to \p Out. \p Out.Shell must be set.
+void finishFolds(const FoldSet &S, const ir::Program &P,
+                 StreamAnalysisResult &Out) {
+  if (S.Lifetimes)
+    Out.Lifetimes = S.Lifetimes->finish();
+  if (S.Curve)
+    Out.Curve = S.Curve->finish();
+  if (S.Report)
+    Out.Report = std::make_unique<DragReport>(
+        P, *Out.Shell, S.Report->finish(P, Out.Shell->Sites));
+}
 
 } // namespace
 
@@ -243,57 +216,25 @@ bool jdrag::analysis::analyzeEventStream(const std::string &Path,
     // built from a lie would misplace events, so recompute materialized.
     if (O.CurveSamples && Shell->EndTime != PeekEnd)
       return analyzeMaterialized(Path, P, O, Out, Err);
-    Folds.mergeAndRemap(SiteMap);
-    Out.Sharded = Folds.lastShardCount() > 1;
-    Out.RecordsFolded = Folds.recordCount();
+    FoldSet &Merged = Folds.mergeAndRemap(SiteMap);
+    Out.Sharded = Folds.shardCount() > 1;
+    Out.RecordsFolded = Merged.recordCount();
     Out.FoldStateBytes = Folds.stateBytes();
-    if (LifetimeFold *LF = Folds.lifetimes())
-      Out.Lifetimes = LF->finish();
-    if (HeapCurveFold *CF = Folds.curve())
-      Out.Curve = CF->finish();
     Out.Shell = std::move(Shell);
-    if (SiteGroupFold *SG = Folds.report())
-      Out.Report = std::make_unique<DragReport>(
-          P, *Out.Shell, SG->finish(P, Out.Shell->Sites));
+    finishFolds(Merged, P, Out);
     return true;
   }
 
-  // Sequential: one DragProfiler decode with a record sink fanning out
-  // to every requested fold. The profiler is driven directly (rather
-  // than through replayProfileTo) so the export fold can reference the
-  // live site table while rows stream out.
+  // Sequential: one DragProfiler decode whose record sink is the fold
+  // set. The profiler is driven directly (rather than through
+  // replayProfileTo) so the export fold can reference the live site
+  // table while rows stream out.
   DragProfiler Prof(P, O.Config);
-  std::optional<SiteGroupFold> SG;
-  std::optional<LifetimeFold> LF;
-  std::optional<HeapCurveFold> CF;
-  std::optional<CsvExportFold> EX;
-  FoldPipeline Pipe;
-  if (O.WantReport) {
-    SG.emplace(SampleRate);
-    Pipe.attach(*SG);
-  }
-  if (O.WantLifetimes) {
-    LF.emplace();
-    Pipe.attach(*LF);
-  }
-  if (O.CurveSamples) {
-    CF.emplace(PeekEnd, O.CurveSamples);
-    Pipe.attach(*CF);
-  }
-  if (!O.ExportCsvPath.empty()) {
-    EX.emplace(P, Prof.log().Sites, O.ExportCsvPath);
-    Pipe.attach(*EX);
-  }
-
-  class PipeSink : public RecordSink {
-  public:
-    explicit PipeSink(FoldPipeline &Pipe) : Pipe(Pipe) {}
-    void onRecord(const ObjectRecord &R) override { Pipe.fold(R); }
-
-  private:
-    FoldPipeline &Pipe;
-  } Sink(Pipe);
-  Prof.setRecordSink(&Sink);
+  FoldSet Folds;
+  engageFolds(Folds, O, SampleRate, PeekEnd);
+  if (!O.ExportCsvPath.empty())
+    Folds.Export.emplace(P, Prof.log().Sites, O.ExportCsvPath);
+  Prof.setRecordSink(&Folds);
 
   if (!replayFile(Path, Prof, Err, &Info))
     return false;
@@ -308,23 +249,17 @@ bool jdrag::analysis::analyzeEventStream(const std::string &Path,
     return analyzeMaterialized(Path, P, O, Out, Err); // lying footer
 
   Out.Sharded = false;
-  Out.RecordsFolded = Pipe.recordCount();
-  Out.FoldStateBytes = Pipe.stateBytes();
-  if (LF)
-    Out.Lifetimes = LF->finish();
-  if (CF)
-    Out.Curve = CF->finish();
-  if (EX) {
-    if (!EX->finish()) {
+  Out.RecordsFolded = Folds.recordCount();
+  Out.FoldStateBytes = Folds.stateBytes();
+  if (Folds.Export) {
+    if (!Folds.Export->finish()) {
       if (Err)
         *Err = "cannot write " + O.ExportCsvPath;
       return false;
     }
-    Out.ExportRows = EX->rowCount();
+    Out.ExportRows = Folds.Export->rowCount();
   }
   Out.Shell = std::move(Shell);
-  if (SG)
-    Out.Report = std::make_unique<DragReport>(P, *Out.Shell,
-                                              SG->finish(P, Out.Shell->Sites));
+  finishFolds(Folds, P, Out);
   return true;
 }

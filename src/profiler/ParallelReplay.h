@@ -102,7 +102,7 @@ public:
 /// \p Sink and \p Shell receives the record-free log shell (sites, GC
 /// samples, end time, sampling params). \p SiteMapOut maps the stream
 /// site ids carried by the sink's records to Shell.Sites ids; pass each
-/// fold to RecordFold::remapSites(SiteMapOut) after the call.
+/// fold set to FoldSet::remapSites(SiteMapOut) after the call.
 bool replayProfileParallelFold(const std::string &Path, const ir::Program &P,
                                ProfilerConfig Config, unsigned Jobs,
                                ShardFoldSink &Sink, ProfileLog &Shell,

@@ -6,6 +6,7 @@
 
 #include "support/Lz.h"
 
+#include <bit>
 #include <cstring>
 #include <memory>
 
@@ -60,6 +61,34 @@ inline std::uint32_t load32(const std::uint8_t *P) {
   std::uint32_t V;
   std::memcpy(&V, P, sizeof(V));
   return V;
+}
+
+inline std::uint64_t load64(const std::uint8_t *P) {
+  std::uint64_t V;
+  std::memcpy(&V, P, sizeof(V));
+  return V;
+}
+
+/// Length of the common prefix of A and B, at most Max bytes; reads
+/// nothing at or past A + Max or B + Max. Compares a word at a time:
+/// the first differing byte of two words is the lowest set byte of
+/// their XOR in memory order.
+inline std::size_t matchTail(const std::uint8_t *A, const std::uint8_t *B,
+                             std::size_t Max) {
+  std::size_t Len = 0;
+  while (Len + 8 <= Max) {
+    std::uint64_t Diff = load64(A + Len) ^ load64(B + Len);
+    if (Diff) {
+      if constexpr (std::endian::native == std::endian::little)
+        return Len + (std::countr_zero(Diff) >> 3);
+      else
+        return Len + (std::countl_zero(Diff) >> 3);
+    }
+    Len += 8;
+  }
+  while (Len < Max && A[Len] == B[Len])
+    ++Len;
+  return Len;
 }
 
 inline std::uint32_t hash4(std::uint32_t V) {
@@ -159,9 +188,9 @@ std::vector<std::uint8_t> jdrag::support::lzCompress(const void *Data,
         break; // stale slot or out of window -- the chain only gets older
       if (load32(Src + C) == First &&
           (BestLen == 0 || Src[C + BestLen] == Src[P + BestLen])) {
-        std::size_t Len = LzMinMatch;
-        while (Len < Max && Src[C + Len] == Src[P + Len])
-          ++Len;
+        std::size_t Len = LzMinMatch + matchTail(Src + C + LzMinMatch,
+                                                 Src + P + LzMinMatch,
+                                                 Max - LzMinMatch);
         if (Len > BestLen) {
           BestLen = Len;
           BestOff = P - C;

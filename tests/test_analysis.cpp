@@ -414,6 +414,27 @@ TEST(DragHistogram, BucketsAndLabels) {
             ">=16M");
 }
 
+TEST(HistoBucket, ClosedFormMatchesLoop) {
+  // The bucket rule as first written: walk the 4^k KB edges upwards.
+  auto Loop = [](ByteTime DragTime) {
+    std::size_t Bucket = 0;
+    ByteTime Limit = 4 * 1024;
+    while (Bucket + 1 < SiteGroup::NumHistoBuckets && DragTime >= Limit) {
+      Limit *= 4;
+      ++Bucket;
+    }
+    return Bucket;
+  };
+  std::vector<ByteTime> Points = {0, 1, ~ByteTime(0)};
+  for (int K = 0; K <= 26; ++K) { // every edge 4^K * 1024 up to 2^62
+    ByteTime Edge = ByteTime(1024) << (2 * K);
+    for (ByteTime T : {Edge - 1, Edge, Edge + 1})
+      Points.push_back(T);
+  }
+  for (ByteTime T : Points)
+    EXPECT_EQ(SiteGroup::histoBucket(T), Loop(T)) << "drag time " << T;
+}
+
 TEST(DragHistogram, FilledByReport) {
   TestProgramBuilder T;
   ClassBuilder MainC = T.PB.beginClass("Main", T.PB.objectClass());

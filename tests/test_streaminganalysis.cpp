@@ -27,9 +27,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <numeric>
 #include <random>
 #include <sstream>
@@ -145,6 +147,114 @@ TEST(ExactSum, TruncationBelowLsbIsPerAddend) {
   EXPECT_EQ(T.toDouble(), std::ldexp(1.0, -128));
 }
 
+/// Same bits and same value: what every lane test asks of two sums.
+void expectSameSum(const ExactSum &A, const ExactSum &B) {
+  EXPECT_TRUE(A == B);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(A.toDouble()),
+            std::bit_cast<std::uint64_t>(B.toDouble()));
+}
+
+TEST(ExactSum, AddProductMatchesDoubleProduct) {
+  const std::uint64_t Two53 = std::uint64_t(1) << 53;
+  const std::uint64_t Max = ~std::uint64_t(0);
+  struct Point {
+    std::uint64_t A, B;
+  };
+  // Products at and around the lane limit, factors that are not exact
+  // doubles, and the largest product of all.
+  const Point Points[] = {
+      {0, 0},           {0, Max},           {1, 1},
+      {Two53 - 1, 1},   {6361, 1416003655831}, // 2^53 - 1, factored
+      {Two53, 1},       {1 << 26, 1 << 27},    // 2^53
+      {Two53 + 1, 1},   {3, 3002399751580331}, // 2^53 + 1, factored
+      {Two53 + 3, 1},   {(Two53 << 3) + 5, 1}, // A >= 2^53, B = 1
+      {1ull << 32, 1ull << 32},                // A = B = 2^32
+      {Max, Max},                              // A = B = 2^64 - 1
+  };
+  for (const Point &Pt : Points) {
+    SCOPED_TRACE(testing::Message() << Pt.A << " x " << Pt.B);
+    double Product = static_cast<double>(Pt.A) * static_cast<double>(Pt.B);
+    ExactSum Lane, Double;
+    Lane.addProduct(Pt.A, Pt.B);
+    Double.add(Product);
+    expectSameSum(Lane, Double);
+    EXPECT_EQ(Lane.isZero(), Product == 0.0);
+    // On top of a fractional limb value the two still agree.
+    Lane.add(0.375);
+    Double.add(0.375);
+    expectSameSum(Lane, Double);
+  }
+}
+
+TEST(ExactSum, LaneMergeEqualsSequential) {
+  // Both sides hold lane values (and limb values): merging moves the
+  // other side's lane into the limbs, which must not change the sum.
+  std::mt19937_64 Rng(7);
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> Products;
+  for (int I = 0; I != 400; ++I)
+    Products.push_back({Rng() >> (11 + I % 40), Rng() >> (40 + I % 24)});
+  ExactSum Sequential;
+  for (auto [A, B] : Products)
+    Sequential.addProduct(A, B);
+  for (std::size_t Shards : {2u, 3u, 7u}) {
+    std::vector<ExactSum> Partial(Shards);
+    for (std::size_t I = 0; I != Products.size(); ++I)
+      Partial[I % Shards].addProduct(Products[I].first, Products[I].second);
+    ExactSum Merged;
+    for (auto It = Partial.rbegin(); It != Partial.rend(); ++It)
+      Merged.add(*It);
+    expectSameSum(Merged, Sequential);
+    // Merging into a side that keeps adding to its own lane afterwards.
+    ExactSum Mixed = Partial[0];
+    for (std::size_t K = 1; K != Shards; ++K)
+      Mixed.add(Partial[K]);
+    Mixed.addProduct(3, 5);
+    ExactSum Expected = Sequential;
+    Expected.add(15.0);
+    expectSameSum(Mixed, Expected);
+  }
+}
+
+TEST(ExactSum, LaneAndLimbPermutationsAgree) {
+  // A mix of lane adds, products past the lane, and fractional doubles:
+  // every order gives the same bits, and the same value as adding each
+  // product as a double.
+  struct Op {
+    bool Product;
+    std::uint64_t A, B;
+    double V;
+  };
+  std::mt19937_64 Rng(11);
+  std::vector<Op> Ops;
+  for (int I = 0; I != 300; ++I) {
+    switch (I % 3) {
+    case 0: // lane: product below 2^53
+      Ops.push_back({true, Rng() >> 40, Rng() >> 36, 0});
+      break;
+    case 1: // limbs: product above 2^53
+      Ops.push_back({true, Rng() >> 8, Rng() >> 20, 0});
+      break;
+    default: // limbs: a fractional double
+      Ops.push_back({false, 0, 0, std::ldexp(double(Rng() >> 11), -60)});
+      break;
+    }
+  }
+  ExactSum Reference;
+  for (const Op &O : Ops)
+    Reference.add(O.Product ? double(O.A) * double(O.B) : O.V);
+  for (int Round = 0; Round != 6; ++Round) {
+    std::shuffle(Ops.begin(), Ops.end(), Rng);
+    ExactSum S;
+    for (const Op &O : Ops) {
+      if (O.Product)
+        S.addProduct(O.A, O.B);
+      else
+        S.add(O.V);
+    }
+    expectSameSum(S, Reference);
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // OpenIndex: the per-record hot-path index
 //===----------------------------------------------------------------------===//
@@ -177,6 +287,194 @@ TEST(OpenIndex, SizeHintPreservesSemantics) {
     std::uint64_t Key = I * 0x10001;
     EXPECT_EQ(Hinted.lookupOrInsert(Key, static_cast<std::uint32_t>(I)),
               Cold.lookupOrInsert(Key, static_cast<std::uint32_t>(I)));
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// SiteGroupFold: the integer lane against plain double sums
+//===----------------------------------------------------------------------===//
+
+/// Records whose drag, drag^2, lifetime^2 and bytes x lifetime sit on
+/// both sides of 2^53, spread over three sites, two last-use sites and
+/// three class buckets.
+std::vector<ObjectRecord> laneBoundaryRecords() {
+  const ByteTime T53 = ByteTime(1) << 53;
+  struct Shape {
+    std::uint32_t Bytes;
+    ByteTime Life, Drag;
+    bool Used;
+  };
+  const Shape Shapes[] = {
+      {1u << 20, (1ull << 33) + 7, (1ull << 33) - 1, true}, // drag < 2^53
+      {1u << 20, (1ull << 33) + 7, 1ull << 33, true},       // drag = 2^53
+      {1u << 20, (1ull << 33) + 7, (1ull << 33) + 1, true}, // drag > 2^53
+      {3, 3002399751580331 + 9, 3002399751580331, true},    // 2^53 + 1
+      {5, 94906265, 18981253, true}, // drag^2, life^2 just below 2^53
+      {2, 94906266, 47453133, true}, // drag^2, life^2 just above 2^53
+      {1u << 21, (1ull << 32) - 1, 100, true},  // bytes x life < 2^53
+      {1u << 21, (1ull << 32) + 1, 4096, true}, // bytes x life > 2^53
+      {1, T53 - 1, T53 - 1, false},             // never used: drag = life
+      {1, T53 + 1, T53 + 1, false},             // drag time not exact
+      {~0u, 1ull << 62, 1ull << 61, true},
+      {48, 5000, 0, true},
+      {0, 10, 10, false},
+  };
+  std::vector<ObjectRecord> Records;
+  for (int Rep = 0; Rep != 2; ++Rep)
+    for (const Shape &Sh : Shapes) {
+      std::size_t I = Records.size();
+      ObjectRecord R;
+      R.Id = I + 1;
+      R.Bytes = Sh.Bytes;
+      R.AllocTime = 1000 * I;
+      R.CollectTime = R.AllocTime + Sh.Life;
+      R.LastUseTime = Sh.Used ? R.CollectTime - Sh.Drag : R.AllocTime;
+      R.FirstUseTime = R.AllocTime;
+      R.AllocSite = static_cast<SiteId>(I % 3);
+      R.UsedOutsideInit = Sh.Used;
+      R.LastUseSite = Sh.Used ? static_cast<SiteId>(10 + I % 2) : InvalidSite;
+      R.UseCount = Sh.Used ? 1 : 0;
+      R.IsArray = I % 4 == 0;
+      R.AKind = ir::ArrayKind::Double;
+      if (!R.IsArray)
+        R.Class = ir::ClassId(static_cast<std::uint32_t>(I % 2));
+      Records.push_back(R);
+    }
+  return Records;
+}
+
+TEST(SiteGroupFold, LaneBoundaryMatchesDoubleSums) {
+  // The oracle is the report's definition written with ExactSum::add
+  // (double) only, every record weighted (W = 1 on exact logs). The
+  // materialized DragReport runs the same fold, so it cannot serve.
+  std::vector<ObjectRecord> Records = laneBoundaryRecords();
+  for (std::uint64_t Rate : {std::uint64_t(0), std::uint64_t(65536)}) {
+    SCOPED_TRACE(testing::Message() << "sample rate " << Rate);
+    struct RefGroup {
+      std::uint64_t N = 0, NeverUsed = 0, Bytes = 0, Large = 0;
+      ExactSum EstObjects, EstBytes, TotalDrag, Variance, NeverUsedDrag;
+      ExactSum DragSum, DragSq, DragTimeSum, DragTimeSq, LifeSum, LifeSq;
+      double DragMin = INFINITY, DragMax = -INFINITY;
+      double DragTimeMin = INFINITY, DragTimeMax = -INFINITY;
+      double LifeMin = INFINITY, LifeMax = -INFINITY;
+      std::array<std::uint64_t, SiteGroup::NumHistoBuckets> Histo = {};
+      std::map<SiteId, ExactSum> LastUse;
+    };
+    struct RefClass {
+      std::uint64_t N = 0, Bytes = 0, NeverUsed = 0;
+      ExactSum Drag;
+    };
+    std::map<SiteId, RefGroup> Groups;
+    std::map<std::pair<bool, std::uint32_t>, RefClass> Classes;
+    ExactSum Total, Reachable, InUse;
+    for (const ObjectRecord &R : Records) {
+      double Bytes = static_cast<double>(R.Bytes);
+      double DragRaw = Bytes * static_cast<double>(R.dragTime());
+      double DragTime = static_cast<double>(R.dragTime());
+      double Life = static_cast<double>(R.lifeTime());
+      double P = profiler::sampleProbability(R.Bytes, Rate);
+      double W = Rate ? 1.0 / P : 1.0;
+      double Drag = DragRaw * W;
+      RefGroup &G = Groups[R.AllocSite];
+      ++G.N;
+      G.Bytes += R.Bytes;
+      G.EstObjects.add(W);
+      G.EstBytes.add(W * Bytes);
+      G.TotalDrag.add(Drag);
+      G.Variance.add(Rate ? profiler::sampleVarianceTerm(DragRaw, P) : 0.0);
+      G.DragSum.add(DragRaw);
+      G.DragSq.add(DragRaw * DragRaw);
+      G.DragTimeSum.add(DragTime);
+      G.DragTimeSq.add(DragTime * DragTime);
+      G.LifeSum.add(Life);
+      G.LifeSq.add(Life * Life);
+      G.DragMin = std::min(G.DragMin, DragRaw);
+      G.DragMax = std::max(G.DragMax, DragRaw);
+      G.DragTimeMin = std::min(G.DragTimeMin, DragTime);
+      G.DragTimeMax = std::max(G.DragTimeMax, DragTime);
+      G.LifeMin = std::min(G.LifeMin, Life);
+      G.LifeMax = std::max(G.LifeMax, Life);
+      if (R.neverUsed()) {
+        ++G.NeverUsed;
+        G.NeverUsedDrag.add(Drag);
+      }
+      G.Large += R.lifeTime() > 0 && DragTime >= Life / 3.0;
+      ++G.Histo[SiteGroup::histoBucket(R.dragTime())];
+      G.LastUse[R.neverUsed() ? InvalidSite : R.LastUseSite].add(Drag);
+      RefClass &C = Classes[{R.IsArray, R.IsArray ? 0u : R.Class.Index}];
+      ++C.N;
+      C.Bytes += R.Bytes;
+      C.NeverUsed += R.neverUsed();
+      C.Drag.add(Drag);
+      Total.add(Drag);
+      Reachable.add(W * Bytes * Life);
+      InUse.add(W * Bytes * static_cast<double>(R.inUseTime()));
+    }
+
+    auto ExpectStat = [](const RunningStat &S, std::uint64_t N,
+                         const ExactSum &Sum, const ExactSum &Sq, double Min,
+                         double Max) {
+      double Mean = Sum.toDouble() / static_cast<double>(N);
+      double M2 = std::max(0.0, Sq.toDouble() - Sum.toDouble() * Mean);
+      EXPECT_EQ(S.count(), N);
+      EXPECT_EQ(S.mean(), Mean);
+      EXPECT_EQ(S.variance(), M2 / static_cast<double>(N));
+      EXPECT_EQ(S.min(), Min);
+      EXPECT_EQ(S.max(), Max);
+    };
+    auto Check = [&](const DragReportData &D) {
+      ASSERT_EQ(D.Groups.size(), Groups.size());
+      for (const auto &[Site, G] : Groups) {
+        SCOPED_TRACE(testing::Message() << "site " << Site);
+        const SiteGroup &Out = D.Groups[D.GroupIndex.at(Site)];
+        EXPECT_EQ(Out.ObjectCount, G.N);
+        EXPECT_EQ(Out.NeverUsedCount, G.NeverUsed);
+        EXPECT_EQ(Out.TotalBytes, G.Bytes);
+        EXPECT_EQ(Out.LargeDragCount, G.Large);
+        EXPECT_EQ(Out.EstObjects, G.EstObjects.toDouble());
+        EXPECT_EQ(Out.EstBytes, G.EstBytes.toDouble());
+        EXPECT_EQ(Out.TotalDrag, G.TotalDrag.toDouble());
+        EXPECT_EQ(Out.NeverUsedDrag, G.NeverUsedDrag.toDouble());
+        EXPECT_EQ(Out.DragVariance, G.Variance.toDouble());
+        EXPECT_EQ(Out.DragTimeHisto, G.Histo);
+        ExpectStat(Out.DragPerObject, G.N, G.DragSum, G.DragSq, G.DragMin,
+                   G.DragMax);
+        ExpectStat(Out.DragTimePerObject, G.N, G.DragTimeSum, G.DragTimeSq,
+                   G.DragTimeMin, G.DragTimeMax);
+        ExpectStat(Out.LifeTimePerObject, G.N, G.LifeSum, G.LifeSq, G.LifeMin,
+                   G.LifeMax);
+        std::vector<std::pair<SiteId, SpaceTime>> LastUse;
+        for (const auto &[Use, Sum] : G.LastUse)
+          LastUse.push_back({Use, Sum.toDouble()});
+        EXPECT_EQ(Out.DragByLastUse, LastUse);
+      }
+      ASSERT_EQ(D.ClassGroups.size(), Classes.size());
+      for (const ClassGroup &Out : D.ClassGroups) {
+        const RefClass &C =
+            Classes.at({Out.IsArray, Out.IsArray ? 0u : Out.Class.Index});
+        EXPECT_EQ(Out.ObjectCount, C.N);
+        EXPECT_EQ(Out.TotalBytes, C.Bytes);
+        EXPECT_EQ(Out.NeverUsedCount, C.NeverUsed);
+        EXPECT_EQ(Out.TotalDrag, C.Drag.toDouble());
+      }
+      ASSERT_EQ(D.CoarseGroups.size(), 1u); // no site has a frame
+      EXPECT_EQ(D.CoarseGroups[0].ObjectCount, Records.size());
+      EXPECT_EQ(D.TotalDragSum, Total.toDouble());
+      EXPECT_EQ(D.ReachableSum, Reachable.toDouble());
+      EXPECT_EQ(D.InUseSum, InUse.toDouble());
+    };
+
+    ir::Program P;
+    profiler::SiteTable Sites;
+    SiteGroupFold Sequential(Rate);
+    SiteGroupFold Left(Rate), Right(Rate);
+    for (std::size_t I = 0; I != Records.size(); ++I) {
+      Sequential.fold(Records[I]);
+      (I % 3 ? Left : Right).fold(Records[I]);
+    }
+    Left.merge(Right);
+    Check(Sequential.finish(P, Sites));
+    Check(Left.finish(P, Sites));
   }
 }
 
