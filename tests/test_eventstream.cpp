@@ -374,6 +374,69 @@ TEST(EventWire, V3DecoderRejectsOverlongVarint) {
   EXPECT_NE(D.error().find("varint"), std::string::npos) << D.error();
 }
 
+/// Decodes one chunk body holding a valid Terminate record, then \p Bad,
+/// then 64 bytes of padding. The bad record starts more than 51 bytes
+/// (a tag and five 10-byte varints, the longest non-site record) before
+/// the end of the body, so the decoder reads it with the unchecked
+/// reader, not the bounded one the short-body tests above reach.
+/// Returns the decode error; the Terminate must have been delivered.
+std::string fastPathError(std::initializer_list<std::uint8_t> Bad) {
+  std::vector<std::uint8_t> Body = {
+      static_cast<std::uint8_t>(EventKind::Terminate), 0x0a}; // time 5
+  Body.insert(Body.end(), Bad);
+  Body.resize(Body.size() + 64, 0);
+  CollectingConsumer C;
+  StreamDecoder D(C);
+  EXPECT_FALSE(
+      D.decodeChunk(reinterpret_cast<const std::byte *>(Body.data()),
+                    Body.size()));
+  EXPECT_FALSE(D.recordCut());
+  EXPECT_EQ(D.eventsDecoded(), 1u);
+  EXPECT_EQ(D.bytesDecoded(), 2u);
+  EXPECT_EQ(C.Events.size(), 1u);
+  return D.error();
+}
+
+TEST(EventWire, FastReaderRejectsOverlongVarint) {
+  // A Use whose time delta is 11 continuation bytes.
+  EXPECT_EQ(fastPathError({0x02, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80,
+                           0x80, 0x80, 0x80, 0x80}),
+            "malformed event stream: bad varint in use record");
+}
+
+TEST(EventWire, FastReaderRejectsTenthByteOverOne) {
+  // A Use whose time delta's 10th byte carries more than bit 63.
+  EXPECT_EQ(fastPathError({0x02, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80,
+                           0x80, 0x80, 0x02, 0x00, 0x00}),
+            "malformed event stream: bad varint in use record");
+}
+
+TEST(EventWire, FastReaderRejectsSiteIdPastU32) {
+  // A Use at time 0, id 0, whose biased site field is 2^32.
+  EXPECT_EQ(fastPathError({0x02, 0x00, 0x00, 0x80, 0x80, 0x80, 0x80, 0x10}),
+            "malformed event stream: bad varint in use record");
+  // The same site field on an Alloc.
+  EXPECT_EQ(fastPathError(
+                {0x01, 0x00, 0x00, 0x10, 0x03, 0x80, 0x80, 0x80, 0x80, 0x10}),
+            "malformed event stream: bad varint in alloc record");
+}
+
+TEST(EventWire, FastReaderRejectsUseKindSeven) {
+  EXPECT_EQ(fastPathError({0x72, 0x00, 0x00, 0x01}),
+            "malformed event stream: unknown use kind 7 in use record");
+}
+
+TEST(EventWire, FastReaderRejectsSpareTagBits) {
+  EXPECT_EQ(fastPathError({0x41, 0x00, 0x00, 0x10, 0x03, 0x01}),
+            "malformed event stream: spare tag bits set on alloc record");
+  EXPECT_EQ(fastPathError({0x82, 0x00, 0x00, 0x01}),
+            "malformed event stream: spare tag bits set on use record");
+  EXPECT_EQ(fastPathError({0x0b, 0x00, 0x00, 0x00}),
+            "malformed event stream: spare tag bits set on gc-end record");
+  EXPECT_EQ(fastPathError({0x0d, 0x00, 0x00}),
+            "malformed event stream: spare tag bits set on collect record");
+}
+
 TEST(EventWire, V3RecordsStraddleFeedBoundaries) {
   // One v3 chunk holding an Alloc (time 1000, object 7, 24 bytes, class
   // 3, site 5) and a Use (time 1500, object 7, site 6). A one-chunk v3
