@@ -642,6 +642,47 @@ void BM_ReplayDecodeCompressed(benchmark::State &State) {
 }
 BENCHMARK(BM_ReplayDecodeCompressed);
 
+/// Discards finished object records.
+class NullRecordSink : public profiler::RecordSink {
+public:
+  void onRecord(const profiler::ObjectRecord &) override {}
+};
+
+/// The decode + trailer half of phase 2 as one loop: an in-memory
+/// recording of jack (the churn_exact input of pipebench, ~1.5 M events)
+/// replayed into a DragProfiler whose records go to a null sink. The
+/// records decode straight into the trailer rules, which pipebench's
+/// separately timed decode and trailers layers cannot show. Items are
+/// decoded events.
+void BM_ReplayProfile(benchmark::State &State) {
+  BenchmarkProgram B = buildJack();
+  profiler::MemorySink Mem;
+  VMOptions Opts;
+  Opts.DeepGCIntervalBytes = 100 * KB;
+  Opts.Sink = &Mem;
+  VirtualMachine VM(B.Prog, Opts);
+  VM.setInputs({30153, 25});
+  if (VM.run() != Interpreter::Status::Ok || !VM.streamIntact())
+    std::abort();
+  std::uint64_t Events = 0;
+  NullRecordSink Null;
+  for (auto _ : State) {
+    profiler::DragProfiler Prof(B.Prog);
+    Prof.setRecordSink(&Null);
+    profiler::FrameDecoder Dec(Prof);
+    if (!Dec.feed(Mem.bytes().data(), Mem.bytes().size()) ||
+        !Dec.atRecordBoundary() || Prof.liveTrailers() != 0)
+      std::abort();
+    Events = Dec.eventsDecoded();
+    benchmark::DoNotOptimize(Prof.peakTrailerStateBytes());
+  }
+  State.SetItemsProcessed(State.iterations() *
+                          static_cast<std::int64_t>(Events));
+  State.SetBytesProcessed(State.iterations() *
+                          static_cast<std::int64_t>(Mem.bytes().size()));
+}
+BENCHMARK(BM_ReplayProfile)->Unit(benchmark::kMillisecond);
+
 /// End-to-end sharded replay (read + index + decode + merge) of a
 /// multi-chunk recording; Arg is the worker count, items are object
 /// records in the resulting profile. Jobs=1 is the sequential path, so

@@ -27,35 +27,6 @@ void DragProfiler::onSite(SiteId Id, std::span<const SiteFrame> Frames) {
   SiteMap[Id] = Local;
 }
 
-void DragProfiler::onEvent(const EventRecord &E) {
-  switch (E.kind()) {
-  case EventKind::Alloc:
-    Trailers.alloc(E, localSite(E.Site));
-    PeakLive = std::max(PeakLive, liveTrailers());
-    PeakStateBytes = std::max(PeakStateBytes, Trailers.live().stateBytes());
-    break;
-  case EventKind::Use:
-    Trailers.use(E, localSite(E.Site));
-    break;
-  case EventKind::GCEnd:
-    Log.GCSamples.push_back({E.Time, E.Arg0, E.Arg1});
-    break;
-  case EventKind::DeepGCEnd:
-    Trailers.deepGC(E.Time);
-    break;
-  case EventKind::Collect:
-  case EventKind::Survivor:
-    Trailers.end(E.Id, E.Time, /*Survived=*/E.kind() == EventKind::Survivor,
-                 [this](const ObjectRecord &R) { emitRecord(R); });
-    break;
-  case EventKind::Terminate:
-    Log.EndTime = E.Time;
-    break;
-  case EventKind::DefineSite:
-    break; // delivered via onSite
-  }
-}
-
 bool jdrag::profiler::replayProfile(const std::string &Path,
                                     const ir::Program &P,
                                     ProfilerConfig Config, ProfileLog &Out,

@@ -211,8 +211,10 @@ public:
 };
 
 /// The phase-1 profiler. Attach to a VirtualMachine (attachTo) or replay
-/// a recorded stream over it, then take the log.
-class DragProfiler : public EventConsumer {
+/// a recorded stream over it, then take the log. It is final and its
+/// onEvent is inline, so the record loop instantiated for it (see
+/// RecordTarget) runs the trailer rules inside the decode.
+class DragProfiler final : public EventConsumer {
 public:
   explicit DragProfiler(const ir::Program &P,
                         ProfilerConfig Config = ProfilerConfig());
@@ -238,9 +240,37 @@ public:
   /// that both records to file and profiles live).
   EventSink &sink() { return Sink; }
 
-  // EventConsumer: decoded stream input.
+  // EventConsumer: decoded stream input. onEvent is forced inline so
+  // it runs inside the record loop (profiler/RecordLoop.h).
   void onSite(SiteId Id, std::span<const SiteFrame> Frames) override;
-  void onEvent(const EventRecord &E) override;
+  [[gnu::always_inline]] void onEvent(const EventRecord &E) override {
+    switch (E.kind()) {
+    case EventKind::Alloc:
+      Trailers.alloc(E, localSite(E.Site));
+      PeakLive = std::max(PeakLive, liveTrailers());
+      PeakStateBytes = std::max(PeakStateBytes, Trailers.live().stateBytes());
+      break;
+    case EventKind::Use:
+      Trailers.use(E, localSite(E.Site));
+      break;
+    case EventKind::GCEnd:
+      Log.GCSamples.push_back({E.Time, E.Arg0, E.Arg1});
+      break;
+    case EventKind::DeepGCEnd:
+      Trailers.deepGC(E.Time);
+      break;
+    case EventKind::Collect:
+    case EventKind::Survivor:
+      Trailers.end(E.Id, E.Time, /*Survived=*/E.kind() == EventKind::Survivor,
+                   [this](const ObjectRecord &R) { emitRecord(R); });
+      break;
+    case EventKind::Terminate:
+      Log.EndTime = E.Time;
+      break;
+    case EventKind::DefineSite:
+      break; // delivered via onSite
+    }
+  }
 
   const ProfileLog &log() const { return Log; }
   ProfileLog takeLog() { return std::move(Log); }

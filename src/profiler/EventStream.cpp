@@ -17,6 +17,7 @@
 
 using namespace jdrag;
 using namespace jdrag::profiler;
+using namespace jdrag::profiler::wire;
 
 EventSink::~EventSink() = default;
 EventConsumer::~EventConsumer() = default;
@@ -48,18 +49,8 @@ static_assert(std::size(EventKindNames) == NumEventKinds,
 constexpr std::uint64_t StreamMagic = StreamFileMagic;
 
 //===----------------------------------------------------------------------===//
-// v3 varint primitives
+// Varint encoding (the readers and wire constants are in RecordLoop.h)
 //===----------------------------------------------------------------------===//
-//
-// LEB128 unsigned varints, at most 10 bytes for a u64. Timestamps are
-// zigzag-mapped signed *deltas* against the previous record's time (the
-// byte clock is monotonic, so deltas are small). From v7 object ids are
-// zigzag deltas too, against the previous id-carrying record of the
-// chunk. Every other field is an unsigned varint of its value. SiteIds
-// are biased by +1 so the common InvalidSite (~0u) costs one byte
-// instead of five.
-
-constexpr std::size_t MaxVarintBytes = 10;
 
 /// Appends V as a LEB128 varint; returns bytes written (<= 10).
 inline std::size_t putUvar(std::uint8_t *P, std::uint64_t V) {
@@ -74,16 +65,6 @@ inline std::size_t putUvar(std::uint8_t *P, std::uint64_t V) {
   return N;
 }
 
-inline std::uint64_t zigzagEncode(std::int64_t V) {
-  return (static_cast<std::uint64_t>(V) << 1) ^
-         static_cast<std::uint64_t>(V >> 63);
-}
-
-inline std::int64_t zigzagDecode(std::uint64_t V) {
-  return static_cast<std::int64_t>(V >> 1) ^
-         -static_cast<std::int64_t>(V & 1);
-}
-
 inline std::size_t putSvar(std::uint8_t *P, std::int64_t V) {
   return putUvar(P, zigzagEncode(V));
 }
@@ -92,102 +73,6 @@ inline std::size_t putSvar(std::uint8_t *P, std::int64_t V) {
 inline std::uint64_t biasSite(SiteId S) {
   return static_cast<std::uint32_t>(S + 1);
 }
-
-/// Bounded varint reader over one contiguous span. Distinguishes "ran
-/// out of bytes" (Short: the end of the chunk body cuts the record off)
-/// from "malformed" (Bad: overlong varint or u64 overflow).
-struct VarReader {
-  const std::byte *P;
-  std::size_t N;
-  std::size_t Off = 0;
-  bool Short = false;
-  bool Bad = false;
-
-  bool byte(std::uint8_t &B) {
-    if (Off == N) {
-      Short = true;
-      return false;
-    }
-    B = std::to_integer<std::uint8_t>(P[Off++]);
-    return true;
-  }
-
-  std::uint64_t uvar() {
-    std::uint64_t V = 0;
-    for (std::size_t I = 0; I != MaxVarintBytes; ++I) {
-      std::uint8_t B;
-      if (!byte(B))
-        return 0;
-      V |= static_cast<std::uint64_t>(B & 0x7F) << (7 * I);
-      if (!(B & 0x80)) {
-        if (I == MaxVarintBytes - 1 && B > 1)
-          Bad = true; // 10th byte may only carry bit 64's remainder
-        return V;
-      }
-    }
-    Bad = true; // continuation bit set past the 10-byte limit
-    return 0;
-  }
-
-  std::int64_t svar() { return zigzagDecode(uvar()); }
-
-  /// uvar that must fit a u32 (site ids, frame fields).
-  std::uint32_t uvar32() {
-    std::uint64_t V = uvar();
-    if (V > 0xFFFFFFFFull)
-      Bad = true;
-    return static_cast<std::uint32_t>(V);
-  }
-};
-
-// v3 tag byte: bits 0-2 = EventKind, bits 3-7 = kind-specific inline
-// flags. Spare bits MUST be zero -- a set spare bit fails the decode,
-// preserving the corruption detection the fixed format got for free.
-constexpr std::uint8_t TagKindMask = 0x07;
-constexpr std::uint8_t AllocIsArrayBit = 0x08;  // Flags bit0
-constexpr std::uint8_t AllocKindShift = 4;      // Sub (ArrayKind, 2 bits)
-constexpr std::uint8_t AllocSpareMask = 0xC0;   // bits 6-7
-constexpr std::uint8_t UseDuringInitBit = 0x08; // Flags bit0
-constexpr std::uint8_t UseKindShift = 4;        // Sub (UseKind, 3 bits)
-constexpr std::uint8_t UseSpareMask = 0x80;     // bit 7
-
-/// Upper bound on any encoded non-site v3/v4 record: tag + 5 varints.
-/// With at least this much contiguous input left, a record decode can
-/// skip every per-byte bounds check (the batch fast path).
-constexpr std::size_t MaxV3EventBytes = 1 + 5 * MaxVarintBytes;
-
-/// VarReader without bounds checks, for spans proven long enough to
-/// hold the whole record. Still detects overlong varints (Bad) -- only
-/// the Short machinery is gone.
-struct FastVarReader {
-  const std::byte *P;
-  std::size_t Off = 0;
-  bool Bad = false;
-
-  std::uint64_t uvar() {
-    std::uint64_t V = 0;
-    for (std::size_t I = 0; I != MaxVarintBytes; ++I) {
-      auto B = std::to_integer<std::uint8_t>(P[Off++]);
-      V |= static_cast<std::uint64_t>(B & 0x7F) << (7 * I);
-      if (!(B & 0x80)) {
-        if (I == MaxVarintBytes - 1 && B > 1)
-          Bad = true; // 10th byte may only carry bit 64's remainder
-        return V;
-      }
-    }
-    Bad = true; // continuation bit set past the 10-byte limit
-    return 0;
-  }
-
-  std::int64_t svar() { return zigzagDecode(uvar()); }
-
-  std::uint32_t uvar32() {
-    std::uint64_t V = uvar();
-    if (V > 0xFFFFFFFFull)
-      Bad = true;
-    return static_cast<std::uint32_t>(V);
-  }
-};
 
 /// The footer's on-wire per-chunk entry (48 bytes, native-endian like
 /// the rest of the stream).
@@ -462,8 +347,8 @@ void EventBuffer::beginChunk() {
 }
 
 void EventBuffer::writeEvent(const EventRecord &E) {
-  // Largest non-site record: tag + 5 varints -- comfortably under 64.
-  std::uint8_t Buf[MaxV3EventBytes];
+  // Largest timed record: tag + 5 varints -- comfortably under 64.
+  std::uint8_t Buf[MaxTimedRecordBytes];
   std::size_t N = 0;
   std::uint8_t Tag = E.Kind;
   auto Kind = E.kind();
@@ -691,161 +576,64 @@ bool StreamDecoder::fail(std::string Msg) {
   return false;
 }
 
-namespace {
-
-/// Reads an object id: an absolute varint before v7; from v7 a zigzag
-/// delta added (mod 2^64) to \p Last, the chunk's previous id, which it
-/// then replaces.
-template <bool Delta, class Reader>
-vm::ObjectId readId(Reader &R, vm::ObjectId &Last) {
-  if constexpr (Delta)
-    return Last += static_cast<std::uint64_t>(R.svar());
-  else
-    return R.uvar();
-}
-
-/// Decodes the fields that follow the tag byte of one timed record into
-/// \p E, with its time delta taken against \p Base and (for \p Delta,
-/// v7) its id delta against \p LastId. Instantiated for both readers:
-/// FastVarReader where the whole record is known to be in range,
-/// VarReader near the end of a body. Returns what is malformed, or null
-/// -- a VarReader may still have run short, which the caller checks.
-template <bool Delta, class Reader>
-const char *readTimedRecord(Reader &R, std::uint8_t Tag, ByteTime Base,
-                            vm::ObjectId &LastId, EventRecord &E) {
-  auto Kind = static_cast<EventKind>(Tag & TagKindMask);
-  E.Kind = Tag & TagKindMask;
-  E.Time = Base + static_cast<std::uint64_t>(R.svar());
-  switch (Kind) {
-  case EventKind::Alloc:
-    if (Tag & AllocSpareMask)
-      return "spare tag bits set on";
-    E.Flags = (Tag & AllocIsArrayBit) ? 1 : 0;
-    E.Sub = static_cast<std::uint8_t>((Tag >> AllocKindShift) & 0x3);
-    E.Id = readId<Delta>(R, LastId);
-    E.Arg0 = R.uvar();
-    E.Arg1 = R.uvar();
-    E.Site = static_cast<SiteId>(R.uvar32() - 1);
-    break;
-  case EventKind::Use:
-    if (Tag & UseSpareMask)
-      return "spare tag bits set on";
-    E.Flags = (Tag & UseDuringInitBit) ? 1 : 0;
-    E.Sub = static_cast<std::uint8_t>((Tag >> UseKindShift) & 0x7);
-    if (E.Sub == 7)
-      return "unknown use kind 7 in";
-    E.Id = readId<Delta>(R, LastId);
-    E.Site = static_cast<SiteId>(R.uvar32() - 1);
-    break;
-  case EventKind::GCEnd:
-    if (Tag & ~TagKindMask)
-      return "spare tag bits set on";
-    E.Arg0 = R.uvar();
-    E.Arg1 = R.uvar();
-    break;
-  case EventKind::Collect:
-  case EventKind::Survivor:
-    if (Tag & ~TagKindMask)
-      return "spare tag bits set on";
-    E.Id = readId<Delta>(R, LastId);
-    break;
-  case EventKind::DeepGCEnd:
-  case EventKind::Terminate:
-  case EventKind::DefineSite: // never reaches here
-    if (Tag & ~TagKindMask)
-      return "spare tag bits set on";
-    break;
+std::size_t StreamDecoder::readSite(const std::byte *Data, std::size_t Size,
+                                    std::size_t At, std::uint64_t Records,
+                                    SiteId &Id) {
+  std::uint8_t Tag = std::to_integer<std::uint8_t>(Data[At]);
+  if (Tag & ~TagKindMask) {
+    reject(At, Records, Verdict::SpareBits, EventKind::DefineSite);
+    return 0;
   }
-  return R.Bad ? "bad varint in" : nullptr;
+  VarReader R{Data + At + 1, Size - At - 1};
+  Id = R.uvar32();
+  std::uint64_t FrameCount = R.uvar();
+  if (!R.Short && !R.Bad && FrameCount > MaxWireFrames) {
+    Bytes += At;
+    Events += Records;
+    fail("malformed event stream: site with " + std::to_string(FrameCount) +
+         " frames");
+    return 0;
+  }
+  FrameScratch.clear();
+  for (std::uint64_t I = 0; I != FrameCount && !R.Short && !R.Bad; ++I) {
+    std::uint32_t Method = R.uvar32();
+    std::uint32_t Pc = R.uvar32();
+    std::uint32_t Line = R.uvar32();
+    FrameScratch.push_back({ir::MethodId(Method), Pc, Line});
+  }
+  // Malformation wins over a cut: Bad never depends on the bytes past
+  // the end of the body.
+  if (R.Bad || R.Short) {
+    reject(At, Records, R.Bad ? Verdict::BadVarint : Verdict::Cut,
+           EventKind::DefineSite);
+    return 0;
+  }
+  return 1 + R.Off;
 }
 
-} // namespace
-
-bool StreamDecoder::decodeChunk(const std::byte *Data, std::size_t Size) {
-  if (Failed)
-    return false;
-  // The id coding is fixed per stream, so it is a template parameter of
-  // the whole loop rather than a branch per record.
-  return DeltaIds ? decodeBody<true>(Data, Size)
-                  : decodeBody<false>(Data, Size);
-}
-
-template <bool Delta>
-bool StreamDecoder::decodeBody(const std::byte *Data, std::size_t Size) {
-  // Every chunk restarts the time-delta chain and the v7 id-delta chain.
-  ByteTime LastTime = 0;
-  vm::ObjectId LastId = 0;
-  std::size_t Off = 0;
-  // Every failure happens at the record starting at At, and the
-  // records before it have been dispatched. These lambdas capture only
-  // `this` and take At by value: capturing the loop's locals by
-  // reference measurably slowed the loop.
-  auto Malformed = [this](std::size_t At, const char *What, EventKind Kind) {
-    Bytes += At;
-    return fail(std::string("malformed event stream: ") + What + " " +
-                eventKindName(Kind) + " record");
-  };
-  auto CutOff = [this](std::size_t At) {
-    Bytes += At;
+bool StreamDecoder::reject(std::size_t At, std::uint64_t Records, Verdict V,
+                           EventKind Kind) {
+  Bytes += At;
+  Events += Records;
+  const char *What = "";
+  switch (V) {
+  case Verdict::Cut:
     Cut = true;
     return fail("corrupt event stream: record straddles a chunk boundary "
                 "in a self-contained chunk");
-  };
-  while (Off < Size) {
-    std::uint8_t Tag = std::to_integer<std::uint8_t>(Data[Off]);
-    auto Kind = static_cast<EventKind>(Tag & TagKindMask);
-    EventRecord E;
-
-    if (Kind != EventKind::DefineSite && Size - Off >= MaxV3EventBytes) {
-      // Room for any non-site record: no per-byte bounds checks.
-      FastVarReader R{Data + Off + 1};
-      if (const char *Bad = readTimedRecord<Delta>(R, Tag, LastTime, LastId, E))
-        return Malformed(Off, Bad, Kind);
-      LastTime = E.Time;
-      C.onEvent(E);
-      ++Events;
-      Off += 1 + R.Off;
-      continue;
-    }
-
-    VarReader R{Data + Off + 1, Size - Off - 1};
-    if (Kind == EventKind::DefineSite) {
-      if (Tag & ~TagKindMask)
-        return Malformed(Off, "spare tag bits set on", Kind);
-      SiteId Id = R.uvar32();
-      std::uint64_t FrameCount = R.uvar();
-      if (!R.Short && !R.Bad && FrameCount > MaxWireFrames) {
-        Bytes += Off;
-        return fail("malformed event stream: site with " +
-                    std::to_string(FrameCount) + " frames");
-      }
-      FrameScratch.clear();
-      for (std::uint64_t I = 0; I != FrameCount && !R.Short && !R.Bad; ++I) {
-        std::uint32_t Method = R.uvar32();
-        std::uint32_t Pc = R.uvar32();
-        std::uint32_t Line = R.uvar32();
-        FrameScratch.push_back({ir::MethodId(Method), Pc, Line});
-      }
-      // Malformation wins over a cut: Bad never depends on the bytes
-      // past the end of the body.
-      if (R.Bad)
-        return Malformed(Off, "bad varint in", Kind);
-      if (R.Short)
-        return CutOff(Off);
-      C.onSite(Id, FrameScratch);
-    } else {
-      if (const char *Bad = readTimedRecord<Delta>(R, Tag, LastTime, LastId, E))
-        return Malformed(Off, Bad, Kind);
-      if (R.Short)
-        return CutOff(Off);
-      LastTime = E.Time;
-      C.onEvent(E);
-    }
-    ++Events;
-    Off += 1 + R.Off;
+  case Verdict::SpareBits:
+    What = "spare tag bits set on";
+    break;
+  case Verdict::UseKind7:
+    What = "unknown use kind 7 in";
+    break;
+  case Verdict::BadVarint:
+  case Verdict::Ok: // never rejected
+    What = "bad varint in";
+    break;
   }
-  Bytes += Size;
-  return true;
+  return fail(std::string("malformed event stream: ") + What + " " +
+              eventKindName(Kind) + " record");
 }
 
 //===----------------------------------------------------------------------===//
@@ -1225,7 +1013,7 @@ bool jdrag::profiler::rebuildChunkIndex(std::span<const std::byte> Stream,
 //===----------------------------------------------------------------------===//
 
 bool jdrag::profiler::replayBytes(std::span<const std::byte> Bytes,
-                                  EventConsumer &C, std::string *Err,
+                                  RecordTarget C, std::string *Err,
                                   WireFormat Format) {
   auto Fail = [&](const std::string &Msg) {
     if (Err)
@@ -1236,7 +1024,7 @@ bool jdrag::profiler::replayBytes(std::span<const std::byte> Bytes,
       "truncated event stream: partial trailing chunk or record";
   if (!chunkSelfContained(Format)) {
     std::string LegacyErr;
-    switch (replayLegacyStream(Bytes, Format, C, LegacyErr)) {
+    switch (replayLegacyStream(Bytes, Format, C.consumer(), LegacyErr)) {
     case LegacyStatus::Ok:
       return true;
     case LegacyStatus::Truncated:
@@ -1306,7 +1094,7 @@ bool readHeaderFrom(std::FILE *F, const std::string &Path,
 
 } // namespace
 
-bool jdrag::profiler::replayFile(const std::string &Path, EventConsumer &C,
+bool jdrag::profiler::replayFile(const std::string &Path, RecordTarget C,
                                  std::string *Err, StreamHeaderInfo *Info) {
   auto Fail = [&](const std::string &Msg) {
     if (Err)
@@ -1355,7 +1143,8 @@ bool jdrag::profiler::replayFile(const std::string &Path, EventConsumer &C,
     Info->Compressed = D.compressedChunks() != 0;
   if (Legacy) {
     std::string LegacyErr;
-    LegacyStatus S = replayLegacyStream(Framed, Hdr.Format, C, LegacyErr);
+    LegacyStatus S =
+        replayLegacyStream(Framed, Hdr.Format, C.consumer(), LegacyErr);
     if (S == LegacyStatus::Corrupt)
       return Fail(LegacyErr);
     Complete = S == LegacyStatus::Ok;

@@ -94,6 +94,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -840,6 +841,36 @@ public:
   virtual void onEvent(const EventRecord &E) = 0;
 };
 
+class StreamDecoder;
+
+/// A consumer together with the record loop instantiated for its type.
+/// The loop (StreamDecoder, profiler/RecordLoop.h) is a template on the
+/// consumer: a `final` consumer class gets an instantiation of its own,
+/// in which its onEvent is a direct call the compiler can inline into
+/// the record decode (DragProfiler runs its trailer rules there); any
+/// other consumer shares the EventConsumer instantiation and its
+/// virtual call. Every v4+ record reader takes a RecordTarget, built
+/// implicitly from the consumer, so handing a DragProfiler to
+/// FrameDecoder, DispatchSink, replayBytes or replayFile reaches its
+/// own loop. The choice is made once per decoder; each chunk body then
+/// costs one indirect call.
+class RecordTarget {
+public:
+  template <class Consumer>
+    requires std::derived_from<Consumer, EventConsumer>
+  RecordTarget(Consumer &C); // defined in profiler/RecordLoop.h
+
+  EventConsumer &consumer() const { return *C; }
+
+private:
+  friend class StreamDecoder;
+  using LoopFn = bool (*)(StreamDecoder &, EventConsumer &,
+                          const std::byte *, std::size_t);
+  EventConsumer *C;
+  LoopFn AbsoluteIds; ///< v4-v6 bodies
+  LoopFn DeltaIds;    ///< v7 bodies
+};
+
 /// *Record-layer* decoder of self-contained (v4+) chunks: each
 /// decodeChunk() call decodes one whole chunk body and dispatches its
 /// records to the consumer. The time-delta chain (and, from v7, the
@@ -847,16 +878,19 @@ public:
 /// cut off by the end of a body is an error: records never straddle
 /// v4+ chunks. \p F picks absolute (v4-v6) or delta-coded (v7) ids
 /// once, for every chunk. Does not know about chunk frames --
-/// FrameDecoder strips those first.
+/// FrameDecoder strips those first. Its record loop is the only parser
+/// of v4+ records (profiler/RecordLoop.h).
 class StreamDecoder {
 public:
-  explicit StreamDecoder(EventConsumer &C, WireFormat F = DefaultWireFormat)
-      : C(C), DeltaIds(deltaCodedIds(F)) {}
+  explicit StreamDecoder(RecordTarget T, WireFormat F = DefaultWireFormat)
+      : C(T.C), Loop(deltaCodedIds(F) ? T.DeltaIds : T.AbsoluteIds) {}
 
   /// Decodes one chunk body. Returns false (sticky) on a malformed or
   /// cut-off record; error() describes it. The records before it have
   /// already reached the consumer.
-  bool decodeChunk(const std::byte *Data, std::size_t Size);
+  bool decodeChunk(const std::byte *Data, std::size_t Size) {
+    return !Failed && Loop(*this, *C, Data, Size);
+  }
 
   std::uint64_t eventsDecoded() const { return Events; }
   /// Body bytes of the records dispatched so far.
@@ -867,17 +901,57 @@ public:
   const std::string &error() const { return Error; }
 
 private:
+  friend class RecordTarget;
+
+  /// What stopped a timed record, if anything.
+  enum class Verdict : std::uint8_t {
+    Ok,
+    Cut,       ///< the body ends inside the record
+    SpareBits, ///< a spare tag bit is set
+    UseKind7,  ///< a Use names the undefined use kind 7
+    BadVarint, ///< overlong varint, or a u32 field past 2^32
+  };
+
+  /// The loop for one consumer type and id coding, as a RecordTarget
+  /// stores it.
+  template <class Consumer, bool Delta>
+  static bool loop(StreamDecoder &D, EventConsumer &C, const std::byte *Data,
+                   std::size_t Size) {
+    return D.decodeBody<Delta>(static_cast<Consumer &>(C), Data, Size);
+  }
+
+  template <bool Delta, class Consumer>
+  bool decodeBody(Consumer &C, const std::byte *Data, std::size_t Size);
+
+  // Forced inline, like the readers' fast paths (RecordLoop.h): the
+  // loop is only fast with its per-record steps inlined into it.
+  template <bool Delta, class Reader, class Consumer>
+  [[gnu::always_inline]] inline static Verdict
+  timedRecord(Reader &R, std::uint8_t Tag, ByteTime &LastTime,
+              vm::ObjectId &LastId, Consumer &C);
+
+  template <class Reader, class Consumer>
+  [[gnu::always_inline]] inline static Verdict
+  deliver(const Reader &R, const EventRecord &E, ByteTime &LastTime,
+          Consumer &C);
+
+  /// Reads the DefineSite record at \p Data[\p At] into FrameScratch
+  /// and \p Id. Returns its length, or 0 after recording the error,
+  /// with \p Records the records dispatched before it in this body.
+  std::size_t readSite(const std::byte *Data, std::size_t Size,
+                       std::size_t At, std::uint64_t Records, SiteId &Id);
+  /// Records why the timed record of kind \p Kind at \p At stopped the
+  /// body, after \p Records records, and returns false.
+  bool reject(std::size_t At, std::uint64_t Records, Verdict V,
+              EventKind Kind);
   bool fail(std::string Msg);
 
-  template <bool Delta>
-  bool decodeBody(const std::byte *Data, std::size_t Size);
-
-  EventConsumer &C;
+  EventConsumer *C;
+  RecordTarget::LoopFn Loop;
   std::vector<SiteFrame> FrameScratch;
   std::uint64_t Events = 0;
   std::uint64_t Bytes = 0;
   std::string Error;
-  bool DeltaIds;
   bool Failed = false;
   bool Cut = false;
 };
@@ -891,7 +965,7 @@ private:
 /// those streams are read by profiler/LegacyStream.h.
 class FrameDecoder {
 public:
-  explicit FrameDecoder(EventConsumer &C,
+  explicit FrameDecoder(RecordTarget C,
                         WireFormat Format = DefaultWireFormat)
       : Records(C, Format), Format(Format) {}
 
@@ -905,6 +979,8 @@ public:
   bool atRecordBoundary() const { return !Failed && Pending.empty(); }
 
   std::uint64_t eventsDecoded() const { return Records.eventsDecoded(); }
+  /// Chunk-body bytes of the records dispatched so far.
+  std::uint64_t bytesDecoded() const { return Records.bytesDecoded(); }
   std::uint64_t chunksDecoded() const { return Chunks; }
   /// Data chunks so far whose frame carried the compressed flag.
   std::uint64_t compressedChunks() const { return CompressedChunks; }
@@ -935,7 +1011,7 @@ private:
 /// The VM always emits DefaultWireFormat, the decoder's default.
 class DispatchSink : public EventSink {
 public:
-  explicit DispatchSink(EventConsumer &C,
+  explicit DispatchSink(RecordTarget C,
                         WireFormat Format = DefaultWireFormat)
       : Decoder(C, Format) {}
   bool writeChunk(const std::byte *Data, std::size_t Size) override {
@@ -952,7 +1028,7 @@ private:
 /// false and sets \p Err on malformed or truncated input. A v2/v3
 /// \p Format goes through profiler/LegacyStream.h, which delivers
 /// nothing to \p C unless every frame verifies.
-bool replayBytes(std::span<const std::byte> Bytes, EventConsumer &C,
+bool replayBytes(std::span<const std::byte> Bytes, RecordTarget C,
                  std::string *Err = nullptr,
                  WireFormat Format = DefaultWireFormat);
 
@@ -965,7 +1041,7 @@ bool replayBytes(std::span<const std::byte> Bytes, EventConsumer &C,
 /// `jdrag salvage` recovers their prefix. When \p Info is non-null it
 /// receives the header's format and sampling params (exact defaults for
 /// pre-v5 files) and whether any data chunk was compressed.
-bool replayFile(const std::string &Path, EventConsumer &C,
+bool replayFile(const std::string &Path, RecordTarget C,
                 std::string *Err = nullptr,
                 StreamHeaderInfo *Info = nullptr);
 
@@ -983,5 +1059,7 @@ bool readStreamHeader(const std::string &Path, StreamHeaderInfo &Info,
 bool readWholeFile(const std::string &Path, std::vector<std::byte> &Out);
 
 } // namespace jdrag::profiler
+
+#include "profiler/RecordLoop.h"
 
 #endif // JDRAG_PROFILER_EVENTSTREAM_H

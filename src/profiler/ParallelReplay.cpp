@@ -75,8 +75,9 @@ struct ShardResult {
 /// An object the shard allocates is finished here exactly as
 /// DragProfiler finishes it, its record going to the fold or to
 /// ShardResult::Records; its trailer keeps stream site ids. Uses and
-/// ends of foreign objects become ForeignUses for the merge.
-class ShardConsumer : public EventConsumer {
+/// ends of foreign objects become ForeignUses for the merge. Final, so
+/// the shard's record loop is instantiated for it (RecordTarget).
+class ShardConsumer final : public EventConsumer {
 public:
   ShardConsumer(ShardResult &R, bool Snap, unsigned Index,
                 ShardFoldSink *Fold)
@@ -87,7 +88,7 @@ public:
                          std::vector<SiteFrame>(Frames.begin(), Frames.end()));
   }
 
-  void onEvent(const EventRecord &E) override {
+  [[gnu::always_inline]] void onEvent(const EventRecord &E) override {
     switch (E.kind()) {
     case EventKind::Alloc:
       R.Trailers.alloc(E, E.Site);
@@ -236,7 +237,7 @@ bool validateChunk(const ShardedStream &S, std::size_t GlobalIdx,
 /// self-contained, so each one decodes on its own. False on any chunk
 /// that fails validation, decoding, or its index record count.
 bool runShard(const ShardedStream &S, std::size_t B, std::size_t E,
-              EventConsumer &C) {
+              RecordTarget C) {
   StreamDecoder Dec(C, S.F);
   std::vector<std::uint8_t> Inflate; // per-shard decompression scratch
   std::span<const std::byte> Body;

@@ -20,12 +20,16 @@
 //   HostileClock      a CRC-valid stream whose byte clock steps backwards
 //                     across a shard boundary replays sharded exactly
 //                     as it does sequentially.
+//   TypedDecode       the record loop instantiated for DragProfiler and
+//                     the virtual EventConsumer loop agree on every
+//                     workload, fixture and damaged stream.
 //
 //===----------------------------------------------------------------------===//
 
 #include "analysis/DragReport.h"
 #include "analysis/ReportPrinter.h"
 #include "analysis/StreamingAnalysis.h"
+#include "benchmarks/Benchmarks.h"
 #include "profiler/AsyncEventSink.h"
 #include "profiler/DragProfiler.h"
 #include "profiler/EventStream.h"
@@ -48,6 +52,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include <sys/resource.h>
@@ -1138,3 +1143,273 @@ TEST(HostileClock, ShardedMatchesSequential) {
 }
 
 } // namespace
+
+//===----------------------------------------------------------------------===//
+// TypedDecode: the DragProfiler loop against the virtual one
+//===----------------------------------------------------------------------===//
+//
+// DragProfiler is final, so every decoder handed one runs the record loop
+// instantiated for it, with the trailer rules inlined into the decode.
+// Any other consumer runs the shared EventConsumer instantiation. Both
+// must agree on everything a reader can observe, on good and bad input.
+
+namespace {
+
+/// Forwards every record to a DragProfiler through the virtual
+/// interface. Not final, so it decodes in the EventConsumer loop.
+class ForwardingConsumer : public EventConsumer {
+public:
+  explicit ForwardingConsumer(DragProfiler &P) : P(P) {}
+  void onSite(SiteId Id, std::span<const SiteFrame> Frames) override {
+    P.onSite(Id, Frames);
+  }
+  void onEvent(const EventRecord &E) override { P.onEvent(E); }
+
+private:
+  DragProfiler &P;
+};
+
+static_assert(std::is_final_v<DragProfiler>);
+static_assert(!std::is_final_v<ForwardingConsumer>);
+
+/// Everything a reader can observe of one decode.
+struct DecodeOutcome {
+  bool Fed = false;
+  bool AtBoundary = false;
+  std::string Error;
+  std::uint64_t Events = 0;
+  std::uint64_t Bytes = 0;
+  std::uint64_t Chunks = 0;
+  std::size_t PeakLive = 0;
+  std::size_t PeakStateBytes = 0;
+  std::vector<std::byte> Log; ///< the serialized ProfileLog
+};
+
+std::vector<std::byte> serializedLog(const ProfileLog &Log) {
+  std::string Path = tempPath("typed_log.bin");
+  EXPECT_TRUE(Log.writeFile(Path));
+  std::vector<std::byte> Bytes = readFileBytes(Path);
+  std::remove(Path.c_str());
+  return Bytes;
+}
+
+void expectSameOutcome(const DecodeOutcome &T, const DecodeOutcome &V,
+                       const std::string &Tag) {
+  EXPECT_EQ(T.Fed, V.Fed) << Tag;
+  EXPECT_EQ(T.AtBoundary, V.AtBoundary) << Tag;
+  EXPECT_EQ(T.Error, V.Error) << Tag;
+  EXPECT_EQ(T.Events, V.Events) << Tag;
+  EXPECT_EQ(T.Bytes, V.Bytes) << Tag;
+  EXPECT_EQ(T.Chunks, V.Chunks) << Tag;
+  EXPECT_EQ(T.PeakLive, V.PeakLive) << Tag;
+  EXPECT_EQ(T.PeakStateBytes, V.PeakStateBytes) << Tag;
+  EXPECT_TRUE(T.Log == V.Log) << Tag << ": serialized logs differ";
+}
+
+/// Feeds the framed stream \p Framed (no file header) to a FrameDecoder
+/// whose consumer is a DragProfiler (\p Typed) or a ForwardingConsumer
+/// in front of one.
+DecodeOutcome frameDecode(const ir::Program &P,
+                          std::span<const std::byte> Framed, WireFormat F,
+                          bool Typed) {
+  DragProfiler Prof(P);
+  ForwardingConsumer Fwd(Prof);
+  FrameDecoder D = Typed ? FrameDecoder(Prof, F) : FrameDecoder(Fwd, F);
+  DecodeOutcome O;
+  O.Fed = D.feed(Framed.data(), Framed.size());
+  O.AtBoundary = D.atRecordBoundary();
+  O.Error = D.error();
+  O.Events = D.eventsDecoded();
+  O.Bytes = D.bytesDecoded();
+  O.Chunks = D.chunksDecoded();
+  O.PeakLive = Prof.peakLiveTrailers();
+  O.PeakStateBytes = Prof.peakTrailerStateBytes();
+  O.Log = serializedLog(Prof.log());
+  return O;
+}
+
+/// Decodes \p Body as one chunk body, bypassing the frame CRC, so the
+/// record layer itself sees damaged bytes.
+DecodeOutcome bodyDecode(const ir::Program &P,
+                         std::span<const std::byte> Body, bool Typed) {
+  DragProfiler Prof(P);
+  ForwardingConsumer Fwd(Prof);
+  StreamDecoder D = Typed ? StreamDecoder(Prof) : StreamDecoder(Fwd);
+  DecodeOutcome O;
+  O.Fed = D.decodeChunk(Body.data(), Body.size());
+  O.AtBoundary = D.recordCut();
+  O.Error = D.error();
+  O.Events = D.eventsDecoded();
+  O.Bytes = D.bytesDecoded();
+  O.PeakLive = Prof.peakLiveTrailers();
+  O.PeakStateBytes = Prof.peakTrailerStateBytes();
+  O.Log = serializedLog(Prof.log());
+  return O;
+}
+
+void expectFrameAgreement(const ir::Program &P,
+                          std::span<const std::byte> Framed, WireFormat F,
+                          const std::string &Tag) {
+  expectSameOutcome(frameDecode(P, Framed, F, true),
+                    frameDecode(P, Framed, F, false), Tag);
+}
+
+/// The framed records of an in-memory recording of \p B.
+std::vector<std::byte> recordInMemory(const benchmarks::BenchmarkProgram &B,
+                                      std::uint64_t SampleBytes) {
+  MemorySink Mem;
+  vm::VMOptions Opts;
+  Opts.DeepGCIntervalBytes = 100 * KB;
+  Opts.Sink = &Mem;
+  Opts.SampleBytes = SampleBytes;
+  vm::VirtualMachine VM(B.Prog, Opts);
+  VM.setInputs(B.DefaultInputs);
+  EXPECT_EQ(VM.run(), vm::Interpreter::Status::Ok) << B.Name;
+  return {Mem.bytes().begin(), Mem.bytes().end()};
+}
+
+/// A framed stream in 256-byte chunks with records of every kind, and
+/// Uses of every use kind, so damage can turn any record into any other.
+std::vector<std::byte> buildEveryKindStream() {
+  MemorySink Mem;
+  EventBuffer Buf(Mem, 256);
+  std::vector<SiteFrame> Frames = {{ir::MethodId(3), 7, 42}};
+  Buf.writeSite(SiteId(0), Frames);
+  auto Emit = [&](EventKind K, ByteTime T, vm::ObjectId Id,
+                  std::uint8_t Sub = 0, std::uint8_t Flags = 0) {
+    EventRecord E;
+    E.Kind = static_cast<std::uint8_t>(K);
+    E.Time = T;
+    E.Id = Id;
+    E.Sub = Sub;
+    E.Flags = Flags;
+    E.Arg0 = 16 + Id % 200;
+    E.Arg1 = Id % 3;
+    E.Site = 0;
+    Buf.writeEvent(E);
+  };
+  for (std::uint32_t I = 0; I != 60; ++I) {
+    ByteTime T = 100 + 40 * I;
+    Emit(EventKind::Alloc, T, I, I % 4, I % 2);
+    Emit(EventKind::Use, T, I, I % 7, I % 3 == 0);
+    if (I % 10 == 9) {
+      Emit(EventKind::GCEnd, T, 0);
+      Emit(EventKind::DeepGCEnd, T, 0);
+    }
+    if (I >= 2)
+      Emit(EventKind::Collect, T, I - 2);
+  }
+  Emit(EventKind::Survivor, 3000, 58);
+  Emit(EventKind::Survivor, 3000, 59);
+  Emit(EventKind::Terminate, 3000, 0);
+  EXPECT_TRUE(Buf.finishStream());
+  return {Mem.bytes().begin(), Mem.bytes().end()};
+}
+
+} // namespace
+
+TEST(TypedDecode, NineWorkloadsExactAndSampled) {
+  for (const auto &B : benchmarks::buildAll())
+    for (std::uint64_t SampleBytes : {std::uint64_t(0), DefaultSampleBytes}) {
+      std::vector<std::byte> Framed = recordInMemory(B, SampleBytes);
+      std::string Tag = B.Name + (SampleBytes ? "/sampled" : "/exact");
+      DecodeOutcome T = frameDecode(B.Prog, Framed, DefaultWireFormat, true);
+      EXPECT_TRUE(T.Fed && T.AtBoundary) << Tag << ": " << T.Error;
+      EXPECT_GT(T.Events, 0u) << Tag;
+      expectSameOutcome(T,
+                        frameDecode(B.Prog, Framed, DefaultWireFormat, false),
+                        Tag);
+    }
+}
+
+TEST(TypedDecode, CommittedV4V5V6Fixtures) {
+  benchmarks::BenchmarkProgram B = benchmarks::buildJuru();
+  for (const char *Name : {"juru_v4.jdev", "juru_v5.jdev", "juru_v6.jdev"}) {
+    std::vector<std::byte> File =
+        readFileBytes(std::string(JDRAG_TEST_DATA_DIR) + "/" + Name);
+    StreamHeaderInfo Info;
+    std::string Err;
+    ASSERT_TRUE(parseStreamHeader(File, Info, &Err)) << Name << ": " << Err;
+    std::span<const std::byte> Framed =
+        std::span<const std::byte>(File).subspan(
+            streamHeaderBytes(Info.Format));
+    DecodeOutcome T = frameDecode(B.Prog, Framed, Info.Format, true);
+    EXPECT_TRUE(T.Fed && T.AtBoundary) << Name << ": " << T.Error;
+    expectSameOutcome(T, frameDecode(B.Prog, Framed, Info.Format, false),
+                      Name);
+  }
+}
+
+TEST(TypedDecode, HostileIdStreams) {
+  ir::Program P = buildChurnProgram();
+  for (std::uint64_t Hostile : HostileIdValues) {
+    MemorySink Mem;
+    EventBuffer Buf(Mem);
+    writeHostileIdEvents(Buf, Hostile);
+    ASSERT_TRUE(Buf.finishStream());
+    expectFrameAgreement(P, Mem.bytes(), DefaultWireFormat,
+                         "hostile id " + std::to_string(Hostile));
+  }
+  MemorySink Mem;
+  EventBuffer Buf(Mem);
+  writeWrappingIdEvents(Buf);
+  ASSERT_TRUE(Buf.finishStream());
+  expectFrameAgreement(P, Mem.bytes(), DefaultWireFormat, "wrapping ids");
+}
+
+TEST(TypedDecode, CorruptionCorpusTruncationsAndBitFlips) {
+  ir::Program P = buildChurnProgram();
+  std::vector<std::byte> Stream = buildFramedStream();
+  expectFrameAgreement(P, buildEveryKindStream(), DefaultWireFormat,
+                       "every kind");
+  for (std::size_t Cut = 0; Cut <= Stream.size(); ++Cut)
+    expectFrameAgreement(P, std::span<const std::byte>(Stream).first(Cut),
+                         DefaultWireFormat, "cut at " + std::to_string(Cut));
+  for (std::size_t I = 0; I != Stream.size(); ++I)
+    for (unsigned Bit : {0u, 7u}) {
+      std::vector<std::byte> Mut = Stream;
+      Mut[I] ^= std::byte(1u << Bit);
+      expectFrameAgreement(P, Mut, DefaultWireFormat,
+                           "flip at byte " + std::to_string(I) + " bit " +
+                               std::to_string(Bit));
+    }
+}
+
+// The frame CRC stops a flipped chunk before its records decode, so the
+// sweep above reaches the record loop only with intact bodies. Here every
+// bit of every chunk body is flipped and the body decoded directly, and
+// every prefix of it too: each malformed-record and cut-off path of both
+// loops, with both readers.
+TEST(TypedDecode, DamagedChunkBodies) {
+  ir::Program P = buildChurnProgram();
+  std::vector<std::byte> Stream = buildEveryKindStream();
+  std::size_t Off = 0;
+  std::size_t Bodies = 0;
+  while (Off < Stream.size()) {
+    ChunkHeader H;
+    std::memcpy(&H, Stream.data() + Off, sizeof(H));
+    if (H.Magic != ChunkMagic)
+      break; // the footer
+    std::vector<std::byte> Body(
+        Stream.begin() + static_cast<std::ptrdiff_t>(Off + sizeof(H)),
+        Stream.begin() +
+            static_cast<std::ptrdiff_t>(Off + sizeof(H) + H.PayloadBytes));
+    Off += sizeof(H) + H.PayloadBytes;
+    ++Bodies;
+    std::string Chunk = "chunk " + std::to_string(H.Seq);
+    for (std::size_t Cut = 0; Cut <= Body.size(); ++Cut)
+      expectSameOutcome(
+          bodyDecode(P, std::span<const std::byte>(Body).first(Cut), true),
+          bodyDecode(P, std::span<const std::byte>(Body).first(Cut), false),
+          Chunk + " cut at " + std::to_string(Cut));
+    for (std::size_t I = 0; I != Body.size(); ++I)
+      for (unsigned Bit = 0; Bit != 8; ++Bit) {
+        std::vector<std::byte> Mut = Body;
+        Mut[I] ^= std::byte(1u << Bit);
+        expectSameOutcome(bodyDecode(P, Mut, true), bodyDecode(P, Mut, false),
+                          Chunk + " flip at byte " + std::to_string(I) +
+                              " bit " + std::to_string(Bit));
+      }
+  }
+  EXPECT_GE(Bodies, 2u);
+}
