@@ -87,6 +87,70 @@ void BM_InterpreterPlain(benchmark::State &State) {
 }
 BENCHMARK(BM_InterpreterPlain)->Arg(10000);
 
+/// A call loop: each of `iters` iterations makes one static call with
+/// two arguments and one virtual call with a receiver and an argument,
+/// and does almost nothing else, so the time is invoke + frame push +
+/// return.
+Program buildCallLoop() {
+  ProgramBuilder PB;
+  MiniJDK J = MiniJDK::build(PB);
+  ClassBuilder C = PB.beginClass("Acc", PB.objectClass());
+  FieldId V = C.addField("v", ValueKind::Int);
+  MethodBuilder Add = C.beginMethod("add", {ValueKind::Int}, ValueKind::Int);
+  Add.aload(0).getfield(V).iload(1).iadd().iret();
+  Add.finish();
+
+  ClassBuilder MainC = PB.beginClass("Main", PB.objectClass());
+  MethodBuilder Mix = MainC.beginMethod("mix", {ValueKind::Int, ValueKind::Int},
+                                        ValueKind::Int, true);
+  std::uint32_t T = Mix.newLocal(ValueKind::Int);
+  Mix.iload(0).iload(1).ixor_().istore(T);
+  Mix.iload(T).iret();
+  Mix.finish();
+  MethodBuilder M = MainC.beginMethod("main", {}, ValueKind::Void, true);
+  std::uint32_t N = M.newLocal(ValueKind::Int);
+  std::uint32_t I = M.newLocal(ValueKind::Int);
+  std::uint32_t S = M.newLocal(ValueKind::Int);
+  std::uint32_t O = M.newLocal(ValueKind::Ref);
+  M.iconst(0).invokestatic(J.Read).istore(N);
+  M.new_(C.id()).dup().invokespecial(PB.objectCtor()).astore(O);
+  M.aload(O).iconst(7).putfield(V);
+  Label Loop = M.newLabel(), Done = M.newLabel();
+  M.iconst(0).istore(I).iconst(0).istore(S);
+  M.bind(Loop);
+  M.iload(I).iload(N).ifICmpGe(Done);
+  M.iload(S).iload(I).invokestatic(Mix.id());
+  M.aload(O).swap().invokevirtual(Add.id()).istore(S);
+  M.iload(I).iconst(1).iadd().istore(I);
+  M.goto_(Loop);
+  M.bind(Done);
+  M.iload(S).invokestatic(J.Emit);
+  M.ret();
+  M.finish();
+  PB.setMain(M.id());
+  Program P = PB.finish();
+  std::string Err;
+  if (!verifyProgram(P, &Err))
+    std::abort();
+  return P;
+}
+
+/// The interpreter's call path alone: plain execution of the call loop.
+/// Items are calls (two per iteration).
+void BM_InterpreterCalls(benchmark::State &State) {
+  Program P = buildCallLoop();
+  std::int64_t Iters = State.range(0);
+  for (auto _ : State) {
+    VirtualMachine VM(P, {});
+    VM.setInputs({Iters});
+    if (VM.run() != Interpreter::Status::Ok)
+      std::abort();
+    benchmark::DoNotOptimize(VM.outputs());
+  }
+  State.SetItemsProcessed(State.iterations() * 2 * Iters);
+}
+BENCHMARK(BM_InterpreterCalls)->Arg(100000);
+
 /// Instrumentation-overhead ladder, step 2 of 3: the VM emits, encodes and
 /// chunks every event but the sink discards the bytes -- isolating the
 /// pure event-production cost from the consumer (compare against
@@ -687,39 +751,53 @@ BENCHMARK(BM_ReplayProfile)->Unit(benchmark::kMillisecond);
 /// multi-chunk recording; Arg is the worker count, items are object
 /// records in the resulting profile. Jobs=1 is the sequential path, so
 /// the ratio between rungs is the map-reduce speedup (ceilinged by the
-/// machine's core count).
+/// machine's core count). The rungs run on wall time: workers decode on
+/// their own threads, so the main thread's CPU time would hide them.
+/// The recording is jack at 10x the churn_exact input (~3.7 MB, ~1200
+/// chunks), large enough for sharding to pay; it is made once per
+/// process and shared by the rungs.
 void BM_ReplayParallel(benchmark::State &State) {
-  Program P = buildHotLoop();
-  char Path[64];
-  std::snprintf(Path, sizeof(Path), "/tmp/jdrag_bench_par.%d.jdev",
-                static_cast<int>(getpid()));
-  {
+  /// The recording's file, removed at exit.
+  struct Recording {
+    std::string Path;
+    ~Recording() { std::remove(Path.c_str()); }
+  };
+  static BenchmarkProgram Jack = buildJack();
+  static const Recording Rec = [] {
+    char Path[64];
+    std::snprintf(Path, sizeof(Path), "/tmp/jdrag_bench_par.%d.jdev",
+                  static_cast<int>(getpid()));
     profiler::FileEventSink Sink;
     if (!Sink.open(Path))
       std::abort();
     VMOptions Opts;
     Opts.DeepGCIntervalBytes = 100 * KB;
     Opts.Sink = &Sink;
-    Opts.EventChunkBytes = 8 * 1024; // force a shardable chunk count
-    VirtualMachine VM(P, Opts);
-    VM.setInputs({10000});
+    VirtualMachine VM(Jack.Prog, Opts);
+    VM.setInputs({300000, 32});
     if (VM.run() != Interpreter::Status::Ok || !VM.streamIntact())
       std::abort();
-  }
+    return Recording{Path};
+  }();
   unsigned Jobs = static_cast<unsigned>(State.range(0));
   std::size_t RecordsPerPass = 0;
   for (auto _ : State) {
     profiler::ProfileLog Log;
-    if (!profiler::replayProfileParallel(Path, P, profiler::ProfilerConfig(),
-                                         Jobs, Log))
+    if (!profiler::replayProfileParallel(Rec.Path, Jack.Prog,
+                                         profiler::ProfilerConfig(), Jobs,
+                                         Log))
       std::abort();
     RecordsPerPass = Log.Records.size();
     benchmark::DoNotOptimize(Log.Records.data());
   }
   State.SetItemsProcessed(State.iterations() * RecordsPerPass);
-  std::remove(Path);
 }
-BENCHMARK(BM_ReplayParallel)->Arg(1)->Arg(2)->Arg(4);
+BENCHMARK(BM_ReplayParallel)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 /// Phase-2 report ladder over one recorded .jdev (docs/analysis.md).
 /// The arg numbers are kept from the full ladder (BENCH_9.json) so rungs

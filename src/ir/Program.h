@@ -69,6 +69,11 @@ struct ExceptionHandler {
   ClassId CatchType;        ///< invalid = catch-all
 };
 
+/// MethodInfo::MaxStack of a method the verifier has not accepted. The
+/// interpreter sizes each frame's operand stack from MaxStack, so it
+/// refuses to push a frame for such a method.
+inline constexpr std::uint32_t UnverifiedMaxStack = ~0u;
+
 /// A method. Instance methods take the receiver in local slot 0; explicit
 /// parameters follow in declaration order. LocalKinds covers all local
 /// slots (parameters included) so analyses know which slots hold
@@ -89,7 +94,10 @@ struct MethodInfo {
   std::vector<ValueKind> LocalKinds;
   std::vector<Instruction> Code;
   std::vector<ExceptionHandler> Handlers;
-  std::uint32_t MaxStack = 0; ///< computed by the Verifier
+  /// Deepest operand stack on any path, handler entries included;
+  /// computed by the Verifier (verifyMethod), UnverifiedMaxStack until
+  /// it accepts the method.
+  std::uint32_t MaxStack = UnverifiedMaxStack;
   std::uint32_t DeclLine = 0;
 
   /// Number of parameter slots including the receiver, if any.

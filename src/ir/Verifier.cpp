@@ -4,6 +4,7 @@
 
 #include "support/Format.h"
 
+#include <algorithm>
 #include <deque>
 #include <optional>
 
@@ -108,6 +109,9 @@ void MethodVerifier::flowTo(std::uint32_t FromPc, std::uint32_t Pc,
   }
   std::optional<Stack> &Existing = InState[Pc];
   if (!Existing) {
+    // An in-state counts toward MaxStack too: a handler entry holds the
+    // exception before its first instruction runs.
+    MaxDepth = std::max(MaxDepth, static_cast<std::uint32_t>(S.size()));
     Existing = S;
     Worklist.push_back(Pc);
     return;
@@ -463,6 +467,7 @@ MethodVerifier::step(std::uint32_t Pc, Stack &S) {
 }
 
 bool MethodVerifier::run() {
+  M.MaxStack = UnverifiedMaxStack; // until the method is accepted
   if (M.IsNative) {
     if (!M.Code.empty())
       error(0, "native method has bytecode");
@@ -509,7 +514,8 @@ bool MethodVerifier::run() {
     }
   }
 
-  M.MaxStack = MaxDepth;
+  if (!Failed)
+    M.MaxStack = MaxDepth;
   return !Failed;
 }
 

@@ -24,7 +24,8 @@
 namespace jdrag::ir {
 
 /// Verifies one method; appends messages to \p Err. Returns true on
-/// success. Updates \p M's MaxStack.
+/// success. Sets \p M's MaxStack: the computed bound on success,
+/// UnverifiedMaxStack on failure.
 bool verifyMethod(const Program &P, MethodInfo &M, std::string &Err);
 
 /// Verifies every method plus whole-program invariants (main present,

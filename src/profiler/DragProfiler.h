@@ -243,6 +243,7 @@ public:
   // EventConsumer: decoded stream input. onEvent is forced inline so
   // it runs inside the record loop (profiler/RecordLoop.h).
   void onSite(SiteId Id, std::span<const SiteFrame> Frames) override;
+  const ir::Program *siteProgram() const override { return &P; }
   [[gnu::always_inline]] void onEvent(const EventRecord &E) override {
     switch (E.kind()) {
     case EventKind::Alloc:

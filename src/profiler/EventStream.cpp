@@ -608,6 +608,15 @@ std::size_t StreamDecoder::readSite(const std::byte *Data, std::size_t Size,
            EventKind::DefineSite);
     return 0;
   }
+  if (SiteProgram) {
+    std::string Misfit = siteMisfit(*SiteProgram, Id, FrameScratch);
+    if (!Misfit.empty()) {
+      Bytes += At;
+      Events += Records;
+      fail(std::move(Misfit));
+      return 0;
+    }
+  }
   return 1 + R.Off;
 }
 

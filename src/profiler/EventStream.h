@@ -839,6 +839,11 @@ public:
   virtual ~EventConsumer();
   virtual void onSite(SiteId Id, std::span<const SiteFrame> Frames) = 0;
   virtual void onEvent(const EventRecord &E) = 0;
+  /// The program this consumer resolves site frames against, or null.
+  /// Decoders ask once; when it names one, they reject the first
+  /// DefineSite frame it does not have (siteMisfit) before the frame
+  /// reaches onSite.
+  virtual const ir::Program *siteProgram() const { return nullptr; }
 };
 
 class StreamDecoder;
@@ -883,7 +888,8 @@ private:
 class StreamDecoder {
 public:
   explicit StreamDecoder(RecordTarget T, WireFormat F = DefaultWireFormat)
-      : C(T.C), Loop(deltaCodedIds(F) ? T.DeltaIds : T.AbsoluteIds) {}
+      : C(T.C), Loop(deltaCodedIds(F) ? T.DeltaIds : T.AbsoluteIds),
+        SiteProgram(T.C->siteProgram()) {}
 
   /// Decodes one chunk body. Returns false (sticky) on a malformed or
   /// cut-off record; error() describes it. The records before it have
@@ -936,8 +942,9 @@ private:
           Consumer &C);
 
   /// Reads the DefineSite record at \p Data[\p At] into FrameScratch
-  /// and \p Id. Returns its length, or 0 after recording the error,
-  /// with \p Records the records dispatched before it in this body.
+  /// and \p Id, and checks its frames against SiteProgram. Returns its
+  /// length, or 0 after recording the error, with \p Records the records
+  /// dispatched before it in this body.
   std::size_t readSite(const std::byte *Data, std::size_t Size,
                        std::size_t At, std::uint64_t Records, SiteId &Id);
   /// Records why the timed record of kind \p Kind at \p At stopped the
@@ -948,6 +955,7 @@ private:
 
   EventConsumer *C;
   RecordTarget::LoopFn Loop;
+  const ir::Program *SiteProgram; ///< C's siteProgram()
   std::vector<SiteFrame> FrameScratch;
   std::uint64_t Events = 0;
   std::uint64_t Bytes = 0;

@@ -49,6 +49,14 @@ LegacyRecords decodeV2(std::span<const std::byte> Records, EventConsumer &C) {
                     sizeof(W));
         Frames.push_back({ir::MethodId(W.Method), W.Pc, W.Line});
       }
+      if (const ir::Program *P = C.siteProgram()) {
+        std::string Misfit = siteMisfit(*P, E.Site, Frames);
+        if (!Misfit.empty()) {
+          R.Malformed = true;
+          R.Error = std::move(Misfit);
+          return R;
+        }
+      }
       C.onSite(E.Site, Frames);
     } else {
       C.onEvent(E);

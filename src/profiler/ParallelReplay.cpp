@@ -79,9 +79,11 @@ struct ShardResult {
 /// the shard's record loop is instantiated for it (RecordTarget).
 class ShardConsumer final : public EventConsumer {
 public:
-  ShardConsumer(ShardResult &R, bool Snap, unsigned Index,
-                ShardFoldSink *Fold)
-      : R(R), Snap(Snap), Index(Index), Fold(Fold) {}
+  ShardConsumer(const ir::Program &P, ShardResult &R, bool Snap,
+                unsigned Index, ShardFoldSink *Fold)
+      : P(P), R(R), Snap(Snap), Index(Index), Fold(Fold) {}
+
+  const ir::Program *siteProgram() const override { return &P; }
 
   void onSite(SiteId Id, std::span<const SiteFrame> Frames) override {
     R.Sites.emplace_back(Id,
@@ -159,6 +161,7 @@ private:
     R.Ends.push_back({Id, Time, Survived, R.Records.size()});
   }
 
+  const ir::Program &P;
   ShardResult &R;
   bool Snap;
   unsigned Index;
@@ -255,7 +258,8 @@ bool runShard(const ShardedStream &S, std::size_t B, std::size_t E,
 /// Partitions chunks into at most \p Jobs contiguous ranges balanced by
 /// payload bytes and decodes them on one thread each. Returns false if
 /// any shard failed.
-bool runSharded(const ShardedStream &S, const ProfilerConfig &Config,
+bool runSharded(const ShardedStream &S, const ir::Program &P,
+                const ProfilerConfig &Config,
                 unsigned Jobs, ShardFoldSink *Fold,
                 std::vector<ShardResult> &Shards) {
   std::size_t N = S.Idx.Entries.size();
@@ -287,7 +291,7 @@ bool runSharded(const ShardedStream &S, const ProfilerConfig &Config,
   Threads.reserve(Count);
   for (std::size_t K = 0; K < Count; ++K)
     Threads.emplace_back([&, K] {
-      ShardConsumer C(Shards[K], Config.SnapUseTimes,
+      ShardConsumer C(P, Shards[K], Config.SnapUseTimes,
                       static_cast<unsigned>(K), Fold);
       Shards[K].Failed = !runShard(S, Cut[K], Cut[K + 1], C);
     });
@@ -426,7 +430,8 @@ bool mergeShards(std::vector<ShardResult> &Shards,
 /// runs the sequential path, which owns the result -- or the canonical
 /// error -- for everything the shards do not take.
 template <typename SequentialFn>
-bool replaySharded(const std::string &Path, const ProfilerConfig &Config,
+bool replaySharded(const std::string &Path, const ir::Program &P,
+                   const ProfilerConfig &Config,
                    unsigned Jobs, ShardFoldSink *Fold, ProfileLog &Out,
                    std::vector<SiteId> *SiteMapOut, SequentialFn Sequential) {
   if (Jobs == 0)
@@ -437,7 +442,7 @@ bool replaySharded(const std::string &Path, const ProfilerConfig &Config,
 
   for (int Attempt = 0; Attempt < 2; ++Attempt) {
     std::vector<ShardResult> Shards;
-    if (runSharded(S, Config, Jobs, Fold, Shards)) {
+    if (runSharded(S, P, Config, Jobs, Fold, Shards)) {
       if (!mergeShards(Shards, Config, Out, Fold, SiteMapOut))
         break;
       Out.SampleRate = S.Sampling.SampleBytes;
@@ -471,7 +476,7 @@ bool jdrag::profiler::replayProfileParallel(const std::string &Path,
                                             ProfilerConfig Config,
                                             unsigned Jobs, ProfileLog &Out,
                                             std::string *Err) {
-  return replaySharded(Path, Config, Jobs, nullptr, Out, nullptr, [&] {
+  return replaySharded(Path, P, Config, Jobs, nullptr, Out, nullptr, [&] {
     return replayProfile(Path, P, Config, Out, Err);
   });
 }
@@ -480,7 +485,7 @@ bool jdrag::profiler::replayProfileParallelFold(
     const std::string &Path, const ir::Program &P, ProfilerConfig Config,
     unsigned Jobs, ShardFoldSink &Sink, ProfileLog &Shell,
     std::vector<SiteId> &SiteMapOut, std::string *Err) {
-  return replaySharded(Path, Config, Jobs, &Sink, Shell, &SiteMapOut, [&] {
+  return replaySharded(Path, P, Config, Jobs, &Sink, Shell, &SiteMapOut, [&] {
     // One logical shard, fed by the sequential streaming profiler. Its
     // records already carry log-local site ids, so the map the caller
     // remaps with is the identity over Shell.Sites.

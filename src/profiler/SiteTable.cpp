@@ -75,3 +75,21 @@ std::string SiteTable::describeInnermost(const ir::Program &P,
   return formatString("%s:%u", P.qualifiedMethodName(C[0].Method).c_str(),
                       C[0].Line);
 }
+
+std::string jdrag::profiler::siteMisfit(const ir::Program &P, SiteId Id,
+                                        std::span<const SiteFrame> Frames) {
+  for (const SiteFrame &F : Frames) {
+    if (F.Method.Index >= P.Methods.size())
+      return formatString("%.*s: site %u names method %u, but it has %zu methods",
+                          static_cast<int>(ProgramMismatch.size()),
+                          ProgramMismatch.data(), Id, F.Method.Index,
+                          P.Methods.size());
+    const ir::MethodInfo &M = P.Methods[F.Method.Index];
+    if (F.Pc >= M.Code.size())
+      return formatString(
+          "%.*s: site %u names %s pc %u, past its %zu instructions",
+          static_cast<int>(ProgramMismatch.size()), ProgramMismatch.data(), Id,
+          P.qualifiedMethodName(M.Id).c_str(), F.Pc, M.Code.size());
+  }
+  return {};
+}

@@ -21,6 +21,7 @@
 
 #include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -40,6 +41,23 @@ struct SiteFrame {
     return A.Method == B.Method && A.Pc == B.Pc && A.Line == B.Line;
   }
 };
+
+/// Start of every reader's error for a DefineSite frame that names a
+/// method or pc the program does not have: the recording was made from
+/// a different program than the one it is replayed against.
+inline constexpr std::string_view ProgramMismatch =
+    "recording does not match the program";
+
+/// Describes the first of \p Frames (of site \p Id) that does not fit
+/// \p P -- a method id past its methods, or a pc past that method's
+/// code -- as a ProgramMismatch error; empty when every frame fits.
+std::string siteMisfit(const ir::Program &P, SiteId Id,
+                       std::span<const SiteFrame> Frames);
+
+/// True when \p Err is (or carries) a ProgramMismatch error.
+inline bool isProgramMismatch(std::string_view Err) {
+  return Err.find(ProgramMismatch) != std::string_view::npos;
+}
 
 /// Interns call chains. Chains are innermost-frame-first; the innermost
 /// frame of an allocation chain is the `new` bytecode itself (the

@@ -54,7 +54,7 @@ std::vector<InsertedNull> jdrag::transform::nullifyDeadLocals(Program &P,
   // predecessor was its last use). This covers straight-line last uses
   // and loop exits alike -- inserting before P is safe on every inbound
   // edge because deadness at P is path-insensitive.
-  MethodEditor Editor(MI);
+  MethodEditor Editor(P, MI);
   for (std::uint32_t Slot = 0, E = MI.numLocals(); Slot != E; ++Slot) {
     if (MI.LocalKinds[Slot] != ValueKind::Ref)
       continue;
@@ -181,7 +181,7 @@ bool jdrag::transform::nullifyStaticAfter(Program &P, const PassContext &Ctx,
           P.qualifiedMethodName(MethodId(MIdx)).c_str()));
 
   std::uint32_t Line = At.Line;
-  MethodEditor Editor(MI);
+  MethodEditor Editor(P, MI);
   Editor.insertAfter(AfterPc,
                      {makeInst(Opcode::AConstNull, 0, Line),
                       makeInst(Opcode::PutStatic,
@@ -277,7 +277,7 @@ std::vector<InsertedNull> jdrag::transform::nullifyPoppedArrayElements(
     if (!ThisStable)
       continue;
     StackFlow SF(P, MI);
-    MethodEditor Editor(MI);
+    MethodEditor Editor(P, MI);
     for (std::uint32_t Pc = 0, N = static_cast<std::uint32_t>(MI.Code.size());
          Pc != N; ++Pc) {
       if (!IsDecrementOf(MI, SF, Pc, SizeField))

@@ -49,7 +49,7 @@ bool jdrag::transform::removeDeadAllocation(
       return Refuse("program catches OutOfMemoryError");
   }
 
-  MethodEditor Editor(MI);
+  MethodEditor Editor(P, MI);
   Editor.nopRange(W->Begin, W->StorePc + 1);
   Editor.apply();
   Removed.push_back({M, NewPc, W->Begin, W->StorePc});

@@ -2,6 +2,7 @@
 
 #include "transform/LazyAllocation.h"
 
+#include "ir/Verifier.h"
 #include "sa/CFG.h"
 #include "sa/Dominators.h"
 #include "sa/StackFlow.h"
@@ -145,13 +146,18 @@ bool jdrag::transform::lazifyField(Program &P, const PassContext &Ctx,
       makeInst(Opcode::GetField, static_cast<std::int32_t>(F.Index), L),
       makeInst(Opcode::AReturn, 0, L),
   };
-  Acc.MaxStack = 3;
+  // The verifier, not the pass, computes the accessor's MaxStack.
   P.Methods.push_back(Acc);
+  std::string VErr;
+  if (!verifyMethod(P, P.Methods.back(), VErr)) {
+    P.Methods.pop_back();
+    return Refuse("synthesized accessor does not verify: " + VErr);
+  }
   P.classOf(Owner).DeclaredMethods.push_back(Acc.Id);
 
   // Remove the eager initialization.
   {
-    MethodEditor Editor(P.methodOf(InitCtor));
+    MethodEditor Editor(P, P.methodOf(InitCtor));
     Editor.nopRange(Window->Begin, Window->StorePc + 1);
     Editor.apply();
   }
@@ -164,7 +170,7 @@ bool jdrag::transform::lazifyField(Program &P, const PassContext &Ctx,
   for (MethodInfo &M : P.Methods) {
     if (M.IsNative || M.Id == Acc.Id)
       continue;
-    MethodEditor Editor(M);
+    MethodEditor Editor(P, M);
     for (std::uint32_t Pc = 0, N = static_cast<std::uint32_t>(M.Code.size());
          Pc != N; ++Pc)
       if (M.Code[Pc].Op == Opcode::GetField &&
@@ -223,7 +229,7 @@ std::uint32_t jdrag::transform::elideLazyGuards(Program &P,
       return Slot;
     };
 
-    MethodEditor Editor(M);
+    MethodEditor Editor(P, M);
     for (std::uint32_t B : Calls) {
       std::int32_t SlotB = StableReceiverSlot(B);
       if (SlotB < 0)

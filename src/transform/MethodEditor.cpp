@@ -2,13 +2,15 @@
 
 #include "transform/MethodEditor.h"
 
+#include "ir/Verifier.h"
+
 #include <cassert>
 
 using namespace jdrag;
 using namespace jdrag::ir;
 using namespace jdrag::transform;
 
-MethodEditor::MethodEditor(MethodInfo &M) : M(M) {
+MethodEditor::MethodEditor(const Program &P, MethodInfo &M) : P(P), M(M) {
   InsertsBefore.resize(M.Code.size() + 1);
 }
 
@@ -49,19 +51,26 @@ void MethodEditor::replace(std::uint32_t Pc, Instruction NewInst) {
   Dirty = true;
 }
 
-void MethodEditor::apply() {
+bool MethodEditor::apply() {
   if (!Dirty)
-    return;
-  std::uint32_t N = static_cast<std::uint32_t>(M.Code.size());
-
+    return true;
+  Dirty = false;
   bool AnyInserts = false;
   for (const auto &Slot : InsertsBefore)
     if (!Slot.empty()) {
       AnyInserts = true;
       break;
     }
-  if (!AnyInserts)
-    return; // nop replacements are in-place; nothing to remap
+  // Nop and same-length replacements are in place: nothing to remap, but
+  // they can still change the stack depth.
+  if (AnyInserts)
+    rebuild();
+  std::string Err;
+  return ir::verifyMethod(P, M, Err);
+}
+
+void MethodEditor::rebuild() {
+  std::uint32_t N = static_cast<std::uint32_t>(M.Code.size());
 
   // TargetMap[X]: new pc a branch to old X lands on (first inserted
   // instruction before X). InstMap[X]: new pc of the original instruction.
@@ -94,5 +103,4 @@ void MethodEditor::apply() {
 
   M.Code = std::move(NewCode);
   InsertsBefore.assign(M.Code.size() + 1, {});
-  Dirty = false;
 }

@@ -6,8 +6,10 @@
 ///
 /// \file
 /// Applies insertions and nop-replacements to a method body, remapping
-/// branch targets and exception-handler ranges. All transformation passes
-/// edit code through this class so pc bookkeeping lives in one place.
+/// branch targets and exception-handler ranges, then re-verifies the
+/// method so its MaxStack stays the bound the interpreter sizes frames
+/// from. All transformation passes edit code through this class so pc
+/// and stack bookkeeping live in one place.
 ///
 /// Branch targets pointing at pc X are redirected to the first
 /// instruction inserted before X; this is what the assign-null pass
@@ -28,7 +30,9 @@ namespace jdrag::transform {
 /// Collects edits against one method and applies them atomically.
 class MethodEditor {
 public:
-  explicit MethodEditor(ir::MethodInfo &M);
+  /// Edits \p M, a method of \p P (the verifier resolves the callees and
+  /// fields the edited code names against \p P).
+  MethodEditor(const ir::Program &P, ir::MethodInfo &M);
 
   /// Queues \p Insts to execute immediately before \p Pc (\p Pc may be
   /// Code.size() to append at the end). Inserted instructions must not be
@@ -51,10 +55,17 @@ public:
   /// True if any edit is queued.
   bool hasEdits() const { return Dirty; }
 
-  /// Rebuilds the method body, fixing branch targets and handlers.
-  void apply();
+  /// Rebuilds the method body, fixing branch targets and handlers, and
+  /// re-verifies it (ir::verifyMethod), which recomputes MaxStack. Returns
+  /// false when the edited method does not verify; its MaxStack is then
+  /// ir::UnverifiedMaxStack and the interpreter refuses to run it.
+  bool apply();
 
 private:
+  /// Splices the queued insertions in and remaps branches and handlers.
+  void rebuild();
+
+  const ir::Program &P;
   ir::MethodInfo &M;
   std::vector<std::vector<ir::Instruction>> InsertsBefore; ///< size N+1
   bool Dirty = false;

@@ -37,10 +37,11 @@ Interpreter::Interpreter(const Program &P, Heap &H, std::vector<Value> &Statics,
       Config(Config) {
   TheHeap.addRootSource(this);
   Decoded.resize(P.Methods.size());
-  // Steady-state capacities: benchmarks reach tens of frames and a
-  // handful of arg slots; reserving here keeps the first deep call chain
-  // from paying a reallocation ladder inside the hot loop.
+  // Steady-state capacities: benchmarks reach tens of frames and a few
+  // hundred values; reserving here keeps the first deep call chain from
+  // paying a reallocation ladder inside the hot loop.
   Frames.reserve(64);
+  Values.resize(256);
   ActiveCtorSerials.reserve(16);
   ArgScratch.reserve(16);
   CachedClock = TheHeap.clock();
@@ -49,13 +50,12 @@ Interpreter::Interpreter(const Program &P, Heap &H, std::vector<Value> &Statics,
 Interpreter::~Interpreter() { TheHeap.removeRootSource(this); }
 
 void Interpreter::visitRoots(HandleVisitor Visit) {
+  // Each frame's locals and live operands, [LocalsAt, Sp): a value above
+  // Sp is dead even though it still sits in Values.
   for (const Frame &F : Frames) {
-    for (const Value &V : F.Locals)
-      if (V.Kind == ValueKind::Ref)
-        Visit(V.asRef());
-    for (const Value &V : F.Stack)
-      if (V.Kind == ValueKind::Ref)
-        Visit(V.asRef());
+    for (std::uint32_t I = F.LocalsAt; I != F.Sp; ++I)
+      if (Values[I].Kind == ValueKind::Ref)
+        Visit(Values[I].asRef());
     Visit(F.Receiver);
   }
   for (Handle H : FinalizingNow)
@@ -157,29 +157,29 @@ void Interpreter::recomputeAllocSlack() {
   AllocSlack = S;
 }
 
-void Interpreter::pushFrame(const MethodInfo &M, std::span<const Value> Args,
+void Interpreter::pushFrame(const MethodInfo &M, std::uint32_t LocalsAt,
                             std::uint32_t Ctx) {
-  Frame NF;
+  assert(M.MaxStack != ir::UnverifiedMaxStack &&
+         "method has no verified MaxStack");
+  std::uint32_t StackAt = LocalsAt + M.numLocals();
+  reserveValues(std::size_t(StackAt) + M.MaxStack);
+  for (std::uint32_t I = M.numParamSlots(), E = M.numLocals(); I != E; ++I)
+    Values[LocalsAt + I] = Value::zeroOf(M.LocalKinds[I]);
+  Frame &NF = Frames.emplace_back();
   NF.M = &M;
   NF.Code = decodedCode(M);
-  NF.Pc = 0;
   NF.Ctx = Ctx;
-  NF.Locals.resize(M.numLocals());
-  for (std::uint32_t I = 0, E = M.numLocals(); I != E; ++I)
-    NF.Locals[I] = Value::zeroOf(M.LocalKinds[I]);
-  assert(Args.size() == M.numParamSlots() && "argument count mismatch");
-  for (std::size_t I = 0, E = Args.size(); I != E; ++I)
-    NF.Locals[I] = Args[I];
-  NF.Stack.reserve(M.MaxStack);
+  NF.LocalsAt = LocalsAt;
+  NF.StackAt = StackAt;
+  NF.Sp = StackAt;
   if (M.IsConstructor) {
-    NF.Receiver = Args[0].asRef();
+    NF.Receiver = Values[LocalsAt].asRef();
     NF.IsCtorFrame = true;
     NF.Serial = NextFrameSerial++;
     ActiveCtorSerials.push_back(NF.Serial);
     if (!NF.Receiver.isNull())
       ++TheHeap.object(NF.Receiver).InitDepth;
   }
-  Frames.push_back(std::move(NF));
 }
 
 void Interpreter::popFrame() {
@@ -211,8 +211,8 @@ bool Interpreter::throwToHandler(Handle Ex, std::size_t Base) {
         continue;
       if (H.CatchType.isValid() && !P.isSubclassOf(ExClass, H.CatchType))
         continue;
-      F.Stack.clear();
-      F.Stack.push_back(Value::makeRef(Ex));
+      F.Sp = F.StackAt;
+      Values[F.Sp++] = Value::makeRef(Ex);
       F.Pc = H.Target;
       return true;
     }
@@ -267,8 +267,14 @@ Interpreter::Status Interpreter::call(MethodId M, std::span<const Value> Args,
                                       Value *Ret, std::string *Err) {
   const MethodInfo &MI = P.methodOf(M);
   assert(!MI.IsNative && "cannot call natives directly");
+  assert(Args.size() == MI.numParamSlots() && "argument count mismatch");
+  // The activation starts at the top of the stack: above the caller's
+  // live operands when a native or finalizer re-enters the VM.
   std::size_t Base = Frames.size();
-  pushFrame(MI, Args);
+  std::uint32_t At = Frames.empty() ? 0 : Frames.back().Sp;
+  reserveValues(At + Args.size());
+  std::copy(Args.begin(), Args.end(), Values.begin() + At);
+  pushFrame(MI, At);
   Status S = execute(Base, Err);
   if (S == Status::Ok && Ret)
     *Ret = TopReturn;

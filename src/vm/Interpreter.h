@@ -37,6 +37,7 @@
 #include "vm/Heap.h"
 #include "vm/Natives.h"
 
+#include <algorithm>
 #include <string>
 
 namespace jdrag::vm {
@@ -52,8 +53,9 @@ struct InterpreterConfig {
   std::uint64_t MaxLiveBytes = ~0ull;
 };
 
-/// The bytecode interpreter. Owns the frame stack; registers itself as a
-/// GC root source on the heap it executes against.
+/// The bytecode interpreter. Owns the frame stack and the value stack its
+/// frames are windows into; registers itself as a GC root source on the
+/// heap it executes against.
 class Interpreter : public RootSource {
 public:
   enum class Status : std::uint8_t { Ok, UncaughtException, StepLimit, Trap };
@@ -123,6 +125,12 @@ private:
     std::uint32_t CtxChild = 0;
   };
 
+  /// One activation: a window into the interpreter's value stack
+  /// (Values), held as indices so the stack can grow by a plain resize.
+  /// The window is [LocalsAt, StackAt + M->MaxStack): the method's
+  /// locals, then its operand stack, whose live part is [StackAt, Sp).
+  /// A callee's locals start where its caller's arguments start, so
+  /// arguments are passed in place.
   struct Frame {
     const ir::MethodInfo *M = nullptr;
     /// Decoded image of M->Code (owned by Interpreter::Decoded; shared by
@@ -133,11 +141,14 @@ private:
     /// Call-context trie node of this activation (EventEmitter);
     /// RootContext for base frames pushed by call().
     std::uint32_t Ctx = 0;
+    std::uint32_t LocalsAt = 0;
+    std::uint32_t StackAt = 0; ///< LocalsAt + M->numLocals()
+    /// One past the top operand. Like Pc, a snapshot of the main loop's
+    /// hoisted pointer, published by SYNC(); GC roots end here.
+    std::uint32_t Sp = 0;
     Handle Receiver;          ///< valid for constructor frames
     bool IsCtorFrame = false; ///< InitDepth bookkeeping on pop
     std::uint64_t Serial = 0; ///< monotonic frame identity (ctor frames)
-    std::vector<Value> Locals;
-    std::vector<Value> Stack;
   };
 
   /// Executes until the frame stack shrinks back to \p Base frames (the
@@ -154,11 +165,18 @@ private:
   /// equals the true clock.
   void recomputeAllocSlack();
 
-  /// Pushes a frame for \p M, moving \p NumArgs values off \p Caller's
-  /// stack into the locals. \p Ctx is the activation's call-context trie
+  /// Pushes a frame for \p M whose locals start at \p LocalsAt, where
+  /// its arguments already lie; zeroes the other locals and grows Values
+  /// to hold the window. \p Ctx is the activation's call-context trie
   /// node (RootContext for base frames).
-  void pushFrame(const ir::MethodInfo &M, std::span<const Value> Args,
+  void pushFrame(const ir::MethodInfo &M, std::uint32_t LocalsAt,
                  std::uint32_t Ctx = 0);
+
+  /// Grows Values to at least \p Slots values.
+  void reserveValues(std::size_t Slots) {
+    if (Slots > Values.size())
+      Values.resize(std::max(Slots, 2 * Values.size()));
+  }
 
   /// Pops the top frame, maintaining InitDepth bookkeeping.
   void popFrame();
@@ -194,12 +212,18 @@ private:
   InterpreterConfig Config;
 
   std::vector<Frame> Frames;
+  /// The value stack every frame is a window into. It starts small and
+  /// grows (reserveValues) only when a push needs the room; anything
+  /// that can push a frame therefore invalidates pointers into it.
+  std::vector<Value> Values;
   /// Strictly increasing stack of serials of active constructor frames.
   std::vector<std::uint64_t> ActiveCtorSerials;
   std::uint64_t NextFrameSerial = 1;
   std::vector<Handle> FinalizingNow; ///< roots while finalizers run
   Handle PendingException;
   Handle OOMInstance;
+  /// Arguments of the native being called. Natives do not get them in
+  /// place: a re-entrant call() writes at the caller's Sp, where they lie.
   std::vector<Value> ArgScratch;
   Value TopReturn;
   std::string TrapMessage;

@@ -16,14 +16,18 @@
 #define JDRAG_TESTS_RANDOMPROGRAM_H
 
 #include "ir/ProgramBuilder.h"
+#include "ir/Verifier.h"
 #include "support/Random.h"
+
+#include <gtest/gtest.h>
 
 #include <vector>
 
 namespace jdrag::testutil {
 
-/// Builds a random program from \p Seed. The program reads no inputs and
-/// emits at least one checksum through jdrag.emitResult.
+/// Builds a random program from \p Seed and verifies it. The program
+/// reads no inputs and emits at least one checksum through
+/// jdrag.emitResult.
 inline ir::Program buildRandomProgram(std::uint64_t Seed) {
   using namespace ir;
   SplitMix64 Rng(Seed);
@@ -334,7 +338,12 @@ inline ir::Program buildRandomProgram(std::uint64_t Seed) {
   M.ret();
   M.finish();
   PB.setMain(M.id());
-  return PB.finish();
+  // Verification computes the MaxStack bounds the interpreter sizes its
+  // frames from; an unverified program does not run.
+  Program P = PB.finish();
+  std::string Err;
+  EXPECT_TRUE(verifyProgram(P, &Err)) << Err;
+  return P;
 }
 
 } // namespace jdrag::testutil

@@ -866,4 +866,46 @@ TEST(Daemon, HostileIdsKeepServing) {
   EXPECT_EQ(H.shutdown(), 0);
 }
 
+TEST(Daemon, SessionOfAnotherProgramIsADecodeErrorNotACrash) {
+  DaemonHarness H;
+  H.start();
+  auto WaitFor = [&](const char *Needle) {
+    bool Done = false;
+    for (int I = 0; I != 500 && !Done; ++I) {
+      Done = H.admin("HEALTH").find(Needle) != std::string::npos;
+      if (!Done)
+        ::usleep(5000);
+    }
+    return Done;
+  };
+
+  // A jess recording announced as juru: the session's live decode must
+  // stop at the first site that juru does not have, before the profile
+  // is folded into the aggregate.
+  {
+    SocketEventSink::Options SO;
+    SO.Connect = H.SessionAddr;
+    SO.Name = "juru";
+    SocketEventSink Sock(SO);
+    EXPECT_TRUE(runWorkload(Sock).intact());
+  }
+  ASSERT_TRUE(WaitFor("sessions_clean=1")) << H.admin("HEALTH");
+  EXPECT_NE(H.admin("HEALTH").find("decode_errors=1"), std::string::npos)
+      << H.admin("HEALTH");
+
+  // The daemon keeps serving, and a session of the right program folds.
+  {
+    SocketEventSink::Options SO;
+    SO.Connect = H.SessionAddr;
+    SO.Name = "jess";
+    SocketEventSink Sock(SO);
+    EXPECT_TRUE(runWorkload(Sock).intact());
+  }
+  ASSERT_TRUE(WaitFor("sessions_clean=2")) << H.admin("HEALTH");
+  EXPECT_NE(H.admin("HEALTH").find("decode_errors=1"), std::string::npos);
+  EXPECT_EQ(H.admin("PING"), "PONG\n");
+  EXPECT_FALSE(H.admin("TOP 5").empty());
+  EXPECT_EQ(H.shutdown(), 0);
+}
+
 } // namespace

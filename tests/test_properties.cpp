@@ -167,7 +167,7 @@ TEST_P(RandomPrograms, MethodEditorNopInsertionIsTransparent) {
   auto Before = run(P);
   MethodInfo &Main = P.methodOf(P.MainMethod);
   // Insert a nop before every 5th instruction.
-  MethodEditor Ed(Main);
+  MethodEditor Ed(P, Main);
   Instruction Nop;
   Nop.Op = Opcode::Nop;
   for (std::uint32_t Pc = 0; Pc < Main.Code.size(); Pc += 5)

@@ -405,6 +405,80 @@ TEST(CorruptionCorpus, RecordCutAtTheEndOfAValidChunkIsRejectedByEveryReader) {
 }
 
 //===----------------------------------------------------------------------===//
+// WrongProgram: a recording replayed against a different program
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// A jack recording in 4 KB chunks (enough of them to shard), at \p Path.
+void recordJack(const std::string &Path) {
+  benchmarks::BenchmarkProgram Jack = benchmarks::buildJack();
+  FileEventSink Sink;
+  ASSERT_TRUE(Sink.open(Path));
+  vm::VMOptions Opts;
+  Opts.DeepGCIntervalBytes = 100 * KB;
+  Opts.EventChunkBytes = 4 * KB;
+  Opts.Sink = &Sink;
+  vm::VirtualMachine VM(Jack.Prog, Opts);
+  VM.setInputs(Jack.DefaultInputs);
+  ASSERT_EQ(VM.run(), vm::Interpreter::Status::Ok);
+  ASSERT_TRUE(VM.streamIntact());
+}
+
+/// jack's first site names method 27 of its own program; juru has 27.
+const char *const ForeignSite =
+    "recording does not match the program: site 0 names method 27, but it "
+    "has 27 methods";
+
+} // namespace
+
+TEST(WrongProgram, SequentialReplayRejectsTheFirstForeignSite) {
+  std::string Path = tempPath("wrong_seq.jdev");
+  recordJack(Path);
+  benchmarks::BenchmarkProgram Juru = benchmarks::buildJuru();
+  ProfileLog Log;
+  std::string Err;
+  EXPECT_FALSE(replayProfile(Path, Juru.Prog, ProfilerConfig(), Log, &Err));
+  EXPECT_EQ(Err, ForeignSite);
+  EXPECT_TRUE(isProgramMismatch(Err));
+  EXPECT_TRUE(Log.Sites.size() <= 1 && Log.Records.empty());
+  std::remove(Path.c_str());
+}
+
+TEST(WrongProgram, ShardedReplayRejectsTheFirstForeignSite) {
+  std::string Path = tempPath("wrong_par.jdev");
+  recordJack(Path);
+  benchmarks::BenchmarkProgram Juru = benchmarks::buildJuru();
+  ProfileLog Log;
+  std::string Err;
+  EXPECT_FALSE(
+      replayProfileParallel(Path, Juru.Prog, ProfilerConfig(), 4, Log, &Err));
+  EXPECT_EQ(Err, ForeignSite);
+  std::remove(Path.c_str());
+}
+
+TEST(WrongProgram, StreamingAnalysisRejectsTheFirstForeignSite) {
+  std::string Path = tempPath("wrong_stream.jdev");
+  recordJack(Path);
+  benchmarks::BenchmarkProgram Juru = benchmarks::buildJuru();
+  for (unsigned Jobs : {1u, 4u})
+    for (bool Materialize : {false, true}) {
+      analysis::StreamAnalysisOptions SA;
+      SA.Jobs = Jobs;
+      SA.ForceMaterialize = Materialize;
+      SA.WantLifetimes = true;
+      SA.CurveSamples = 16;
+      analysis::StreamAnalysisResult R;
+      std::string Err;
+      EXPECT_FALSE(analysis::analyzeEventStream(Path, Juru.Prog, SA, R, &Err))
+          << Jobs << " " << Materialize;
+      EXPECT_EQ(Err, ForeignSite) << Jobs << " " << Materialize;
+      EXPECT_EQ(R.Report, nullptr);
+    }
+  std::remove(Path.c_str());
+}
+
+//===----------------------------------------------------------------------===//
 // FaultInjection: failing and flaky sinks
 //===----------------------------------------------------------------------===//
 
@@ -1164,6 +1238,7 @@ public:
     P.onSite(Id, Frames);
   }
   void onEvent(const EventRecord &E) override { P.onEvent(E); }
+  const ir::Program *siteProgram() const override { return P.siteProgram(); }
 
 private:
   DragProfiler &P;

@@ -76,7 +76,7 @@ TEST(MethodEditor, InsertionRemapsBranches) {
 
   // Insert a no-behavior pair after pc 1 (istore).
   MethodInfo &MI = P.methodOf(P.MainMethod);
-  MethodEditor Ed(MI);
+  MethodEditor Ed(P, MI);
   Instruction Push;
   Push.Op = Opcode::IConst;
   Push.IVal = 0;
@@ -117,7 +117,7 @@ TEST(MethodEditor, HandlerRangesRemapped) {
   Program P = T.finishVerified();
 
   MethodInfo &MI = P.methodOf(P.MainMethod);
-  MethodEditor Ed(MI);
+  MethodEditor Ed(P, MI);
   Instruction Nop;
   Nop.Op = Opcode::Nop;
   Ed.insertBefore(0, {Nop, Nop, Nop});
@@ -140,7 +140,7 @@ TEST(MethodEditor, NopRangePreservesPcs) {
 
   MethodInfo &MI = P.methodOf(P.MainMethod);
   std::size_t Len = MI.Code.size();
-  MethodEditor Ed(MI);
+  MethodEditor Ed(P, MI);
   Ed.nopRange(0, 2);
   Ed.apply();
   EXPECT_EQ(MI.Code.size(), Len);
@@ -148,6 +148,68 @@ TEST(MethodEditor, NopRangePreservesPcs) {
   EXPECT_EQ(MI.Code[1].Op, Opcode::Nop);
   expectVerifies(P);
   EXPECT_EQ(runOutputs(P), (std::vector<std::int64_t>{2}));
+}
+
+TEST(MethodEditor, EditedMaxStackSizesFramesWithoutProgramReverify) {
+  // main calls a recursive method from the top of a 300-value operand
+  // stack that only the edit creates. apply() must re-verify main, so
+  // its MaxStack covers the new depth; the program then runs without
+  // any verifyProgram() after the edit.
+  TestProgramBuilder T;
+  ClassBuilder MainC = T.PB.beginClass("Main", T.PB.objectClass());
+  MethodBuilder Down =
+      MainC.beginMethod("down", {ValueKind::Int}, ValueKind::Int, true);
+  Label Rec = Down.newLabel();
+  Down.iload(0).ifGtZ(Rec);
+  Down.iconst(0).iret();
+  Down.bind(Rec);
+  Down.iload(0).iconst(1).isub().invokestatic(Down.id());
+  Down.iconst(1).iadd().iret();
+  Down.finish();
+  MethodBuilder M = MainC.beginMethod("main", {}, ValueKind::Void, true);
+  M.iconst(50).invokestatic(Down.id()); // 0, 1
+  M.invokestatic(T.Emit).ret();         // 2, 3
+  M.finish();
+  T.PB.setMain(M.id());
+  Program P = T.finishVerified();
+  MethodInfo &MI = P.methodOf(P.MainMethod);
+  ASSERT_EQ(MI.MaxStack, 1u);
+
+  constexpr int Depth = 300;
+  std::vector<Instruction> Pushes, Adds;
+  for (int K = 1; K <= Depth; ++K) {
+    Instruction Push;
+    Push.Op = Opcode::IConst;
+    Push.IVal = K;
+    Pushes.push_back(Push);
+    Instruction Add;
+    Add.Op = Opcode::IAdd;
+    Adds.push_back(Add);
+  }
+  MethodEditor Ed(P, MI);
+  Ed.insertBefore(0, Pushes);
+  Ed.insertBefore(2, Adds); // fold the pushes into down's result
+  ASSERT_TRUE(Ed.apply());
+  EXPECT_EQ(MI.MaxStack, static_cast<std::uint32_t>(Depth + 1));
+  EXPECT_EQ(runOutputs(P),
+            (std::vector<std::int64_t>{50 + Depth * (Depth + 1) / 2}));
+}
+
+TEST(MethodEditor, UnverifiableEditLeavesNoStackBound) {
+  TestProgramBuilder T;
+  ClassBuilder MainC = T.PB.beginClass("Main", T.PB.objectClass());
+  MethodBuilder M = MainC.beginMethod("main", {}, ValueKind::Void, true);
+  M.iconst(2).invokestatic(T.Emit).ret();
+  M.finish();
+  T.PB.setMain(M.id());
+  Program P = T.finishVerified();
+  MethodInfo &MI = P.methodOf(P.MainMethod);
+  Instruction Drop;
+  Drop.Op = Opcode::Pop;
+  MethodEditor Ed(P, MI);
+  Ed.insertBefore(0, {Drop}); // pops an empty stack
+  EXPECT_FALSE(Ed.apply());
+  EXPECT_EQ(MI.MaxStack, UnverifiedMaxStack);
 }
 
 //===----------------------------------------------------------------------===//

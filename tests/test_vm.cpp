@@ -2,6 +2,8 @@
 
 #include "vm/VirtualMachine.h"
 
+#include "profiler/DragProfiler.h"
+
 #include "VMTestUtils.h"
 
 #include <gtest/gtest.h>
@@ -1065,4 +1067,308 @@ TEST(VMEdge, AReturnNullIsLegal) {
   std::vector<std::int64_t> Out;
   ASSERT_EQ(runProgram(P, {}, {}, &Out), Interpreter::Status::Ok);
   EXPECT_EQ(Out, (std::vector<std::int64_t>{1}));
+}
+
+//===----------------------------------------------------------------------===//
+// The value stack: frames are windows into one contiguous stack, and
+// arguments are passed in place
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Emits a loop into \p M that allocates and drops \p Count int[1024]
+/// arrays (~4 KB each), counting down in local \p Counter and using at
+/// most two operand slots.
+void emitFiller(MethodBuilder &M, std::uint32_t Counter, int Count) {
+  Label Loop = M.newLabel(), Done = M.newLabel();
+  M.iconst(Count).istore(Counter);
+  M.bind(Loop);
+  M.iload(Counter).ifLeZ(Done);
+  M.iconst(1024).newarray(ArrayKind::Int).pop();
+  M.iload(Counter).iconst(1).isub().istore(Counter);
+  M.goto_(Loop);
+  M.bind(Done);
+}
+
+/// Adds static `int Name(int n)` returning n, by recursion n deep; with
+/// \p Node valid, every level also allocates (and drops) one Node.
+MethodId addCountDown(ClassBuilder &C, const char *Name, ClassId Node,
+                      MethodId NodeCtor) {
+  MethodBuilder M = C.beginMethod(Name, {ValueKind::Int}, ValueKind::Int, true);
+  Label Rec = M.newLabel();
+  M.iload(0).ifGtZ(Rec);
+  M.iconst(0).iret();
+  M.bind(Rec);
+  if (Node.isValid())
+    M.new_(Node).dup().invokespecial(NodeCtor).pop();
+  M.iload(0).iconst(1).isub().invokestatic(M.id());
+  M.iconst(1).iadd().iret();
+  M.finish();
+  return M.id();
+}
+
+} // namespace
+
+TEST(ValueStack, DeepRecursionGrowsStackUnderLiveFrames) {
+  // Each activation of down() keeps an int local and a live object
+  // across its recursive call. 5000 nested windows of 6 values outgrow
+  // the initial value stack seven times over; with a 4 KB deep-GC
+  // interval, collections run while all of them are live.
+  constexpr std::int64_t Depth = 5000;
+  TestProgramBuilder T;
+  ClassBuilder Node = T.PB.beginClass("Node", T.PB.objectClass());
+  FieldId V = Node.addField("v", ValueKind::Int);
+  ClassBuilder MainC = T.PB.beginClass("Main", T.PB.objectClass());
+  MethodBuilder Down =
+      MainC.beginMethod("down", {ValueKind::Int}, ValueKind::Int, true);
+  std::uint32_t O = Down.newLocal(ValueKind::Ref);
+  std::uint32_t K = Down.newLocal(ValueKind::Int);
+  Label Rec = Down.newLabel();
+  Down.iload(0).ifGtZ(Rec);
+  Down.iconst(0).iret();
+  Down.bind(Rec);
+  Down.new_(Node.id()).dup().invokespecial(T.PB.objectCtor()).astore(O);
+  Down.aload(O).iload(0).iconst(3).imul().putfield(V);
+  Down.iload(0).iconst(7).iadd().istore(K);
+  Down.iload(0).iconst(1).isub().invokestatic(Down.id());
+  Down.aload(O).getfield(V).iadd().iload(K).iadd().iret();
+  Down.finish();
+  MethodBuilder M = MainC.beginMethod("main", {}, ValueKind::Void, true);
+  M.iconst(Depth).invokestatic(Down.id()).invokestatic(T.Emit).ret();
+  M.finish();
+  T.PB.setMain(M.id());
+  Program P = T.finishVerified();
+
+  // The sum over n = 1..Depth of 3n + (n + 7).
+  const std::int64_t Want = 2 * Depth * (Depth + 1) + 7 * Depth;
+  for (std::uint64_t Interval : {std::uint64_t(0), 4 * KB}) {
+    VMOptions Opts;
+    Opts.DeepGCIntervalBytes = Interval;
+    std::vector<std::int64_t> Out;
+    std::string Err;
+    ASSERT_EQ(runProgram(P, Opts, {}, &Out, &Err), Interpreter::Status::Ok)
+        << Err;
+    EXPECT_EQ(Out, (std::vector<std::int64_t>{Want})) << Interval;
+  }
+}
+
+TEST(ValueStack, FinalizerRunsFromDeepGCManyFramesDown) {
+  // A dropped finalizable object is collected by a deep GC 200 frames
+  // down; its finalizer recurses on top of those frames, and every
+  // frame below still returns its locals intact.
+  TestProgramBuilder T;
+  ClassBuilder MainC = T.PB.beginClass("Main", T.PB.objectClass());
+  MethodId Work = addCountDown(MainC, "work", ClassId(), MethodId());
+  MethodBuilder Fill = MainC.beginMethod("fill", {}, ValueKind::Void, true);
+  emitFiller(Fill, Fill.newLocal(ValueKind::Int), 64);
+  Fill.ret();
+  Fill.finish();
+  MethodBuilder Dive =
+      MainC.beginMethod("dive", {ValueKind::Int}, ValueKind::Int, true);
+  std::uint32_t K = Dive.newLocal(ValueKind::Int);
+  Label Rec = Dive.newLabel();
+  Dive.iload(0).ifGtZ(Rec);
+  Dive.invokestatic(Fill.id()).iconst(0).iret();
+  Dive.bind(Rec);
+  Dive.iload(0).iconst(2).imul().istore(K);
+  Dive.iload(0).iconst(1).isub().invokestatic(Dive.id());
+  Dive.iload(K).iadd().iload(0).isub().iret(); // adds n per level
+  Dive.finish();
+
+  ClassBuilder Fin = T.PB.beginClass("Fin", T.PB.objectClass());
+  MethodBuilder Finalize = Fin.beginMethod("finalize", {}, ValueKind::Void);
+  Finalize.iconst(20).invokestatic(Work).iconst(57).iadd();
+  Finalize.invokestatic(T.Emit).ret();
+  Finalize.finish();
+
+  MethodBuilder M = MainC.beginMethod("main", {}, ValueKind::Void, true);
+  M.new_(Fin.id()).dup().invokespecial(T.PB.objectCtor()).pop();
+  M.iconst(200).invokestatic(Dive.id()).invokestatic(T.Emit).ret();
+  M.finish();
+  T.PB.setMain(M.id());
+  Program P = T.finishVerified();
+
+  VMOptions Opts;
+  Opts.DeepGCIntervalBytes = 100 * KB;
+  std::vector<std::int64_t> Out;
+  std::string Err;
+  ASSERT_EQ(runProgram(P, Opts, {}, &Out, &Err), Interpreter::Status::Ok)
+      << Err;
+  // The finalizer's 77 comes first: it ran inside dive(), not at exit.
+  EXPECT_EQ(Out, (std::vector<std::int64_t>{77, 200 * 201 / 2}));
+}
+
+TEST(ValueStack, NativeReentersVM) {
+  // main calls a native with a live object and an int on its operand
+  // stack. The native re-enters the VM through Interpreter::call, which
+  // recurses 2000 frames deep (growing the value stack) and allocates
+  // enough to run deep GCs while main's operands sit below.
+  TestProgramBuilder T;
+  NativeId ReenterN =
+      T.PB.declareNative("test.reenter", {ValueKind::Int}, ValueKind::Int);
+  ClassBuilder Node = T.PB.beginClass("Node", T.PB.objectClass());
+  FieldId V = Node.addField("v", ValueKind::Int);
+  ClassBuilder MainC = T.PB.beginClass("Main", T.PB.objectClass());
+  MethodId Reenter = MainC.addNativeMethod("reenter", ReenterN);
+  MethodId Deep = addCountDown(MainC, "deep", Node.id(), T.PB.objectCtor());
+  MethodBuilder M = MainC.beginMethod("main", {}, ValueKind::Void, true);
+  M.new_(Node.id()).dup().invokespecial(T.PB.objectCtor());
+  M.dup().iconst(5).putfield(V);                 // [node]
+  M.iconst(1000).iconst(2000).invokestatic(Reenter); // [node, 1000, 4000]
+  M.iadd().swap().getfield(V).iadd();            // [5005]
+  M.invokestatic(T.Emit).ret();
+  M.finish();
+  T.PB.setMain(M.id());
+  Program P = T.finishVerified();
+
+  VMOptions Opts;
+  Opts.DeepGCIntervalBytes = 4 * KB;
+  VirtualMachine VM(P, Opts);
+  VM.bindNative("test.reenter", [&](NativeContext &Ctx) {
+    Value Arg = Ctx.args()[0];
+    Value R;
+    std::string Err;
+    EXPECT_EQ(Ctx.interpreter().call(Deep, {&Arg, 1}, &R, &Err),
+              Interpreter::Status::Ok)
+        << Err;
+    return Value::makeInt(Arg.asInt() + R.asInt());
+  });
+  std::string Err;
+  ASSERT_EQ(VM.run(&Err), Interpreter::Status::Ok) << Err;
+  EXPECT_EQ(VM.outputs(), (std::vector<std::int64_t>{5005}));
+}
+
+TEST(ValueStack, ExceptionUnwindsThreeFramesToBareHandlerStack) {
+  // main calls d1 -> d2 -> d3 with a finalizable object and two ints on
+  // its operand stack; d3 throws. The handler's stack must hold only the
+  // exception: once it is popped, nothing roots the object, so the deep
+  // GC the handler provokes finalizes it before the handler's own output.
+  TestProgramBuilder T;
+  ClassBuilder Big = T.PB.beginClass("Big", T.PB.objectClass());
+  MethodBuilder Finalize = Big.beginMethod("finalize", {}, ValueKind::Void);
+  Finalize.iconst(99).invokestatic(T.Emit).ret();
+  Finalize.finish();
+  ClassBuilder MainC = T.PB.beginClass("Main", T.PB.objectClass());
+  MethodBuilder Fill = MainC.beginMethod("fill", {}, ValueKind::Void, true);
+  emitFiller(Fill, Fill.newLocal(ValueKind::Int), 64);
+  Fill.ret();
+  Fill.finish();
+  MethodBuilder D3 = MainC.beginMethod("d3", {}, ValueKind::Void, true);
+  D3.new_(T.PB.throwableClass())
+      .dup()
+      .invokespecial(
+          T.PB.program().findDeclaredMethod(T.PB.throwableClass(), "<init>"))
+      .athrow();
+  D3.finish();
+  MethodBuilder D2 = MainC.beginMethod("d2", {}, ValueKind::Void, true);
+  D2.invokestatic(D3.id()).ret();
+  D2.finish();
+  MethodBuilder D1 = MainC.beginMethod("d1", {}, ValueKind::Void, true);
+  D1.invokestatic(D2.id()).ret();
+  D1.finish();
+  MethodBuilder M = MainC.beginMethod("main", {}, ValueKind::Void, true);
+  Label TS = M.newLabel(), TE = M.newLabel(), H = M.newLabel(),
+        Done = M.newLabel();
+  M.bind(TS);
+  M.new_(Big.id()).dup().invokespecial(T.PB.objectCtor());
+  M.iconst(5).iconst(6).invokestatic(D1.id());
+  M.pop().pop().pop();
+  M.bind(TE);
+  M.goto_(Done);
+  M.bind(H);
+  M.pop().invokestatic(Fill.id());
+  M.iconst(3).invokestatic(T.Emit);
+  M.bind(Done);
+  M.ret();
+  M.addHandler(TS, TE, H, T.PB.throwableClass());
+  M.finish();
+  T.PB.setMain(M.id());
+  Program P = T.finishVerified();
+
+  VMOptions Opts;
+  Opts.DeepGCIntervalBytes = 100 * KB;
+  std::vector<std::int64_t> Out;
+  std::string Err;
+  ASSERT_EQ(runProgram(P, Opts, {}, &Out, &Err), Interpreter::Status::Ok)
+      << Err;
+  EXPECT_EQ(Out, (std::vector<std::int64_t>{99, 3}));
+}
+
+namespace {
+
+/// Leaves references to two Objs in dead slots above main's top. leave()
+/// builds one and returns, so its local and two of its operand slots lie
+/// in a dead window; main builds the other on its own operand stack and
+/// pops it, which leaves it in two dead slots of main's live window. With
+/// \p Scrub both overwrite those slots with null first. main then
+/// allocates past a deep GC using only the two slots at its top, so the
+/// stale references stay where they are.
+Program deadSlotProgram(bool Scrub, ClassId &ObjClass) {
+  TestProgramBuilder T;
+  ClassBuilder Obj = T.PB.beginClass("Obj", T.PB.objectClass());
+  ObjClass = Obj.id();
+  ClassBuilder MainC = T.PB.beginClass("Main", T.PB.objectClass());
+  MethodBuilder Leave = MainC.beginMethod("leave", {}, ValueKind::Void, true);
+  std::uint32_t O = Leave.newLocal(ValueKind::Ref);
+  Leave.iconst(1).iconst(2).iconst(3);
+  Leave.new_(Obj.id()).dup().invokespecial(T.PB.objectCtor()).astore(O);
+  if (Scrub)
+    Leave.aconstNull().aconstNull().pop().pop().aconstNull().astore(O);
+  Leave.pop().pop().pop().ret();
+  Leave.finish();
+  MethodBuilder M = MainC.beginMethod("main", {}, ValueKind::Void, true);
+  std::uint32_t Counter = M.newLocal(ValueKind::Int);
+  M.invokestatic(Leave.id());
+  M.iconst(1).iconst(2).iconst(3);
+  M.new_(Obj.id()).dup().invokespecial(T.PB.objectCtor());
+  M.pop().pop().pop().pop();
+  if (Scrub)
+    M.iconst(0).iconst(0).iconst(0).aconstNull().aconstNull()
+        .pop().pop().pop().pop().pop();
+  emitFiller(M, Counter, 64);
+  M.iconst(1).invokestatic(T.Emit).ret();
+  M.finish();
+  T.PB.setMain(M.id());
+  return T.finishVerified();
+}
+
+/// The records of the Objs \p P allocates, profiled with 100 KB deep
+/// GCs.
+std::vector<profiler::ObjectRecord>
+profileObjs(const Program &P, ClassId ObjClass, ByteTime &EndTime) {
+  profiler::DragProfiler Prof(P);
+  VMOptions Opts;
+  Opts.DeepGCIntervalBytes = 100 * KB;
+  Prof.attachTo(Opts);
+  VirtualMachine VM(P, Opts);
+  std::string Err;
+  EXPECT_EQ(VM.run(&Err), Interpreter::Status::Ok) << Err;
+  EndTime = Prof.log().EndTime;
+  std::vector<profiler::ObjectRecord> Objs;
+  for (const profiler::ObjectRecord &R : Prof.log().Records)
+    if (!R.IsArray && R.Class == ObjClass)
+      Objs.push_back(R);
+  return Objs;
+}
+
+} // namespace
+
+TEST(ValueStack, DeadSlotsAboveSpDoNotRoot) {
+  ClassId ObjClass;
+  ByteTime DeadEnd = 0, ScrubbedEnd = 0;
+  std::vector<profiler::ObjectRecord> Dead =
+      profileObjs(deadSlotProgram(false, ObjClass), ObjClass, DeadEnd);
+  std::vector<profiler::ObjectRecord> Scrubbed =
+      profileObjs(deadSlotProgram(true, ObjClass), ObjClass, ScrubbedEnd);
+  ASSERT_EQ(Dead.size(), 2u);
+  ASSERT_EQ(Scrubbed.size(), 2u);
+  // Both are collected by the first deep GC, exactly when the nulled
+  // slots let them go, at the byte time the per-frame-vector interpreter
+  // (where a popped value left no slot behind) recorded.
+  for (std::size_t I = 0; I != 2; ++I) {
+    EXPECT_FALSE(Dead[I].SurvivedToEnd) << I;
+    EXPECT_LT(Dead[I].CollectTime, DeadEnd) << I;
+    EXPECT_EQ(Dead[I].CollectTime, Scrubbed[I].CollectTime) << I;
+    EXPECT_EQ(Dead[I].CollectTime, ByteTime(102824)) << I;
+  }
 }

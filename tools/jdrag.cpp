@@ -303,22 +303,28 @@ bool isEventRecording(const std::string &Path) {
   return Ok;
 }
 
+/// Prints why a replay failed and returns the exit status: 2 for a
+/// recording of a different program (the benchmark named on the command
+/// line is wrong, a usage error), 1 for anything else.
+int replayFailed(const std::string &Err) {
+  std::fprintf(stderr, "replay failed: %s\n", Err.c_str());
+  return profiler::isProgramMismatch(Err) ? 2 : 1;
+}
+
 /// Shared driver for report/timeline/lagdragvoid/export over a .jdev:
 /// wires the CLI options into the streaming engine (or, under
 /// --materialize, the O(records) oracle path) and reports failures the
-/// way `replay` does.
-bool analyzeRecording(const BenchmarkProgram &B, const std::string &Path,
-                      const Options &O, StreamAnalysisOptions &SA,
-                      StreamAnalysisResult &R) {
+/// way `replay` does. Returns 0 or the exit status of the failure.
+int analyzeRecording(const BenchmarkProgram &B, const std::string &Path,
+                     const Options &O, StreamAnalysisOptions &SA,
+                     StreamAnalysisResult &R) {
   SA.Config = profilerConfig(O);
   SA.Jobs = replayJobs(O);
   SA.ForceMaterialize = O.Materialize;
   std::string Err;
-  if (!analyzeEventStream(Path, B.Prog, SA, R, &Err)) {
-    std::fprintf(stderr, "replay failed: %s\n", Err.c_str());
-    return false;
-  }
-  return true;
+  if (!analyzeEventStream(Path, B.Prog, SA, R, &Err))
+    return replayFailed(Err);
+  return 0;
 }
 
 /// fsck on an *object log* (`jdrag profile` output): print the delivery
@@ -489,10 +495,8 @@ int cmdReplay(const BenchmarkProgram &B, const std::string &Path,
   profiler::ProfileLog Log;
   std::string Err;
   if (!profiler::replayProfileParallel(Path, B.Prog, PC, replayJobs(O), Log,
-                                       &Err)) {
-    std::fprintf(stderr, "replay failed: %s\n", Err.c_str());
-    return 1;
-  }
+                                       &Err))
+    return replayFailed(Err);
   if (!O.OutPath.empty() && !Log.writeFile(O.OutPath)) {
     std::fprintf(stderr, "cannot write %s\n", O.OutPath.c_str());
     return 1;
@@ -507,8 +511,8 @@ int cmdReport(const BenchmarkProgram &B, const std::string &LogPath,
   if (!LogPath.empty() && isEventRecording(LogPath)) {
     StreamAnalysisOptions SA;
     StreamAnalysisResult R;
-    if (!analyzeRecording(B, LogPath, O, SA, R))
-      return 1;
+    if (int Rc = analyzeRecording(B, LogPath, O, SA, R))
+      return Rc;
     std::printf("%s", renderDragReport(*R.Report).c_str());
     return 0;
   }
@@ -576,8 +580,8 @@ int cmdTimeline(const BenchmarkProgram &B, const std::string &JdevPath,
     SA.WantReport = false;
     SA.CurveSamples = TimelineCols;
     StreamAnalysisResult R;
-    if (!analyzeRecording(B, JdevPath, O, SA, R))
-      return 1;
+    if (int Rc = analyzeRecording(B, JdevPath, O, SA, R))
+      return Rc;
     printTimeline(B.Name, R.Shell->EndTime, R.Curve);
     return 0;
   }
@@ -593,8 +597,8 @@ int cmdLagDragVoid(const BenchmarkProgram &B, const std::string &JdevPath,
     SA.WantReport = false;
     SA.WantLifetimes = true;
     StreamAnalysisResult R;
-    if (!analyzeRecording(B, JdevPath, O, SA, R))
-      return 1;
+    if (int Rc = analyzeRecording(B, JdevPath, O, SA, R))
+      return Rc;
     std::printf("'%s' (%.2f MB allocated): %s\n", B.Name.c_str(),
                 toMB(R.Shell->EndTime),
                 renderDecomposition(R.Lifetimes).c_str());
@@ -614,8 +618,8 @@ int cmdExport(const BenchmarkProgram &B, const std::string &Path,
     SA.WantReport = false;
     SA.ExportCsvPath = Path;
     StreamAnalysisResult R;
-    if (!analyzeRecording(B, JdevPath, O, SA, R))
-      return 1;
+    if (int Rc = analyzeRecording(B, JdevPath, O, SA, R))
+      return Rc;
     std::printf("wrote %zu object records to %s\n",
                 static_cast<std::size_t>(R.ExportRows), Path.c_str());
     return 0;
