@@ -7,6 +7,9 @@
 //   CorruptionCorpus  every truncation point and bit flip over a framed
 //                     stream is detected (no crash, no over-read -- run
 //                     these under the sanitize preset);
+//   FrameErrors       each chunk-frame fault gets its exact error text
+//                     (or salvage verdict) from every reader that can
+//                     see it, sharded replay giving the sequential text;
 //   FaultInjection    a failing sink degrades gracefully: the VM run
 //                     still succeeds, drops are accounted exactly, and
 //                     transient errors are retried to success;
@@ -402,6 +405,302 @@ TEST(CorruptionCorpus, RecordCutAtTheEndOfAValidChunkIsRejectedByEveryReader) {
   EXPECT_EQ(Rep.BytesRecovered,
             Rep.Chunks[0].PayloadBytes + Rep.Chunks[1].PayloadBytes - 2u);
   std::remove(Path.c_str());
+}
+
+//===----------------------------------------------------------------------===//
+// FrameErrors: each reader's verdict on each chunk-frame fault
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+const char *const TruncatedBytes =
+    "truncated event stream: partial trailing chunk or record";
+
+/// Header offsets of the frames in \p Framed (data chunks, then any
+/// footer), walked without checking anything.
+std::vector<std::size_t> frameOffsets(std::span<const std::byte> Framed) {
+  std::vector<std::size_t> Out;
+  std::size_t Off = 0;
+  while (Framed.size() - Off >= sizeof(ChunkHeader)) {
+    ChunkHeader H;
+    std::memcpy(&H, Framed.data() + Off, sizeof(H));
+    Out.push_back(Off);
+    Off += sizeof(H) + (H.PayloadBytes & ~ChunkCompressedBit) +
+           (H.Magic == FooterMagic ? 8 : 0);
+  }
+  return Out;
+}
+
+ChunkHeader headerOf(std::span<const std::byte> Framed, std::size_t K) {
+  ChunkHeader H;
+  std::memcpy(&H, Framed.data() + frameOffsets(Framed)[K], sizeof(H));
+  return H;
+}
+
+/// \p Framed with frame \p K's header passed through \p Edit.
+template <typename EditFn>
+std::vector<std::byte> editHeader(std::vector<std::byte> Framed,
+                                  std::size_t K, EditFn Edit) {
+  std::size_t At = frameOffsets(Framed)[K];
+  ChunkHeader H;
+  std::memcpy(&H, Framed.data() + At, sizeof(H));
+  Edit(H);
+  std::memcpy(Framed.data() + At, &H, sizeof(H));
+  return Framed;
+}
+
+/// A compressed v7 recording of 64 allocations and their collections in
+/// 128-byte chunks (eight LZ-compressed data chunks, then the footer).
+/// Returns the frames and sets \p FileHeader to the `.jdev` header.
+std::vector<std::byte> frameErrorsStream(std::vector<std::byte> &FileHeader) {
+  std::string Path = tempPath("frame_errors_src.jdev");
+  {
+    FileEventSink Sink;
+    FileEventSink::Options O;
+    O.Compress = true;
+    EXPECT_TRUE(Sink.open(Path, O));
+    EventBuffer Buf(Sink, 128);
+    auto Event = [&](EventKind K, ByteTime Time, std::uint64_t Id) {
+      EventRecord E;
+      E.Kind = static_cast<std::uint8_t>(K);
+      E.Time = Time;
+      E.Id = Id;
+      if (K == EventKind::Alloc)
+        E.Arg0 = 16;
+      Buf.writeEvent(E);
+    };
+    for (std::uint64_t I = 1; I <= 64; ++I)
+      Event(EventKind::Alloc, 16 * I, I);
+    for (std::uint64_t I = 1; I <= 64; ++I)
+      Event(EventKind::Collect, 1024 + I, I);
+    Event(EventKind::Terminate, 2048, 0);
+    EXPECT_TRUE(Buf.finishStream());
+    EXPECT_TRUE(Sink.finish());
+  }
+  std::vector<std::byte> Bytes = readFileBytes(Path);
+  std::remove(Path.c_str());
+  std::size_t HeaderBytes = streamHeaderBytes(DefaultWireFormat);
+  FileHeader.assign(Bytes.begin(), Bytes.begin() + HeaderBytes);
+  std::vector<std::byte> Framed(Bytes.begin() + HeaderBytes, Bytes.end());
+  std::vector<std::size_t> Frames = frameOffsets(Framed);
+  EXPECT_EQ(Frames.size(), 9u);
+  EXPECT_TRUE(chunkCompressed(headerOf(Framed, 1).PayloadBytes));
+  EXPECT_EQ(headerOf(Framed, Frames.size() - 1).Magic, FooterMagic);
+  return Framed;
+}
+
+/// What each reader says about one damaged v7 stream.
+struct V7Verdicts {
+  /// replayBytes' error; replayProfile's, sequential and at two jobs,
+  /// except that a file's truncation text names the file.
+  std::string Replay;
+  /// rebuildChunkIndex's error; empty when it rebuilds the index.
+  std::string Rebuild;
+  /// scanEventFile's first damaged chunk and its verdict.
+  std::size_t Damaged = SalvageReport::npos;
+  ChunkStatus Status = ChunkStatus::Ok;
+  bool FooterPresent = true;
+  bool FooterOk = true;
+};
+
+void expectV7Verdicts(std::span<const std::byte> Framed,
+                      const std::vector<std::byte> &FileHeader,
+                      const V7Verdicts &Want) {
+  CountingConsumer C;
+  std::string Err;
+  EXPECT_FALSE(replayBytes(Framed, C, &Err));
+  EXPECT_EQ(Err, Want.Replay);
+
+  ChunkIndex Idx;
+  std::string RebuildErr;
+  EXPECT_EQ(rebuildChunkIndex(Framed, DefaultWireFormat, Idx, &RebuildErr),
+            Want.Rebuild.empty());
+  EXPECT_EQ(RebuildErr, Want.Rebuild);
+
+  std::string Path = tempPath("frame_errors.jdev");
+  std::vector<std::byte> File = FileHeader;
+  File.insert(File.end(), Framed.begin(), Framed.end());
+  writeFileBytes(Path, File);
+
+  SalvageReport Rep = scanEventFile(Path, nullptr);
+  ASSERT_TRUE(Rep.readable()) << Rep.FileError;
+  EXPECT_EQ(Rep.FirstDamaged, Want.Damaged);
+  if (Want.Damaged != SalvageReport::npos &&
+      Rep.FirstDamaged == Want.Damaged) {
+    EXPECT_STREQ(chunkStatusName(Rep.Chunks[Want.Damaged].Status),
+                 chunkStatusName(Want.Status));
+  }
+  EXPECT_EQ(Rep.FooterPresent, Want.FooterPresent);
+  EXPECT_EQ(Rep.FooterOk, Want.FooterOk);
+  EXPECT_EQ(scanEventFileParallel(Path, 2).summary(Path), Rep.summary(Path));
+
+  std::string FileWant =
+      Want.Replay == TruncatedBytes
+          ? Path + ": truncated event stream (partial trailing chunk or "
+                   "record); try `jdrag salvage`"
+          : Want.Replay;
+  ir::Program P = buildChurnProgram();
+  ProfileLog Seq, Par;
+  std::string SeqErr, ParErr;
+  EXPECT_FALSE(replayProfile(Path, P, ProfilerConfig(), Seq, &SeqErr));
+  EXPECT_EQ(SeqErr, FileWant);
+  EXPECT_FALSE(
+      replayProfileParallel(Path, P, ProfilerConfig(), 2, Par, &ParErr));
+  EXPECT_EQ(ParErr, FileWant);
+  std::remove(Path.c_str());
+}
+
+/// replayBytes on a damaged v2 stream: \p Want, and nothing delivered.
+void expectV2Replay(std::span<const std::byte> Framed,
+                    const std::string &Want) {
+  CountingConsumer C;
+  std::string Err;
+  EXPECT_FALSE(replayBytes(Framed, C, &Err, WireFormat::V2));
+  EXPECT_EQ(Err, Want);
+  EXPECT_EQ(C.Sites + C.Events, 0u);
+}
+
+} // namespace
+
+TEST(FrameErrors, BadMagic) {
+  std::vector<std::byte> Hdr;
+  auto Bad = [](ChunkHeader &H) { H.Magic = 0x21646142; };
+  expectV7Verdicts(editHeader(frameErrorsStream(Hdr), 1, Bad), Hdr,
+                   {"corrupt event stream: bad chunk magic at chunk 1",
+                    "bad chunk magic at chunk 1", 1, ChunkStatus::BadMagic});
+  expectV2Replay(editHeader(v2Corpus(), 1, Bad),
+                 "corrupt event stream: bad chunk magic at chunk 1");
+}
+
+TEST(FrameErrors, ZeroLength) {
+  std::vector<std::byte> Hdr;
+  auto Zero = [](ChunkHeader &H) { H.PayloadBytes = 0; };
+  expectV7Verdicts(
+      editHeader(frameErrorsStream(Hdr), 1, Zero), Hdr,
+      {"corrupt event stream: chunk 1 has implausible payload length 0",
+       "chunk 1 has implausible payload length 0", 1,
+       ChunkStatus::OversizedPayload});
+  expectV2Replay(
+      editHeader(v2Corpus(), 1, Zero),
+      "corrupt event stream: chunk 1 has implausible payload length 0");
+}
+
+TEST(FrameErrors, LengthOverMaxChunkPayload) {
+  std::vector<std::byte> Hdr;
+  auto Huge = [](ChunkHeader &H) { H.PayloadBytes = MaxChunkPayload + 1; };
+  expectV7Verdicts(editHeader(frameErrorsStream(Hdr), 1, Huge), Hdr,
+                   {"corrupt event stream: chunk 1 has implausible payload "
+                    "length 67108865",
+                    "chunk 1 has implausible payload length 67108865", 1,
+                    ChunkStatus::OversizedPayload});
+  expectV2Replay(editHeader(v2Corpus(), 1, Huge),
+                 "corrupt event stream: chunk 1 has implausible payload "
+                 "length 67108865");
+}
+
+TEST(FrameErrors, SequenceJump) {
+  std::vector<std::byte> Hdr;
+  auto Jump = [](ChunkHeader &H) { H.Seq = 5; };
+  expectV7Verdicts(editHeader(frameErrorsStream(Hdr), 1, Jump), Hdr,
+                   {"corrupt event stream: chunk sequence jumped from 1 to 5 "
+                    "(dropped or reordered chunks)",
+                    "chunk sequence jumped from 1 to 5", 1,
+                    ChunkStatus::BadSequence});
+  expectV2Replay(editHeader(v2Corpus(), 1, Jump),
+                 "corrupt event stream: chunk sequence jumped from 1 to 5 "
+                 "(dropped or reordered chunks)");
+}
+
+TEST(FrameErrors, HeaderCutOff) {
+  std::vector<std::byte> Hdr;
+  std::vector<std::byte> S = frameErrorsStream(Hdr);
+  std::size_t At = frameOffsets(S)[1];
+  S.resize(At + 10);
+  expectV7Verdicts(S, Hdr,
+                   {TruncatedBytes,
+                    "truncated chunk header at offset " + std::to_string(At),
+                    1, ChunkStatus::TruncatedHeader, false, false});
+  std::vector<std::byte> V2 = v2Corpus();
+  V2.resize(frameOffsets(V2)[1] + 10);
+  expectV2Replay(V2, TruncatedBytes);
+}
+
+TEST(FrameErrors, PayloadCutOff) {
+  std::vector<std::byte> Hdr;
+  std::vector<std::byte> S = frameErrorsStream(Hdr);
+  S.resize(frameOffsets(S)[1] + sizeof(ChunkHeader) + 3);
+  expectV7Verdicts(S, Hdr,
+                   {TruncatedBytes, "truncated chunk payload in chunk 1", 1,
+                    ChunkStatus::TruncatedPayload, false, false});
+  std::vector<std::byte> V2 = v2Corpus();
+  V2.resize(frameOffsets(V2)[1] + sizeof(ChunkHeader) + 3);
+  expectV2Replay(V2, TruncatedBytes);
+}
+
+TEST(FrameErrors, MalformedCompressedPayload) {
+  // Past its one-byte length prefix, the block is all zeros: its first
+  // token is a match at offset 0, which no decoder accepts. The header
+  // and its CRC are untouched.
+  std::vector<std::byte> Hdr;
+  std::vector<std::byte> S = frameErrorsStream(Hdr);
+  std::size_t At = frameOffsets(S)[1];
+  ChunkHeader H = headerOf(S, 1);
+  ASSERT_LT(std::to_integer<unsigned>(S[At + sizeof(H)]), 0x80u);
+  std::fill(S.begin() + At + sizeof(H) + 1,
+            S.begin() + At + sizeof(H) + chunkWireBytes(H.PayloadBytes),
+            std::byte{0});
+  expectV7Verdicts(S, Hdr,
+                   {"corrupt event stream: chunk 1 has a malformed "
+                    "compressed payload",
+                    "corrupt compressed payload in chunk 1", 1,
+                    ChunkStatus::BadCompression});
+  // v2 has no compressed bit: the flagged field fails the length bound.
+  expectV2Replay(editHeader(v2Corpus(), 1,
+                            [](ChunkHeader &H) {
+                              H.PayloadBytes |= ChunkCompressedBit;
+                            }),
+                 "corrupt event stream: chunk 1 has implausible payload "
+                 "length 2147483712");
+}
+
+TEST(FrameErrors, CrcMismatch) {
+  std::vector<std::byte> Hdr;
+  auto Flip = [](ChunkHeader &H) { H.Crc ^= 1; };
+  std::vector<std::byte> S = frameErrorsStream(Hdr);
+  std::uint32_t Crc = headerOf(S, 1).Crc;
+  // The index rebuild checks structure only: the CRC is the decoders'.
+  expectV7Verdicts(editHeader(S, 1, Flip), Hdr,
+                   {"corrupt event stream: chunk 1 CRC mismatch (stored " +
+                        std::to_string(Crc ^ 1) + ", computed " +
+                        std::to_string(Crc) + ")",
+                    "", 1, ChunkStatus::BadCrc});
+  std::vector<std::byte> V2 = v2Corpus();
+  std::uint32_t V2Crc = headerOf(V2, 1).Crc;
+  expectV2Replay(editHeader(V2, 1, Flip),
+                 "corrupt event stream: chunk 1 CRC mismatch (stored " +
+                     std::to_string(V2Crc ^ 1) + ", computed " +
+                     std::to_string(V2Crc) + ")");
+}
+
+TEST(FrameErrors, FooterCrcDamage) {
+  // The footer's record total, which its CRC covers.
+  std::vector<std::byte> Hdr;
+  std::vector<std::byte> S = frameErrorsStream(Hdr);
+  S[frameOffsets(S).back() + sizeof(ChunkHeader)] ^= std::byte{1};
+  expectV7Verdicts(S, Hdr,
+                   {"corrupt event stream: damaged chunk index footer", "",
+                    SalvageReport::npos, ChunkStatus::Ok, true, false});
+}
+
+TEST(FrameErrors, DataAfterTheFooter) {
+  std::vector<std::byte> Hdr;
+  std::vector<std::byte> S = frameErrorsStream(Hdr);
+  std::vector<std::size_t> Frames = frameOffsets(S);
+  S.insert(S.end(), S.begin(), S.begin() + Frames[1]);
+  expectV7Verdicts(S, Hdr,
+                   {"corrupt event stream: data after the chunk index footer",
+                    "malformed chunk index footer", Frames.size() - 1,
+                    ChunkStatus::BadMagic, false, false});
 }
 
 //===----------------------------------------------------------------------===//
