@@ -24,7 +24,6 @@
 #include <algorithm>
 
 #include <cstdio>
-#include <cstring>
 #include <unistd.h>
 
 using namespace jdrag;
@@ -686,16 +685,13 @@ void BM_ReplayDecodeCompressed(benchmark::State &State) {
     std::span<const std::byte> Bytes = Mem.bytes();
     std::size_t Off = 0;
     while (Off < Bytes.size()) {
-      profiler::ChunkHeader H;
-      std::memcpy(&H, Bytes.data() + Off, sizeof(H));
-      bool Footer = H.Magic == profiler::FooterMagic;
-      std::size_t Frame = sizeof(H) + H.PayloadBytes + (Footer ? 8 : 0);
-      std::span<const std::byte> T =
-          Comp.transform(Bytes.data() + Off, Frame);
+      profiler::ChunkFrame Fr = profiler::readFrame(
+          Bytes.subspan(Off), profiler::DefaultWireFormat);
+      std::span<const std::byte> T = Comp.transform(Fr.Data, Fr.Extent);
       if (T.empty())
         std::abort();
       Packed.insert(Packed.end(), T.begin(), T.end());
-      Off += Frame;
+      Off += Fr.Extent;
     }
   }
 

@@ -391,51 +391,39 @@ void CollectorDaemon::handleMessage(Session &S, const MsgHeader &H,
       protocolError(S, "CHUNK before HELLO");
       return;
     }
-    if (Payload.size() < sizeof(profiler::ChunkHeader)) {
+    profiler::ChunkFrame Fr = profiler::readFrame(Payload, S.Info.Format);
+    if (Fr.Status == profiler::ChunkStatus::TruncatedHeader) {
       protocolError(S, "runt chunk message");
       return;
     }
-    profiler::ChunkHeader CH;
-    std::memcpy(&CH, Payload.data(), sizeof(CH));
-    bool IsFooter = CH.Magic == profiler::FooterMagic;
-    if (!IsFooter && CH.Magic != profiler::ChunkMagic) {
+    if (Fr.Status == profiler::ChunkStatus::BadMagic) {
       protocolError(S, "chunk message without chunk magic");
       return;
     }
-    // The inner length must agree with the message bytes, or the
-    // recording would hold frames whose headers lie about their extent
-    // and the chunk-aligned fsck-clean-prefix guarantee is void. A v6+
-    // session's length field may carry the compressed flag in bit 31;
-    // the low bits are the on-wire size. A footer block carries 8 tail
-    // bytes (u32 size, u32 tail magic) after its payload.
-    bool Flags = profiler::chunkFlagsHonoured(S.Info.Format);
-    bool Compressed =
-        Flags && !IsFooter && profiler::chunkCompressed(CH.PayloadBytes);
-    std::uint32_t WireLen =
-        Flags ? profiler::chunkWireBytes(CH.PayloadBytes) : CH.PayloadBytes;
-    if (WireLen > profiler::MaxChunkPayload ||
-        Payload.size() != sizeof(profiler::ChunkHeader) + WireLen +
-                              (IsFooter ? 8 : 0)) {
+    // The frame must be plausible and fill the message exactly, or the
+    // recording would hold frames every reader rejects or whose headers
+    // lie about their extent, and the chunk-aligned fsck-clean-prefix
+    // guarantee is void.
+    if (Fr.Status != profiler::ChunkStatus::Ok ||
+        Fr.Extent != Payload.size()) {
       protocolError(S, "chunk frame length disagrees with message length");
       return;
     }
     S.Bytes += Payload.size();
     Stats.BytesReceived += Payload.size();
-    if (IsFooter) {
+    if (Fr.Footer) {
       ++S.Footers;
       ++Stats.FootersReceived;
     } else {
       ++S.DataChunks;
       ++Stats.ChunksReceived;
-      std::uint64_t Raw =
-          Compressed ? lzDeclaredRawLen(
-                           Payload.data() + sizeof(profiler::ChunkHeader),
-                           WireLen)
-                     : WireLen;
-      S.WirePayloadBytes += WireLen;
+      std::uint64_t Raw = Fr.Compressed
+                              ? lzDeclaredRawLen(Fr.payload(), Fr.PayloadBytes)
+                              : Fr.PayloadBytes;
+      S.WirePayloadBytes += Fr.PayloadBytes;
       S.RawPayloadBytes += Raw;
-      S.CompressedChunks += Compressed;
-      Stats.WirePayloadBytes += WireLen;
+      S.CompressedChunks += Fr.Compressed;
+      Stats.WirePayloadBytes += Fr.PayloadBytes;
       Stats.RawPayloadBytes += Raw;
     }
     // 1. Recording. A write failure degrades this session to

@@ -9,6 +9,7 @@
 #include <cassert>
 #include <chrono>
 #include <cstring>
+#include <iterator>
 #include <thread>
 
 #ifndef _WIN32
@@ -89,6 +90,16 @@ struct WireIndexEntry {
 static_assert(sizeof(WireIndexEntry) == 48, "footer wire format");
 static_assert(std::is_trivially_copyable_v<WireIndexEntry>);
 
+/// Sets \p Count to the entries of a footer payload of \p PayloadBytes
+/// bytes (a u64 record total, then whole entries); false if it has no
+/// such shape.
+bool footerEntryCount(std::uint32_t PayloadBytes, std::size_t &Count) {
+  if (PayloadBytes < 8 || (PayloadBytes - 8) % sizeof(WireIndexEntry) != 0)
+    return false;
+  Count = (PayloadBytes - 8) / sizeof(WireIndexEntry);
+  return true;
+}
+
 /// The `.jdev` header FileEventSink writes for format \p F: 16 bytes
 /// before v5, 32 with the sampling params from v5 on. Older formats
 /// still get their own header because jdragd and `jdrag send` pass an
@@ -116,8 +127,55 @@ const char *jdrag::profiler::eventKindName(EventKind K) {
 }
 
 //===----------------------------------------------------------------------===//
-// Chunk compression (v6+)
+// Chunk-frame verifier
 //===----------------------------------------------------------------------===//
+
+namespace {
+constexpr const char *ChunkStatusNames[] = {
+    "ok",           "truncated-header",  "truncated-payload",
+    "bad-magic",    "bad-sequence",      "oversized-payload",
+    "crc-mismatch", "bad-records",       "bad-compression",
+};
+static_assert(std::size(ChunkStatusNames) ==
+                  static_cast<std::size_t>(ChunkStatus::BadCompression) + 1,
+              "name every ChunkStatus");
+
+/// A footer block ends in a u32 block size and a u32 FooterTailMagic.
+constexpr std::size_t FooterTailBytes = 8;
+} // namespace
+
+const char *jdrag::profiler::chunkStatusName(ChunkStatus S) {
+  auto I = static_cast<std::size_t>(S);
+  return I < std::size(ChunkStatusNames) ? ChunkStatusNames[I] : "?";
+}
+
+ChunkFrame jdrag::profiler::readFrame(std::span<const std::byte> Bytes,
+                                      WireFormat F) {
+  ChunkFrame Fr;
+  Fr.Data = Bytes.data();
+  if (Bytes.size() < sizeof(ChunkHeader))
+    return Fr;
+  std::memcpy(&Fr.H, Bytes.data(), sizeof(Fr.H));
+  Fr.Footer = Fr.H.Magic == FooterMagic;
+  // Before v6 the raw field is the length, so a flagged frame fails the
+  // bound below: the intended clean refusal of old readers.
+  bool Flags = !Fr.Footer && chunkFlagsHonoured(F);
+  Fr.Compressed = Flags && chunkCompressed(Fr.H.PayloadBytes);
+  Fr.PayloadBytes =
+      Flags ? chunkWireBytes(Fr.H.PayloadBytes) : Fr.H.PayloadBytes;
+  if (!Fr.Footer && Fr.H.Magic != ChunkMagic)
+    Fr.Status = ChunkStatus::BadMagic;
+  else if (Fr.PayloadBytes > MaxChunkPayload ||
+           (!Fr.Footer && Fr.PayloadBytes == 0))
+    Fr.Status = ChunkStatus::OversizedPayload;
+  else {
+    Fr.Extent = sizeof(ChunkHeader) + Fr.PayloadBytes +
+                (Fr.Footer ? FooterTailBytes : 0);
+    Fr.Status = Bytes.size() < Fr.Extent ? ChunkStatus::TruncatedPayload
+                                         : ChunkStatus::Ok;
+  }
+  return Fr;
+}
 
 bool jdrag::profiler::chunkPayloadBytes(const ChunkHeader &H,
                                         const std::byte *Payload,
@@ -135,27 +193,77 @@ bool jdrag::profiler::chunkPayloadBytes(const ChunkHeader &H,
   return true;
 }
 
+FramePayload
+jdrag::profiler::verifyPayload(const ChunkFrame &Fr,
+                               std::vector<std::uint8_t> &Scratch) {
+  assert(Fr.Status == ChunkStatus::Ok && "verify only a whole frame");
+  FramePayload P;
+  P.Body = {Fr.payload(), Fr.PayloadBytes};
+  // Decompress before the CRC: it covers the *uncompressed* payload, so
+  // a garbled block surfaces either here (token stream broken) or as a
+  // CRC mismatch (tokens decode to wrong bytes).
+  if (Fr.Compressed &&
+      !chunkPayloadBytes(Fr.H, Fr.payload(), Scratch, P.Body)) {
+    P.Status = ChunkStatus::BadCompression;
+    P.Body = {};
+    return P;
+  }
+  P.Crc = support::crc32c(P.Body.data(), P.Body.size());
+  bool Intact = P.Crc == Fr.H.Crc;
+  if (Fr.Footer) {
+    std::uint32_t Bytes = 0, Tail = 0;
+    std::memcpy(&Bytes, Fr.payload() + Fr.PayloadBytes, 4);
+    std::memcpy(&Tail, Fr.payload() + Fr.PayloadBytes + 4, 4);
+    Intact = Intact && Tail == FooterTailMagic && Bytes == Fr.Extent;
+  }
+  if (!Intact)
+    P.Status = ChunkStatus::BadCrc;
+  return P;
+}
+
+std::size_t
+jdrag::profiler::footerBlockSize(std::span<const std::byte> Stream) {
+  // The smallest block: a header, the u64 record total and the tail.
+  constexpr std::size_t MinBlock = sizeof(ChunkHeader) + 8 + FooterTailBytes;
+  if (Stream.size() < MinBlock)
+    return 0;
+  std::uint32_t Bytes = 0, Tail = 0;
+  std::memcpy(&Bytes, Stream.data() + Stream.size() - 8, 4);
+  std::memcpy(&Tail, Stream.data() + Stream.size() - 4, 4);
+  if (Tail != FooterTailMagic || Bytes < MinBlock || Bytes > Stream.size())
+    return 0;
+  // A footer frame reads alike in every format.
+  ChunkFrame Fr = readFrame(Stream.last(Bytes), DefaultWireFormat);
+  return Fr.Footer && Fr.Status == ChunkStatus::Ok && Fr.Extent == Bytes
+             ? Bytes
+             : 0;
+}
+
+//===----------------------------------------------------------------------===//
+// Chunk compression (v6+)
+//===----------------------------------------------------------------------===//
+
 std::span<const std::byte>
 ChunkCompressor::transform(const std::byte *Data, std::size_t Size) {
-  if (Size < sizeof(ChunkHeader))
+  // Compressors run only for formats that honour the compressed flag,
+  // and those all frame alike.
+  ChunkFrame Fr = readFrame({Data, Size}, DefaultWireFormat);
+  if (Fr.Status != ChunkStatus::Ok || Fr.Extent != Size)
     return {};
-  ChunkHeader H;
-  std::memcpy(&H, Data, sizeof(H));
+  ChunkHeader H = Fr.H;
 
-  if (H.Magic == FooterMagic) {
+  if (Fr.Footer) {
     // The footer frame itself stays uncompressed (it is small, and
     // salvage resynchronizes on its magic), but its entries must index
     // the stream this compressor actually produced: rewrite Offset and
     // PayloadBytes from the per-chunk wire records, recompute the
     // payload CRC, and leave everything else (Seq = entry count, times,
     // per-chunk payload CRCs over the *uncompressed* bytes) alone.
-    if (H.PayloadBytes < 8 || H.PayloadBytes > MaxChunkPayload ||
-        Size != sizeof(ChunkHeader) + H.PayloadBytes + 8 ||
-        (H.PayloadBytes - 8) % sizeof(WireIndexEntry) != 0)
+    std::size_t Count = 0;
+    if (!footerEntryCount(H.PayloadBytes, Count))
       return {};
     Scratch.assign(Data, Data + Size);
     std::byte *Body = Scratch.data() + sizeof(ChunkHeader);
-    std::size_t Count = (H.PayloadBytes - 8) / sizeof(WireIndexEntry);
     std::size_t Wi = 0;
     for (std::size_t I = 0; I != Count; ++I) {
       WireIndexEntry W;
@@ -177,18 +285,13 @@ ChunkCompressor::transform(const std::byte *Data, std::size_t Size) {
     return Scratch;
   }
 
-  if (H.Magic != ChunkMagic)
-    return {};
-  std::uint32_t WireLen = chunkWireBytes(H.PayloadBytes);
-  if (WireLen == 0 || WireLen > MaxChunkPayload ||
-      Size != sizeof(ChunkHeader) + WireLen)
-    return {};
-  const std::byte *Payload = Data + sizeof(ChunkHeader);
+  // Already-compressed input (a pre-compressed frame passing through,
+  // e.g. a spool being re-sunk) is forwarded verbatim.
   std::uint32_t NewField = H.PayloadBytes;
   std::span<const std::byte> Frame(Data, Size);
-  if (!chunkCompressed(H.PayloadBytes)) {
-    RawBytes += WireLen;
-    Lz = support::lzCompress(Payload, WireLen);
+  RawBytes += Fr.PayloadBytes;
+  if (!Fr.Compressed) {
+    Lz = support::lzCompress(Fr.payload(), Fr.PayloadBytes);
     if (!Lz.empty()) {
       // lzCompress only returns a block strictly smaller than the
       // input, so the flag bit never collides with the length bits.
@@ -200,13 +303,9 @@ ChunkCompressor::transform(const std::byte *Data, std::size_t Size) {
       std::memcpy(Scratch.data() + sizeof(NH), Lz.data(), Lz.size());
       Frame = Scratch;
     }
-  } else {
-    // Already-compressed input (a pre-compressed frame passing through,
-    // e.g. a spool being re-sunk): forward verbatim.
-    RawBytes += WireLen;
   }
   Wire.push_back({H.Seq, Offset, NewField});
-  WireBytes += chunkWireBytes(NewField);
+  WireBytes += Frame.size() - sizeof(ChunkHeader);
   Offset += Frame.size();
   return Frame;
 }
@@ -677,70 +776,52 @@ bool FrameDecoder::feed(const std::byte *Data, std::size_t Size) {
   }
 
   std::size_t Off = 0;
-  while (Avail - Off >= sizeof(ChunkHeader)) {
-    ChunkHeader H;
-    std::memcpy(&H, Cur + Off, sizeof(H));
-    if (H.Magic == FooterMagic) {
+  while (true) {
+    ChunkFrame Fr = readFrame({Cur + Off, Avail - Off}, Format);
+    if (Fr.Status == ChunkStatus::TruncatedHeader)
+      break; // partial header: wait for more bytes
+    if (Fr.Footer) {
       // Terminal chunk index footer: CRC-verify and swallow it -- its
       // contents are a seek index, not stream data.
-      if (H.PayloadBytes > MaxChunkPayload)
+      if (Fr.Status == ChunkStatus::OversizedPayload)
         return fail("corrupt event stream: implausible chunk index "
                     "footer length");
-      if (H.Seq != NextSeq)
+      if (Fr.H.Seq != NextSeq)
         return fail("corrupt event stream: chunk index footer sequence "
                     "mismatch");
-      std::size_t Block = sizeof(ChunkHeader) + H.PayloadBytes + 8;
-      if (Avail - Off < Block)
+      if (Fr.Status == ChunkStatus::TruncatedPayload)
         break; // partial footer: wait for more bytes
-      const std::byte *Payload = Cur + Off + sizeof(ChunkHeader);
-      std::uint32_t Crc = support::crc32c(Payload, H.PayloadBytes);
-      std::uint32_t Bytes = 0, Tail = 0;
-      std::memcpy(&Bytes, Payload + H.PayloadBytes, 4);
-      std::memcpy(&Tail, Payload + H.PayloadBytes + 4, 4);
-      if (Crc != H.Crc || Tail != FooterTailMagic || Bytes != Block)
+      if (verifyPayload(Fr, Inflate).Status != ChunkStatus::Ok)
         return fail("corrupt event stream: damaged chunk index footer");
       FooterSeen = true;
-      Off += Block;
+      Off += Fr.Extent;
       continue;
     }
     if (FooterSeen)
       return fail("corrupt event stream: data after the chunk index "
                   "footer");
-    if (H.Magic != ChunkMagic)
+    if (Fr.Status == ChunkStatus::BadMagic)
       return fail("corrupt event stream: bad chunk magic at chunk " +
                   std::to_string(NextSeq));
-    // v6+: bit 31 of the length field flags a compressed payload and the
-    // low bits are the on-wire byte count. In pre-v6 streams the raw
-    // field is the length, so a flagged frame fails the bound below --
-    // the intended clean refusal of old readers.
-    bool Compressed =
-        chunkFlagsHonoured(Format) && chunkCompressed(H.PayloadBytes);
-    std::uint32_t WireLen =
-        Compressed ? chunkWireBytes(H.PayloadBytes) : H.PayloadBytes;
-    if (WireLen == 0 || WireLen > MaxChunkPayload)
+    if (Fr.Status == ChunkStatus::OversizedPayload)
       return fail("corrupt event stream: chunk " + std::to_string(NextSeq) +
                   " has implausible payload length " +
-                  std::to_string(H.PayloadBytes));
-    if (H.Seq != NextSeq)
+                  std::to_string(Fr.H.PayloadBytes));
+    if (Fr.H.Seq != NextSeq)
       return fail("corrupt event stream: chunk sequence jumped from " +
-                  std::to_string(NextSeq) + " to " + std::to_string(H.Seq) +
-                  " (dropped or reordered chunks)");
-    if (Avail - Off < sizeof(ChunkHeader) + WireLen)
+                  std::to_string(NextSeq) + " to " +
+                  std::to_string(Fr.H.Seq) + " (dropped or reordered chunks)");
+    if (Fr.Status == ChunkStatus::TruncatedPayload)
       break; // partial payload: wait for more bytes
-    const std::byte *Payload = Cur + Off + sizeof(ChunkHeader);
-    // Decompress once, at chunk granularity, before the CRC: the CRC
-    // covers the *uncompressed* payload, so integrity semantics (and
-    // every salvage verdict built on them) are unchanged by v6.
-    std::span<const std::byte> Body(Payload, WireLen);
-    if (Compressed && !chunkPayloadBytes(H, Payload, Inflate, Body))
+    FramePayload P = verifyPayload(Fr, Inflate);
+    if (P.Status == ChunkStatus::BadCompression)
       return fail("corrupt event stream: chunk " + std::to_string(NextSeq) +
                   " has a malformed compressed payload");
-    std::uint32_t Crc = support::crc32c(Body.data(), Body.size());
-    if (Crc != H.Crc)
+    if (P.Status != ChunkStatus::Ok)
       return fail("corrupt event stream: chunk " + std::to_string(NextSeq) +
-                  " CRC mismatch (stored " + std::to_string(H.Crc) +
-                  ", computed " + std::to_string(Crc) + ")");
-    if (!Records.decodeChunk(Body.data(), Body.size())) {
+                  " CRC mismatch (stored " + std::to_string(Fr.H.Crc) +
+                  ", computed " + std::to_string(P.Crc) + ")");
+    if (!Records.decodeChunk(P.Body.data(), P.Body.size())) {
       if (Records.recordCut())
         return fail("corrupt event stream: record straddles a chunk "
                     "boundary in self-contained chunk " +
@@ -749,9 +830,9 @@ bool FrameDecoder::feed(const std::byte *Data, std::size_t Size) {
       return false; // record-layer error() is surfaced by error()
     }
     ++Chunks;
-    CompressedChunks += Compressed;
+    CompressedChunks += Fr.Compressed;
     ++NextSeq;
-    Off += sizeof(ChunkHeader) + WireLen;
+    Off += Fr.Extent;
   }
 
   if (!Pending.empty()) {
@@ -800,47 +881,26 @@ std::vector<std::byte> jdrag::profiler::encodeChunkIndexFooter(
   return Out;
 }
 
-std::size_t
-jdrag::profiler::footerBlockSize(std::span<const std::byte> Stream) {
-  constexpr std::size_t MinBlock = sizeof(ChunkHeader) + 8 + 8;
-  if (Stream.size() < MinBlock)
-    return 0;
-  std::uint32_t Bytes = 0, Tail = 0;
-  std::memcpy(&Bytes, Stream.data() + Stream.size() - 8, 4);
-  std::memcpy(&Tail, Stream.data() + Stream.size() - 4, 4);
-  if (Tail != FooterTailMagic || Bytes < MinBlock || Bytes > Stream.size())
-    return 0;
-  ChunkHeader H;
-  std::memcpy(&H, Stream.data() + (Stream.size() - Bytes), sizeof(H));
-  if (H.Magic != FooterMagic)
-    return 0;
-  if (sizeof(ChunkHeader) + H.PayloadBytes + 8 != Bytes)
-    return 0;
-  return Bytes;
-}
-
 namespace {
 
-/// Parses and CRC-verifies one footer block into \p Idx; \p DataEnd
-/// receives the on-wire offset just past the last indexed chunk (the
-/// sum of the entries' extents, which callers with the full stream in
-/// hand check against the footer's actual start). The block's size was
-/// already validated against its header by footerBlockSize.
-bool parseFooterBlock(const std::byte *Block, ChunkIndex &Idx,
-                      std::uint64_t &DataEnd) {
-  ChunkHeader H;
-  std::memcpy(&H, Block, sizeof(H));
-  const std::byte *Body = Block + sizeof(ChunkHeader);
-  if (support::crc32c(Body, H.PayloadBytes) != H.Crc)
+/// Parses and CRC-verifies the footer block at the tail of \p Stream
+/// into \p Out. With \p Whole, \p Stream is the whole framed stream and
+/// the entries must tile it exactly up to the footer.
+bool parseFooter(std::span<const std::byte> Stream, bool Whole,
+                 ChunkIndex &Out) {
+  std::size_t Bytes = footerBlockSize(Stream);
+  if (!Bytes)
     return false;
-  if (H.PayloadBytes < 8 ||
-      (H.PayloadBytes - 8) % sizeof(WireIndexEntry) != 0)
-    return false;
-  std::size_t Count = (H.PayloadBytes - 8) / sizeof(WireIndexEntry);
-  if (Count != H.Seq)
+  ChunkFrame Fr = readFrame(Stream.last(Bytes), DefaultWireFormat);
+  std::vector<std::uint8_t> Unused; // a footer is never compressed
+  std::size_t Count = 0;
+  if (verifyPayload(Fr, Unused).Status != ChunkStatus::Ok ||
+      !footerEntryCount(Fr.H.PayloadBytes, Count) || Count != Fr.H.Seq)
     return false;
 
+  ChunkIndex Idx;
   Idx.FromFooter = true;
+  const std::byte *Body = Fr.payload();
   std::memcpy(&Idx.TotalRecords, Body, 8);
   Idx.Entries.reserve(Count);
   // Structural validation up front: entries must tile the data region
@@ -870,7 +930,9 @@ bool parseFooterBlock(const std::byte *Block, ChunkIndex &Idx,
     E.FirstRecord = W.FirstRecord;
     Idx.Entries.push_back(E);
   }
-  DataEnd = Off;
+  if (Whole && Off != Stream.size() - Bytes)
+    return false;
+  Out = std::move(Idx);
   return true;
 }
 
@@ -878,18 +940,7 @@ bool parseFooterBlock(const std::byte *Block, ChunkIndex &Idx,
 
 bool jdrag::profiler::readChunkIndexFooter(std::span<const std::byte> Stream,
                                            ChunkIndex &Out) {
-  std::size_t Bytes = footerBlockSize(Stream);
-  if (!Bytes)
-    return false;
-  std::size_t FooterStart = Stream.size() - Bytes;
-  ChunkIndex Idx;
-  std::uint64_t DataEnd = 0;
-  if (!parseFooterBlock(Stream.data() + FooterStart, Idx, DataEnd))
-    return false;
-  if (DataEnd != FooterStart)
-    return false;
-  Out = std::move(Idx);
-  return true;
+  return parseFooter(Stream, /*Whole=*/true, Out);
 }
 
 bool jdrag::profiler::peekChunkIndexFooterTail(std::span<const std::byte> Tail,
@@ -899,15 +950,7 @@ bool jdrag::profiler::peekChunkIndexFooterTail(std::span<const std::byte> Tail,
   // check against the footer's absolute start, which is why this is a
   // "peek" -- the entries are verified internally consistent, not
   // consistent with the data region.
-  std::size_t Bytes = footerBlockSize(Tail);
-  if (!Bytes)
-    return false;
-  ChunkIndex Idx;
-  std::uint64_t DataEnd = 0;
-  if (!parseFooterBlock(Tail.data() + (Tail.size() - Bytes), Idx, DataEnd))
-    return false;
-  Out = std::move(Idx);
-  return true;
+  return parseFooter(Tail, /*Whole=*/false, Out);
 }
 
 namespace {
@@ -953,49 +996,40 @@ bool jdrag::profiler::rebuildChunkIndex(std::span<const std::byte> Stream,
   std::size_t Off = 0;
   std::uint32_t NextSeq = 0;
   while (Off < End) {
-    if (End - Off < sizeof(ChunkHeader))
+    ChunkFrame Fr = readFrame(Stream.subspan(Off), F);
+    if (Fr.Status == ChunkStatus::TruncatedHeader)
       return Fail("truncated chunk header at offset " + std::to_string(Off));
-    ChunkHeader H;
-    std::memcpy(&H, Stream.data() + Off, sizeof(H));
-    if (H.Magic == FooterMagic) {
+    if (Fr.Footer) {
       // A footer is only legal as the terminal block; its contents are
       // exactly what this rebuild replaces, so skip it unvalidated.
-      if (H.PayloadBytes > MaxChunkPayload ||
-          End - Off != sizeof(ChunkHeader) + H.PayloadBytes + 8)
+      if (Fr.Status != ChunkStatus::Ok || Fr.Extent != End - Off)
         return Fail("malformed chunk index footer");
       break;
     }
-    if (H.Magic != ChunkMagic)
+    if (Fr.Status == ChunkStatus::BadMagic)
       return Fail("bad chunk magic at chunk " + std::to_string(NextSeq));
-    // v6+ frames may flag a compressed payload; the structural walk is
-    // over on-wire bytes. Pre-v6 formats have no flag bit, so a set bit
-    // 31 keeps failing the length bound below.
-    bool Compressed = chunkFlagsHonoured(F) && chunkCompressed(H.PayloadBytes);
-    std::uint32_t WireLen =
-        Compressed ? chunkWireBytes(H.PayloadBytes) : H.PayloadBytes;
-    if (WireLen == 0 || WireLen > MaxChunkPayload)
+    if (Fr.Status == ChunkStatus::OversizedPayload)
       return Fail("chunk " + std::to_string(NextSeq) +
                   " has implausible payload length " +
-                  std::to_string(H.PayloadBytes));
-    if (H.Seq != NextSeq)
+                  std::to_string(Fr.H.PayloadBytes));
+    if (Fr.H.Seq != NextSeq)
       return Fail("chunk sequence jumped from " + std::to_string(NextSeq) +
-                  " to " + std::to_string(H.Seq));
-    if (End - Off < sizeof(ChunkHeader) + WireLen)
+                  " to " + std::to_string(Fr.H.Seq));
+    if (Fr.Status == ChunkStatus::TruncatedPayload)
       return Fail("truncated chunk payload in chunk " +
                   std::to_string(NextSeq));
     // The record walk needs uncompressed bytes; a v6+ chunk whose
     // compressed payload does not decode is structural damage, same
     // class as a truncated frame.
-    const std::byte *Payload = Stream.data() + Off + sizeof(ChunkHeader);
-    std::span<const std::byte> Body(Payload, WireLen);
-    if (Compressed && !chunkPayloadBytes(H, Payload, Inflate, Body))
+    std::span<const std::byte> Body(Fr.payload(), Fr.PayloadBytes);
+    if (Fr.Compressed && !chunkPayloadBytes(Fr.H, Fr.payload(), Inflate, Body))
       return Fail("corrupt compressed payload in chunk " +
                   std::to_string(NextSeq));
     ChunkIndexEntry E;
     E.Offset = Off;
-    E.Seq = H.Seq;
-    E.PayloadBytes = H.PayloadBytes; // on-wire field, flag included
-    E.Crc = H.Crc;
+    E.Seq = Fr.H.Seq;
+    E.PayloadBytes = Fr.H.PayloadBytes; // on-wire field, flag included
+    E.Crc = Fr.H.Crc;
     E.FirstRecord = Dec.eventsDecoded();
     Times.HasTime = false;
     if (!Dec.decodeChunk(Body.data(), Body.size()))
@@ -1011,7 +1045,7 @@ bool jdrag::profiler::rebuildChunkIndex(std::span<const std::byte> Stream,
     }
     Out.Entries.push_back(E);
     ++NextSeq;
-    Off += sizeof(ChunkHeader) + WireLen;
+    Off += Fr.Extent;
   }
   Out.TotalRecords = Dec.eventsDecoded();
   return true;

@@ -325,14 +325,78 @@ inline constexpr bool chunkCompressed(std::uint32_t Field) {
   return (Field & ChunkCompressedBit) != 0;
 }
 
-/// Decompresses a flagged chunk payload. \p H is the frame header,
-/// \p Payload its chunkWireBytes(H.PayloadBytes) on-wire bytes. On
-/// success \p Out refers to the uncompressed payload -- the input span
-/// itself for a raw chunk, \p Scratch for a compressed one -- and true
-/// is returned. Returns false when a flagged payload is malformed
-/// (truncated token stream, out-of-range offsets, a declared length
-/// over MaxChunkPayload). Does NOT check the CRC; callers verify
-/// crc32c over \p Out against H.Crc.
+//===----------------------------------------------------------------------===//
+// Chunk-frame verifier
+//===----------------------------------------------------------------------===//
+//
+// The one judge of a chunk frame, in two steps. Every reader of framed
+// bytes runs them and keeps only its own policy: which verdict stops it,
+// what it does with the sequence number, and its error text.
+//
+//   1. readFrame (structure): data or footer by magic; the length field
+//      as the format reads it (from v6 on, bit 31 of a *data* frame's
+//      field flags a compressed payload); the MaxChunkPayload bound; the
+//      on-wire extent, a footer's 8 tail bytes included; truncation.
+//   2. verifyPayload: inflates a flagged payload and checks the CRC-32C,
+//      which covers the uncompressed bytes; a footer's tail must also
+//      repeat the extent and end in FooterTailMagic.
+
+/// The verdict on one chunk frame. BadSequence and BadRecords are the
+/// salvage scan's own; the verifier gives the rest.
+enum class ChunkStatus : std::uint8_t {
+  Ok,               ///< header valid, CRC matches
+  TruncatedHeader,  ///< the bytes end inside the 16-byte chunk header
+  TruncatedPayload, ///< the bytes end inside the payload
+  BadMagic,         ///< header magic is wrong (overwritten / garbage)
+  BadSequence,      ///< sequence number out of order (dropped chunks)
+  OversizedPayload, ///< data length 0, or any length past MaxChunkPayload
+  BadCrc,           ///< payload bytes do not match the stored CRC-32C
+                    ///< (or a footer's tail is damaged)
+  BadRecords,       ///< CRC valid but the payload decodes to garbage
+  BadCompression,   ///< compressed payload does not decompress
+};
+
+const char *chunkStatusName(ChunkStatus S);
+
+/// What readFrame found at the start of a byte range.
+struct ChunkFrame {
+  ChunkHeader H;       ///< as read (zero after TruncatedHeader)
+  bool Footer = false; ///< FooterMagic: the chunk index footer
+  /// Ok, or the first of TruncatedHeader, BadMagic, OversizedPayload,
+  /// TruncatedPayload that holds. The sequence number is not judged.
+  ChunkStatus Status = ChunkStatus::TruncatedHeader;
+  bool Compressed = false;        ///< a v6+ data frame with the flag set
+  std::uint32_t PayloadBytes = 0; ///< on-wire payload bytes (a BadMagic
+                                  ///< frame's read as a data frame's)
+  std::size_t Extent = 0;         ///< on-wire frame bytes, set once the
+                                  ///< magic and the length pass
+  const std::byte *Data = nullptr; ///< where the frame starts
+
+  const std::byte *payload() const { return Data + sizeof(ChunkHeader); }
+};
+
+/// Step 1: the frame at the start of \p Bytes, in a stream of format
+/// \p F. No CRC is checked.
+ChunkFrame readFrame(std::span<const std::byte> Bytes, WireFormat F);
+
+struct FramePayload {
+  ChunkStatus Status = ChunkStatus::Ok; ///< Ok, BadCompression or BadCrc
+  /// The uncompressed payload: the frame's bytes, or the scratch buffer
+  /// it was inflated into. Empty after BadCompression.
+  std::span<const std::byte> Body;
+  std::uint32_t Crc = 0; ///< CRC-32C computed over Body
+};
+
+/// Step 2 for a frame readFrame found whole (Status Ok); a flagged
+/// payload is inflated into \p Scratch.
+FramePayload verifyPayload(const ChunkFrame &Fr,
+                           std::vector<std::uint8_t> &Scratch);
+
+/// Step 2's inflation without the CRC, for readers that check structure
+/// only (rebuildChunkIndex). \p Payload holds the on-wire bytes of the
+/// frame headed by \p H. Sets \p Out to the uncompressed payload (the
+/// input itself, or \p Scratch) and returns true, or returns false when
+/// a flagged payload is malformed.
 bool chunkPayloadBytes(const ChunkHeader &H, const std::byte *Payload,
                        std::vector<std::uint8_t> &Scratch,
                        std::span<const std::byte> &Out);
@@ -394,10 +458,11 @@ struct ChunkIndex {
 std::vector<std::byte> encodeChunkIndexFooter(
     std::span<const ChunkIndexEntry> Entries, std::uint64_t TotalRecords);
 
-/// Byte size of the structurally plausible footer block at the tail of
-/// \p Stream (raw framed bytes, no file header), or 0 if there is none.
-/// Checks shape only (tail magic, size bounds, header magic) -- use
-/// readChunkIndexFooter for CRC-verified contents.
+/// Byte size of the footer block at the tail of \p Stream (raw framed
+/// bytes, no file header), or 0 if there is none: the tail names a size,
+/// and the bytes that far back read as a whole footer frame of exactly
+/// that extent. Checks shape only -- readChunkIndexFooter verifies the
+/// contents.
 std::size_t footerBlockSize(std::span<const std::byte> Stream);
 
 /// Parses and CRC-verifies the footer at the tail of \p Stream into
@@ -965,12 +1030,13 @@ private:
 };
 
 /// Incremental *chunk-layer* decoder of v4+ streams: feed() arbitrary
-/// byte slices of a framed stream; it validates each ChunkHeader (magic,
-/// sequence, length, CRC-32C of the payload) and hands each verified
-/// chunk body to the record layer. Any integrity violation fails sticky
-/// with a precise error naming the chunk -- use StreamSalvage to recover
-/// what precedes the damage. A v2/v3 \p Format fails the first feed():
-/// those streams are read by profiler/LegacyStream.h.
+/// byte slices of a framed stream; it checks each frame through the
+/// chunk-frame verifier, wants the sequence numbers in order, and hands
+/// each verified chunk body to the record layer. Any integrity
+/// violation fails sticky with a precise error naming the chunk -- use
+/// StreamSalvage to recover what precedes the damage. A v2/v3 \p Format
+/// fails the first feed(): those streams are read by
+/// profiler/LegacyStream.h.
 class FrameDecoder {
 public:
   explicit FrameDecoder(RecordTarget C,

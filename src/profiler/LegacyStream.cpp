@@ -2,8 +2,6 @@
 
 #include "profiler/LegacyStream.h"
 
-#include "support/Crc32c.h"
-
 #include <cstring>
 #include <vector>
 
@@ -97,32 +95,32 @@ LegacyStatus jdrag::profiler::replayLegacyStream(
   };
   std::vector<std::byte> Joined;
   Joined.reserve(Framed.size());
+  std::vector<std::uint8_t> Unused; // v2/v3 payloads are never compressed
   std::size_t Off = 0;
   for (std::uint32_t Seq = 0; Off != Framed.size(); ++Seq) {
-    if (Framed.size() - Off < sizeof(ChunkHeader))
+    ChunkFrame Fr = readFrame(Framed.subspan(Off), F);
+    if (Fr.Status == ChunkStatus::TruncatedHeader)
       return LegacyStatus::Truncated;
-    ChunkHeader H;
-    std::memcpy(&H, Framed.data() + Off, sizeof(H));
-    if (H.Magic != ChunkMagic)
+    // Nor do they have a footer.
+    if (Fr.Footer || Fr.Status == ChunkStatus::BadMagic)
       return Corrupt("bad chunk magic at chunk " + std::to_string(Seq));
-    if (H.PayloadBytes == 0 || H.PayloadBytes > MaxChunkPayload)
+    if (Fr.Status == ChunkStatus::OversizedPayload)
       return Corrupt("chunk " + std::to_string(Seq) +
                      " has implausible payload length " +
-                     std::to_string(H.PayloadBytes));
-    if (H.Seq != Seq)
+                     std::to_string(Fr.H.PayloadBytes));
+    if (Fr.H.Seq != Seq)
       return Corrupt("chunk sequence jumped from " + std::to_string(Seq) +
-                     " to " + std::to_string(H.Seq) +
+                     " to " + std::to_string(Fr.H.Seq) +
                      " (dropped or reordered chunks)");
-    if (Framed.size() - Off - sizeof(H) < H.PayloadBytes)
+    if (Fr.Status == ChunkStatus::TruncatedPayload)
       return LegacyStatus::Truncated;
-    const std::byte *Payload = Framed.data() + Off + sizeof(H);
-    std::uint32_t Crc = support::crc32c(Payload, H.PayloadBytes);
-    if (Crc != H.Crc)
+    FramePayload P = verifyPayload(Fr, Unused);
+    if (P.Status != ChunkStatus::Ok)
       return Corrupt("chunk " + std::to_string(Seq) +
-                     " CRC mismatch (stored " + std::to_string(H.Crc) +
-                     ", computed " + std::to_string(Crc) + ")");
-    Joined.insert(Joined.end(), Payload, Payload + H.PayloadBytes);
-    Off += sizeof(H) + H.PayloadBytes;
+                     " CRC mismatch (stored " + std::to_string(Fr.H.Crc) +
+                     ", computed " + std::to_string(P.Crc) + ")");
+    Joined.insert(Joined.end(), P.Body.begin(), P.Body.end());
+    Off += Fr.Extent;
   }
   LegacyRecords R = decodeLegacyRecords(Joined, F, C);
   if (R.Malformed) {

@@ -10,8 +10,9 @@
 /// format; the committed fixtures in tests/data pin them. Reading one
 /// takes three steps:
 ///
-///   1. verify each frame: magic, sequence, length and CRC-32C, the
-///      checks FrameDecoder makes for v4+ streams;
+///   1. verify each frame through the chunk-frame verifier in
+///      profiler/EventStream.h, checking the sequence number before
+///      truncation as FrameDecoder does (a footer is bad magic here);
 ///   2. join the verified payloads into one buffer;
 ///   3. decode that buffer into an EventConsumer. A joined v3 payload
 ///      is exactly one self-contained v4 chunk body whose time base is

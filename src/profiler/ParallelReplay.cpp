@@ -2,9 +2,7 @@
 
 #include "profiler/ParallelReplay.h"
 
-#include "support/Crc32c.h"
 
-#include <cstring>
 #include <thread>
 #include <utility>
 
@@ -218,22 +216,15 @@ bool validateChunk(const ShardedStream &S, std::size_t GlobalIdx,
                    std::vector<std::uint8_t> &Inflate,
                    std::span<const std::byte> &Body) {
   const ChunkIndexEntry &En = S.Idx.Entries[GlobalIdx];
-  ChunkHeader H;
-  std::memcpy(&H, S.Framed.data() + En.Offset, sizeof(H));
-  if (H.Magic != ChunkMagic || H.Seq != En.Seq ||
-      H.PayloadBytes != En.PayloadBytes ||
+  ChunkFrame Fr = readFrame(S.Framed.subspan(En.Offset), S.F);
+  if (Fr.Footer || Fr.Status != ChunkStatus::Ok ||
+      Fr.H.Seq != En.Seq || Fr.H.PayloadBytes != En.PayloadBytes ||
       En.Seq != static_cast<std::uint32_t>(GlobalIdx))
     return false;
-  bool Flags = chunkFlagsHonoured(S.F);
-  std::uint32_t WireLen =
-      Flags ? chunkWireBytes(H.PayloadBytes) : H.PayloadBytes;
-  const std::byte *Payload = S.Framed.data() + En.Offset + sizeof(ChunkHeader);
-  Body = std::span<const std::byte>(Payload, WireLen);
-  if (Flags && chunkCompressed(H.PayloadBytes) &&
-      !chunkPayloadBytes(H, Payload, Inflate, Body))
-    return false;
-  std::uint32_t Crc = support::crc32c(Body.data(), Body.size());
-  return Crc == H.Crc && (!S.Idx.FromFooter || En.Crc == H.Crc);
+  FramePayload P = verifyPayload(Fr, Inflate);
+  Body = P.Body;
+  return P.Status == ChunkStatus::Ok &&
+         (!S.Idx.FromFooter || En.Crc == Fr.H.Crc);
 }
 
 /// Decodes chunks [B, E) of the stream into \p C. Every chunk is

@@ -3,7 +3,6 @@
 #include "profiler/StreamSalvage.h"
 
 #include "profiler/LegacyStream.h"
-#include "support/Crc32c.h"
 #include "support/Format.h"
 
 #include <atomic>
@@ -12,30 +11,6 @@
 
 using namespace jdrag;
 using namespace jdrag::profiler;
-
-const char *jdrag::profiler::chunkStatusName(ChunkStatus S) {
-  switch (S) {
-  case ChunkStatus::Ok:
-    return "ok";
-  case ChunkStatus::TruncatedHeader:
-    return "truncated-header";
-  case ChunkStatus::TruncatedPayload:
-    return "truncated-payload";
-  case ChunkStatus::BadMagic:
-    return "bad-magic";
-  case ChunkStatus::BadSequence:
-    return "bad-sequence";
-  case ChunkStatus::OversizedPayload:
-    return "oversized-payload";
-  case ChunkStatus::BadCrc:
-    return "crc-mismatch";
-  case ChunkStatus::BadRecords:
-    return "bad-records";
-  case ChunkStatus::BadCompression:
-    return "bad-compression";
-  }
-  return "?";
-}
 
 std::uint64_t SalvageReport::chunksOk() const {
   std::uint64_t N = 0;
@@ -146,7 +121,6 @@ SalvageReport jdrag::profiler::scanEventFile(const std::string &Path,
   Rep.Version = static_cast<std::uint32_t>(Format);
   Rep.Sampling = Hdr.Sampling;
   bool SelfContained = chunkSelfContained(Format);
-  bool Flags = chunkFlagsHonoured(Format);
   std::size_t FileHeaderBytes = streamHeaderBytes(Format);
 
   // A v4+ file may end with a chunk index footer block: judge it
@@ -182,66 +156,42 @@ SalvageReport jdrag::profiler::scanEventFile(const std::string &Path,
   };
 
   while (Off < ScanEnd) {
-    ChunkVerdict V;
-    V.Offset = Off;
-    if (ScanEnd - Off < sizeof(ChunkHeader)) {
-      V.Status = ChunkStatus::TruncatedHeader;
-      judge(V);
-      break;
-    }
-    ChunkHeader H;
-    std::memcpy(&H, Bytes.data() + Off, sizeof(H));
-    V.Seq = H.Seq;
-    // A v6+ chunk header's length field may carry the compressed flag
-    // in bit 31; the low bits are what actually sits on disk. Pre-v6
-    // files take the field at face value.
-    bool Comp = Flags && chunkCompressed(H.PayloadBytes);
-    std::uint32_t WireLen =
-        Flags ? chunkWireBytes(H.PayloadBytes) : H.PayloadBytes;
-    V.PayloadBytes = WireLen;
-
-    bool Resync = false;
-    if (H.Magic != ChunkMagic) {
-      V.Status = ChunkStatus::BadMagic;
-      Resync = true;
-    } else if (WireLen == 0 || WireLen > MaxChunkPayload) {
-      V.Status = ChunkStatus::OversizedPayload;
-      Resync = true;
-    } else if (!Damaged && H.Seq != ExpectedSeq) {
+    ChunkFrame Fr = readFrame(
+        std::span<const std::byte>(Bytes).subspan(Off, ScanEnd - Off), Format);
+    // A footer frame inside the data region is no chunk: its magic is
+    // as wrong as any other.
+    ChunkStatus S = Fr.Footer ? ChunkStatus::BadMagic : Fr.Status;
+    bool Resync =
+        S == ChunkStatus::BadMagic || S == ChunkStatus::OversizedPayload;
+    if (!Resync && S != ChunkStatus::TruncatedHeader && !Damaged &&
+        Fr.H.Seq != ExpectedSeq) {
       // Only meaningful before the first damage; after a resync the
       // sequence is whatever the surviving chunks say.
-      V.Status = ChunkStatus::BadSequence;
-    } else if (ScanEnd - Off - sizeof(ChunkHeader) < WireLen) {
-      V.Status = ChunkStatus::TruncatedPayload;
-      judge(V);
-      break; // nothing beyond EOF to resynchronize on
-    } else {
-      const std::byte *Payload = Bytes.data() + Off + sizeof(ChunkHeader);
-      // Decompress first: the CRC covers the *uncompressed* payload, so
-      // a garbled compressed block surfaces either here (token stream
-      // broken) or as a CRC mismatch (tokens decode to wrong bytes).
-      std::span<const std::byte> Body(Payload, WireLen);
-      if (Comp && !chunkPayloadBytes(H, Payload, Inflate, Body)) {
-        V.Status = ChunkStatus::BadCompression;
-      } else if (support::crc32c(Body.data(), Body.size()) != H.Crc) {
-        V.Status = ChunkStatus::BadCrc;
-      } else {
-        Rep.Compressed |= Comp;
-        Rep.WirePayloadBytes += WireLen;
-        Rep.RawPayloadBytes += Body.size();
+      S = ChunkStatus::BadSequence;
+    } else if (S == ChunkStatus::Ok) {
+      FramePayload P = verifyPayload(Fr, Inflate);
+      S = P.Status;
+      if (S == ChunkStatus::Ok) {
+        Rep.Compressed |= Fr.Compressed;
+        Rep.WirePayloadBytes += Fr.PayloadBytes;
+        Rep.RawPayloadBytes += P.Body.size();
         if (!Damaged && !SelfContained) {
-          Legacy.insert(Legacy.end(), Body.begin(), Body.end());
+          Legacy.insert(Legacy.end(), P.Body.begin(), P.Body.end());
         } else if (!Damaged &&
-                   !Records.decodeChunk(Body.data(), Body.size())) {
+                   !Records.decodeChunk(P.Body.data(), P.Body.size())) {
           // A malformed record, or one the chunk's end cuts off: the
           // producer (or the bytes) lied.
-          V.Status = ChunkStatus::BadRecords;
+          S = ChunkStatus::BadRecords;
         }
       }
       // Valid chunks after damage are judged but not replayed: a
       // missing site definition poisons them.
     }
-    judge(V);
+    judge({Off, Fr.H.Seq, Fr.PayloadBytes, S});
+    // Nothing beyond EOF to resynchronize on.
+    if (S == ChunkStatus::TruncatedHeader ||
+        S == ChunkStatus::TruncatedPayload)
+      break;
 
     if (Resync) {
       // The header itself is untrustworthy; hunt for the next magic.
@@ -250,8 +200,8 @@ SalvageReport jdrag::profiler::scanEventFile(const std::string &Path,
         break;
       Off = Next;
     } else {
-      Off += sizeof(ChunkHeader) + WireLen;
-      ExpectedSeq = H.Seq + 1;
+      Off += Fr.Extent;
+      ExpectedSeq = Fr.H.Seq + 1;
     }
   }
 
@@ -302,7 +252,6 @@ SalvageReport jdrag::profiler::scanEventFileParallel(const std::string &Path,
   if (!parseStreamHeader(Bytes, Hdr) || !chunkSelfContained(Hdr.Format))
     return Sequential();
   WireFormat Format = Hdr.Format;
-  bool CompFmt = chunkFlagsHonoured(Format);
   std::size_t FileHeaderBytes = streamHeaderBytes(Format);
 
   auto Framed = std::span<const std::byte>(Bytes).subspan(FileHeaderBytes);
@@ -311,61 +260,36 @@ SalvageReport jdrag::profiler::scanEventFileParallel(const std::string &Path,
   if (FooterBytes && !readChunkIndexFooter(Framed, FooterIdx))
     return Sequential(); // damaged footer: report it sequentially
 
-  // Structural walk (no CRCs yet): any anomaly means damage, which the
-  // sequential scan reports better.
-  std::size_t ScanEnd = Bytes.size() - FooterBytes;
-  std::vector<ChunkVerdict> Chunks;
-  std::size_t Off = FileHeaderBytes;
-  std::uint32_t NextSeq = 0;
-  bool AnyCompressed = false;
-  while (Off < ScanEnd) {
-    if (ScanEnd - Off < sizeof(ChunkHeader))
-      return Sequential();
-    ChunkHeader H;
-    std::memcpy(&H, Bytes.data() + Off, sizeof(H));
-    std::uint32_t WireLen =
-        CompFmt ? chunkWireBytes(H.PayloadBytes) : H.PayloadBytes;
-    if (H.Magic != ChunkMagic || WireLen == 0 ||
-        WireLen > MaxChunkPayload || H.Seq != NextSeq ||
-        ScanEnd - Off - sizeof(ChunkHeader) < WireLen)
-      return Sequential();
-    ChunkVerdict V;
-    V.Offset = Off;
-    V.Seq = H.Seq;
-    V.PayloadBytes = WireLen;
-    Chunks.push_back(V);
-    AnyCompressed |= CompFmt && chunkCompressed(H.PayloadBytes);
-    ++NextSeq;
-    Off += sizeof(ChunkHeader) + WireLen;
-  }
+  // One sequential pass over the frame structure and the records (no
+  // CRCs yet): a structural anomaly, or a malformed or cut-off record,
+  // is damage, which the sequential scan reports better.
+  std::size_t ScanEnd = Framed.size() - FooterBytes;
+  ChunkIndex Idx;
+  if (!rebuildChunkIndex(Framed.first(ScanEnd), Format, Idx))
+    return Sequential();
 
   // Fan the CRC verification out over the workers, splitting the chunk
-  // list into contiguous ranges balanced by payload bytes.
-  std::size_t N = Chunks.size();
+  // list into contiguous ranges of equal length. Workers write disjoint
+  // index ranges, so no synchronization needed.
+  std::size_t N = Idx.Entries.size();
   unsigned Workers =
       static_cast<unsigned>(std::min<std::size_t>(Jobs, N ? N : 1));
   std::atomic<bool> CrcOk{true};
-  // Decompressed size per chunk (== V.PayloadBytes for raw chunks).
-  // Workers write disjoint index ranges, so no synchronization needed.
-  std::vector<std::uint64_t> RawSizes(N, 0);
+  std::vector<ChunkVerdict> Chunks(N);
+  std::vector<std::uint64_t> RawSizes(N, 0); // decompressed sizes
   auto Verify = [&](std::size_t Lo, std::size_t Hi) {
     std::vector<std::uint8_t> Inflate; // per-worker scratch
     for (std::size_t I = Lo; I != Hi && CrcOk.load(); ++I) {
-      const ChunkVerdict &V = Chunks[I];
-      ChunkHeader H;
-      std::memcpy(&H, Bytes.data() + V.Offset, sizeof(H));
-      const std::byte *Payload = Bytes.data() + V.Offset + sizeof(ChunkHeader);
-      std::span<const std::byte> Body(Payload, V.PayloadBytes);
-      if (CompFmt && chunkCompressed(H.PayloadBytes) &&
-          !chunkPayloadBytes(H, Payload, Inflate, Body)) {
-        CrcOk.store(false); // broken compressed payload: damage
+      // The index rebuild found every frame whole.
+      std::uint64_t Off = Idx.Entries[I].Offset;
+      ChunkFrame Fr = readFrame(Framed.subspan(Off), Format);
+      FramePayload P = verifyPayload(Fr, Inflate);
+      if (P.Status != ChunkStatus::Ok) {
+        CrcOk.store(false); // damage: CRC mismatch or a broken LZ block
         return;
       }
-      if (support::crc32c(Body.data(), Body.size()) != H.Crc) {
-        CrcOk.store(false);
-        return;
-      }
-      RawSizes[I] = Body.size();
+      Chunks[I] = {FileHeaderBytes + Off, Fr.H.Seq, Fr.PayloadBytes};
+      RawSizes[I] = P.Body.size();
     }
   };
   if (Workers > 1) {
@@ -385,12 +309,10 @@ SalvageReport jdrag::profiler::scanEventFileParallel(const std::string &Path,
   if (!CrcOk.load())
     return Sequential(); // some chunk is damaged: get precise verdicts
 
-  // All chunks verified. Count records (and replay, if asked) without
-  // re-checking CRCs.
   SalvageReport Rep;
   Rep.Version = static_cast<std::uint32_t>(Format);
   Rep.Sampling = Hdr.Sampling;
-  Rep.Compressed = AnyCompressed;
+  Rep.Compressed = Idx.compressed();
   Rep.FileBytes = Bytes.size();
   Rep.Chunks = std::move(Chunks);
   Rep.FooterPresent = FooterBytes != 0;
@@ -399,13 +321,11 @@ SalvageReport jdrag::profiler::scanEventFileParallel(const std::string &Path,
     Rep.WirePayloadBytes += Rep.Chunks[I].PayloadBytes;
     Rep.RawPayloadBytes += RawSizes[I];
   }
-  Rep.BytesRecovered = Rep.RawPayloadBytes;
-
-  // The record layer: any malformed or cut-off record is damage.
-  ChunkIndex Idx;
-  if (!rebuildChunkIndex(Framed.first(ScanEnd - FileHeaderBytes), Format,
-                         Idx, nullptr))
+  // The rebuild stops at a terminal footer frame; the sequential scan,
+  // having found no footer block, calls that frame bad magic.
+  if (Rep.WirePayloadBytes + N * sizeof(ChunkHeader) != ScanEnd)
     return Sequential();
+  Rep.BytesRecovered = Rep.RawPayloadBytes;
   Rep.EventsRecovered = Idx.TotalRecords;
   return Rep;
 }

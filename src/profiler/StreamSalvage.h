@@ -8,9 +8,10 @@
 /// Recovery tooling for damaged `.jdev` recordings. The chunk framing
 /// (profiler/EventStream.h) makes every chunk independently verifiable,
 /// so a crashed, truncated, or bit-flipped recording is not a total
-/// loss: scanEventFile() walks the file chunk by chunk, gives each a
-/// verdict (CRC mismatch, truncated payload, bad sequence, ...), and
-/// optionally replays the *longest valid event prefix* -- every
+/// loss: scanEventFile() walks the file chunk by chunk, takes each
+/// frame's ChunkStatus from the chunk-frame verifier (readFrame,
+/// verifyPayload), adds its own BadSequence and BadRecords verdicts,
+/// and optionally replays the *longest valid event prefix* -- every
 /// complete record before the first damage -- into a consumer.
 /// salvageEventFile() re-encodes that prefix as a fresh, fully valid
 /// `.jdev`, so the standard strict replay path works on the result.
@@ -40,21 +41,6 @@
 #include <vector>
 
 namespace jdrag::profiler {
-
-/// Per-chunk integrity verdict of a salvage scan.
-enum class ChunkStatus : std::uint8_t {
-  Ok,               ///< header valid, CRC matches
-  TruncatedHeader,  ///< file ends inside the 16-byte chunk header
-  TruncatedPayload, ///< file ends inside the payload
-  BadMagic,         ///< header magic is wrong (overwritten / garbage)
-  BadSequence,      ///< sequence number out of order (dropped chunks)
-  OversizedPayload, ///< length field beyond MaxChunkPayload
-  BadCrc,           ///< payload bytes do not match the stored CRC-32C
-  BadRecords,       ///< CRC valid but the payload decodes to garbage
-  BadCompression,   ///< compressed payload does not decompress
-};
-
-const char *chunkStatusName(ChunkStatus S);
 
 struct ChunkVerdict {
   std::uint64_t Offset = 0; ///< file offset of the chunk header
@@ -125,8 +111,9 @@ struct SalvageReport {
 SalvageReport scanEventFile(const std::string &Path, EventConsumer *C);
 
 /// scanEventFile with the per-chunk CRC verification fanned out over
-/// \p Jobs threads. Only the verification parallelizes -- the verdict
-/// walk stays sequential and the report is identical to the sequential
+/// \p Jobs threads. Only the verification parallelizes -- the frame
+/// walk and the record decode run once, sequentially, in
+/// rebuildChunkIndex -- and the report is identical to the sequential
 /// scan's; damaged, non-contiguous and v2/v3 files fall back to
 /// scanEventFile wholesale. Jobs <= 1, or a non-null \p C (a replay
 /// decodes every chunk in order anyway), is exactly scanEventFile.

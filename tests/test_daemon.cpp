@@ -705,7 +705,12 @@ TEST(Daemon, DribbleFedSessionReassemblesMessages) {
 // Hostile clients
 //===----------------------------------------------------------------------===//
 
-TEST(Daemon, RejectsChunkFrameLengthMismatch) {
+namespace {
+
+/// Sends HELLO and one CHUNK message holding \p CH and \p BodyBytes more
+/// bytes, and expects the daemon to drop the session as a protocol
+/// error without counting a chunk.
+void expectChunkProtocolError(const ChunkHeader &CH, std::size_t BodyBytes) {
   DaemonHarness H;
   H.start();
 
@@ -716,22 +721,15 @@ TEST(Daemon, RejectsChunkFrameLengthMismatch) {
   int Fd = connectTo(A, 2000, &ErrNo);
   ASSERT_GE(Fd, 0) << std::strerror(ErrNo);
 
-  // HELLO, then a chunk whose inner header claims 64 payload bytes while
-  // the message carries only 32: recording it would break the
-  // chunk-aligned fsck-clean-prefix guarantee, so the daemon must treat
-  // it as a protocol error and drop the session.
   HelloInfo Hello;
   Hello.Pid = 43;
   Hello.Name = "badlen";
   std::vector<std::byte> Wire = encodeHello(Hello);
-  ChunkHeader CH;
-  CH.Magic = ChunkMagic;
-  CH.Seq = 0;
-  CH.PayloadBytes = 64;
-  appendMsgHeader(Wire, MsgType::Chunk, sizeof(CH) + 32);
+  appendMsgHeader(Wire, MsgType::Chunk,
+                  static_cast<std::uint32_t>(sizeof(CH) + BodyBytes));
   appendBytes(Wire, &CH, sizeof(CH));
-  std::vector<std::byte> Payload(32, std::byte{0x5a});
-  appendBytes(Wire, Payload.data(), Payload.size());
+  std::vector<std::byte> Body(BodyBytes, std::byte{0x5a});
+  appendBytes(Wire, Body.data(), Body.size());
   ASSERT_EQ(::send(Fd, Wire.data(), Wire.size(), MSG_NOSIGNAL),
             static_cast<long>(Wire.size()));
 
@@ -746,6 +744,42 @@ TEST(Daemon, RejectsChunkFrameLengthMismatch) {
   EXPECT_NE(Health.find("protocol_errors=1"), std::string::npos);
   EXPECT_NE(Health.find("chunks_received=0"), std::string::npos);
   EXPECT_EQ(H.shutdown(), 0);
+}
+
+} // namespace
+
+TEST(Daemon, RejectsChunkFrameLengthMismatch) {
+  // A chunk whose inner header claims 64 payload bytes while the
+  // message carries only 32: recording it would break the
+  // chunk-aligned fsck-clean-prefix guarantee, so the daemon must treat
+  // it as a protocol error and drop the session.
+  ChunkHeader CH;
+  CH.Magic = ChunkMagic;
+  CH.Seq = 0;
+  CH.PayloadBytes = 64;
+  expectChunkProtocolError(CH, 32);
+}
+
+TEST(Daemon, RejectsZeroLengthDataFrame) {
+  // The message length agrees, but every reader rejects an empty data
+  // chunk ("implausible payload length 0"), so recording it would leave
+  // a file fsck calls damaged.
+  ChunkHeader CH;
+  CH.Magic = ChunkMagic;
+  CH.Seq = 0;
+  CH.PayloadBytes = 0;
+  expectChunkProtocolError(CH, 0);
+}
+
+TEST(Daemon, RejectsFooterLengthWithTheCompressedBit) {
+  // Bit 31 flags a compressed *data* payload only; a footer's length
+  // field is its plain length, so this one is implausible even though
+  // its low bits agree with the message.
+  ChunkHeader CH;
+  CH.Magic = FooterMagic;
+  CH.Seq = 0;
+  CH.PayloadBytes = 8 | ChunkCompressedBit;
+  expectChunkProtocolError(CH, 8 + 8);
 }
 
 TEST(Daemon, AdminFloodWithoutNewlineIsDisconnected) {

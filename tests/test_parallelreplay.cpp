@@ -355,6 +355,42 @@ TEST(ParallelReplay, LyingFooterCrcDegradesGracefully) {
   std::remove(Path.c_str());
 }
 
+TEST(ParallelReplay, V5FlaggedLengthInFooterAndHeaderFailsLikeSequential) {
+  // v5 has no compressed bit, so a chunk whose header and footer entry
+  // both set bit 31 of the length is implausible to every reader. The
+  // footer's tiling masks the bit and accepts the entry; the sharded
+  // reader must still judge the frame as a v5 frame and not size its
+  // payload from the raw field, which points 2 GiB past the file.
+  benchmarks::BenchmarkProgram B = benchmarks::buildJuru();
+  std::string Path = tempPath("v5_flagged.jdev");
+  std::vector<std::byte> File =
+      readBytes(std::string(JDRAG_TEST_DATA_DIR) + "/juru_v5.jdev");
+  std::size_t HB = headerBytes(File);
+  ChunkHeader H;
+  std::memcpy(&H, File.data() + HB, sizeof(H));
+  std::size_t At = HB + sizeof(H) + H.PayloadBytes; // chunk 1
+  std::memcpy(&H, File.data() + At, sizeof(H));
+  ASSERT_EQ(H.Seq, 1u);
+  H.PayloadBytes |= ChunkCompressedBit;
+  std::memcpy(File.data() + At, &H, sizeof(H));
+  writeBytes(Path, File);
+  rewriteFooter(Path, [](ChunkIndex &Idx) {
+    ASSERT_GE(Idx.Entries.size(), 2u);
+    Idx.Entries[1].PayloadBytes |= ChunkCompressedBit;
+  });
+
+  ProfileLog Seq, Par;
+  std::string SeqErr, ParErr;
+  EXPECT_FALSE(replayProfile(Path, B.Prog, ProfilerConfig(), Seq, &SeqErr));
+  EXPECT_EQ(SeqErr, "corrupt event stream: chunk 1 has implausible payload "
+                    "length " +
+                        std::to_string(H.PayloadBytes));
+  EXPECT_FALSE(
+      replayProfileParallel(Path, B.Prog, ProfilerConfig(), 2, Par, &ParErr));
+  EXPECT_EQ(ParErr, SeqErr);
+  std::remove(Path.c_str());
+}
+
 TEST(ParallelReplay, TruncatedRecordingFailsExactlyLikeSequential) {
   ir::Program P = buildChurnProgram();
   std::string Path = tempPath("v4_trunc.jdev");

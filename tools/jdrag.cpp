@@ -424,33 +424,20 @@ int cmdSend(const std::string &Path, const std::string &Addr,
   std::size_t Off = HeaderBytes;
   std::uint64_t Frames = 0;
   while (Off < Bytes.size()) {
-    if (Bytes.size() - Off < sizeof(profiler::ChunkHeader)) {
-      std::fprintf(stderr, "%s: truncated frame at offset %zu (fsck it)\n",
-                   Path.c_str(), Off);
-      return 1;
-    }
-    profiler::ChunkHeader H;
-    std::memcpy(&H, Bytes.data() + Off, sizeof(H));
-    bool IsFooter = H.Magic == profiler::FooterMagic;
-    if (!IsFooter && H.Magic != profiler::ChunkMagic) {
+    profiler::ChunkFrame Fr = profiler::readFrame(
+        std::span<const std::byte>(Bytes).subspan(Off), Fmt);
+    if (Fr.Status == profiler::ChunkStatus::BadMagic) {
       std::fprintf(stderr, "%s: bad chunk magic at offset %zu (fsck it)\n",
                    Path.c_str(), Off);
       return 1;
     }
-    // v6+ length fields may carry the compressed flag in bit 31; the
-    // low bits are the frame's on-disk extent.
-    std::uint32_t WireLen = profiler::chunkFlagsHonoured(Fmt)
-                                ? profiler::chunkWireBytes(H.PayloadBytes)
-                                : H.PayloadBytes;
-    std::size_t FrameSize = sizeof(H) + WireLen + (IsFooter ? 8 : 0);
-    if (WireLen > profiler::MaxChunkPayload ||
-        Bytes.size() - Off < FrameSize) {
+    if (Fr.Status != profiler::ChunkStatus::Ok) {
       std::fprintf(stderr, "%s: truncated frame at offset %zu (fsck it)\n",
                    Path.c_str(), Off);
       return 1;
     }
-    Sink.writeChunk(Bytes.data() + Off, FrameSize);
-    Off += FrameSize;
+    Sink.writeChunk(Fr.Data, Fr.Extent);
+    Off += Fr.Extent;
     ++Frames;
   }
   bool Ok = Sink.finish();
