@@ -159,13 +159,13 @@ bool jdrag::analysis::peekStreamEndTime(const std::string &Path,
       return true;
     }
   }
-  // Footerless v4+ stream (an interrupted producer): one strict pass
+  // Footerless v7 stream (an interrupted producer): one strict pass
   // rebuilds the index. O(chunks) state, and the bytes are released
-  // before the replay proper starts. A v2/v3 stream has no index to
-  // rebuild, so it fails here and curve requests take the materialized
-  // path.
+  // before the replay proper starts. A legacy (v2-v6) stream has no
+  // index to rebuild, so it fails here and curve requests take the
+  // materialized path.
   StreamHeaderInfo Info;
-  if (!readStreamHeader(Path, Info))
+  if (!readStreamHeader(Path, Info) || legacyFormat(Info.Format))
     return false;
   std::vector<std::byte> Bytes;
   if (!readWholeFile(Path, Bytes))
@@ -176,7 +176,7 @@ bool jdrag::analysis::peekStreamEndTime(const std::string &Path,
   ChunkIndex Idx;
   if (!rebuildChunkIndex(std::span<const std::byte>(Bytes.data() + HeaderBytes,
                                                     Bytes.size() - HeaderBytes),
-                         Info.Format, Idx))
+                         Idx))
     return false;
   End = maxLastTime(Idx);
   return true;

@@ -359,7 +359,6 @@ void CollectorDaemon::handleMessage(Session &S, const MsgHeader &H,
     S.FilePath = Opt.OutputDir + "/session-" + std::to_string(S.Id) + "-" +
                  sanitizeName(S.Info.Name) + ".jdev";
     profiler::FileEventSink::Options FO;
-    FO.Format = S.Info.Format;
     FO.Sampling.SampleBytes = S.Info.SampleBytes;
     FO.Sampling.SampleSeed = S.Info.SampleSeed;
     FO.FsyncEveryChunks = Opt.FsyncEveryChunks;
@@ -373,8 +372,7 @@ void CollectorDaemon::handleMessage(Session &S, const MsgHeader &H,
       S.Prog = Opt.Resolve(S.Info.Name);
     if (S.Prog) {
       S.Prof = std::make_unique<profiler::DragProfiler>(*S.Prog);
-      S.Dec =
-          std::make_unique<profiler::FrameDecoder>(*S.Prof, S.Info.Format);
+      S.Dec = std::make_unique<profiler::FrameDecoder>(*S.Prof);
     }
     if (Opt.Verbose)
       std::fprintf(stderr,
@@ -391,7 +389,7 @@ void CollectorDaemon::handleMessage(Session &S, const MsgHeader &H,
       protocolError(S, "CHUNK before HELLO");
       return;
     }
-    profiler::ChunkFrame Fr = profiler::readFrame(Payload, S.Info.Format);
+    profiler::ChunkFrame Fr = profiler::readFrame(Payload);
     if (Fr.Status == profiler::ChunkStatus::TruncatedHeader) {
       protocolError(S, "runt chunk message");
       return;
@@ -608,8 +606,8 @@ std::string CollectorDaemon::sessionLine(const Session &S) const {
     Line += formatString(
         " trailer-bytes=%llu",
         static_cast<unsigned long long>(S.Prof->peakTrailerStateBytes()));
-  // Sessions whose format can compress: what the compression bought.
-  if (S.GotHello && profiler::chunkFlagsHonoured(S.Info.Format))
+  // What the compression bought.
+  if (S.GotHello)
     Line += formatString(
         " wire-bytes=%llu uncompressed-bytes=%llu ratio=%.2f",
         static_cast<unsigned long long>(S.WirePayloadBytes),

@@ -10,10 +10,11 @@
 /// client/daemon split. A session is a sequence of length-prefixed
 /// messages over one stream socket (Unix or TCP):
 ///
-///   HELLO  pid, client name, stream WireFormat, protocol version --
-///          sent once, first; the daemon opens the session recording.
+///   HELLO  pid, client name, stream WireFormat (always 7), protocol
+///          version, sampling params -- sent once, first; the daemon
+///          opens the session recording.
 ///   CHUNK  exactly one framed chunk of the existing `.jdev` chunk
-///          format, verbatim (16-byte ChunkHeader + payload, or a v4
+///          format, verbatim (16-byte ChunkHeader + payload, or the
 ///          chunk index footer block). The session protocol adds only
 ///          the outer message frame; the payload bytes are what
 ///          FileEventSink would have written, so the daemon can append
@@ -94,8 +95,7 @@ struct HelloInfo {
   std::uint32_t Protocol = ProtocolVersion;
   std::string Name;
   /// Sampling params behind the session's stream (0 = exact). Carried
-  /// as a 16-byte HELLO extension after the name; pre-sampling clients
-  /// omit it and decode as exact.
+  /// as a 16-byte HELLO extension after the name.
   std::uint64_t SampleBytes = 0;
   std::uint64_t SampleSeed = profiler::SamplingParams{}.SampleSeed;
 };
@@ -124,9 +124,9 @@ inline void appendMsgHeader(std::vector<std::byte> &Out, MsgType T,
 
 /// HELLO payload: u32 protocol version, u32 wire format, u64 pid,
 /// u32 name length, name bytes, then a 16-byte sampling extension
-/// (u64 sample interval, u64 sample seed). Decoders accept both the
-/// extended and the legacy (extension-less) layout, so old and new
-/// clients and daemons interoperate; an absent extension means exact.
+/// (u64 sample interval, u64 sample seed). One layout, one format: a
+/// session decodes v7 chunk by chunk, so jdragd refuses any other
+/// format; `jdrag salvage` rewrites a legacy recording as v7.
 inline std::vector<std::byte> encodeHello(const HelloInfo &Info) {
   std::vector<std::byte> Out;
   std::uint32_t NameLen =
@@ -158,45 +158,22 @@ inline bool decodeHello(std::span<const std::byte> Payload, HelloInfo &Out,
   std::memcpy(&Fmt, Payload.data() + 4, 4);
   std::memcpy(&Out.Pid, Payload.data() + 8, 8);
   std::memcpy(&NameLen, Payload.data() + 16, 4);
-  // Legacy layout (no sampling extension) or extended (+16 bytes).
-  if (NameLen > MaxClientName ||
-      (Payload.size() != 20 + NameLen && Payload.size() != 36 + NameLen)) {
+  if (NameLen > MaxClientName || Payload.size() != 36 + NameLen) {
     if (Err)
       *Err = "malformed HELLO name length";
     return false;
   }
-  // Sessions decode chunk by chunk, so only self-contained formats
-  // qualify; `jdrag salvage` rewrites a v2/v3 recording in the current
-  // format.
-  if (!profiler::knownWireFormat(Fmt) ||
-      !profiler::chunkSelfContained(static_cast<profiler::WireFormat>(Fmt))) {
+  if (Fmt != static_cast<std::uint32_t>(profiler::DefaultWireFormat)) {
     if (Err)
       *Err = "HELLO carries unsupported wire format " + std::to_string(Fmt) +
-             " (jdragd reads formats " +
-             std::to_string(static_cast<unsigned>(profiler::WireFormat::V4)) +
-             " to " +
-             std::to_string(static_cast<unsigned>(profiler::NewestWireFormat)) +
-             ")";
+             " (jdragd reads format 7)";
     return false;
   }
-  Out.Format = static_cast<profiler::WireFormat>(Fmt);
+  Out.Format = profiler::DefaultWireFormat;
   Out.Name.assign(reinterpret_cast<const char *>(Payload.data()) + 20,
                   NameLen);
-  Out.SampleBytes = 0;
-  Out.SampleSeed = profiler::SamplingParams{}.SampleSeed;
-  if (Payload.size() == 36 + NameLen) {
-    std::memcpy(&Out.SampleBytes, Payload.data() + 20 + NameLen, 8);
-    std::memcpy(&Out.SampleSeed, Payload.data() + 28 + NameLen, 8);
-  }
-  // The session's .jdev header is written in Format; before v5 it has no
-  // slot for the sampling params, so the recording would replay as exact
-  // while the live fold scaled it.
-  if (Out.SampleBytes != 0 && Out.Format < profiler::WireFormat::V5) {
-    if (Err)
-      *Err = "sampled HELLO needs wire format 5 or later, got " +
-             std::to_string(Fmt);
-    return false;
-  }
+  std::memcpy(&Out.SampleBytes, Payload.data() + 20 + NameLen, 8);
+  std::memcpy(&Out.SampleSeed, Payload.data() + 28 + NameLen, 8);
   return true;
 }
 

@@ -90,33 +90,10 @@ struct WireIndexEntry {
 static_assert(sizeof(WireIndexEntry) == 48, "footer wire format");
 static_assert(std::is_trivially_copyable_v<WireIndexEntry>);
 
-/// Sets \p Count to the entries of a footer payload of \p PayloadBytes
-/// bytes (a u64 record total, then whole entries); false if it has no
-/// such shape.
-bool footerEntryCount(std::uint32_t PayloadBytes, std::size_t &Count) {
-  if (PayloadBytes < 8 || (PayloadBytes - 8) % sizeof(WireIndexEntry) != 0)
-    return false;
-  Count = (PayloadBytes - 8) / sizeof(WireIndexEntry);
-  return true;
-}
-
-/// The `.jdev` header FileEventSink writes for format \p F: 16 bytes
-/// before v5, 32 with the sampling params from v5 on. Older formats
-/// still get their own header because jdragd and `jdrag send` pass an
-/// older stream's frames through unchanged.
-std::vector<std::byte> encodeStreamHeader(WireFormat F,
-                                          const SamplingParams &S) {
-  std::vector<std::byte> H(streamHeaderBytes(F));
-  std::uint32_t Version = static_cast<std::uint32_t>(F);
-  std::uint32_t Reserved = 0;
-  std::memcpy(H.data(), &StreamMagic, 8);
-  std::memcpy(H.data() + 8, &Version, 4);
-  std::memcpy(H.data() + 12, &Reserved, 4);
-  if (H.size() == 32) {
-    std::memcpy(H.data() + 16, &S.SampleBytes, 8);
-    std::memcpy(H.data() + 24, &S.SampleSeed, 8);
-  }
-  return H;
+/// The footer's shape: a u64 record total, then one entry per chunk,
+/// as many as its header's Seq says.
+bool footerShaped(const ChunkHeader &H) {
+  return H.PayloadBytes == 8 + std::uint64_t(H.Seq) * sizeof(WireIndexEntry);
 }
 
 } // namespace
@@ -159,7 +136,7 @@ ChunkFrame jdrag::profiler::readFrame(std::span<const std::byte> Bytes,
   Fr.Footer = Fr.H.Magic == FooterMagic;
   // Before v6 the raw field is the length, so a flagged frame fails the
   // bound below: the intended clean refusal of old readers.
-  bool Flags = !Fr.Footer && chunkFlagsHonoured(F);
+  bool Flags = !Fr.Footer && F >= WireFormat::V6;
   Fr.Compressed = Flags && chunkCompressed(Fr.H.PayloadBytes);
   Fr.PayloadBytes =
       Flags ? chunkWireBytes(Fr.H.PayloadBytes) : Fr.H.PayloadBytes;
@@ -211,10 +188,13 @@ jdrag::profiler::verifyPayload(const ChunkFrame &Fr,
   P.Crc = support::crc32c(P.Body.data(), P.Body.size());
   bool Intact = P.Crc == Fr.H.Crc;
   if (Fr.Footer) {
+    // The footer rule: whole entries, one per H.Seq, and a tail that
+    // repeats the extent.
     std::uint32_t Bytes = 0, Tail = 0;
     std::memcpy(&Bytes, Fr.payload() + Fr.PayloadBytes, 4);
     std::memcpy(&Tail, Fr.payload() + Fr.PayloadBytes + 4, 4);
-    Intact = Intact && Tail == FooterTailMagic && Bytes == Fr.Extent;
+    Intact = Intact && footerShaped(Fr.H) && Tail == FooterTailMagic &&
+             Bytes == Fr.Extent;
   }
   if (!Intact)
     P.Status = ChunkStatus::BadCrc;
@@ -233,7 +213,7 @@ jdrag::profiler::footerBlockSize(std::span<const std::byte> Stream) {
   if (Tail != FooterTailMagic || Bytes < MinBlock || Bytes > Stream.size())
     return 0;
   // A footer frame reads alike in every format.
-  ChunkFrame Fr = readFrame(Stream.last(Bytes), DefaultWireFormat);
+  ChunkFrame Fr = readFrame(Stream.last(Bytes));
   return Fr.Footer && Fr.Status == ChunkStatus::Ok && Fr.Extent == Bytes
              ? Bytes
              : 0;
@@ -245,9 +225,7 @@ jdrag::profiler::footerBlockSize(std::span<const std::byte> Stream) {
 
 std::span<const std::byte>
 ChunkCompressor::transform(const std::byte *Data, std::size_t Size) {
-  // Compressors run only for formats that honour the compressed flag,
-  // and those all frame alike.
-  ChunkFrame Fr = readFrame({Data, Size}, DefaultWireFormat);
+  ChunkFrame Fr = readFrame({Data, Size});
   if (Fr.Status != ChunkStatus::Ok || Fr.Extent != Size)
     return {};
   ChunkHeader H = Fr.H;
@@ -259,13 +237,12 @@ ChunkCompressor::transform(const std::byte *Data, std::size_t Size) {
     // PayloadBytes from the per-chunk wire records, recompute the
     // payload CRC, and leave everything else (Seq = entry count, times,
     // per-chunk payload CRCs over the *uncompressed* bytes) alone.
-    std::size_t Count = 0;
-    if (!footerEntryCount(H.PayloadBytes, Count))
+    if (!footerShaped(H))
       return {};
     Scratch.assign(Data, Data + Size);
     std::byte *Body = Scratch.data() + sizeof(ChunkHeader);
     std::size_t Wi = 0;
-    for (std::size_t I = 0; I != Count; ++I) {
+    for (std::size_t I = 0; I != H.Seq; ++I) {
       WireIndexEntry W;
       std::memcpy(&W, Body + 8 + I * sizeof(W), sizeof(W));
       // Both lists are in ascending Seq order; entries for chunks this
@@ -322,17 +299,27 @@ FileEventSink::~FileEventSink() {
 bool FileEventSink::open(const std::string &Path, Options O) {
   if (F)
     return false; // double-open: reject; the first stream stays usable
+  if (legacyFormat(O.Format)) {
+    LastErr = EINVAL; // nothing writes a legacy format
+    return Ok = false;
+  }
   Opt = O;
   F = std::fopen(Path.c_str(), "wb");
   if (!F) {
     LastErr = errno;
     return Ok = false;
   }
-  std::vector<std::byte> Header = encodeStreamHeader(Opt.Format, Opt.Sampling);
-  Ok = std::fwrite(Header.data(), 1, Header.size(), F) == Header.size();
+  // The v7 header: magic, version, a reserved u32, the sampling params.
+  std::byte Header[streamHeaderBytes(DefaultWireFormat)] = {};
+  std::uint32_t Version = static_cast<std::uint32_t>(DefaultWireFormat);
+  std::memcpy(Header, &StreamMagic, 8);
+  std::memcpy(Header + 8, &Version, 4);
+  std::memcpy(Header + 16, &Opt.Sampling.SampleBytes, 8);
+  std::memcpy(Header + 24, &Opt.Sampling.SampleSeed, 8);
+  Ok = std::fwrite(Header, 1, sizeof(Header), F) == sizeof(Header);
   if (!Ok)
     LastErr = errno;
-  if (Ok && Opt.Compress && chunkFlagsHonoured(Opt.Format))
+  if (Ok && Opt.Compress)
     Comp = std::make_unique<ChunkCompressor>();
   return Ok;
 }
@@ -748,6 +735,67 @@ bool StreamDecoder::reject(std::size_t At, std::uint64_t Records, Verdict V,
 // FrameDecoder (chunk layer)
 //===----------------------------------------------------------------------===//
 
+bool jdrag::profiler::judgeStreamFrame(const ChunkFrame &Fr, std::uint32_t Seq,
+                                       bool FooterSeen, bool Footers,
+                                       std::vector<std::uint8_t> &Scratch,
+                                       FramePayload &P, std::string &Err) {
+  auto Corrupt = [&](std::string Msg) {
+    Err = "corrupt event stream: " + std::move(Msg);
+    return false;
+  };
+  if (Fr.Status == ChunkStatus::TruncatedHeader)
+    return true;
+  if (Fr.Footer && Footers) {
+    if (Fr.Status == ChunkStatus::OversizedPayload)
+      return Corrupt("implausible chunk index footer length");
+    if (Fr.H.Seq != Seq)
+      return Corrupt("chunk index footer sequence mismatch");
+    if (Fr.Status == ChunkStatus::Ok &&
+        verifyPayload(Fr, Scratch).Status != ChunkStatus::Ok)
+      return Corrupt("damaged chunk index footer");
+    return true;
+  }
+  if (FooterSeen)
+    return Corrupt("data after the chunk index footer");
+  if (Fr.Footer || Fr.Status == ChunkStatus::BadMagic)
+    return Corrupt("bad chunk magic at chunk " + std::to_string(Seq));
+  if (Fr.Status == ChunkStatus::OversizedPayload)
+    return Corrupt("chunk " + std::to_string(Seq) +
+                   " has implausible payload length " +
+                   std::to_string(Fr.H.PayloadBytes));
+  if (Fr.H.Seq != Seq)
+    return Corrupt("chunk sequence jumped from " + std::to_string(Seq) +
+                   " to " + std::to_string(Fr.H.Seq) +
+                   " (dropped or reordered chunks)");
+  if (Fr.Status != ChunkStatus::Ok)
+    return true; // the payload is cut off
+  P = verifyPayload(Fr, Scratch);
+  if (P.Status == ChunkStatus::BadCompression)
+    return Corrupt("chunk " + std::to_string(Seq) +
+                   " has a malformed compressed payload");
+  if (P.Status != ChunkStatus::Ok)
+    return Corrupt("chunk " + std::to_string(Seq) + " CRC mismatch (stored " +
+                   std::to_string(Fr.H.Crc) + ", computed " +
+                   std::to_string(P.Crc) + ")");
+  return true;
+}
+
+std::string jdrag::profiler::chunkRecordsError(const StreamDecoder &Records,
+                                               std::uint32_t Seq) {
+  if (!Records.recordCut())
+    return Records.error();
+  return "corrupt event stream: record straddles a chunk boundary in "
+         "self-contained chunk " +
+         std::to_string(Seq);
+}
+
+FrameDecoder::FrameDecoder(RecordTarget C, WireFormat Format) : Records(C) {
+  if (legacyFormat(Format))
+    fail("unsupported event stream: v" +
+         std::to_string(static_cast<unsigned>(Format)) +
+         " is a legacy format; read it with replayFile or replayBytes");
+}
+
 bool FrameDecoder::fail(std::string Msg) {
   Failed = true;
   if (Error.empty())
@@ -758,11 +806,6 @@ bool FrameDecoder::fail(std::string Msg) {
 bool FrameDecoder::feed(const std::byte *Data, std::size_t Size) {
   if (Failed)
     return false;
-  if (!chunkSelfContained(Format))
-    return fail("unsupported event stream: v" +
-                std::to_string(static_cast<unsigned>(Format)) +
-                " records straddle chunks; read it with replayFile or "
-                "replayBytes");
 
   // Same zero-copy-unless-straddling strategy as the record layer; on
   // the live path each feed is exactly one whole frame, so Pending
@@ -777,61 +820,22 @@ bool FrameDecoder::feed(const std::byte *Data, std::size_t Size) {
 
   std::size_t Off = 0;
   while (true) {
-    ChunkFrame Fr = readFrame({Cur + Off, Avail - Off}, Format);
-    if (Fr.Status == ChunkStatus::TruncatedHeader)
-      break; // partial header: wait for more bytes
-    if (Fr.Footer) {
-      // Terminal chunk index footer: CRC-verify and swallow it -- its
-      // contents are a seek index, not stream data.
-      if (Fr.Status == ChunkStatus::OversizedPayload)
-        return fail("corrupt event stream: implausible chunk index "
-                    "footer length");
-      if (Fr.H.Seq != NextSeq)
-        return fail("corrupt event stream: chunk index footer sequence "
-                    "mismatch");
-      if (Fr.Status == ChunkStatus::TruncatedPayload)
-        break; // partial footer: wait for more bytes
-      if (verifyPayload(Fr, Inflate).Status != ChunkStatus::Ok)
-        return fail("corrupt event stream: damaged chunk index footer");
-      FooterSeen = true;
-      Off += Fr.Extent;
-      continue;
+    ChunkFrame Fr = readFrame({Cur + Off, Avail - Off});
+    FramePayload P;
+    std::string Err;
+    if (!judgeStreamFrame(Fr, NextSeq, FooterSeen, true, Inflate, P, Err))
+      return fail(std::move(Err));
+    if (Fr.Status != ChunkStatus::Ok)
+      break; // partial frame: wait for more bytes
+    // A footer is a seek index, not stream data: swallow it.
+    FooterSeen |= Fr.Footer;
+    if (!Fr.Footer) {
+      if (!Records.decodeChunk(P.Body.data(), P.Body.size()))
+        return fail(chunkRecordsError(Records, NextSeq));
+      ++Chunks;
+      CompressedChunks += Fr.Compressed;
+      ++NextSeq;
     }
-    if (FooterSeen)
-      return fail("corrupt event stream: data after the chunk index "
-                  "footer");
-    if (Fr.Status == ChunkStatus::BadMagic)
-      return fail("corrupt event stream: bad chunk magic at chunk " +
-                  std::to_string(NextSeq));
-    if (Fr.Status == ChunkStatus::OversizedPayload)
-      return fail("corrupt event stream: chunk " + std::to_string(NextSeq) +
-                  " has implausible payload length " +
-                  std::to_string(Fr.H.PayloadBytes));
-    if (Fr.H.Seq != NextSeq)
-      return fail("corrupt event stream: chunk sequence jumped from " +
-                  std::to_string(NextSeq) + " to " +
-                  std::to_string(Fr.H.Seq) + " (dropped or reordered chunks)");
-    if (Fr.Status == ChunkStatus::TruncatedPayload)
-      break; // partial payload: wait for more bytes
-    FramePayload P = verifyPayload(Fr, Inflate);
-    if (P.Status == ChunkStatus::BadCompression)
-      return fail("corrupt event stream: chunk " + std::to_string(NextSeq) +
-                  " has a malformed compressed payload");
-    if (P.Status != ChunkStatus::Ok)
-      return fail("corrupt event stream: chunk " + std::to_string(NextSeq) +
-                  " CRC mismatch (stored " + std::to_string(Fr.H.Crc) +
-                  ", computed " + std::to_string(P.Crc) + ")");
-    if (!Records.decodeChunk(P.Body.data(), P.Body.size())) {
-      if (Records.recordCut())
-        return fail("corrupt event stream: record straddles a chunk "
-                    "boundary in self-contained chunk " +
-                    std::to_string(NextSeq));
-      Failed = true;
-      return false; // record-layer error() is surfaced by error()
-    }
-    ++Chunks;
-    CompressedChunks += Fr.Compressed;
-    ++NextSeq;
     Off += Fr.Extent;
   }
 
@@ -891,12 +895,11 @@ bool parseFooter(std::span<const std::byte> Stream, bool Whole,
   std::size_t Bytes = footerBlockSize(Stream);
   if (!Bytes)
     return false;
-  ChunkFrame Fr = readFrame(Stream.last(Bytes), DefaultWireFormat);
+  ChunkFrame Fr = readFrame(Stream.last(Bytes));
   std::vector<std::uint8_t> Unused; // a footer is never compressed
-  std::size_t Count = 0;
-  if (verifyPayload(Fr, Unused).Status != ChunkStatus::Ok ||
-      !footerEntryCount(Fr.H.PayloadBytes, Count) || Count != Fr.H.Seq)
+  if (verifyPayload(Fr, Unused).Status != ChunkStatus::Ok)
     return false;
+  std::size_t Count = Fr.H.Seq; // the footer rule checked the shape
 
   ChunkIndex Idx;
   Idx.FromFooter = true;
@@ -974,36 +977,35 @@ public:
 } // namespace
 
 bool jdrag::profiler::rebuildChunkIndex(std::span<const std::byte> Stream,
-                                        WireFormat F, ChunkIndex &Out,
-                                        std::string *Err) {
+                                        ChunkIndex &Out, std::string *Err) {
   auto Fail = [&](std::string Msg) {
     if (Err)
       *Err = std::move(Msg);
     return false;
   };
   Out = ChunkIndex();
-  if (!chunkSelfContained(F))
-    return Fail("a v" + std::to_string(static_cast<unsigned>(F)) +
-                " stream has no chunk index: its records straddle chunks");
 
-  // One pass over the frames (structure only -- payload CRCs are
+  // One pass over the frames (structure only -- data-chunk CRCs are
   // verified by whoever decodes the payloads), decoding each chunk
   // body on its own.
   ChunkTimes Times;
-  StreamDecoder Dec(Times, F);
+  StreamDecoder Dec(Times);
   std::vector<std::uint8_t> Inflate;
   std::size_t End = Stream.size();
   std::size_t Off = 0;
   std::uint32_t NextSeq = 0;
   while (Off < End) {
-    ChunkFrame Fr = readFrame(Stream.subspan(Off), F);
+    ChunkFrame Fr = readFrame(Stream.subspan(Off));
     if (Fr.Status == ChunkStatus::TruncatedHeader)
       return Fail("truncated chunk header at offset " + std::to_string(Off));
     if (Fr.Footer) {
-      // A footer is only legal as the terminal block; its contents are
-      // exactly what this rebuild replaces, so skip it unvalidated.
+      // A footer is only legal as the terminal block, and is judged by
+      // the footer rule like every reader judges it; its entries are
+      // what this rebuild replaces.
       if (Fr.Status != ChunkStatus::Ok || Fr.Extent != End - Off)
         return Fail("malformed chunk index footer");
+      if (verifyPayload(Fr, Inflate).Status != ChunkStatus::Ok)
+        return Fail("damaged chunk index footer");
       break;
     }
     if (Fr.Status == ChunkStatus::BadMagic)
@@ -1018,7 +1020,7 @@ bool jdrag::profiler::rebuildChunkIndex(std::span<const std::byte> Stream,
     if (Fr.Status == ChunkStatus::TruncatedPayload)
       return Fail("truncated chunk payload in chunk " +
                   std::to_string(NextSeq));
-    // The record walk needs uncompressed bytes; a v6+ chunk whose
+    // The record walk needs uncompressed bytes; a chunk whose
     // compressed payload does not decode is structural damage, same
     // class as a truncated frame.
     std::span<const std::byte> Body(Fr.payload(), Fr.PayloadBytes);
@@ -1065,7 +1067,7 @@ bool jdrag::profiler::replayBytes(std::span<const std::byte> Bytes,
   };
   const char *Truncated =
       "truncated event stream: partial trailing chunk or record";
-  if (!chunkSelfContained(Format)) {
+  if (legacyFormat(Format)) {
     std::string LegacyErr;
     switch (replayLegacyStream(Bytes, Format, C.consumer(), LegacyErr)) {
     case LegacyStatus::Ok:
@@ -1076,7 +1078,7 @@ bool jdrag::profiler::replayBytes(std::span<const std::byte> Bytes,
       return Fail(LegacyErr);
     }
   }
-  FrameDecoder D(C, Format);
+  FrameDecoder D(C);
   if (!D.feed(Bytes.data(), Bytes.size()))
     return Fail(D.error());
   if (!D.atRecordBoundary())
@@ -1101,7 +1103,8 @@ bool jdrag::profiler::parseStreamHeader(std::span<const std::byte> Bytes,
     return Fail("not a .jdev event stream (too short)");
   std::uint32_t Version = 0;
   std::memcpy(&Version, Bytes.data() + 8, sizeof(Version));
-  if (!knownWireFormat(Version))
+  if (Version < static_cast<std::uint32_t>(WireFormat::V2) ||
+      Version > static_cast<std::uint32_t>(WireFormat::V7))
     return Fail("unsupported .jdev version " + std::to_string(Version));
   auto F = static_cast<WireFormat>(Version);
   if (Bytes.size() < streamHeaderBytes(F))
@@ -1157,11 +1160,11 @@ bool jdrag::profiler::replayFile(const std::string &Path, RecordTarget C,
   if (Info)
     *Info = Hdr;
 
-  // v2/v3 records straddle chunks, so LegacyStream reads the whole
-  // framed stream at once; v4+ streams decode as they are read.
-  bool Legacy = !chunkSelfContained(Hdr.Format);
+  // LegacyStream reads a legacy stream's frames all at once; v7 streams
+  // decode as they are read.
+  bool Legacy = legacyFormat(Hdr.Format);
   std::vector<std::byte> Framed;
-  FrameDecoder D(C, Hdr.Format);
+  FrameDecoder D(C);
   std::byte Buf[64 * 1024];
   bool Ok = true;
   while (true) {
@@ -1186,8 +1189,11 @@ bool jdrag::profiler::replayFile(const std::string &Path, RecordTarget C,
     Info->Compressed = D.compressedChunks() != 0;
   if (Legacy) {
     std::string LegacyErr;
-    LegacyStatus S =
-        replayLegacyStream(Framed, Hdr.Format, C.consumer(), LegacyErr);
+    bool Compressed = false;
+    LegacyStatus S = replayLegacyStream(Framed, Hdr.Format, C.consumer(),
+                                        LegacyErr, &Compressed);
+    if (Info)
+      Info->Compressed = Compressed;
     if (S == LegacyStatus::Corrupt)
       return Fail(LegacyErr);
     Complete = S == LegacyStatus::Ok;

@@ -171,25 +171,23 @@ private:
 /// region and a chunk index with at least two entries.
 struct ShardedStream {
   std::vector<std::byte> Bytes;
-  WireFormat F = DefaultWireFormat;
   SamplingParams Sampling;
   std::span<const std::byte> Framed;
   ChunkIndex Idx;
 };
 
 /// Returns false when anything prevents sharding -- unreadable file, bad
-/// header, a v2/v3 stream (whose records straddle chunks), a damaged
-/// footer, a stream the index rebuild rejects, or too few chunks to
-/// split -- so the caller runs the sequential path, which produces the
-/// canonical result or error message for that input.
+/// header, a legacy (v2-v6) stream, a damaged footer, a stream the index
+/// rebuild rejects, or too few chunks to split -- so the caller runs the
+/// sequential path, which produces the canonical result or error
+/// message for that input.
 bool loadForSharding(const std::string &Path, ShardedStream &S) {
   StreamHeaderInfo Hdr;
   if (!readWholeFile(Path, S.Bytes) || !parseStreamHeader(S.Bytes, Hdr) ||
-      !chunkSelfContained(Hdr.Format))
+      legacyFormat(Hdr.Format))
     return false;
-  S.F = Hdr.Format;
   S.Sampling = Hdr.Sampling;
-  std::size_t HeaderBytes = streamHeaderBytes(S.F);
+  std::size_t HeaderBytes = streamHeaderBytes(Hdr.Format);
   S.Framed = std::span<const std::byte>(S.Bytes.data() + HeaderBytes,
                                         S.Bytes.size() - HeaderBytes);
   if (S.Framed.empty())
@@ -199,7 +197,7 @@ bool loadForSharding(const std::string &Path, ShardedStream &S) {
     // strict sequential path report it.
     if (!readChunkIndexFooter(S.Framed, S.Idx))
       return false;
-  } else if (!rebuildChunkIndex(S.Framed, S.F, S.Idx)) {
+  } else if (!rebuildChunkIndex(S.Framed, S.Idx)) {
     return false;
   }
   return S.Idx.Entries.size() >= 2;
@@ -210,13 +208,13 @@ bool loadForSharding(const std::string &Path, ShardedStream &S) {
 /// claims. The index construction already bounds-checked every offset,
 /// so the reads here cannot run off the stream. On success \p Body is
 /// the chunk's record payload -- decompressed into \p Inflate for a
-/// flagged v6+ chunk, the raw wire bytes otherwise (the CRC always
-/// covers the uncompressed payload).
+/// flagged chunk, the raw wire bytes otherwise (the CRC always covers
+/// the uncompressed payload).
 bool validateChunk(const ShardedStream &S, std::size_t GlobalIdx,
                    std::vector<std::uint8_t> &Inflate,
                    std::span<const std::byte> &Body) {
   const ChunkIndexEntry &En = S.Idx.Entries[GlobalIdx];
-  ChunkFrame Fr = readFrame(S.Framed.subspan(En.Offset), S.F);
+  ChunkFrame Fr = readFrame(S.Framed.subspan(En.Offset));
   if (Fr.Footer || Fr.Status != ChunkStatus::Ok ||
       Fr.H.Seq != En.Seq || Fr.H.PayloadBytes != En.PayloadBytes ||
       En.Seq != static_cast<std::uint32_t>(GlobalIdx))
@@ -232,7 +230,7 @@ bool validateChunk(const ShardedStream &S, std::size_t GlobalIdx,
 /// that fails validation, decoding, or its index record count.
 bool runShard(const ShardedStream &S, std::size_t B, std::size_t E,
               RecordTarget C) {
-  StreamDecoder Dec(C, S.F);
+  StreamDecoder Dec(C);
   std::vector<std::uint8_t> Inflate; // per-shard decompression scratch
   std::span<const std::byte> Body;
   for (std::size_t I = B; I < E; ++I) {
@@ -255,7 +253,7 @@ bool runSharded(const ShardedStream &S, const ir::Program &P,
                 std::vector<ShardResult> &Shards) {
   std::size_t N = S.Idx.Entries.size();
   std::size_t Count = std::min<std::size_t>(Jobs, N);
-  // Balance by on-wire bytes (masking the v6+ compressed flag).
+  // Balance by on-wire bytes (masking the compressed flag).
   std::uint64_t Total = 0;
   for (const ChunkIndexEntry &En : S.Idx.Entries)
     Total += chunkWireBytes(En.PayloadBytes);
@@ -448,7 +446,7 @@ bool replaySharded(const std::string &Path, const ir::Program &P,
     if (!S.Idx.FromFooter)
       break;
     ChunkIndex Rebuilt;
-    if (!rebuildChunkIndex(S.Framed, S.F, Rebuilt))
+    if (!rebuildChunkIndex(S.Framed, Rebuilt))
       break;
     S.Idx = std::move(Rebuilt);
   }

@@ -1,17 +1,18 @@
-//===- profiler/RecordLoop.h - The v4+ record loop --------------*- C++ -*-===//
+//===- profiler/RecordLoop.h - The varint record loop -----------*- C++ -*-===//
 //
 // Part of jdrag (PLDI 2001 "Heap Profiling for Space-Efficient Java").
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The record layer of a v4+ chunk body: the wire constants, the varint
-/// readers and StreamDecoder's record loop, the only parser of v4+
-/// records. The loop lives in a header because it is a template on the
-/// consumer type (RecordTarget picks the instantiation), so a final
-/// consumer's onEvent inlines into it; profiler/EventStream.h includes
-/// this file last. EventStream.cpp's encoder writes with the same
-/// constants.
+/// The record layer of a varint chunk body: the wire constants, the
+/// varint readers and StreamDecoder's record loop, the only parser of
+/// varint records. The loop lives in a header because it is a template
+/// on the consumer type (RecordTarget picks the instantiation), so a
+/// final consumer's onEvent inlines into it; profiler/EventStream.h
+/// includes this file last. EventStream.cpp's encoder writes with the
+/// same constants. The v7 loop is instantiated per final consumer; the
+/// absolute-id loop of v3-v6 only once, in profiler/LegacyStream.cpp.
 ///
 /// The per-record steps (the readers' fast paths, readId, the per-kind
 /// record decode and the consumer's onEvent) are marked always_inline.
@@ -65,7 +66,7 @@ inline constexpr std::uint8_t UseDuringInitBit = 0x08; // Flags bit0
 inline constexpr std::uint8_t UseKindShift = 4;        // Sub (3-bit UseKind)
 inline constexpr std::uint8_t UseSpareMask = 0x80;     // bit 7
 
-/// Upper bound on any encoded timed (non-site) v4+ record: tag + 5
+/// Upper bound on any encoded timed (non-site) varint record: tag + 5
 /// varints. With at least this much of the body left, a record decode
 /// can skip every per-byte bounds check (the loop's fast path).
 inline constexpr std::size_t MaxTimedRecordBytes = 1 + 5 * MaxVarintBytes;
@@ -189,12 +190,11 @@ template <bool Delta, class Reader>
 
 template <class Consumer>
   requires std::derived_from<Consumer, EventConsumer>
-RecordTarget::RecordTarget(Consumer &Cons) : C(&Cons) {
-  using Loop =
-      std::conditional_t<std::is_final_v<Consumer>, Consumer, EventConsumer>;
-  AbsoluteIds = &StreamDecoder::loop<Loop, false>;
-  DeltaIds = &StreamDecoder::loop<Loop, true>;
-}
+RecordTarget::RecordTarget(Consumer &Cons)
+    : C(&Cons),
+      Loop(&StreamDecoder::loop<std::conditional_t<std::is_final_v<Consumer>,
+                                                   Consumer, EventConsumer>,
+                                true>) {}
 
 template <class Reader, class Consumer>
 StreamDecoder::Verdict StreamDecoder::deliver(const Reader &R,

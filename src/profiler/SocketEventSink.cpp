@@ -26,7 +26,7 @@ constexpr int PollSliceMs = 100;
 SocketEventSink::SocketEventSink(Options O) : Opt(std::move(O)) {
   if (!Opt.Pid)
     Opt.Pid = static_cast<std::uint64_t>(::getpid());
-  if (Opt.Compress && chunkFlagsHonoured(Opt.Format))
+  if (Opt.Compress)
     Comp = std::make_unique<ChunkCompressor>();
 }
 
@@ -179,7 +179,6 @@ void SocketEventSink::enterSpoolMode() {
   Spool = std::make_unique<FileEventSink>();
   FileEventSink::Options FO;
   FO.Backoff = Opt.Backoff;
-  FO.Format = Opt.Format;
   FO.Sampling = Opt.Sampling;
   if (!Spool->open(Opt.SpoolPath, FO)) {
     LastErr = Spool->lastErrno() ? Spool->lastErrno() : EIO;

@@ -28,7 +28,7 @@
 ///
 /// The end-to-end contract: every chunk the EventBuffer flushes either
 /// reaches a daemon session, reaches the spool, or is counted dropped.
-/// A v4 chunk index footer is forwarded verbatim only when the
+/// A chunk index footer is forwarded verbatim only when the
 /// destination received the *entire* stream unrenumbered (it would lie
 /// otherwise); a swallowed footer is not data loss -- footerless v4
 /// streams are valid and readers rebuild the index.
@@ -82,8 +82,9 @@ public:
     std::string Name = "vm";
     /// Pid carried by HELLO; 0 = this process.
     std::uint64_t Pid = 0;
-    /// Wire format of the chunks this sink will carry; stamped on the
-    /// session (and the spool header). Must match the EventBuffer's.
+    /// Wire format announced in HELLO. Must be v7, the only format
+    /// written and the only one jdragd reads (it refuses any other). The
+    /// field stays for pipebench/driver.cpp, which still sets it.
     WireFormat Format = DefaultWireFormat;
     /// Sampling params behind the stream; carried by HELLO so the
     /// daemon scales this session's estimates, and stamped on the spool
@@ -92,8 +93,8 @@ public:
     /// Compress chunk payloads (LZ, support/Lz.h) before they leave the
     /// process: the daemon receives -- and records verbatim --
     /// compressed frames, and a degraded spool holds the same bytes.
-    /// Requires a v6+ Format; compression happens once, here, so the
-    /// wire and the spool never diverge. Ignored otherwise.
+    /// Compression happens once, here, so the wire and the spool never
+    /// diverge.
     bool Compress = false;
     /// Reconnect/retry schedule (shared with FileEventSink). Jitter on
     /// by default: a daemon restart must not be met by a thundering

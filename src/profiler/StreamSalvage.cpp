@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <optional>
 #include <thread>
 
 using namespace jdrag;
@@ -120,14 +121,22 @@ SalvageReport jdrag::profiler::scanEventFile(const std::string &Path,
   WireFormat Format = Hdr.Format;
   Rep.Version = static_cast<std::uint32_t>(Format);
   Rep.Sampling = Hdr.Sampling;
-  bool SelfContained = chunkSelfContained(Format);
   std::size_t FileHeaderBytes = streamHeaderBytes(Format);
+
+  // A legacy file's records go to LegacyStream's record layer, a v7
+  // file's to the record loop, chunk by chunk.
+  NullConsumer Discard;
+  EventConsumer &Out = C ? *C : Discard;
+  StreamDecoder Records(Out);
+  std::optional<LegacyRecordLayer> Legacy;
+  if (legacyFormat(Format))
+    Legacy.emplace(Format, Out);
 
   // A v4+ file may end with a chunk index footer block: judge it
   // separately (it is an index, not data) and stop the chunk walk
   // where it starts.
   std::size_t ScanEnd = Bytes.size();
-  if (SelfContained) {
+  if (!Legacy || Legacy->footers()) {
     auto Framed = std::span<const std::byte>(Bytes).subspan(FileHeaderBytes);
     if (std::size_t FB = footerBlockSize(Framed)) {
       Rep.FooterPresent = true;
@@ -137,12 +146,6 @@ SalvageReport jdrag::profiler::scanEventFile(const std::string &Path,
     }
   }
 
-  NullConsumer Discard;
-  EventConsumer &Out = C ? *C : Discard;
-  StreamDecoder Records(Out, Format);
-  // v2/v3 records straddle chunks: the valid prefix's payloads are
-  // joined and decoded after the walk (profiler/LegacyStream.h).
-  std::vector<std::byte> Legacy;
   std::size_t Off = FileHeaderBytes;
   std::uint32_t ExpectedSeq = 0;
   bool Damaged = false;
@@ -175,10 +178,9 @@ SalvageReport jdrag::profiler::scanEventFile(const std::string &Path,
         Rep.Compressed |= Fr.Compressed;
         Rep.WirePayloadBytes += Fr.PayloadBytes;
         Rep.RawPayloadBytes += P.Body.size();
-        if (!Damaged && !SelfContained) {
-          Legacy.insert(Legacy.end(), P.Body.begin(), P.Body.end());
-        } else if (!Damaged &&
-                   !Records.decodeChunk(P.Body.data(), P.Body.size())) {
+        if (!Damaged &&
+            !(Legacy ? Legacy->chunk(P.Body)
+                     : Records.decodeChunk(P.Body.data(), P.Body.size()))) {
           // A malformed record, or one the chunk's end cuts off: the
           // producer (or the bytes) lied.
           S = ChunkStatus::BadRecords;
@@ -205,24 +207,22 @@ SalvageReport jdrag::profiler::scanEventFile(const std::string &Path,
     }
   }
 
-  if (SelfContained) {
+  if (!Legacy) {
     Rep.EventsRecovered = Records.eventsDecoded();
     Rep.BytesRecovered = Records.bytesDecoded();
     Rep.TailPartialRecord = Records.recordCut();
     return Rep;
   }
-  LegacyRecords R = decodeLegacyRecords(Legacy, Format, Out);
+  LegacyRecords R = Legacy->finish();
   Rep.EventsRecovered = R.Events;
   Rep.BytesRecovered = R.Bytes;
   Rep.TailPartialRecord = R.Cut;
   if (R.Malformed) {
-    // The chunk the malformed record starts in is the first damage
-    // (the prefix is Rep.Chunks[0..], none of them compressed).
-    std::size_t K = 0;
-    for (std::size_t At = R.Bytes; At >= Rep.Chunks[K].PayloadBytes; ++K)
-      At -= Rep.Chunks[K].PayloadBytes;
-    Rep.FirstDamaged = K;
-    Rep.Chunks[K].Status = ChunkStatus::BadRecords;
+    // The v2/v3 chunk the malformed record starts in is the first
+    // damage: the prefix is Rep.Chunks[0..]. (A v4-v6 chunk was judged
+    // in the walk.)
+    Rep.FirstDamaged = R.Chunk;
+    Rep.Chunks[R.Chunk].Status = ChunkStatus::BadRecords;
   }
   return Rep;
 }
@@ -246,13 +246,12 @@ SalvageReport jdrag::profiler::scanEventFileParallel(const std::string &Path,
   if (!readWholeFile(Path, Bytes))
     return Sequential(); // unreadable: let the sequential path say so
 
-  // v2/v3 records straddle chunks: the sequential scan hands their
-  // whole prefix to LegacyStream. A bad header is its error to report.
+  // A legacy file goes to LegacyStream's record layer, in the
+  // sequential scan. A bad header is its error to report.
   StreamHeaderInfo Hdr;
-  if (!parseStreamHeader(Bytes, Hdr) || !chunkSelfContained(Hdr.Format))
+  if (!parseStreamHeader(Bytes, Hdr) || legacyFormat(Hdr.Format))
     return Sequential();
-  WireFormat Format = Hdr.Format;
-  std::size_t FileHeaderBytes = streamHeaderBytes(Format);
+  std::size_t FileHeaderBytes = streamHeaderBytes(Hdr.Format);
 
   auto Framed = std::span<const std::byte>(Bytes).subspan(FileHeaderBytes);
   std::size_t FooterBytes = footerBlockSize(Framed);
@@ -261,11 +260,13 @@ SalvageReport jdrag::profiler::scanEventFileParallel(const std::string &Path,
     return Sequential(); // damaged footer: report it sequentially
 
   // One sequential pass over the frame structure and the records (no
-  // CRCs yet): a structural anomaly, or a malformed or cut-off record,
-  // is damage, which the sequential scan reports better.
-  std::size_t ScanEnd = Framed.size() - FooterBytes;
+  // data-chunk CRCs yet): a structural anomaly, a malformed or cut-off
+  // record, or a footer frame anywhere but at the end of the stream, or
+  // one that breaks the footer rule, is damage, which the sequential
+  // scan reports better. A footer the rebuild accepts is exactly the
+  // block footerBlockSize found.
   ChunkIndex Idx;
-  if (!rebuildChunkIndex(Framed.first(ScanEnd), Format, Idx))
+  if (!rebuildChunkIndex(Framed, Idx))
     return Sequential();
 
   // Fan the CRC verification out over the workers, splitting the chunk
@@ -282,7 +283,7 @@ SalvageReport jdrag::profiler::scanEventFileParallel(const std::string &Path,
     for (std::size_t I = Lo; I != Hi && CrcOk.load(); ++I) {
       // The index rebuild found every frame whole.
       std::uint64_t Off = Idx.Entries[I].Offset;
-      ChunkFrame Fr = readFrame(Framed.subspan(Off), Format);
+      ChunkFrame Fr = readFrame(Framed.subspan(Off));
       FramePayload P = verifyPayload(Fr, Inflate);
       if (P.Status != ChunkStatus::Ok) {
         CrcOk.store(false); // damage: CRC mismatch or a broken LZ block
@@ -310,7 +311,7 @@ SalvageReport jdrag::profiler::scanEventFileParallel(const std::string &Path,
     return Sequential(); // some chunk is damaged: get precise verdicts
 
   SalvageReport Rep;
-  Rep.Version = static_cast<std::uint32_t>(Format);
+  Rep.Version = static_cast<std::uint32_t>(Hdr.Format);
   Rep.Sampling = Hdr.Sampling;
   Rep.Compressed = Idx.compressed();
   Rep.FileBytes = Bytes.size();
@@ -321,10 +322,6 @@ SalvageReport jdrag::profiler::scanEventFileParallel(const std::string &Path,
     Rep.WirePayloadBytes += Rep.Chunks[I].PayloadBytes;
     Rep.RawPayloadBytes += RawSizes[I];
   }
-  // The rebuild stops at a terminal footer frame; the sequential scan,
-  // having found no footer block, calls that frame bad magic.
-  if (Rep.WirePayloadBytes + N * sizeof(ChunkHeader) != ScanEnd)
-    return Sequential();
   Rep.BytesRecovered = Rep.RawPayloadBytes;
   Rep.EventsRecovered = Idx.TotalRecords;
   return Rep;

@@ -198,7 +198,9 @@ TEST(SessionProtocol, HelloRoundTripsThroughDribbledReader) {
   HelloInfo In;
   In.Pid = 1234;
   In.Name = "jess";
-  In.Format = WireFormat::V4;
+  In.Format = WireFormat::V7;
+  In.SampleBytes = 64 * 1024;
+  In.SampleSeed = 42;
   std::vector<std::byte> Wire = encodeHello(In);
 
   MessageReader Rd;
@@ -218,46 +220,47 @@ TEST(SessionProtocol, HelloRoundTripsThroughDribbledReader) {
   ASSERT_TRUE(decodeHello(Payload, Out, &Err)) << Err;
   EXPECT_EQ(Out.Pid, 1234u);
   EXPECT_EQ(Out.Name, "jess");
-  EXPECT_EQ(Out.Format, WireFormat::V4);
+  EXPECT_EQ(Out.Format, WireFormat::V7);
+  EXPECT_EQ(Out.SampleBytes, 64u * 1024);
+  EXPECT_EQ(Out.SampleSeed, 42u);
   EXPECT_EQ(Rd.pendingBytes(), 0u);
 }
 
-// A sampled session must announce a v5+ stream: older headers have no
-// slot for the sampling params, so the session's recording would replay
-// as exact while the live fleet aggregate was scaled by sample weights.
-TEST(SessionProtocol, SampledHelloNeedsV5Format) {
-  auto Decode = [](WireFormat F, std::uint64_t SampleBytes,
+// HELLO has one format and one layout: a session decodes v7 chunk by
+// chunk, and the sampling extension is always there. Every other format,
+// sampled or exact, and the extension-less layout are refused.
+TEST(SessionProtocol, HelloRefusesEveryOtherFormatAndLayout) {
+  auto Decode = [](WireFormat F, std::uint64_t SampleBytes, bool Short,
                    std::string &Err) {
     HelloInfo In;
     In.Name = "javac";
     In.Format = F;
     In.SampleBytes = SampleBytes;
     std::vector<std::byte> Wire = encodeHello(In);
+    std::span<const std::byte> Payload =
+        std::span<const std::byte>(Wire).subspan(sizeof(MsgHeader));
+    if (Short) // the layout without the 16-byte sampling extension
+      Payload = Payload.first(Payload.size() - 16);
     HelloInfo Out;
     Err.clear();
-    return decodeHello(
-        std::span<const std::byte>(Wire).subspan(sizeof(MsgHeader)), Out,
-        &Err);
+    return decodeHello(Payload, Out, &Err);
   };
   std::string Err;
-  // v2/v3 records straddle chunks, which a session cannot decode chunk
-  // by chunk: refused, sampled or exact.
-  for (WireFormat F : {WireFormat::V2, WireFormat::V3})
+  for (unsigned F : {2u, 3u, 4u, 5u, 6u, 8u})
     for (std::uint64_t SampleBytes : {std::uint64_t(64 * 1024),
                                       std::uint64_t(0)}) {
-      EXPECT_FALSE(Decode(F, SampleBytes, Err)) << static_cast<int>(F);
-      EXPECT_NE(Err.find("unsupported wire format"), std::string::npos)
-          << Err;
+      EXPECT_FALSE(Decode(static_cast<WireFormat>(F), SampleBytes, false,
+                          Err))
+          << F;
+      EXPECT_EQ(Err, "HELLO carries unsupported wire format " +
+                         std::to_string(F) + " (jdragd reads format 7)");
     }
-  EXPECT_FALSE(Decode(WireFormat::V4, 64 * 1024, Err));
-  EXPECT_NE(Err.find("format 5"), std::string::npos) << Err;
-  EXPECT_TRUE(Decode(WireFormat::V4, 0, Err)) << Err; // exact v4 is fine
-  for (WireFormat F : {WireFormat::V5, WireFormat::V6, WireFormat::V7})
-    EXPECT_TRUE(Decode(F, 64 * 1024, Err)) << Err;
-  // A format newer than this build reads is refused, and the message
-  // names the range jdragd does read.
-  EXPECT_FALSE(Decode(static_cast<WireFormat>(8), 0, Err));
-  EXPECT_NE(Err.find("formats 4 to 7"), std::string::npos) << Err;
+  for (std::uint64_t SampleBytes : {std::uint64_t(64 * 1024),
+                                    std::uint64_t(0)}) {
+    EXPECT_TRUE(Decode(WireFormat::V7, SampleBytes, false, Err)) << Err;
+    EXPECT_FALSE(Decode(WireFormat::V7, SampleBytes, true, Err));
+    EXPECT_EQ(Err, "malformed HELLO name length");
+  }
 }
 
 TEST(SessionProtocol, ReaderRejectsGarbageSticky) {

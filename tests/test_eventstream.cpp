@@ -314,8 +314,9 @@ TEST(EventWire, DecoderRejectsUnknownKind) {
   EventRecord E;
   E.Kind = 200;
   CollectingConsumer C;
-  LegacyRecords R = decodeLegacyRecords(
-      {reinterpret_cast<const std::byte *>(&E), sizeof(E)}, WireFormat::V2, C);
+  LegacyRecordLayer L(WireFormat::V2, C);
+  ASSERT_TRUE(L.chunk({reinterpret_cast<const std::byte *>(&E), sizeof(E)}));
+  LegacyRecords R = L.finish();
   EXPECT_TRUE(R.Malformed);
   EXPECT_NE(R.Error.find("kind"), std::string::npos) << R.Error;
   EXPECT_EQ(R.Events, 0u);
@@ -326,9 +327,9 @@ TEST(EventWire, DecoderRejectsOversizedFrameCount) {
   E.Kind = static_cast<std::uint8_t>(EventKind::DefineSite);
   E.Arg0 = MaxWireFrames + 1;
   CollectingConsumer C;
-  LegacyRecords R = decodeLegacyRecords(
-      {reinterpret_cast<const std::byte *>(&E), sizeof(E)}, WireFormat::V2, C);
-  EXPECT_TRUE(R.Malformed);
+  LegacyRecordLayer L(WireFormat::V2, C);
+  ASSERT_TRUE(L.chunk({reinterpret_cast<const std::byte *>(&E), sizeof(E)}));
+  EXPECT_TRUE(L.finish().Malformed);
 }
 
 TEST(EventWire, V3DecoderRejectsSpareTagBits) {
@@ -438,31 +439,59 @@ TEST(EventWire, FastReaderRejectsSpareTagBits) {
 }
 
 TEST(EventWire, V3RecordsStraddleFeedBoundaries) {
-  // One v3 chunk holding an Alloc (time 1000, object 7, 24 bytes, class
-  // 3, site 5) and a Use (time 1500, object 7, site 6). A one-chunk v3
-  // stream is byte-identical to a footerless one-chunk v4 stream, so the
-  // v4 frame decoder reads it. Fed one byte at a time, it must buffer
-  // the partial frame without corrupting the time-delta chain.
-  static constexpr std::uint8_t Stream[] = {
+  // An Alloc (time 1000, object 7, 24 bytes, class 3, site 5) and a Use
+  // (time 1500, object 7, site 6).
+  auto ExpectEvents = [](const CollectingConsumer &C) {
+    ASSERT_EQ(C.Events.size(), 2u);
+    EXPECT_EQ(C.Events[0].Time, 1000u);
+    EXPECT_EQ(C.Events[0].Id, 7u);
+    EXPECT_EQ(C.Events[0].Arg0, 24u);
+    EXPECT_EQ(C.Events[0].Arg1, 3u);
+    EXPECT_EQ(C.Events[0].Site, 5u);
+    EXPECT_EQ(C.Events[1].Time, 1500u);
+    EXPECT_EQ(C.Events[1].Id, 7u);
+    EXPECT_EQ(C.Events[1].Site, 6u);
+  };
+
+  // As one v3 chunk, read by the legacy reader.
+  static constexpr std::uint8_t V3[] = {
       0x6a, 0x64, 0x43, 0x6b, 0x00, 0x00, 0x00, 0x00, 0x0c, 0x00,
       0x00, 0x00, 0xde, 0xeb, 0x90, 0x4c, 0x01, 0xd0, 0x0f, 0x07,
       0x18, 0x03, 0x06, 0x02, 0xe8, 0x07, 0x07, 0x07};
+  CollectingConsumer Legacy;
+  std::string Err;
+  ASSERT_TRUE(replayBytes({reinterpret_cast<const std::byte *>(V3),
+                           sizeof(V3)},
+                          Legacy, &Err, WireFormat::V3))
+      << Err;
+  ExpectEvents(Legacy);
 
+  // As a v7 stream, fed to the frame decoder one byte at a time: it
+  // must buffer the partial frame without corrupting the time and id
+  // delta chains.
+  MemorySink Mem;
+  EventBuffer Buf(Mem);
+  EventRecord E;
+  E.Kind = static_cast<std::uint8_t>(EventKind::Alloc);
+  E.Time = 1000;
+  E.Id = 7;
+  E.Arg0 = 24;
+  E.Arg1 = 3;
+  E.Site = 5;
+  Buf.writeEvent(E);
+  E = EventRecord();
+  E.Kind = static_cast<std::uint8_t>(EventKind::Use);
+  E.Time = 1500;
+  E.Id = 7;
+  E.Site = 6;
+  Buf.writeEvent(E);
+  ASSERT_TRUE(Buf.flush());
   CollectingConsumer C;
-  FrameDecoder D(C, WireFormat::V4);
-  for (std::uint8_t B : Stream) {
-    std::byte Byte{B};
+  FrameDecoder D(C);
+  for (std::byte Byte : Mem.bytes())
     ASSERT_TRUE(D.feed(&Byte, 1)) << D.error();
-  }
   ASSERT_TRUE(D.atRecordBoundary());
-  ASSERT_EQ(C.Events.size(), 2u);
-  EXPECT_EQ(C.Events[0].Time, 1000u);
-  EXPECT_EQ(C.Events[0].Id, 7u);
-  EXPECT_EQ(C.Events[0].Arg0, 24u);
-  EXPECT_EQ(C.Events[0].Arg1, 3u);
-  EXPECT_EQ(C.Events[0].Site, 5u);
-  EXPECT_EQ(C.Events[1].Time, 1500u);
-  EXPECT_EQ(C.Events[1].Site, 6u);
+  ExpectEvents(C);
 }
 
 TEST(EventWire, TruncatedStreamIsNotAtRecordBoundary) {

@@ -148,10 +148,10 @@ TEST(SampledStream, V5HeaderRoundTrip) {
 
 // Sampling disabled keeps the default format: the stream's header says
 // SampleBytes 0 and readers see "exact".
-TEST(SampledStream, DisabledSamplingKeepsV4) {
+TEST(SampledStream, DisabledSamplingWritesAnExactHeader) {
   SamplingParams Off;
   EXPECT_EQ(effectiveFormat(DefaultWireFormat, Off), DefaultWireFormat);
-  std::string Path = tempPath("v4hdr.jdev");
+  std::string Path = tempPath("exacthdr.jdev");
   {
     FileEventSink Sink;
     ASSERT_TRUE(Sink.open(Path, FileEventSink::Options()));

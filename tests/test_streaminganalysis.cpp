@@ -489,7 +489,7 @@ void recordWorkload(const benchmarks::BenchmarkProgram &B,
   FileEventSink::Options FO;
   FO.Sampling.SampleBytes = SampleBytes;
   FO.Format = effectiveFormat(FO.Format, FO.Sampling, Compress);
-  FO.Compress = Compress && FO.Format >= WireFormat::V6;
+  FO.Compress = Compress;
   ASSERT_TRUE(Sink.open(Path, FO));
   vm::VMOptions Opts;
   Opts.DeepGCIntervalBytes = 100 * KB;
@@ -514,7 +514,7 @@ void checkIdentity(const benchmarks::BenchmarkProgram &B,
                    std::uint64_t SampleBytes, bool Compress,
                    bool &SawSharded) {
   std::string Tag = B.Name + (SampleBytes ? "_sampled" : "_exact") +
-                    (Compress ? "_v6" : "_v4");
+                    (Compress ? "_lz" : "_raw");
   std::string Jdev = tempPath(Tag + ".jdev");
   recordWorkload(B, SampleBytes, Compress, Jdev);
 

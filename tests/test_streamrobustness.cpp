@@ -369,7 +369,7 @@ TEST(CorruptionCorpus, RecordCutAtTheEndOfAValidChunkIsRejectedByEveryReader) {
   EXPECT_NE(Err.find("straddles"), std::string::npos) << Err;
 
   ChunkIndex Idx;
-  EXPECT_FALSE(rebuildChunkIndex(Framed, DefaultWireFormat, Idx));
+  EXPECT_FALSE(rebuildChunkIndex(Framed, Idx));
 
   std::string Path = tempPath("cut_record.jdev");
   {
@@ -513,7 +513,7 @@ void expectV7Verdicts(std::span<const std::byte> Framed,
 
   ChunkIndex Idx;
   std::string RebuildErr;
-  EXPECT_EQ(rebuildChunkIndex(Framed, DefaultWireFormat, Idx, &RebuildErr),
+  EXPECT_EQ(rebuildChunkIndex(Framed, Idx, &RebuildErr),
             Want.Rebuild.empty());
   EXPECT_EQ(RebuildErr, Want.Rebuild);
 
@@ -683,13 +683,47 @@ TEST(FrameErrors, CrcMismatch) {
 }
 
 TEST(FrameErrors, FooterCrcDamage) {
-  // The footer's record total, which its CRC covers.
+  // The footer's record total, which its CRC covers. The index rebuild
+  // judges the terminal footer by the footer rule too.
   std::vector<std::byte> Hdr;
   std::vector<std::byte> S = frameErrorsStream(Hdr);
   S[frameOffsets(S).back() + sizeof(ChunkHeader)] ^= std::byte{1};
   expectV7Verdicts(S, Hdr,
-                   {"corrupt event stream: damaged chunk index footer", "",
-                    SalvageReport::npos, ChunkStatus::Ok, true, false});
+                   {"corrupt event stream: damaged chunk index footer",
+                    "damaged chunk index footer", SalvageReport::npos,
+                    ChunkStatus::Ok, true, false});
+}
+
+TEST(FrameErrors, FooterTailDamage) {
+  // The last byte of the tail magic. No footer block is found at the
+  // tail, so the scan meets the footer frame as a chunk: bad magic.
+  std::vector<std::byte> Hdr;
+  std::vector<std::byte> S = frameErrorsStream(Hdr);
+  S.back() ^= std::byte{1};
+  expectV7Verdicts(S, Hdr,
+                   {"corrupt event stream: damaged chunk index footer",
+                    "damaged chunk index footer", frameOffsets(S).size() - 1,
+                    ChunkStatus::BadMagic, false, false});
+}
+
+TEST(FrameErrors, FooterShape) {
+  // One byte appended to the footer payload, with the CRC and the tail
+  // size fixed up: every check but the footer shape passes.
+  std::vector<std::byte> Hdr;
+  std::vector<std::byte> S = frameErrorsStream(Hdr);
+  std::size_t At = frameOffsets(S).back();
+  ChunkHeader H = headerOf(S, frameOffsets(S).size() - 1);
+  std::size_t PayloadEnd = At + sizeof(H) + H.PayloadBytes;
+  S.insert(S.begin() + static_cast<std::ptrdiff_t>(PayloadEnd), std::byte{0});
+  ++H.PayloadBytes;
+  H.Crc = support::crc32c(S.data() + At + sizeof(H), H.PayloadBytes);
+  std::memcpy(S.data() + At, &H, sizeof(H));
+  std::uint32_t Block = static_cast<std::uint32_t>(S.size() - At);
+  std::memcpy(S.data() + S.size() - 8, &Block, 4);
+  expectV7Verdicts(S, Hdr,
+                   {"corrupt event stream: damaged chunk index footer",
+                    "damaged chunk index footer", SalvageReport::npos,
+                    ChunkStatus::Ok, true, false});
 }
 
 TEST(FrameErrors, DataAfterTheFooter) {
@@ -1278,10 +1312,11 @@ TEST(Salvage, LegacyMalformedRecordMarksTheChunkItStartsIn) {
   std::size_t Split = sizeof(EventRecord) + sizeof(EventRecord) / 2;
   std::string Path = tempPath("v2_bad_record.jdev");
   {
-    FileEventSink Sink;
-    FileEventSink::Options FO;
-    FO.Format = WireFormat::V2;
-    ASSERT_TRUE(Sink.open(Path, FO));
+    // The 16-byte v2 header: magic, version 2, reserved.
+    std::vector<std::byte> File(16);
+    std::uint32_t Version = 2;
+    std::memcpy(File.data(), &StreamFileMagic, 8);
+    std::memcpy(File.data() + 8, &Version, 4);
     std::span<const std::byte> Payloads[] = {
         {Bytes, Split}, {Bytes + Split, sizeof(Records) - Split}};
     for (std::uint32_t Seq = 0; Seq != 2; ++Seq) {
@@ -1290,12 +1325,11 @@ TEST(Salvage, LegacyMalformedRecordMarksTheChunkItStartsIn) {
       H.Seq = Seq;
       H.PayloadBytes = static_cast<std::uint32_t>(Payloads[Seq].size());
       H.Crc = support::crc32c(Payloads[Seq].data(), H.PayloadBytes);
-      std::vector<std::byte> Frame(sizeof(H));
-      std::memcpy(Frame.data(), &H, sizeof(H));
-      Frame.insert(Frame.end(), Payloads[Seq].begin(), Payloads[Seq].end());
-      ASSERT_TRUE(Sink.writeChunk(Frame.data(), Frame.size()));
+      const auto *HB = reinterpret_cast<const std::byte *>(&H);
+      File.insert(File.end(), HB, HB + sizeof(H));
+      File.insert(File.end(), Payloads[Seq].begin(), Payloads[Seq].end());
     }
-    ASSERT_TRUE(Sink.finish());
+    writeFileBytes(Path, File);
   }
 
   CountingConsumer Strict;
@@ -1602,6 +1636,25 @@ DecodeOutcome frameDecode(const ir::Program &P,
   return O;
 }
 
+/// Replays the framed stream \p Framed (no file header) through
+/// replayBytes, the legacy formats' reader, into a DragProfiler
+/// (\p Typed) or a ForwardingConsumer in front of one. The decoder's
+/// counters stay zero: replayBytes does not report them.
+DecodeOutcome replayDecode(const ir::Program &P,
+                           std::span<const std::byte> Framed, WireFormat F,
+                           bool Typed) {
+  DragProfiler Prof(P);
+  ForwardingConsumer Fwd(Prof);
+  DecodeOutcome O;
+  O.Fed = Typed ? replayBytes(Framed, Prof, &O.Error, F)
+                : replayBytes(Framed, Fwd, &O.Error, F);
+  O.AtBoundary = O.Fed;
+  O.PeakLive = Prof.peakLiveTrailers();
+  O.PeakStateBytes = Prof.peakTrailerStateBytes();
+  O.Log = serializedLog(Prof.log());
+  return O;
+}
+
 /// Decodes \p Body as one chunk body, bypassing the frame CRC, so the
 /// record layer itself sees damaged bytes.
 DecodeOutcome bodyDecode(const ir::Program &P,
@@ -1707,10 +1760,20 @@ TEST(TypedDecode, CommittedV4V5V6Fixtures) {
     std::span<const std::byte> Framed =
         std::span<const std::byte>(File).subspan(
             streamHeaderBytes(Info.Format));
-    DecodeOutcome T = frameDecode(B.Prog, Framed, Info.Format, true);
-    EXPECT_TRUE(T.Fed && T.AtBoundary) << Name << ": " << T.Error;
-    expectSameOutcome(T, frameDecode(B.Prog, Framed, Info.Format, false),
+    DecodeOutcome T = replayDecode(B.Prog, Framed, Info.Format, true);
+    EXPECT_TRUE(T.Fed) << Name << ": " << T.Error;
+    EXPECT_FALSE(T.Log.empty()) << Name;
+    expectSameOutcome(T, replayDecode(B.Prog, Framed, Info.Format, false),
                       Name);
+    // FrameDecoder reads v7 only and refuses the fixture up front.
+    DecodeOutcome Refused = frameDecode(B.Prog, Framed, Info.Format, true);
+    EXPECT_FALSE(Refused.Fed) << Name;
+    EXPECT_EQ(Refused.Error,
+              "unsupported event stream: v" +
+                  std::to_string(static_cast<unsigned>(Info.Format)) +
+                  " is a legacy format; read it with replayFile or "
+                  "replayBytes");
+    EXPECT_EQ(Refused.Events, 0u);
   }
 }
 

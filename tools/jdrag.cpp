@@ -395,21 +395,19 @@ int cmdSend(const std::string &Path, const std::string &Addr,
     std::fprintf(stderr, "%s: %s\n", Path.c_str(), HdrErr.c_str());
     return 1;
   }
-  profiler::WireFormat Fmt = Hdr.Format;
-  if (!profiler::chunkSelfContained(Fmt)) {
-    // jdragd decodes chunk by chunk, and v2/v3 records straddle chunks.
+  if (profiler::legacyFormat(Hdr.Format)) {
     std::fprintf(stderr,
-                 "%s: jdev v%u cannot be sent (jdragd reads v4 and later); "
+                 "%s: jdev v%u cannot be sent (jdragd reads v7); "
                  "rewrite it first with `jdrag salvage %s <out.jdev>`\n",
-                 Path.c_str(), static_cast<unsigned>(Fmt), Path.c_str());
+                 Path.c_str(), static_cast<unsigned>(Hdr.Format),
+                 Path.c_str());
     return 1;
   }
-  std::size_t HeaderBytes = profiler::streamHeaderBytes(Fmt);
+  std::size_t HeaderBytes = profiler::streamHeaderBytes(Hdr.Format);
 
   profiler::SocketEventSink::Options SO;
   SO.Connect = Addr;
   SO.Name = O.Name.empty() ? std::string("spool") : O.Name;
-  SO.Format = Fmt;
   // Re-announce the recording's own sampling params in HELLO so the
   // daemon scales this session exactly like the original recorder.
   SO.Sampling = Hdr.Sampling;
@@ -424,8 +422,8 @@ int cmdSend(const std::string &Path, const std::string &Addr,
   std::size_t Off = HeaderBytes;
   std::uint64_t Frames = 0;
   while (Off < Bytes.size()) {
-    profiler::ChunkFrame Fr = profiler::readFrame(
-        std::span<const std::byte>(Bytes).subspan(Off), Fmt);
+    profiler::ChunkFrame Fr =
+        profiler::readFrame(std::span<const std::byte>(Bytes).subspan(Off));
     if (Fr.Status == profiler::ChunkStatus::BadMagic) {
       std::fprintf(stderr, "%s: bad chunk magic at offset %zu (fsck it)\n",
                    Path.c_str(), Off);
