@@ -582,11 +582,11 @@ void BM_ReplayDecode(benchmark::State &State) {
 }
 BENCHMARK(BM_ReplayDecode)->Arg(7);
 
-/// The decoder's two id codings on the same events: Arg 4 decodes the
-/// committed juru v4 recording (tests/data/juru_v4.jdev, absolute ids),
-/// Arg 7 a v7 recording of the same run (2 KiB chunks, delta-coded
-/// ids). Items/s compare the per-record cost of the two instantiations
-/// of the record loop.
+/// The two readers on the same events: Arg 4 decodes the committed juru
+/// v4 recording (tests/data/juru_v4.jdev, absolute ids) through the
+/// legacy reader (profiler/LegacyStream.h), Arg 7 a v7 recording of the
+/// same run (2 KiB chunks, delta-coded ids) through FrameDecoder. Items/s
+/// compare the per-record cost of the two paths.
 void BM_ReplayDecodeFixture(benchmark::State &State) {
   auto Format = static_cast<profiler::WireFormat>(State.range(0));
   std::vector<std::byte> Framed;

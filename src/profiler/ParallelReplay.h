@@ -13,9 +13,9 @@
 /// footer, or rebuilt with one sequential pass for a footerless file)
 /// into contiguous chunk ranges balanced by payload bytes. Each worker
 /// verifies its chunks (magic, sequence, CRC-32C) and decodes each one
-/// on its own: v4+ chunks are self-contained (per-chunk time baseline,
-/// record-aligned). v2/v3 records straddle chunks, so those recordings
-/// take the sequential path (profiler/LegacyStream.h).
+/// on its own: v7 chunks are self-contained (per-chunk time and id
+/// baselines, record-aligned). Legacy (v2-v6) recordings take the
+/// sequential path (profiler/LegacyStream.h).
 ///
 /// Each shard runs DragProfiler's trailer rules (TrailerTable) with its
 /// interval clock starting at 0. An object the shard allocates is
@@ -61,10 +61,10 @@ unsigned defaultReplayJobs();
 /// threads and moves the merged log into \p Out. The result (records,
 /// GC samples, site table, end time -- every serialized byte) is
 /// identical to replayProfile()'s for any readable recording. Jobs of
-/// 0 means defaultReplayJobs(); Jobs <= 1, single-chunk streams, v2/v3
-/// recordings and any pre-shard validation failure run the sequential
-/// path, so error behaviour on malformed files matches replayProfile()
-/// exactly.
+/// 0 means defaultReplayJobs(); Jobs <= 1, single-chunk streams, legacy
+/// (v2-v6) recordings and any pre-shard validation failure run the
+/// sequential path, so error behaviour on malformed files matches
+/// replayProfile() exactly.
 bool replayProfileParallel(const std::string &Path, const ir::Program &P,
                            ProfilerConfig Config, unsigned Jobs,
                            ProfileLog &Out, std::string *Err = nullptr);

@@ -22,12 +22,13 @@
 /// definitions may be missing, so anything past the damage cannot be
 /// trusted.
 ///
-/// The record layer decodes each v4+ chunk on its own. A v2/v3 file's
-/// records straddle chunks, so the scan joins the valid prefix's
-/// payloads and decodes them once the walk ends
-/// (profiler/LegacyStream.h); a malformed record then marks the chunk it
-/// starts in. The parallel scan hands v2/v3 files to the sequential
-/// one.
+/// The record layer decodes each v7 chunk on its own. A legacy (v2-v6)
+/// file's chunk bodies go to LegacyStream's record layer
+/// (profiler/LegacyStream.h): v4-v6 bodies decode one by one as the walk
+/// meets them; v2/v3 records straddle chunks, so the valid prefix's
+/// bodies are joined and decoded once the walk ends, and a malformed
+/// record then marks the chunk it starts in. The parallel scan reads v7
+/// only and hands legacy files to the sequential one.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -114,7 +115,7 @@ SalvageReport scanEventFile(const std::string &Path, EventConsumer *C);
 /// \p Jobs threads. Only the verification parallelizes -- the frame
 /// walk and the record decode run once, sequentially, in
 /// rebuildChunkIndex -- and the report is identical to the sequential
-/// scan's; damaged, non-contiguous and v2/v3 files fall back to
+/// scan's; damaged, non-contiguous and legacy (v2-v6) files fall back to
 /// scanEventFile wholesale. Jobs <= 1, or a non-null \p C (a replay
 /// decodes every chunk in order anyway), is exactly scanEventFile.
 SalvageReport scanEventFileParallel(const std::string &Path, unsigned Jobs,

@@ -58,9 +58,9 @@ struct VMOptions {
   std::uint32_t SiteDepth = 4;
   /// Event-buffer chunk size in bytes; 0 = the default (64 KB).
   std::size_t EventChunkBytes = 0;
-  /// Requested format of the emitted stream. Every stream is written as
-  /// v7 whatever this says (profiler::effectiveFormat); the field stays
-  /// so callers that name the format keep compiling.
+  /// Format of the emitted stream. Must be v7, the only format written
+  /// (profiler::effectiveFormat); the field stays for
+  /// pipebench/driver.cpp, which still sets it.
   profiler::WireFormat EventFormat = profiler::DefaultWireFormat;
   /// Byte interval of size-weighted allocation sampling; 0 = exact
   /// (every allocation instrumented). A recording's header carries the
