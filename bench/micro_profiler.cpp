@@ -14,7 +14,6 @@
 #include "ir/Verifier.h"
 #include "profiler/AsyncEventSink.h"
 #include "profiler/DragProfiler.h"
-#include "profiler/ParallelReplay.h"
 #include "support/Crc32c.h"
 #include "support/Lz.h"
 #include "vm/VirtualMachine.h"
@@ -743,10 +742,11 @@ void BM_ReplayProfile(benchmark::State &State) {
 }
 BENCHMARK(BM_ReplayProfile)->Unit(benchmark::kMillisecond);
 
-/// End-to-end sharded replay (read + index + decode + merge) of a
-/// multi-chunk recording; Arg is the worker count, items are object
-/// records in the resulting profile. Jobs=1 is the sequential path, so
-/// the ratio between rungs is the map-reduce speedup (ceilinged by the
+/// End-to-end drag report off a multi-chunk recording through the
+/// streaming engine (analyzeEventStream: read + index + decode + fold +
+/// merge), the path `jdrag report --jobs N` runs; Arg is the worker
+/// count, items are the records folded. Jobs=1 is the sequential path,
+/// so the ratio between rungs is the sharded speedup (ceilinged by the
 /// machine's core count). The rungs run on wall time: workers decode on
 /// their own threads, so the main thread's CPU time would hide them.
 /// The recording is jack at 10x the churn_exact input (~3.7 MB, ~1200
@@ -775,16 +775,16 @@ void BM_ReplayParallel(benchmark::State &State) {
       std::abort();
     return Recording{Path};
   }();
-  unsigned Jobs = static_cast<unsigned>(State.range(0));
-  std::size_t RecordsPerPass = 0;
+  analysis::StreamAnalysisOptions O;
+  O.Jobs = static_cast<unsigned>(State.range(0));
+  std::uint64_t RecordsPerPass = 0;
   for (auto _ : State) {
-    profiler::ProfileLog Log;
-    if (!profiler::replayProfileParallel(Rec.Path, Jack.Prog,
-                                         profiler::ProfilerConfig(), Jobs,
-                                         Log))
+    analysis::StreamAnalysisResult R;
+    if (!analysis::analyzeEventStream(Rec.Path, Jack.Prog, O, R) ||
+        R.Materialized)
       std::abort();
-    RecordsPerPass = Log.Records.size();
-    benchmark::DoNotOptimize(Log.Records.data());
+    RecordsPerPass = R.RecordsFolded;
+    benchmark::DoNotOptimize(R.Report.get());
   }
   State.SetItemsProcessed(State.iterations() * RecordsPerPass);
 }
@@ -799,8 +799,9 @@ BENCHMARK(BM_ReplayParallel)
 /// The arg numbers are kept from the full ladder (BENCH_9.json) so rungs
 /// stay comparable across runs:
 ///
-///   arg 1: materialized -- replay into ProfileLog::Records, then the
-///          fold engine over the vector (what DragReport(P, Log) runs)
+///   arg 1: materialized -- sequential replayProfile() into
+///          ProfileLog::Records, then the fold engine over the vector
+///          (what DragReport(P, Log) and `--materialize` run)
 ///   arg 2: streaming -- the production analyzeEventStream path: records
 ///          fold as the decoder emits them, Records never materializes
 ///   arg 4: sharded streaming merge (jobs=2; on a 1-CPU box this prices
@@ -848,8 +849,7 @@ void BM_Report(benchmark::State &State) {
   std::size_t Resident = 0;
   if (Mode == 6) {
     profiler::ProfileLog Log;
-    if (!profiler::replayProfileParallel(Path, P, profiler::ProfilerConfig(),
-                                         1, Log))
+    if (!profiler::replayProfile(Path, P, profiler::ProfilerConfig(), Log))
       std::abort();
     for (auto _ : State)
       Aggregate(Log);
@@ -862,8 +862,7 @@ void BM_Report(benchmark::State &State) {
   for (auto _ : State) {
     if (Mode == 1) {
       profiler::ProfileLog Log;
-      if (!profiler::replayProfileParallel(Path, P,
-                                           profiler::ProfilerConfig(), 1, Log))
+      if (!profiler::replayProfile(Path, P, profiler::ProfilerConfig(), Log))
         std::abort();
       Aggregate(Log);
       Records = Log.Records.size();

@@ -14,45 +14,13 @@ using profiler::ProfileLog;
 
 namespace {
 
-// The event-sweep machinery below serves figure2Csv only (it samples
-// two logs onto one shared grid); single-log curves go through
-// HeapCurveFold, which buildHeapCurve drives over the materialized
-// records and the streaming engine drives off the decoder.
-
-/// Signed byte deltas at event times; prefix sums give the curve.
-struct Event {
-  ByteTime Time;
-  std::int64_t Delta;
-};
-
-std::vector<Event> buildEvents(const ProfileLog &Log, bool InUse) {
-  std::vector<Event> Events;
-  Events.reserve(Log.Records.size() * 2);
-  for (const ObjectRecord &R : Log.Records) {
-    ByteTime EndT = InUse ? R.LastUseTime : R.CollectTime;
-    if (EndT <= R.AllocTime)
-      continue; // never-used objects contribute nothing to in-use
-    Events.push_back({R.AllocTime, static_cast<std::int64_t>(R.Bytes)});
-    Events.push_back({EndT, -static_cast<std::int64_t>(R.Bytes)});
-  }
-  std::sort(Events.begin(), Events.end(),
-            [](const Event &A, const Event &B) { return A.Time < B.Time; });
-  return Events;
-}
-
-/// Samples the prefix-sum of \p Events at each grid time.
-std::vector<std::uint64_t> sample(const std::vector<Event> &Events,
-                                  const std::vector<ByteTime> &Grid) {
-  std::vector<std::uint64_t> Out;
-  Out.reserve(Grid.size());
-  std::int64_t Level = 0;
-  std::size_t Next = 0;
-  for (ByteTime T : Grid) {
-    while (Next < Events.size() && Events[Next].Time <= T)
-      Level += Events[Next++].Delta;
-    Out.push_back(static_cast<std::uint64_t>(std::max<std::int64_t>(0, Level)));
-  }
-  return Out;
+/// \p Log's records folded onto the grid over [0, \p End].
+HeapCurve foldCurve(const ProfileLog &Log, ByteTime End,
+                    std::uint32_t NumSamples) {
+  HeapCurveFold Fold(End, NumSamples);
+  for (const ObjectRecord &R : Log.Records)
+    Fold.fold(R);
+  return Fold.finish();
 }
 
 } // namespace
@@ -98,10 +66,7 @@ std::uint64_t HeapCurve::peakReachable() const {
 
 HeapCurve jdrag::analysis::buildHeapCurve(const ProfileLog &Log,
                                           std::uint32_t NumSamples) {
-  HeapCurveFold Fold(Log.EndTime, NumSamples);
-  for (const ObjectRecord &R : Log.Records)
-    Fold.fold(R);
-  return Fold.finish();
+  return foldCurve(Log, Log.EndTime, NumSamples);
 }
 
 const std::vector<std::string> &jdrag::analysis::recordsCsvColumns() {
@@ -157,23 +122,16 @@ CsvWriter jdrag::analysis::figure2Csv(const ProfileLog &Original,
                                       const ProfileLog &Revised,
                                       std::uint32_t NumSamples) {
   ByteTime End = std::max(Original.EndTime, Revised.EndTime);
-  std::vector<ByteTime> Grid = makeHeapCurveGrid(End, NumSamples);
-
-  auto SampleLog = [&](const ProfileLog &Log, bool InUse) {
-    return sample(buildEvents(Log, InUse), Grid);
-  };
-  auto OrigReach = SampleLog(Original, false);
-  auto OrigUse = SampleLog(Original, true);
-  auto RevReach = SampleLog(Revised, false);
-  auto RevUse = SampleLog(Revised, true);
+  HeapCurve Orig = foldCurve(Original, End, NumSamples);
+  HeapCurve Rev = foldCurve(Revised, End, NumSamples);
 
   CsvWriter Csv({"time_mb", "orig_reachable_mb", "orig_inuse_mb",
                  "rev_reachable_mb", "rev_inuse_mb"});
-  for (std::size_t I = 0; I != Grid.size(); ++I)
-    Csv.addRow({formatFixed(toMB(Grid[I]), 3),
-                formatFixed(toMB(OrigReach[I]), 4),
-                formatFixed(toMB(OrigUse[I]), 4),
-                formatFixed(toMB(RevReach[I]), 4),
-                formatFixed(toMB(RevUse[I]), 4)});
+  for (std::size_t I = 0; I != Orig.size(); ++I)
+    Csv.addRow({formatFixed(toMB(Orig.Times[I]), 3),
+                formatFixed(toMB(Orig.ReachableBytes[I]), 4),
+                formatFixed(toMB(Orig.InUseBytes[I]), 4),
+                formatFixed(toMB(Rev.ReachableBytes[I]), 4),
+                formatFixed(toMB(Rev.InUseBytes[I]), 4)});
   return Csv;
 }

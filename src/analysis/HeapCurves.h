@@ -8,9 +8,11 @@
 /// Reconstructs the paper's Figure 2 curves from a profile log: the
 /// reachable heap size (objects between allocation and collection) and
 /// the in-use heap size (objects between allocation and last use) over
-/// allocation time. Curves are exact event sweeps sampled on a uniform
-/// grid; their discrete integrals converge to the exact space-time
-/// integrals reported in Tables 2 and 3.
+/// allocation time, sampled on a uniform grid by one fold
+/// (HeapCurveFold, analysis/RecordFold.h) whether the records come from
+/// a log or straight off the replay decoder. The discrete integrals
+/// converge to the exact space-time integrals reported in Tables 2 and
+/// 3.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,8 +46,8 @@ struct HeapCurve {
 };
 
 /// The uniform sample grid over [0, End]: NumSamples times, the i-th at
-/// End * (i+1) / NumSamples. Shared by the materialized event sweep and
-/// the streaming HeapCurveFold so both land events in identical cells.
+/// End * (i+1) / NumSamples. HeapCurveFold lands an event at time t in
+/// the first cell at or after t.
 std::vector<ByteTime> makeHeapCurveGrid(ByteTime End,
                                         std::uint32_t NumSamples);
 

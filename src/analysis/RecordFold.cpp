@@ -445,10 +445,9 @@ HeapCurveFold::HeapCurveFold(ByteTime End, std::uint32_t NumSamples)
 void HeapCurveFold::addInterval(std::vector<std::int64_t> &Delta,
                                 ByteTime From, ByteTime To,
                                 std::int64_t Bytes) {
-  // An event at time t affects exactly the grid cells with Grid[i] >= t
-  // (the materialized sweep consumes events with Time <= T). Events past
-  // the last grid time -- possible only if the caller's End undershot
-  // the log -- are dropped, matching the sweep leaving them unconsumed.
+  // An event at time t affects exactly the grid cells with Grid[i] >= t.
+  // Events past the last grid time -- possible only if the caller's End
+  // undershot the log -- are dropped.
   auto Bucket = [&](ByteTime T) {
     return std::lower_bound(Grid.begin(), Grid.end(), T) - Grid.begin();
   };

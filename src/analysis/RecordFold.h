@@ -198,10 +198,11 @@ private:
 /// The Figure 2 curves as a fold: signed byte deltas accumulated
 /// directly into grid buckets (difference arrays), prefix-summed at
 /// finish(). Needs the grid -- i.e. the log's end time -- up front; the
-/// streaming driver peeks it from the chunk-index footer. Bit-identical
-/// to the materialized event sweep: an event at time t lands in the
-/// first grid cell >= t, exactly the cells whose `Time <= T` scan would
-/// have consumed it.
+/// streaming driver peeks it from the chunk-index footer. An event at
+/// time t lands in the first grid cell >= t, so each sample is the
+/// level after every event at or before its time. The only curve
+/// implementation: buildHeapCurve and figure2Csv fold a log's records
+/// through it too.
 class HeapCurveFold {
 public:
   HeapCurveFold(ByteTime End, std::uint32_t NumSamples);

@@ -39,14 +39,16 @@ ByteTime maxLastTime(const ChunkIndex &Idx) {
   return End;
 }
 
-/// The materialized fallback: identical results via the O(records)
-/// pipeline. Also the error path -- a damaged recording gets the
+/// The materialized oracle: sequential replayProfile() into Records,
+/// then the analyses over the vector -- identical results through code
+/// that shares no sharding or streaming with the paths it checks. Also
+/// the fallback and the error path: a damaged recording gets the
 /// canonical sequential-replay error message.
 bool analyzeMaterialized(const std::string &Path, const ir::Program &P,
                          const StreamAnalysisOptions &O,
                          StreamAnalysisResult &Out, std::string *Err) {
   auto Log = std::make_unique<ProfileLog>();
-  if (!replayProfileParallel(Path, P, O.Config, O.Jobs, *Log, Err))
+  if (!replayProfile(Path, P, O.Config, *Log, Err))
     return false;
   Out.Materialized = true;
   Out.Sharded = false;

@@ -18,7 +18,8 @@
 /// into shard-local partials, merged deterministically afterwards.
 /// Every result is bit-identical to the materialized pass -- ExactSum
 /// accumulators make floating-point summation order-free -- which the
-/// `--materialize` oracle path and the report_smoke byte-diff enforce.
+/// `--materialize` oracle path (sequential replayProfile() into a record
+/// vector) and the report_smoke byte-diff enforce.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,7 +41,8 @@ struct StreamAnalysisOptions {
   profiler::ProfilerConfig Config;
   /// Decode workers. > 1 shards the pass over the chunk index (curves,
   /// report and lifetimes merge exactly); an export keeps the pass
-  /// sequential regardless, because the CSV is row-order-sensitive.
+  /// sequential regardless, because the CSV is row-order-sensitive. The
+  /// materialized path ignores it: it always replays sequentially.
   unsigned Jobs = 1;
   bool WantReport = true;
   bool WantLifetimes = false;
@@ -50,9 +52,11 @@ struct StreamAnalysisOptions {
   std::uint32_t CurveSamples = 0;
   /// Non-empty = stream the per-object CSV to this path as records fold.
   std::string ExportCsvPath;
-  /// Skip streaming entirely and run the materialized pipeline (replay
-  /// into ProfileLog::Records, analyze the vector). The CLI's
-  /// `--materialize` bit-identity oracle.
+  /// Skip streaming entirely and run the materialized pipeline: one
+  /// sequential replayProfile() into ProfileLog::Records, then the
+  /// analyses over the vector, whatever Jobs says. The CLI's
+  /// `--materialize` bit-identity oracle, independent of the sharded and
+  /// streaming code it checks.
   bool ForceMaterialize = false;
 };
 

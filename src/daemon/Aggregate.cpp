@@ -11,12 +11,6 @@
 using namespace jdrag;
 using namespace jdrag::daemon;
 
-void FleetAggregate::fold(const std::string &Bench, const ir::Program &P,
-                          const profiler::ProfileLog &Log) {
-  analysis::DragReport Report(P, Log);
-  fold(Bench, Report);
-}
-
 void FleetAggregate::fold(const std::string &Bench,
                           const analysis::DragReport &Report) {
   const ir::Program &P = Report.program();

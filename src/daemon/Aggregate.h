@@ -6,7 +6,7 @@
 ///
 /// \file
 /// The collector daemon's cross-client view: every finished session's
-/// ProfileLog is folded into one table keyed by (benchmark, rendered
+/// drag report is folded into one table keyed by (benchmark, rendered
 /// allocation site), accumulating drag, object and byte totals over the
 /// whole fleet. `TOP <n>` on the admin port renders the heaviest rows --
 /// the paper's "sites sorted by drag" list, but across every VM that
@@ -22,16 +22,11 @@
 #ifndef JDRAG_DAEMON_AGGREGATE_H
 #define JDRAG_DAEMON_AGGREGATE_H
 
-#include "profiler/ProfileLog.h"
 #include "support/Units.h"
 
 #include <cstdint>
 #include <map>
 #include <string>
-
-namespace jdrag::ir {
-class Program;
-} // namespace jdrag::ir
 
 namespace jdrag::analysis {
 class DragReport;
@@ -53,15 +48,10 @@ struct FleetRow {
 
 class FleetAggregate {
 public:
-  /// Folds one session's log: per-site drag sums from a DragReport are
-  /// added to the fleet rows under "<bench>  <site>" keys. Builds the
-  /// report with the shared fold engine (analysis/RecordFold.h) and
-  /// delegates to the DragReport overload.
-  void fold(const std::string &Bench, const ir::Program &P,
-            const profiler::ProfileLog &Log);
-
-  /// Folds an already-built report -- e.g. one the streaming engine
-  /// produced without ever materializing the session's records.
+  /// Folds one session's drag report: its per-site drag sums are added
+  /// to the fleet rows under "<bench>  <site>" keys. The daemon builds
+  /// the report from the session's live fold, `jdragd top` from the
+  /// streaming engine; neither materializes the session's records.
   void fold(const std::string &Bench, const analysis::DragReport &Report);
 
   /// The heaviest \p N rows, one line each, sorted by drag descending

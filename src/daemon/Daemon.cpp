@@ -2,6 +2,7 @@
 
 #include "daemon/Daemon.h"
 
+#include "analysis/RecordFold.h"
 #include "profiler/Sampling.h"
 #include "support/Format.h"
 
@@ -54,6 +55,29 @@ std::uint64_t lzDeclaredRawLen(const std::byte *P, std::size_t N) {
   return 0;
 }
 
+/// A session's records, folded the moment its profiler finishes them:
+/// the drag report's site groups and the object-byte totals, raw (as
+/// logged) and inverse-probability scaled (equal for exact sessions),
+/// summed in record order. The session keeps O(sites) here, never a
+/// record vector.
+class SessionFold final : public profiler::RecordSink {
+public:
+  explicit SessionFold(std::uint64_t SampleRate)
+      : Rate(SampleRate), Report(SampleRate) {}
+
+  void onRecord(const profiler::ObjectRecord &R) override {
+    Report.fold(R);
+    RawObjBytes += R.Bytes;
+    EstObjBytes +=
+        static_cast<double>(R.Bytes) * profiler::sampleWeight(R.Bytes, Rate);
+  }
+
+  std::uint64_t Rate;
+  analysis::SiteGroupFold Report;
+  std::uint64_t RawObjBytes = 0;
+  double EstObjBytes = 0;
+};
+
 } // namespace
 
 struct CollectorDaemon::Session {
@@ -67,6 +91,7 @@ struct CollectorDaemon::Session {
   std::string FilePath;
   bool RecOpen = false;
   bool RecFailed = false;
+  std::unique_ptr<SessionFold> Fold; ///< the profiler's record sink
   std::unique_ptr<profiler::DragProfiler> Prof;
   std::unique_ptr<profiler::FrameDecoder> Dec;
   bool DecodeFailed = false;
@@ -80,11 +105,9 @@ struct CollectorDaemon::Session {
   std::uint64_t RawObjBytes = 0;
   std::uint64_t EstObjBytes = 0;
   /// Compression accounting over this session's data chunks: payload
-  /// bytes on the wire vs their declared uncompressed size, and how many
-  /// chunks carried the compressed flag.
+  /// bytes on the wire vs their declared uncompressed size.
   std::uint64_t WirePayloadBytes = 0;
   std::uint64_t RawPayloadBytes = 0;
-  std::uint64_t CompressedChunks = 0;
   bool GotBye = false;
   ByeInfo Bye;
   bool Closed = false;    ///< fd is dead; reap on the next sweep
@@ -371,7 +394,9 @@ void CollectorDaemon::handleMessage(Session &S, const MsgHeader &H,
     if (Opt.Resolve)
       S.Prog = Opt.Resolve(S.Info.Name);
     if (S.Prog) {
+      S.Fold = std::make_unique<SessionFold>(S.Info.SampleBytes);
       S.Prof = std::make_unique<profiler::DragProfiler>(*S.Prog);
+      S.Prof->setRecordSink(S.Fold.get());
       S.Dec = std::make_unique<profiler::FrameDecoder>(*S.Prof);
     }
     if (Opt.Verbose)
@@ -420,7 +445,6 @@ void CollectorDaemon::handleMessage(Session &S, const MsgHeader &H,
                               : Fr.PayloadBytes;
       S.WirePayloadBytes += Fr.PayloadBytes;
       S.RawPayloadBytes += Raw;
-      S.CompressedChunks += Fr.Compressed;
       Stats.WirePayloadBytes += Fr.PayloadBytes;
       Stats.RawPayloadBytes += Raw;
     }
@@ -481,30 +505,20 @@ void CollectorDaemon::finalizeSession(Session &S, bool Clean) {
     ++Stats.RecordingErrors;
   }
   if (S.Prof && !S.DecodeFailed && S.GotHello) {
-    profiler::ProfileLog Log = S.Prof->takeLog();
-    // The daemon's view of loss is the client's BYE claim; an unclean
-    // session (no BYE) is marked incomplete outright.
-    Log.Complete = Clean && S.Bye.ChunksDropped == 0;
-    Log.DroppedChunks = S.Bye.ChunksDropped;
-    Log.DroppedBytes = S.Bye.BytesDropped;
-    // A sampled session's log carries the HELLO params so the fold's
-    // per-site estimates are inverse-probability scaled. Exact sessions
-    // normalize to {0, 0} (canonical exact-log form).
-    Log.SampleRate = S.Info.SampleBytes;
-    Log.SampleSeed = S.Info.SampleBytes ? S.Info.SampleSeed : 0;
-    Log.Compressed = S.CompressedChunks != 0;
-    double Est = 0;
-    for (const profiler::ObjectRecord &R : Log.Records) {
-      S.RawObjBytes += R.Bytes;
-      Est += static_cast<double>(R.Bytes) *
-             profiler::sampleWeight(R.Bytes, Log.SampleRate);
-    }
-    S.EstObjBytes = static_cast<std::uint64_t>(Est);
-    // One client's log must never take the collector down with it: a
+    // The record-free shell: sites and end time from the profiler, and
+    // the HELLO sampling rate the fold already scales by, which marks
+    // the fleet rows as sampled estimates.
+    profiler::ProfileLog Shell = S.Prof->takeLog();
+    Shell.SampleRate = S.Info.SampleBytes;
+    S.RawObjBytes = S.Fold->RawObjBytes;
+    S.EstObjBytes = static_cast<std::uint64_t>(S.Fold->EstObjBytes);
+    // One client's profile must never take the collector down with it: a
     // fold that fails (however malformed the session was) costs that
     // session's contribution, nothing more.
     try {
-      Fleet.fold(S.Info.Name, *S.Prog, Log);
+      analysis::DragReport Report(
+          *S.Prog, Shell, S.Fold->Report.finish(*S.Prog, Shell.Sites));
+      Fleet.fold(S.Info.Name, Report);
     } catch (const std::exception &E) {
       S.DecodeFailed = true;
       ++Stats.DecodeErrors;

@@ -17,8 +17,10 @@
 ///      (so the raw stream survives even if live decode fails);
 ///   2. feed it incrementally through a FrameDecoder into a
 ///      DragProfiler (when the HELLO benchmark name resolves to a
-///      Program);
-///   3. at session end, fold the profile into the fleet-wide aggregated
+///      Program), whose records fold into the session's drag report the
+///      moment they finish -- per-session state is O(live objects +
+///      sites), never a record vector;
+///   3. at session end, add that report to the fleet-wide aggregated
 ///      drag table served by `TOP <n>`.
 ///
 /// Failure-mode contract (docs/daemon.md has the full table): the

@@ -28,13 +28,11 @@ struct ForeignUses {
   ByteTime MaxTime = 0;      ///< max use time of the uses not at the entry
 };
 
-/// A foreign object's Collect/Survivor. \p Pos counts the shard's own
-/// records finished before it, which places it in stream order.
+/// A foreign object's Collect/Survivor.
 struct ForeignEnd {
   ObjectId Id = 0;
   ByteTime Time = 0;
   bool Survived = false;
-  std::size_t Pos = 0;
 };
 
 /// Everything one worker produces from its chunk range.
@@ -44,10 +42,6 @@ struct ShardResult {
   /// Trailers of the objects this shard allocated; after the decode,
   /// only those still live.
   TrailerTable Trailers;
-  /// Materialized mode: the records of the objects this shard allocated
-  /// and ended, in end order, with stream site ids. Fold mode sends
-  /// them to the fold instead.
-  std::vector<ObjectRecord> Records;
   ObjectTable<ForeignUses> Foreign;
   std::vector<ForeignEnd> Ends; ///< in stream order
   std::vector<GCSample> Samples;
@@ -71,14 +65,14 @@ struct ShardResult {
 
 /// The map side: runs the trailer rules (TrailerTable) over one shard.
 /// An object the shard allocates is finished here exactly as
-/// DragProfiler finishes it, its record going to the fold or to
-/// ShardResult::Records; its trailer keeps stream site ids. Uses and
-/// ends of foreign objects become ForeignUses for the merge. Final, so
-/// the shard's record loop is instantiated for it (RecordTarget).
+/// DragProfiler finishes it, its record going to the fold; its trailer
+/// keeps stream site ids. Uses and ends of foreign objects become
+/// ForeignUses for the merge. Final, so the shard's record loop is
+/// instantiated for it (RecordTarget).
 class ShardConsumer final : public EventConsumer {
 public:
   ShardConsumer(const ir::Program &P, ShardResult &R, bool Snap,
-                unsigned Index, ShardFoldSink *Fold)
+                unsigned Index, ShardFoldSink &Fold)
       : P(P), R(R), Snap(Snap), Index(Index), Fold(Fold) {}
 
   const ir::Program *siteProgram() const override { return &P; }
@@ -114,10 +108,7 @@ public:
       bool Survived = E.kind() == EventKind::Survivor;
       if (!R.Trailers.end(E.Id, E.Time, Survived,
                           [this](const ObjectRecord &Rec) {
-                            if (Fold)
-                              Fold->onShardRecord(Index, Rec);
-                            else
-                              R.Records.push_back(Rec);
+                            Fold.onShardRecord(Index, Rec);
                           }))
         foreignEnd(E.Id, E.Time, Survived);
       break;
@@ -156,14 +147,14 @@ private:
     if (F.Ended)
       return;
     F.Ended = true;
-    R.Ends.push_back({Id, Time, Survived, R.Records.size()});
+    R.Ends.push_back({Id, Time, Survived});
   }
 
   const ir::Program &P;
   ShardResult &R;
   bool Snap;
   unsigned Index;
-  ShardFoldSink *Fold;
+  ShardFoldSink &Fold;
 };
 
 /// Everything the sharded replay needs from the file before it can
@@ -248,9 +239,8 @@ bool runShard(const ShardedStream &S, std::size_t B, std::size_t E,
 /// payload bytes and decodes them on one thread each. Returns false if
 /// any shard failed.
 bool runSharded(const ShardedStream &S, const ir::Program &P,
-                const ProfilerConfig &Config,
-                unsigned Jobs, ShardFoldSink *Fold,
-                std::vector<ShardResult> &Shards) {
+                const ProfilerConfig &Config, unsigned Jobs,
+                ShardFoldSink &Fold, std::vector<ShardResult> &Shards) {
   std::size_t N = S.Idx.Entries.size();
   std::size_t Count = std::min<std::size_t>(Jobs, N);
   // Balance by on-wire bytes (masking the compressed flag).
@@ -263,15 +253,16 @@ bool runSharded(const ShardedStream &S, const ir::Program &P,
   std::uint64_t Acc = 0;
   for (std::size_t K = 1; K < Count; ++K) {
     std::uint64_t Target = Total * K / Count;
-    while (I < N && Acc < Target)
+    // Every shard gets at least one chunk, and leaves one for each
+    // shard after it.
+    while (I < N - (Count - K) && (Acc < Target || I == Cut[K - 1]))
       Acc += chunkWireBytes(S.Idx.Entries[I++].PayloadBytes);
     Cut[K] = I;
   }
 
   // A retry decodes the stream again, so the fold must drop whatever a
   // failed attempt already folded.
-  if (Fold)
-    Fold->beginAttempt(static_cast<unsigned>(Count));
+  Fold.beginAttempt(static_cast<unsigned>(Count));
   Shards.clear();
   Shards.reserve(Count);
   for (std::size_t K = 0; K < Count; ++K)
@@ -313,13 +304,12 @@ void applyForeign(Trailer &T, const ForeignUses &F, ByteTime Entry) {
 /// The reduce side, the boundary merge. It walks the shards in order
 /// and carries the trailers still live at each shard's end into the
 /// next; a shard's uses of carried objects update them, and its ends
-/// finish them through TrailerTable::end, placed among the shard's own
-/// records in stream order. With \p Fold set, those boundary records go
-/// to Fold->onMergedRecord (with stream site ids, like the shard
-/// records) and \p SiteMapOut receives the stream-id -> Out.Sites-id
-/// map; otherwise every record lands in Out.Records with log-local ids.
+/// finish them through TrailerTable::end, the records going to
+/// Fold.onMergedRecord with stream site ids, like the shard records.
+/// \p Shell receives the record-free log and \p SiteMap the stream-id
+/// -> Shell.Sites-id map.
 ///
-/// Returns false, leaving \p Out alone, when a shard's own trailers may
+/// Returns false, leaving \p Shell alone, when a shard's own trailers may
 /// differ from the sequential ones: an object allocated before the
 /// shard's first DeepGCEnd at a time below the shard's entry boundary
 /// (a clock that ran backwards across shards; its early uses snapped to
@@ -327,8 +317,8 @@ void applyForeign(Trailer &T, const ForeignUses &F, ByteTime Entry) {
 /// shard's object with that id may be live. The VM writes neither; the
 /// caller then replays sequentially.
 bool mergeShards(std::vector<ShardResult> &Shards,
-                 const ProfilerConfig &Config, ProfileLog &Out,
-                 ShardFoldSink *Fold, std::vector<SiteId> *SiteMapOut) {
+                 const ProfilerConfig &Config, ShardFoldSink &Fold,
+                 ProfileLog &Shell, std::vector<SiteId> &SiteMap) {
   // Each shard's entry boundary is the previous shard's last deep-GC
   // time (inherited across shards that saw none); shard 0 enters at 0,
   // like the sequential profiler's initial interval.
@@ -351,17 +341,11 @@ bool mergeShards(std::vector<ShardResult> &Shards,
   }
 
   ProfileLog Log;
-  if (!Fold) {
-    std::size_t Records = 0;
-    for (const ShardResult &Sh : Shards)
-      Records += Sh.Records.size() + Sh.Ends.size();
-    Log.Records.reserve(Records);
-  }
   Log.GCSamples.reserve(64);
 
   // Sites: interning in shard order reproduces stream arrival order,
   // hence the sequential profiler's local ids.
-  std::vector<SiteId> SiteMap;
+  SiteMap.clear();
   SiteMap.reserve(256);
   for (ShardResult &Sh : Shards)
     for (auto &[StreamId, Frames] : Sh.Sites) {
@@ -370,20 +354,9 @@ bool mergeShards(std::vector<ShardResult> &Shards,
         SiteMap.resize(StreamId + 1, InvalidSite);
       SiteMap[StreamId] = Local;
     }
-  auto MapSite = [&](SiteId StreamId) {
-    return StreamId < SiteMap.size() ? SiteMap[StreamId] : InvalidSite;
-  };
-  auto Deliver = [&](ObjectRecord R) {
-    if (Fold) {
-      Fold->onMergedRecord(R);
-      return;
-    }
-    R.AllocSite = MapSite(R.AllocSite);
-    R.LastUseSite = MapSite(R.LastUseSite);
-    Log.Records.push_back(R);
-  };
 
   TrailerTable Carried(Config);
+  auto Deliver = [&](const ObjectRecord &R) { Fold.onMergedRecord(R); };
   for (std::size_t K = 0; K < Shards.size(); ++K) {
     ShardResult &Sh = Shards[K];
     // Per-id independent, so the visiting order changes nothing.
@@ -391,14 +364,8 @@ bool mergeShards(std::vector<ShardResult> &Shards,
       if (Trailer *T = Carried.live().find(Id))
         applyForeign(*T, F, Entry[K]);
     });
-    std::size_t Next = 0; // Sh.Records is empty in fold mode
-    for (const ForeignEnd &End : Sh.Ends) {
-      for (; Next < End.Pos; ++Next)
-        Deliver(Sh.Records[Next]);
+    for (const ForeignEnd &End : Sh.Ends)
       Carried.end(End.Id, End.Time, End.Survived, Deliver);
-    }
-    for (; Next < Sh.Records.size(); ++Next)
-      Deliver(Sh.Records[Next]);
     Sh.Trailers.live().forEachLive([&](ObjectId Id, const Trailer &T) {
       Carried.live().insert(Id) = T;
     });
@@ -407,50 +374,8 @@ bool mergeShards(std::vector<ShardResult> &Shards,
     if (Sh.SawTerminate)
       Log.EndTime = Sh.TerminateTime;
   }
-  if (SiteMapOut)
-    *SiteMapOut = std::move(SiteMap);
-  Out = std::move(Log);
+  Shell = std::move(Log);
   return true;
-}
-
-/// Both entry points' load -> shard -> retry -> fallback sequence. With
-/// \p Fold null the records materialize into \p Out.Records; otherwise
-/// they go to \p Fold and \p Out is the record-free shell. \p Sequential
-/// runs the sequential path, which owns the result -- or the canonical
-/// error -- for everything the shards do not take.
-template <typename SequentialFn>
-bool replaySharded(const std::string &Path, const ir::Program &P,
-                   const ProfilerConfig &Config,
-                   unsigned Jobs, ShardFoldSink *Fold, ProfileLog &Out,
-                   std::vector<SiteId> *SiteMapOut, SequentialFn Sequential) {
-  if (Jobs == 0)
-    Jobs = defaultReplayJobs();
-  ShardedStream S;
-  if (Jobs <= 1 || !loadForSharding(Path, S))
-    return Sequential();
-
-  for (int Attempt = 0; Attempt < 2; ++Attempt) {
-    std::vector<ShardResult> Shards;
-    if (runSharded(S, P, Config, Jobs, Fold, Shards)) {
-      if (!mergeShards(Shards, Config, Out, Fold, SiteMapOut))
-        break;
-      Out.SampleRate = S.Sampling.SampleBytes;
-      Out.SampleSeed = S.Sampling.enabled() ? S.Sampling.SampleSeed : 0;
-      Out.Compressed = S.Idx.compressed();
-      return true;
-    }
-    // A footer is a producer claim; when reality disagrees, distrust it
-    // once, rebuild the index from the bytes and re-shard. A failure
-    // against a *rebuilt* index means real damage -- sequential replay
-    // owns the error message for that.
-    if (!S.Idx.FromFooter)
-      break;
-    ChunkIndex Rebuilt;
-    if (!rebuildChunkIndex(S.Framed, Rebuilt))
-      break;
-    S.Idx = std::move(Rebuilt);
-  }
-  return Sequential();
 }
 
 } // namespace
@@ -460,38 +385,54 @@ unsigned jdrag::profiler::defaultReplayJobs() {
   return N ? N : 1;
 }
 
-bool jdrag::profiler::replayProfileParallel(const std::string &Path,
-                                            const ir::Program &P,
-                                            ProfilerConfig Config,
-                                            unsigned Jobs, ProfileLog &Out,
-                                            std::string *Err) {
-  return replaySharded(Path, P, Config, Jobs, nullptr, Out, nullptr, [&] {
-    return replayProfile(Path, P, Config, Out, Err);
-  });
-}
-
 bool jdrag::profiler::replayProfileParallelFold(
     const std::string &Path, const ir::Program &P, ProfilerConfig Config,
     unsigned Jobs, ShardFoldSink &Sink, ProfileLog &Shell,
     std::vector<SiteId> &SiteMapOut, std::string *Err) {
-  return replaySharded(Path, P, Config, Jobs, &Sink, Shell, &SiteMapOut, [&] {
-    // One logical shard, fed by the sequential streaming profiler. Its
-    // records already carry log-local site ids, so the map the caller
-    // remaps with is the identity over Shell.Sites.
-    Sink.beginAttempt(1);
-    class Adapter : public RecordSink {
-    public:
-      explicit Adapter(ShardFoldSink &S) : S(S) {}
-      void onRecord(const ObjectRecord &R) override { S.onShardRecord(0, R); }
+  if (Jobs == 0)
+    Jobs = defaultReplayJobs();
+  ShardedStream S;
+  if (Jobs > 1 && loadForSharding(Path, S)) {
+    for (int Attempt = 0; Attempt < 2; ++Attempt) {
+      std::vector<ShardResult> Shards;
+      if (runSharded(S, P, Config, Jobs, Sink, Shards)) {
+        if (!mergeShards(Shards, Config, Sink, Shell, SiteMapOut))
+          break;
+        Shell.SampleRate = S.Sampling.SampleBytes;
+        Shell.SampleSeed = S.Sampling.enabled() ? S.Sampling.SampleSeed : 0;
+        Shell.Compressed = S.Idx.compressed();
+        return true;
+      }
+      // A footer is a producer claim; when reality disagrees, distrust
+      // it once, rebuild the index from the bytes and re-shard. A
+      // failure against a *rebuilt* index means real damage --
+      // sequential replay owns the error message for that.
+      if (!S.Idx.FromFooter)
+        break;
+      ChunkIndex Rebuilt;
+      if (!rebuildChunkIndex(S.Framed, Rebuilt))
+        break;
+      S.Idx = std::move(Rebuilt);
+    }
+  }
 
-    private:
-      ShardFoldSink &S;
-    } A(Sink);
-    if (!replayProfileTo(Path, P, Config, A, Shell, Err))
-      return false;
-    SiteMapOut.resize(Shell.Sites.size());
-    for (std::size_t I = 0; I < SiteMapOut.size(); ++I)
-      SiteMapOut[I] = static_cast<SiteId>(I);
-    return true;
-  });
+  // The sequential path owns the result -- or the canonical error -- for
+  // everything the shards do not take: one logical shard, fed by the
+  // streaming profiler. Its records already carry log-local site ids, so
+  // the map the caller remaps with is the identity over Shell.Sites.
+  Sink.beginAttempt(1);
+  class Adapter : public RecordSink {
+  public:
+    explicit Adapter(ShardFoldSink &S) : S(S) {}
+    void onRecord(const ObjectRecord &R) override { S.onShardRecord(0, R); }
+
+  private:
+    ShardFoldSink &S;
+  } A(Sink);
+  if (!replayProfileTo(Path, P, Config, A, Shell, Err))
+    return false;
+  SiteMapOut.resize(Shell.Sites.size());
+  for (std::size_t I = 0; I < SiteMapOut.size(); ++I)
+    SiteMapOut[I] = static_cast<SiteId>(I);
+  return true;
 }

@@ -6,8 +6,10 @@
 ///
 /// \file
 /// Map-reduce phase 2: replays a `.jdev` recording through N decode
-/// threads and merges their results into a ProfileLog that is
-/// bit-identical to the sequential replayProfile() result.
+/// threads, each of which hands every record it finishes to a fold
+/// (ShardFoldSink), and merges the shard boundaries. Nothing here stores
+/// records: the per-shard folds merge into the result that one
+/// sequential fold over replayProfile()'s records gives.
 ///
 /// The map side partitions the stream's chunk index (parsed from the
 /// footer, or rebuilt with one sequential pass for a footerless file)
@@ -30,13 +32,12 @@
 /// The reduce side is only the boundary merge: in shard order it
 /// carries each shard's still-live trailers forward, applies the next
 /// shard's partials to them with the entry boundary resolved, and
-/// finishes the ended ones through the same TrailerTable rule, placed
-/// among that shard's own records so records stay in the stream order
-/// of their Collect/Survivor events. If a shard's smallest AllocTime
-/// before its first DeepGCEnd is below its entry boundary (a clock that
-/// ran backwards across shards), or a shard allocates an id that is not
-/// above every id allocated before it, the merge refuses and the call
-/// replays sequentially. The VM writes neither.
+/// finishes the ended ones through the same TrailerTable rule. If a
+/// shard's smallest AllocTime before its first DeepGCEnd is below its
+/// entry boundary (a clock that ran backwards across shards), or a shard
+/// allocates an id that is not above every id allocated before it, the
+/// merge refuses and the call replays sequentially. The VM writes
+/// neither.
 ///
 /// Trust model: a footer is a producer claim. Workers re-verify every
 /// structural fact they rely on (header fields, CRC, record alignment,
@@ -57,22 +58,10 @@ namespace jdrag::profiler {
 /// Worker count for "use all cores": hardware_concurrency, at least 1.
 unsigned defaultReplayJobs();
 
-/// Replays the `.jdev` recording at \p Path through \p Jobs decode
-/// threads and moves the merged log into \p Out. The result (records,
-/// GC samples, site table, end time -- every serialized byte) is
-/// identical to replayProfile()'s for any readable recording. Jobs of
-/// 0 means defaultReplayJobs(); Jobs <= 1, single-chunk streams, legacy
-/// (v2-v6) recordings and any pre-shard validation failure run the
-/// sequential path, so error behaviour on malformed files matches
-/// replayProfile() exactly.
-bool replayProfileParallel(const std::string &Path, const ir::Program &P,
-                           ProfilerConfig Config, unsigned Jobs,
-                           ProfileLog &Out, std::string *Err = nullptr);
-
-/// Per-shard fold hooks for the streaming analysis engine: the sharded
-/// replay delivers finished records here instead of materializing them,
-/// so the caller can fold shard-local partial aggregates and merge them
-/// (analysis/RecordFold.h) without an O(objects) record vector.
+/// Per-shard fold hooks: the sharded replay delivers every finished
+/// record here, so the caller folds shard-local partial aggregates and
+/// merges them (analysis/RecordFold.h) without an O(objects) record
+/// vector.
 ///
 /// Record site ids are *stream* ids; resolve them through the SiteMap
 /// the driver returns (in the sequential fallback the map is the
@@ -97,12 +86,18 @@ public:
   virtual void onMergedRecord(const ObjectRecord &R) = 0;
 };
 
-/// Streaming counterpart of replayProfileParallel: same sharding, trust
-/// model and fallback ladder, but every finished record is delivered to
-/// \p Sink and \p Shell receives the record-free log shell (sites, GC
-/// samples, end time, sampling params). \p SiteMapOut maps the stream
-/// site ids carried by the sink's records to Shell.Sites ids; pass each
-/// fold set to FoldSet::remapSites(SiteMapOut) after the call.
+/// Replays the `.jdev` recording at \p Path through \p Jobs decode
+/// threads, delivering every finished record to \p Sink; \p Shell
+/// receives the record-free log shell (sites, GC samples, end time,
+/// sampling params). \p SiteMapOut maps the stream site ids carried by
+/// the sink's records to Shell.Sites ids; pass each fold set to
+/// FoldSet::remapSites(SiteMapOut) after the call. The records, once
+/// remapped, are replayProfile()'s records in some order, and the shell
+/// equals its log minus Records. Jobs of 0 means defaultReplayJobs();
+/// Jobs <= 1, single-chunk streams, legacy (v2-v6) recordings, a merge
+/// refusal and any pre-shard validation failure run the sequential path
+/// as one logical shard, so error behaviour on malformed files matches
+/// replayProfile() exactly.
 bool replayProfileParallelFold(const std::string &Path, const ir::Program &P,
                                ProfilerConfig Config, unsigned Jobs,
                                ShardFoldSink &Sink, ProfileLog &Shell,

@@ -30,7 +30,7 @@
 /// reaches a daemon session, reaches the spool, or is counted dropped.
 /// A chunk index footer is forwarded verbatim only when the
 /// destination received the *entire* stream unrenumbered (it would lie
-/// otherwise); a swallowed footer is not data loss -- footerless v4
+/// otherwise); a swallowed footer is not data loss -- footerless v7
 /// streams are valid and readers rebuild the index.
 ///
 /// Fault injection for tests mirrors FaultInjectionSink: a
@@ -144,7 +144,7 @@ public:
   std::uint64_t chunksSent() const { return ChunksSent; }
   /// Connections established (each is a fresh daemon-side session).
   std::uint32_t sessionsOpened() const { return Sessions; }
-  /// v4 index footers deliberately not forwarded because the
+  /// Chunk index footers deliberately not forwarded because the
   /// destination did not hold the whole stream (not data loss).
   std::uint32_t footersSwallowed() const { return FootersSwallowed; }
   /// Compression accounting (0 both when not compressing): payload

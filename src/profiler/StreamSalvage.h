@@ -69,7 +69,8 @@ struct SalvageReport {
   std::uint64_t BytesRecovered = 0;
   /// The valid prefix ended mid-record (the partial record is dropped).
   bool TailPartialRecord = false;
-  /// A v4 chunk index footer block is present at the file tail.
+  /// A chunk index footer block (v4 and later) is present at the file
+  /// tail.
   bool FooterPresent = false;
   /// The footer parsed and CRC-verified (meaningless if !FooterPresent).
   /// A missing footer is NOT damage (readers rebuild the index); a
@@ -107,7 +108,7 @@ struct SalvageReport {
 /// non-null, the longest valid event prefix is replayed into it (all
 /// complete records up to the first damage). Never fails hard on
 /// damaged input -- damage is reported in the returned verdicts. For
-/// v4 files the terminal chunk index footer is validated separately
+/// v4-v7 files the terminal chunk index footer is validated separately
 /// (FooterPresent/FooterOk) rather than judged as a chunk.
 SalvageReport scanEventFile(const std::string &Path, EventConsumer *C);
 

@@ -3,15 +3,16 @@
 // Part of jdrag test suite.
 //
 // The parallel replay contract is a single sentence: for any readable
-// recording, replayProfileParallel(Jobs) produces a ProfileLog that is
-// bit-identical to the sequential replayProfile() result (and the
-// sharded streaming analysis the same report, lifetimes and curve as
-// one job), and for any damaged recording it fails with the same error
-// instead of crashing.
-// These tests walk that contract across the format matrix (v2, v3,
-// v4-with-footer, v4-footer-stripped), across config variants (snapped
-// vs exact use times, excluded classes), and across adversarial inputs
-// (lying footers, truncation, salvaged prefixes).
+// recording, replayProfileParallelFold(Jobs) hands its sink exactly the
+// records of the sequential replayProfile() result, and its shell
+// equals that log minus the records (and the sharded streaming analysis
+// gives the same report, lifetimes and curve as one job); for any
+// damaged recording it fails with the same error instead of crashing.
+// These tests walk that contract across the format matrix (v7 with and
+// without its footer, and the legacy v2-v6 fixtures, which take the
+// sequential path), across config variants (snapped vs exact use times,
+// excluded classes), and across adversarial inputs (lying footers,
+// truncation, salvaged prefixes).
 //
 //===----------------------------------------------------------------------===//
 
@@ -24,6 +25,7 @@
 #include "profiler/StreamSalvage.h"
 #include "vm/VirtualMachine.h"
 
+#include "ShardedReplay.h"
 #include "VMTestUtils.h"
 
 #include <gtest/gtest.h>
@@ -134,32 +136,33 @@ void recordRun(const ir::Program &P, const std::string &Path,
   ASSERT_TRUE(VM.streamIntact());
 }
 
-/// Serializes both logs and compares the bytes -- records, sites, GC
-/// samples and end time all at once.
-void expectBitIdentical(const ProfileLog &A, const ProfileLog &B) {
-  std::string PathA = tempPath("cmp_a.bin"), PathB = tempPath("cmp_b.bin");
-  ASSERT_TRUE(A.writeFile(PathA));
-  ASSERT_TRUE(B.writeFile(PathB));
-  EXPECT_EQ(readBytes(PathA), readBytes(PathB));
-  std::remove(PathA.c_str());
-  std::remove(PathB.c_str());
-}
+/// Whether a recording's sharded replay splits it (a v7 stream of at
+/// least two chunks) or hands it to the sequential path (legacy
+/// formats).
+enum class Expect { Sharded, Sequential };
 
-/// The core assertion, for both sharded entry points: sequential
-/// replay and parallel replay at several worker counts all succeed and
-/// serialize to identical bytes, and the streaming analysis (sharded
-/// fold) gives the same report, lifetimes and curve as with one job.
+/// The core assertion: sequential replay and sharded replay at several
+/// worker counts all succeed with the same records and shell, the
+/// sharded runs split the stream as \p Want says, and the streaming
+/// analysis (sharded fold) gives the same report, lifetimes and curve
+/// as with one job.
 void expectParallelMatchesSequential(const std::string &Path,
-                                     const ir::Program &P,
+                                     const ir::Program &P, Expect Want,
                                      ProfilerConfig Config = ProfilerConfig()) {
   ProfileLog Seq;
   std::string Err;
   ASSERT_TRUE(replayProfile(Path, P, Config, Seq, &Err)) << Err;
   for (unsigned Jobs : {2u, 4u, 64u}) {
+    SCOPED_TRACE("replay jobs=" + std::to_string(Jobs));
     ProfileLog Par;
-    ASSERT_TRUE(replayProfileParallel(Path, P, Config, Jobs, Par, &Err))
-        << "jobs=" << Jobs << ": " << Err;
-    expectBitIdentical(Seq, Par);
+    unsigned Shards = 0;
+    ASSERT_TRUE(replaySharded(Path, P, Config, Jobs, Par, &Err, &Shards))
+        << Err;
+    if (Want == Expect::Sharded)
+      EXPECT_GE(Shards, 2u);
+    else
+      EXPECT_EQ(Shards, 1u);
+    expectSameProfile(Seq, Par);
   }
 
   analysis::StreamAnalysisOptions O;
@@ -201,7 +204,7 @@ TEST(ParallelReplay, V4FooterParallelMatchesSequential) {
   ASSERT_TRUE(Rep.FooterOk);
   ASSERT_GE(Rep.Chunks.size(), 4u) << "workload must span several chunks";
 
-  expectParallelMatchesSequential(Path, P);
+  expectParallelMatchesSequential(Path, P, Expect::Sharded);
   std::remove(Path.c_str());
 }
 
@@ -220,12 +223,13 @@ TEST(ParallelReplay, V3NoFooterParallelMatchesSequential) {
   EXPECT_FALSE(Rep.FooterPresent);
   ASSERT_GE(Rep.Chunks.size(), 4u);
 
-  expectParallelMatchesSequential(Path, B.Prog);
+  expectParallelMatchesSequential(Path, B.Prog, Expect::Sequential);
 }
 
 // The committed v4, v5 (sampled) and v6 (compressed) recordings of
 // juru at 2 KiB chunks (tests/data/README.md): self-contained chunks
-// with absolute object ids, sharded through their footers.
+// with absolute object ids and a footer, but a legacy format, so the
+// sharded entry point hands them to the sequential path (LegacyStream).
 TEST(ParallelReplay, CommittedV4V5V6FixturesMatchSequential) {
   benchmarks::BenchmarkProgram B = benchmarks::buildJuru();
   for (const char *File : {"juru_v4.jdev", "juru_v5.jdev", "juru_v6.jdev"}) {
@@ -235,7 +239,7 @@ TEST(ParallelReplay, CommittedV4V5V6FixturesMatchSequential) {
     ASSERT_TRUE(Rep.clean()) << Rep.summary(Path);
     ASSERT_TRUE(Rep.FooterOk);
     ASSERT_GE(Rep.Chunks.size(), 4u);
-    expectParallelMatchesSequential(Path, B.Prog);
+    expectParallelMatchesSequential(Path, B.Prog, Expect::Sequential);
   }
 }
 
@@ -250,7 +254,7 @@ TEST(ParallelReplay, V2ParallelMatchesSequential) {
   EXPECT_EQ(Rep.Version, 2u);
   ASSERT_GE(Rep.Chunks.size(), 4u);
 
-  expectParallelMatchesSequential(Path, B.Prog);
+  expectParallelMatchesSequential(Path, B.Prog, Expect::Sequential);
 }
 
 TEST(ParallelReplay, ParallelMatchesLiveAttachedProfile) {
@@ -269,10 +273,11 @@ TEST(ParallelReplay, ParallelMatchesLiveAttachedProfile) {
   ProfileLog Live = Prof.takeLog();
 
   ProfileLog Par;
-  ASSERT_TRUE(
-      replayProfileParallel(Path, P, ProfilerConfig(), 4, Par, &Err))
+  unsigned Shards = 0;
+  ASSERT_TRUE(replaySharded(Path, P, ProfilerConfig(), 4, Par, &Err, &Shards))
       << Err;
-  expectBitIdentical(Live, Par);
+  EXPECT_GE(Shards, 2u);
+  expectSameProfile(Live, Par);
   std::remove(Path.c_str());
 }
 
@@ -296,7 +301,7 @@ TEST(ParallelReplay, FooterStrippedV4StillShards) {
   ASSERT_TRUE(Rep.clean()) << Rep.summary(Path);
   EXPECT_FALSE(Rep.FooterPresent);
 
-  expectParallelMatchesSequential(Path, P);
+  expectParallelMatchesSequential(Path, P, Expect::Sharded);
   std::remove(Path.c_str());
 }
 
@@ -339,7 +344,7 @@ TEST(ParallelReplay, LyingFooterRecordCountDegradesGracefully) {
   ASSERT_TRUE(Rep.FooterOk);
 
   // ...but replay re-verifies reality and must not be fooled.
-  expectParallelMatchesSequential(Path, P);
+  expectParallelMatchesSequential(Path, P, Expect::Sharded);
   std::remove(Path.c_str());
 }
 
@@ -351,7 +356,7 @@ TEST(ParallelReplay, LyingFooterCrcDegradesGracefully) {
     ASSERT_GE(Idx.Entries.size(), 2u);
     Idx.Entries.back().Crc ^= 0xdeadbeef;
   });
-  expectParallelMatchesSequential(Path, P);
+  expectParallelMatchesSequential(Path, P, Expect::Sharded);
   std::remove(Path.c_str());
 }
 
@@ -385,8 +390,7 @@ TEST(ParallelReplay, V5FlaggedLengthInFooterAndHeaderFailsLikeSequential) {
   EXPECT_EQ(SeqErr, "corrupt event stream: chunk 1 has implausible payload "
                     "length " +
                         std::to_string(H.PayloadBytes));
-  EXPECT_FALSE(
-      replayProfileParallel(Path, B.Prog, ProfilerConfig(), 2, Par, &ParErr));
+  EXPECT_FALSE(replaySharded(Path, B.Prog, ProfilerConfig(), 2, Par, &ParErr));
   EXPECT_EQ(ParErr, SeqErr);
   std::remove(Path.c_str());
 }
@@ -407,8 +411,7 @@ TEST(ParallelReplay, TruncatedRecordingFailsExactlyLikeSequential) {
   ProfileLog Seq, Par;
   std::string SeqErr, ParErr;
   EXPECT_FALSE(replayProfile(Path, P, ProfilerConfig(), Seq, &SeqErr));
-  EXPECT_FALSE(
-      replayProfileParallel(Path, P, ProfilerConfig(), 4, Par, &ParErr));
+  EXPECT_FALSE(replaySharded(Path, P, ProfilerConfig(), 4, Par, &ParErr));
   EXPECT_FALSE(SeqErr.empty());
   EXPECT_EQ(SeqErr, ParErr) << "damaged files must get the canonical error";
   std::remove(Path.c_str());
@@ -436,7 +439,11 @@ TEST(ParallelReplay, SalvagedPrefixReplaysIdentically) {
   EXPECT_EQ(SalvRep.FirstDamaged, 2u);
   EXPECT_GT(SalvRep.EventsRecovered, 0u);
 
-  expectParallelMatchesSequential(Salvaged, P);
+  // Salvage re-chunks the recovered prefix at the default chunk size;
+  // here that is one chunk, which the sharded entry point replays
+  // sequentially.
+  EXPECT_EQ(scanEventFile(Salvaged, nullptr).Chunks.size(), 1u);
+  expectParallelMatchesSequential(Salvaged, P, Expect::Sequential);
   std::remove(Path.c_str());
   std::remove(Salvaged.c_str());
 }
@@ -451,11 +458,11 @@ TEST(ParallelReplay, ExactUseTimesAndExclusionsMatch) {
 
   ProfilerConfig Exact;
   Exact.SnapUseTimes = false;
-  expectParallelMatchesSequential(Path, P, Exact);
+  expectParallelMatchesSequential(Path, P, Expect::Sharded, Exact);
 
   ProfilerConfig Excl;
   Excl.ExcludedClasses.push_back(Box);
-  expectParallelMatchesSequential(Path, P, Excl);
+  expectParallelMatchesSequential(Path, P, Expect::Sharded, Excl);
   std::remove(Path.c_str());
 }
 
@@ -465,7 +472,7 @@ TEST(ParallelReplay, MoreJobsThanChunks) {
   recordRun(P, Path, /*ChunkBytes=*/2048);
   SalvageReport Rep = scanEventFile(Path, nullptr);
   ASSERT_GE(Rep.Chunks.size(), 2u);
-  expectParallelMatchesSequential(Path, P);
+  expectParallelMatchesSequential(Path, P, Expect::Sharded);
   std::remove(Path.c_str());
 }
 
@@ -480,10 +487,9 @@ TEST(ParallelReplay, HeaderOnlyRecording) {
   ProfileLog Seq, Par;
   std::string Err;
   ASSERT_TRUE(replayProfile(Path, P, ProfilerConfig(), Seq, &Err)) << Err;
-  ASSERT_TRUE(replayProfileParallel(Path, P, ProfilerConfig(), 4, Par, &Err))
-      << Err;
+  ASSERT_TRUE(replaySharded(Path, P, ProfilerConfig(), 4, Par, &Err)) << Err;
   EXPECT_TRUE(Par.Records.empty());
-  expectBitIdentical(Seq, Par);
+  expectSameProfile(Seq, Par);
   std::remove(Path.c_str());
 }
 

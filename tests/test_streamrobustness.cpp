@@ -42,6 +42,7 @@
 #include "vm/VirtualMachine.h"
 
 #include "HostileStream.h"
+#include "ShardedReplay.h"
 #include "VMTestUtils.h"
 
 #include <gtest/gtest.h>
@@ -383,7 +384,7 @@ TEST(CorruptionCorpus, RecordCutAtTheEndOfAValidChunkIsRejectedByEveryReader) {
   std::string SeqErr, ParErr;
   EXPECT_FALSE(replayProfile(Path, P, ProfilerConfig(), Seq, &SeqErr));
   EXPECT_NE(SeqErr.find("straddles"), std::string::npos) << SeqErr;
-  EXPECT_FALSE(replayProfileParallel(Path, P, ProfilerConfig(), 4, Par, &ParErr));
+  EXPECT_FALSE(replaySharded(Path, P, ProfilerConfig(), 4, Par, &ParErr));
   EXPECT_EQ(ParErr, SeqErr);
 
   OrderedCollector Prefix;
@@ -544,8 +545,7 @@ void expectV7Verdicts(std::span<const std::byte> Framed,
   std::string SeqErr, ParErr;
   EXPECT_FALSE(replayProfile(Path, P, ProfilerConfig(), Seq, &SeqErr));
   EXPECT_EQ(SeqErr, FileWant);
-  EXPECT_FALSE(
-      replayProfileParallel(Path, P, ProfilerConfig(), 2, Par, &ParErr));
+  EXPECT_FALSE(replaySharded(Path, P, ProfilerConfig(), 2, Par, &ParErr));
   EXPECT_EQ(ParErr, FileWant);
   std::remove(Path.c_str());
 }
@@ -784,8 +784,7 @@ TEST(WrongProgram, ShardedReplayRejectsTheFirstForeignSite) {
   benchmarks::BenchmarkProgram Juru = benchmarks::buildJuru();
   ProfileLog Log;
   std::string Err;
-  EXPECT_FALSE(
-      replayProfileParallel(Path, Juru.Prog, ProfilerConfig(), 4, Log, &Err));
+  EXPECT_FALSE(replaySharded(Path, Juru.Prog, ProfilerConfig(), 4, Log, &Err));
   EXPECT_EQ(Err, ForeignSite);
   std::remove(Path.c_str());
 }
@@ -1431,9 +1430,8 @@ TEST(HostileIds, WrappingIdsAgreeAcrossReaders) {
 
   ProfileLog SeqFile, Par;
   ASSERT_TRUE(replayProfile(Path, P, ProfilerConfig(), SeqFile, &Err)) << Err;
-  ASSERT_TRUE(replayProfileParallel(Path, P, ProfilerConfig(), 4, Par, &Err))
-      << Err;
-  expectBitIdentical(SeqFile, Par);
+  ASSERT_TRUE(replaySharded(Path, P, ProfilerConfig(), 4, Par, &Err)) << Err;
+  expectSameProfile(SeqFile, Par);
   std::remove(Path.c_str());
 }
 
@@ -1461,9 +1459,11 @@ TEST(HostileIds, ReallocatedIdAcrossShardsMatchesSequential) {
   ASSERT_EQ(Seq.Records.size(), 1u);
   EXPECT_EQ(Seq.Records[0].AllocTime, 200u);
   EXPECT_EQ(Seq.Records[0].UseCount, 1u);
-  ASSERT_TRUE(replayProfileParallel(Path, P, ProfilerConfig(), 4, Par, &Err))
+  unsigned Shards = 0;
+  ASSERT_TRUE(replaySharded(Path, P, ProfilerConfig(), 4, Par, &Err, &Shards))
       << Err;
-  expectBitIdentical(Seq, Par);
+  EXPECT_EQ(Shards, 1u) << "the merge must refuse and replay sequentially";
+  expectSameProfile(Seq, Par);
 
   analysis::StreamAnalysisOptions O;
   O.Jobs = 4;
@@ -1484,11 +1484,14 @@ TEST(HostileIds, ParallelReplayMatchesSequentialInBoundedMemory) {
     // allocated in one and ended in the other, so both the shard tables
     // and the merged table hold it.
     std::size_t RssBefore = peakRssBytes();
-    ASSERT_TRUE(replayProfileParallel(Path, P, ProfilerConfig(), 4, Par, &Err))
+    unsigned Shards = 0;
+    ASSERT_TRUE(
+        replaySharded(Path, P, ProfilerConfig(), 4, Par, &Err, &Shards))
         << Err;
     EXPECT_LT(peakRssBytes() - RssBefore, std::size_t(64) << 20) << Hostile;
+    EXPECT_GE(Shards, 2u);
     ASSERT_EQ(Par.Records.size(), 2u);
-    expectBitIdentical(Seq, Par);
+    expectSameProfile(Seq, Par);
     // The streaming sharded pass over the same bytes really splits.
     analysis::StreamAnalysisOptions O;
     O.Jobs = 4;
@@ -1527,9 +1530,11 @@ TEST(HostileClock, ShardedMatchesSequential) {
   ASSERT_TRUE(replayProfile(Path, P, ProfilerConfig(), Seq, &Err)) << Err;
   ASSERT_EQ(Seq.Records.size(), 1u);
   EXPECT_EQ(Seq.Records[0].FirstUseTime, 1000u);
-  ASSERT_TRUE(replayProfileParallel(Path, P, ProfilerConfig(), 4, Par, &Err))
+  unsigned Shards = 0;
+  ASSERT_TRUE(replaySharded(Path, P, ProfilerConfig(), 4, Par, &Err, &Shards))
       << Err;
-  expectBitIdentical(Seq, Par);
+  EXPECT_EQ(Shards, 1u) << "the merge must refuse and replay sequentially";
+  expectSameProfile(Seq, Par);
 
   analysis::StreamAnalysisOptions O;
   O.WantLifetimes = true;

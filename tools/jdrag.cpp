@@ -82,11 +82,14 @@ struct Options {
   bool Compress = true;
   /// replay/fsck/salvage decode threads (0 = all cores).
   unsigned Jobs = 0;
-  /// report/timeline/lagdragvoid/export over a .jdev: run the
-  /// materialized pipeline instead of the streaming fold engine (the
-  /// bit-identity oracle; outputs must match byte for byte).
+  /// replay/report/timeline/lagdragvoid/export over a .jdev: run the
+  /// materialized pipeline -- one sequential replay into a record
+  /// vector -- instead of the streaming fold engine (the bit-identity
+  /// oracle; outputs must match byte for byte).
   bool Materialize = false;
-  std::string OutPath;    ///< optimizeasm: write the revised .jasm here
+  /// optimizeasm: write the revised .jasm here; replay: write the
+  /// object log here.
+  std::string OutPath;
   std::string Connect;    ///< record: stream to a jdragd at this address
   std::string Name;       ///< send: client name announced in HELLO
   bool HeapStats = false; ///< run: dump heap occupancy
@@ -116,9 +119,10 @@ int usage() {
       "  send <file.jdev> <addr>      forward a recording (e.g. a failover\n"
       "                               spool) to a jdragd (--name NAME)\n"
       "  replay <bench> <file.jdev>   phase 2: drag report from a recording\n"
-      "                               (--out LOG also writes the object log;\n"
-      "                               --jobs N decode threads, default all\n"
-      "                               cores)\n"
+      "                               (streamed like report; --jobs N decode\n"
+      "                               threads, default all cores; --out LOG\n"
+      "                               also writes the object log, through\n"
+      "                               one sequential replay)\n"
       "  fsck <file>                  verify a .jdev recording chunk by\n"
       "                               chunk (--jobs N parallel CRC checks),\n"
       "                               or print an object log's delivery\n"
@@ -128,8 +132,9 @@ int usage() {
       "  report <bench> [<file>]      phase 2: drag report from an object\n"
       "                               log (.jdlog) or event recording\n"
       "                               (.jdev; streamed in one pass --\n"
-      "                               --materialize: O(records) oracle\n"
-      "                               path, byte-identical output)\n"
+      "                               --materialize: O(records) oracle,\n"
+      "                               one sequential replay, byte-identical\n"
+      "                               output)\n"
       "  optimize <bench>             full profile->rewrite->measure loop\n"
       "  timeline <bench> [<.jdev>]   reachable/in-use ASCII chart (from a\n"
       "                               fresh run, or streamed off a\n"
@@ -472,17 +477,28 @@ int cmdSalvage(const std::string &In, const std::string &Out,
   return 0;
 }
 
+/// The drag report of a `.jdev` recording, streamed in one pass: what
+/// `replay` and `report <bench> <file.jdev>` print.
+int reportRecording(const BenchmarkProgram &B, const std::string &Path,
+                    const Options &O) {
+  StreamAnalysisOptions SA;
+  StreamAnalysisResult R;
+  if (int Rc = analyzeRecording(B, Path, O, SA, R))
+    return Rc;
+  std::printf("%s", renderDragReport(*R.Report).c_str());
+  return 0;
+}
+
 int cmdReplay(const BenchmarkProgram &B, const std::string &Path,
               const Options &O) {
-  profiler::ProfilerConfig PC;
-  PC.SiteDepth = O.Depth;
-  PC.SnapUseTimes = !O.Exact;
+  if (O.OutPath.empty())
+    return reportRecording(B, Path, O);
+  // The object log needs every record: one sequential replay.
   profiler::ProfileLog Log;
   std::string Err;
-  if (!profiler::replayProfileParallel(Path, B.Prog, PC, replayJobs(O), Log,
-                                       &Err))
+  if (!profiler::replayProfile(Path, B.Prog, profilerConfig(O), Log, &Err))
     return replayFailed(Err);
-  if (!O.OutPath.empty() && !Log.writeFile(O.OutPath)) {
+  if (!Log.writeFile(O.OutPath)) {
     std::fprintf(stderr, "cannot write %s\n", O.OutPath.c_str());
     return 1;
   }
@@ -493,14 +509,8 @@ int cmdReplay(const BenchmarkProgram &B, const std::string &Path,
 
 int cmdReport(const BenchmarkProgram &B, const std::string &LogPath,
               const Options &O) {
-  if (!LogPath.empty() && isEventRecording(LogPath)) {
-    StreamAnalysisOptions SA;
-    StreamAnalysisResult R;
-    if (int Rc = analyzeRecording(B, LogPath, O, SA, R))
-      return Rc;
-    std::printf("%s", renderDragReport(*R.Report).c_str());
-    return 0;
-  }
+  if (!LogPath.empty() && isEventRecording(LogPath))
+    return reportRecording(B, LogPath, O);
   profiler::ProfileLog Log;
   if (!LogPath.empty()) {
     if (!profiler::ProfileLog::readFile(LogPath, Log)) {
