@@ -12,6 +12,7 @@
 #include <iterator>
 #include <thread>
 
+#include <sys/stat.h>
 #ifndef _WIN32
 #include <unistd.h>
 #endif
@@ -1230,12 +1231,12 @@ bool jdrag::profiler::readWholeFile(const std::string &Path,
   std::FILE *F = std::fopen(Path.c_str(), "rb");
   if (!F)
     return false;
-  long End = -1;
-  if (std::fseek(F, 0, SEEK_END) == 0)
-    End = std::ftell(F);
-  bool Ok = End >= 0 && std::fseek(F, 0, SEEK_SET) == 0;
+  // Only a regular file's size is its length: a directory opens too,
+  // but seeking to its end reports no byte count.
+  struct stat St;
+  bool Ok = fstat(fileno(F), &St) == 0 && S_ISREG(St.st_mode);
   if (Ok) {
-    Out.resize(static_cast<std::size_t>(End));
+    Out.resize(static_cast<std::size_t>(St.st_size));
     Ok = Out.empty() ||
          std::fread(Out.data(), 1, Out.size(), F) == Out.size();
   }

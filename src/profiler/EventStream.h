@@ -1121,7 +1121,7 @@ bool readStreamHeader(const std::string &Path, StreamHeaderInfo &Info,
 /// Reads the whole file at \p Path into \p Out, for the readers that
 /// need random access to a recording (sharded replay, salvage, the
 /// footerless end-time peek, `jdrag send`). Returns false when the file
-/// cannot be opened or read.
+/// cannot be opened or read, or is not a regular file (a directory).
 bool readWholeFile(const std::string &Path, std::vector<std::byte> &Out);
 
 } // namespace jdrag::profiler

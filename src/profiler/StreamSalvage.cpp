@@ -5,10 +5,9 @@
 #include "profiler/LegacyStream.h"
 #include "support/Format.h"
 
-#include <atomic>
 #include <cstring>
+#include <filesystem>
 #include <optional>
-#include <thread>
 
 using namespace jdrag;
 using namespace jdrag::profiler;
@@ -227,110 +226,10 @@ SalvageReport jdrag::profiler::scanEventFile(const std::string &Path,
   return Rep;
 }
 
-SalvageReport jdrag::profiler::scanEventFileParallel(const std::string &Path,
-                                                     unsigned Jobs,
-                                                     EventConsumer *C) {
-  // Replaying into a consumer decodes every chunk in order anyway, and
-  // the sequential scan does that in the same pass as the CRCs.
-  if (Jobs <= 1 || C)
-    return scanEventFile(Path, C);
-
-  // The parallel scan only handles the common case -- a structurally
-  // contiguous file -- and hands anything suspicious to the sequential
-  // scan, whose resynchronizing walk produces the authoritative
-  // verdicts. That keeps the two paths' reports identical by
-  // construction: this one only ever reports "all clean".
-  auto Sequential = [&] { return scanEventFile(Path, C); };
-
-  std::vector<std::byte> Bytes;
-  if (!readWholeFile(Path, Bytes))
-    return Sequential(); // unreadable: let the sequential path say so
-
-  // A legacy file goes to LegacyStream's record layer, in the
-  // sequential scan. A bad header is its error to report.
-  StreamHeaderInfo Hdr;
-  if (!parseStreamHeader(Bytes, Hdr) || legacyFormat(Hdr.Format))
-    return Sequential();
-  std::size_t FileHeaderBytes = streamHeaderBytes(Hdr.Format);
-
-  auto Framed = std::span<const std::byte>(Bytes).subspan(FileHeaderBytes);
-  std::size_t FooterBytes = footerBlockSize(Framed);
-  ChunkIndex FooterIdx;
-  if (FooterBytes && !readChunkIndexFooter(Framed, FooterIdx))
-    return Sequential(); // damaged footer: report it sequentially
-
-  // One sequential pass over the frame structure and the records (no
-  // data-chunk CRCs yet): a structural anomaly, a malformed or cut-off
-  // record, or a footer frame anywhere but at the end of the stream, or
-  // one that breaks the footer rule, is damage, which the sequential
-  // scan reports better. A footer the rebuild accepts is exactly the
-  // block footerBlockSize found.
-  ChunkIndex Idx;
-  if (!rebuildChunkIndex(Framed, Idx))
-    return Sequential();
-
-  // Fan the CRC verification out over the workers, splitting the chunk
-  // list into contiguous ranges of equal length. Workers write disjoint
-  // index ranges, so no synchronization needed.
-  std::size_t N = Idx.Entries.size();
-  unsigned Workers =
-      static_cast<unsigned>(std::min<std::size_t>(Jobs, N ? N : 1));
-  std::atomic<bool> CrcOk{true};
-  std::vector<ChunkVerdict> Chunks(N);
-  std::vector<std::uint64_t> RawSizes(N, 0); // decompressed sizes
-  auto Verify = [&](std::size_t Lo, std::size_t Hi) {
-    std::vector<std::uint8_t> Inflate; // per-worker scratch
-    for (std::size_t I = Lo; I != Hi && CrcOk.load(); ++I) {
-      // The index rebuild found every frame whole.
-      std::uint64_t Off = Idx.Entries[I].Offset;
-      ChunkFrame Fr = readFrame(Framed.subspan(Off));
-      FramePayload P = verifyPayload(Fr, Inflate);
-      if (P.Status != ChunkStatus::Ok) {
-        CrcOk.store(false); // damage: CRC mismatch or a broken LZ block
-        return;
-      }
-      Chunks[I] = {FileHeaderBytes + Off, Fr.H.Seq, Fr.PayloadBytes};
-      RawSizes[I] = P.Body.size();
-    }
-  };
-  if (Workers > 1) {
-    std::vector<std::thread> Pool;
-    std::size_t Step = (N + Workers - 1) / Workers;
-    for (unsigned W = 0; W != Workers; ++W) {
-      std::size_t Lo = std::min<std::size_t>(N, W * Step);
-      std::size_t Hi = std::min<std::size_t>(N, Lo + Step);
-      if (Lo != Hi)
-        Pool.emplace_back(Verify, Lo, Hi);
-    }
-    for (std::thread &T : Pool)
-      T.join();
-  } else {
-    Verify(0, N);
-  }
-  if (!CrcOk.load())
-    return Sequential(); // some chunk is damaged: get precise verdicts
-
-  SalvageReport Rep;
-  Rep.Version = static_cast<std::uint32_t>(Hdr.Format);
-  Rep.Sampling = Hdr.Sampling;
-  Rep.Compressed = Idx.compressed();
-  Rep.FileBytes = Bytes.size();
-  Rep.Chunks = std::move(Chunks);
-  Rep.FooterPresent = FooterBytes != 0;
-  Rep.FooterOk = FooterBytes != 0;
-  for (std::size_t I = 0; I != N; ++I) {
-    Rep.WirePayloadBytes += Rep.Chunks[I].PayloadBytes;
-    Rep.RawPayloadBytes += RawSizes[I];
-  }
-  Rep.BytesRecovered = Rep.RawPayloadBytes;
-  Rep.EventsRecovered = Idx.TotalRecords;
-  return Rep;
-}
-
 bool jdrag::profiler::salvageEventFile(const std::string &In,
                                        const std::string &Out,
-                                       SalvageReport *Rep, std::string *Err,
-                                       unsigned Jobs) {
+                                       SalvageReport *Rep,
+                                       std::string *Err) {
   auto Fail = [&](const std::string &Msg) {
     if (Err)
       *Err = Msg;
@@ -338,11 +237,17 @@ bool jdrag::profiler::salvageEventFile(const std::string &In,
   };
 
   // First pass judges readability without touching the output path.
-  SalvageReport Probe = scanEventFileParallel(In, Jobs, nullptr);
+  SalvageReport Probe = scanEventFile(In, nullptr);
   if (Rep)
     *Rep = Probe;
   if (!Probe.readable())
     return Fail(In + ": " + Probe.FileError);
+  // Opening the output truncates it: were it the input (the same path,
+  // a hard link, a symlink), the re-encode pass would read an empty
+  // file and the recording would be lost.
+  std::error_code EC;
+  if (std::filesystem::equivalent(In, Out, EC))
+    return Fail("cannot write " + Out + ": it is the input " + In);
 
   FileEventSink Sink;
   FileEventSink::Options FO;

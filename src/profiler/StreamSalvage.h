@@ -27,8 +27,11 @@
 /// (profiler/LegacyStream.h): v4-v6 bodies decode one by one as the walk
 /// meets them; v2/v3 records straddle chunks, so the valid prefix's
 /// bodies are joined and decoded once the walk ends, and a malformed
-/// record then marks the chunk it starts in. The parallel scan reads v7
-/// only and hands legacy files to the sequential one.
+/// record then marks the chunk it starts in.
+///
+/// The scan is one sequential pass: it decodes every record anyway, and
+/// the CRC-32C it adds per chunk is cheap, so `jdrag fsck` and
+/// `jdrag salvage` take no `--jobs`.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -56,7 +59,7 @@ struct ChunkVerdict {
 /// The complete result of scanning one `.jdev` file.
 struct SalvageReport {
   /// Non-empty when the file could not be scanned at all (unopenable,
-  /// bad file magic, unsupported version). No chunks are judged then.
+  /// not a regular file, bad file magic, unsupported version). No chunks are judged then.
   std::string FileError;
   std::uint32_t Version = 0;
   std::uint64_t FileBytes = 0;
@@ -112,28 +115,18 @@ struct SalvageReport {
 /// (FooterPresent/FooterOk) rather than judged as a chunk.
 SalvageReport scanEventFile(const std::string &Path, EventConsumer *C);
 
-/// scanEventFile with the per-chunk CRC verification fanned out over
-/// \p Jobs threads. Only the verification parallelizes -- the frame
-/// walk and the record decode run once, sequentially, in
-/// rebuildChunkIndex -- and the report is identical to the sequential
-/// scan's; damaged, non-contiguous and legacy (v2-v6) files fall back to
-/// scanEventFile wholesale. Jobs <= 1, or a non-null \p C (a replay
-/// decodes every chunk in order anyway), is exactly scanEventFile.
-SalvageReport scanEventFileParallel(const std::string &Path, unsigned Jobs,
-                                    EventConsumer *C = nullptr);
-
 /// Recovers the longest valid event prefix of \p In and writes it to
 /// \p Out as a fresh, fully valid `.jdev` recording. Returns false and
-/// sets \p Err only when \p In is unreadable (no prefix exists) or
-/// \p Out cannot be written; recovering zero events from a readable
-/// file still succeeds (and writes a header-only recording). \p Rep,
-/// when non-null, receives the scan report of \p In. The output is
-/// written in the current default wire format, chunk index footer
-/// included. \p Jobs > 1 fans the probe pass's CRC verification out
-/// over that many threads (the re-encode pass is inherently ordered).
+/// sets \p Err only when \p In is unreadable (no prefix exists), \p Out
+/// is \p In itself (the same file by any path, hard link or symlink;
+/// \p In is left untouched) or \p Out cannot be written; recovering zero
+/// events from a readable file still succeeds (and writes a header-only
+/// recording). \p Rep, when non-null, receives the scan report of \p In.
+/// The output is written in the current default wire format, chunk
+/// index footer included. Both passes over \p In are scanEventFile.
 bool salvageEventFile(const std::string &In, const std::string &Out,
                       SalvageReport *Rep = nullptr,
-                      std::string *Err = nullptr, unsigned Jobs = 1);
+                      std::string *Err = nullptr);
 
 } // namespace jdrag::profiler
 

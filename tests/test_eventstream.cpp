@@ -693,9 +693,6 @@ TEST(RecordReplay, CommittedV4V5V6FixturesStillReplay) {
     EXPECT_EQ(Rep.Compressed, Fx.Compressed);
     EXPECT_EQ(Rep.Sampling.SampleBytes, Fx.SampleBytes);
     EXPECT_GE(Rep.Chunks.size(), 4u);
-    SalvageReport ParRep = scanEventFileParallel(Path, 4, nullptr);
-    EXPECT_TRUE(ParRep.clean()) << ParRep.summary(Path);
-    EXPECT_EQ(ParRep.EventsRecovered, Rep.EventsRecovered);
 
     ProfileLog Replayed;
     std::string Err;
@@ -713,7 +710,7 @@ TEST(RecordReplay, CommittedV4V5V6FixturesStillReplay) {
     // replays to the same profile.
     std::string Out = tempPath("fixture_salvaged.jdev");
     SalvageReport SalvRep;
-    ASSERT_TRUE(salvageEventFile(Path, Out, &SalvRep, &Err, 4)) << Err;
+    ASSERT_TRUE(salvageEventFile(Path, Out, &SalvRep, &Err)) << Err;
     EXPECT_TRUE(SalvRep.clean());
     ProfileLog Salvaged;
     ASSERT_TRUE(replayProfile(Out, B.Prog, ProfilerConfig(), Salvaged, &Err))

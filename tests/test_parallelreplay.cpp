@@ -119,10 +119,11 @@ ir::Program buildChurnProgram(ir::ClassId *BoxOut = nullptr) {
   return T.finishVerified();
 }
 
-/// Records \p P to \p Path with a forced chunk size, so even the small
-/// test workload spans enough chunks to shard meaningfully.
+/// Records \p P (\p Iters churn iterations) to \p Path with a forced
+/// chunk size, so even the small test workload spans enough chunks to
+/// shard meaningfully.
 void recordRun(const ir::Program &P, const std::string &Path,
-               std::size_t ChunkBytes) {
+               std::size_t ChunkBytes, std::int64_t Iters = 300) {
   FileEventSink Sink;
   ASSERT_TRUE(Sink.open(Path));
   vm::VMOptions Opts;
@@ -130,7 +131,7 @@ void recordRun(const ir::Program &P, const std::string &Path,
   Opts.Sink = &Sink;
   Opts.EventChunkBytes = ChunkBytes;
   vm::VirtualMachine VM(P, Opts);
-  VM.setInputs({300});
+  VM.setInputs({Iters});
   std::string Err;
   ASSERT_EQ(VM.run(&Err), vm::Interpreter::Status::Ok) << Err;
   ASSERT_TRUE(VM.streamIntact());
@@ -421,13 +422,20 @@ TEST(ParallelReplay, SalvagedPrefixReplaysIdentically) {
   ir::Program P = buildChurnProgram();
   std::string Path = tempPath("v4_corrupt.jdev");
   std::string Salvaged = tempPath("v4_salvaged.jdev");
-  recordRun(P, Path, /*ChunkBytes=*/512);
+  recordRun(P, Path, /*ChunkBytes=*/512, /*Iters=*/5000);
 
+  // Damage the first chunk past twice the default chunk size of
+  // payload, so the salvaged prefix spans several chunks.
   SalvageReport Rep = scanEventFile(Path, nullptr);
-  ASSERT_GE(Rep.Chunks.size(), 4u);
-  // Flip a payload byte mid-file, then salvage the valid prefix.
+  std::size_t Victim = 0;
+  std::uint64_t Payload = 0;
+  while (Victim != Rep.Chunks.size() &&
+         Payload <= 2 * EventBuffer::DefaultChunkBytes)
+    Payload += Rep.Chunks[Victim++].PayloadBytes;
+  ASSERT_LT(Victim, Rep.Chunks.size()) << "workload too small to damage";
+  // Flip a payload byte there, then salvage the valid prefix.
   std::vector<std::byte> File = readBytes(Path);
-  std::size_t Hit = static_cast<std::size_t>(Rep.Chunks[2].Offset) +
+  std::size_t Hit = static_cast<std::size_t>(Rep.Chunks[Victim].Offset) +
                     sizeof(ChunkHeader) + 3;
   ASSERT_LT(Hit, File.size());
   File[Hit] ^= std::byte{0x40};
@@ -436,14 +444,13 @@ TEST(ParallelReplay, SalvagedPrefixReplaysIdentically) {
   SalvageReport SalvRep;
   std::string Err;
   ASSERT_TRUE(salvageEventFile(Path, Salvaged, &SalvRep, &Err)) << Err;
-  EXPECT_EQ(SalvRep.FirstDamaged, 2u);
-  EXPECT_GT(SalvRep.EventsRecovered, 0u);
+  EXPECT_EQ(SalvRep.FirstDamaged, Victim);
+  EXPECT_GT(SalvRep.BytesRecovered, 2 * EventBuffer::DefaultChunkBytes);
 
-  // Salvage re-chunks the recovered prefix at the default chunk size;
-  // here that is one chunk, which the sharded entry point replays
-  // sequentially.
-  EXPECT_EQ(scanEventFile(Salvaged, nullptr).Chunks.size(), 1u);
-  expectParallelMatchesSequential(Salvaged, P, Expect::Sequential);
+  // Salvage re-chunks the recovered prefix at the default chunk size:
+  // several chunks, which the sharded entry point splits.
+  EXPECT_GE(scanEventFile(Salvaged, nullptr).Chunks.size(), 2u);
+  expectParallelMatchesSequential(Salvaged, P, Expect::Sharded);
   std::remove(Path.c_str());
   std::remove(Salvaged.c_str());
 }

@@ -80,7 +80,8 @@ struct Options {
   /// record: LZ-compress chunk payloads. On by default; --compress=off
   /// stores every chunk raw (still a v7 stream).
   bool Compress = true;
-  /// replay/fsck/salvage decode threads (0 = all cores).
+  /// sharded replay decode threads (0 = all cores): replay, report,
+  /// timeline, lagdragvoid and export over a .jdev.
   unsigned Jobs = 0;
   /// replay/report/timeline/lagdragvoid/export over a .jdev: run the
   /// materialized pipeline -- one sequential replay into a record
@@ -124,11 +125,11 @@ int usage() {
       "                               also writes the object log, through\n"
       "                               one sequential replay)\n"
       "  fsck <file>                  verify a .jdev recording chunk by\n"
-      "                               chunk (--jobs N parallel CRC checks),\n"
-      "                               or print an object log's delivery\n"
-      "                               health (drops, retries, last errno)\n"
+      "                               chunk, or print an object log's\n"
+      "                               delivery health (drops, retries,\n"
+      "                               last errno)\n"
       "  salvage <in.jdev> <out.jdev> recover the valid prefix of a\n"
-      "                               damaged recording (--jobs N)\n"
+      "                               damaged recording\n"
       "  report <bench> [<file>]      phase 2: drag report from an object\n"
       "                               log (.jdlog) or event recording\n"
       "                               (.jdev; streamed in one pass --\n"
@@ -364,7 +365,7 @@ int fsckProfileLog(const std::string &Path) {
   return Log.Complete ? 0 : 1;
 }
 
-int cmdFsck(const std::string &Path, const Options &O) {
+int cmdFsck(const std::string &Path) {
   // Dispatch on the 8-byte file magic: event recordings and object logs
   // both pass through fsck, each with its own health summary.
   if (std::FILE *F = std::fopen(Path.c_str(), "rb")) {
@@ -375,8 +376,7 @@ int cmdFsck(const std::string &Path, const Options &O) {
     if (IsLog)
       return fsckProfileLog(Path);
   }
-  profiler::SalvageReport Rep =
-      profiler::scanEventFileParallel(Path, replayJobs(O), nullptr);
+  profiler::SalvageReport Rep = profiler::scanEventFile(Path, nullptr);
   std::printf("%s", Rep.summary(Path).c_str());
   if (!Rep.readable())
     return 2;
@@ -462,11 +462,10 @@ int cmdSend(const std::string &Path, const std::string &Addr,
   return 0;
 }
 
-int cmdSalvage(const std::string &In, const std::string &Out,
-               const Options &O) {
+int cmdSalvage(const std::string &In, const std::string &Out) {
   profiler::SalvageReport Rep;
   std::string Err;
-  if (!profiler::salvageEventFile(In, Out, &Rep, &Err, replayJobs(O))) {
+  if (!profiler::salvageEventFile(In, Out, &Rep, &Err)) {
     std::fprintf(stderr, "salvage failed: %s\n", Err.c_str());
     return 1;
   }
@@ -969,9 +968,9 @@ int main(int argc, char **argv) {
   if (Cmd == "asm")
     return cmdAsm(Pos[1]);
   if (Cmd == "fsck")
-    return cmdFsck(Pos[1], O);
+    return cmdFsck(Pos[1]);
   if (Cmd == "salvage")
-    return Pos.size() < 3 ? usage() : cmdSalvage(Pos[1], Pos[2], O);
+    return Pos.size() < 3 ? usage() : cmdSalvage(Pos[1], Pos[2]);
   if (Cmd == "send")
     return Pos.size() < 3 ? usage() : cmdSend(Pos[1], Pos[2], O);
   if (Cmd == "runasm")
