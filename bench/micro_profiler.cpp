@@ -564,7 +564,7 @@ void replayLoop(benchmark::State &State, std::span<const std::byte> Framed,
 
 /// Phase-2 decode throughput: frames + records of an in-memory
 /// recording through the full FrameDecoder/StreamDecoder path into a
-/// null consumer. Arg is the wire format (7, the only one written);
+/// null consumer. Arg is the wire format (8, the only one written);
 /// items are decoded event records.
 void BM_ReplayDecode(benchmark::State &State) {
   Program P = buildHotLoop();
@@ -579,18 +579,23 @@ void BM_ReplayDecode(benchmark::State &State) {
   replayLoop(State, Mem.bytes(),
              static_cast<profiler::WireFormat>(State.range(0)));
 }
-BENCHMARK(BM_ReplayDecode)->Arg(7);
+BENCHMARK(BM_ReplayDecode)->Arg(8);
 
-/// The two readers on the same events: Arg 4 decodes the committed juru
-/// v4 recording (tests/data/juru_v4.jdev, absolute ids) through the
-/// legacy reader (profiler/LegacyStream.h), Arg 7 a v7 recording of the
-/// same run (2 KiB chunks, delta-coded ids) through FrameDecoder. Items/s
-/// compare the per-record cost of the two paths.
+/// The readers on the same run of juru, 2 KiB chunks each: Arg 4 decodes
+/// the committed v4 recording (tests/data/juru_v4.jdev, absolute ids) and
+/// Arg 7 the committed v7 one (juru_v7.jdev, delta-coded ids, compressed)
+/// through the legacy reader (profiler/LegacyStream.h), which rebuilds
+/// each object's trailer from its Alloc and Use records; Arg 8 a v8
+/// recording, whose records carry their trailers, through FrameDecoder.
+/// Items/s compare the per-record cost of the paths; items are the
+/// records a consumer receives.
 void BM_ReplayDecodeFixture(benchmark::State &State) {
   auto Format = static_cast<profiler::WireFormat>(State.range(0));
   std::vector<std::byte> Framed;
-  if (Format == profiler::WireFormat::V4) {
-    std::FILE *F = std::fopen(JDRAG_TEST_DATA_DIR "/juru_v4.jdev", "rb");
+  if (profiler::legacyFormat(Format)) {
+    std::string Path = std::string(JDRAG_TEST_DATA_DIR) + "/juru_v" +
+                       std::to_string(State.range(0)) + ".jdev";
+    std::FILE *F = std::fopen(Path.c_str(), "rb");
     if (!F)
       std::abort();
     std::byte Buf[4096];
@@ -615,7 +620,7 @@ void BM_ReplayDecodeFixture(benchmark::State &State) {
   }
   replayLoop(State, Framed, Format);
 }
-BENCHMARK(BM_ReplayDecodeFixture)->Arg(4)->Arg(7);
+BENCHMARK(BM_ReplayDecodeFixture)->Arg(4)->Arg(7)->Arg(8);
 
 /// Raw codec throughput: lzCompress + lzDecompress over the hot loop's
 /// real event stream, one 64 KiB block at a time (the production chunk
@@ -663,7 +668,7 @@ BENCHMARK(BM_LzRoundTrip);
 /// compressed once up front, decoded through the FrameDecoder's
 /// transparent chunk decompression. Bytes processed are the
 /// *compressed* input bytes; the acceptance gate compares items/s (the
-/// decoded-record rate) against BM_ReplayDecode/7 -- it must stay
+/// decoded-record rate) against BM_ReplayDecode/8 -- it must stay
 /// within 1.2x.
 void BM_ReplayDecodeCompressed(benchmark::State &State) {
   Program P = buildHotLoop();
@@ -730,10 +735,10 @@ void BM_ReplayProfile(benchmark::State &State) {
     Prof.setRecordSink(&Null);
     profiler::FrameDecoder Dec(Prof);
     if (!Dec.feed(Mem.bytes().data(), Mem.bytes().size()) ||
-        !Dec.atRecordBoundary() || Prof.liveTrailers() != 0)
+        !Dec.atRecordBoundary())
       std::abort();
     Events = Dec.eventsDecoded();
-    benchmark::DoNotOptimize(Prof.peakTrailerStateBytes());
+    benchmark::DoNotOptimize(Prof.log().EndTime);
   }
   State.SetItemsProcessed(State.iterations() *
                           static_cast<std::int64_t>(Events));
@@ -813,8 +818,8 @@ BENCHMARK(BM_ReplayParallel)
 ///
 /// items/s = object records through the report per second. The
 /// resident_bytes counter is the analysis-state high-water: the record
-/// vector for materialized rungs, fold state + decode trailer peak for
-/// streaming ones -- the O(records) vs O(sites) story in one number.
+/// vector for materialized rungs, fold state for streaming ones -- the
+/// O(records) vs O(sites) story in one number.
 void BM_Report(benchmark::State &State) {
   // A real paper workload (site-diverse, ~35k records), not the
   // single-site hot loop: report aggregation cost scales with site
@@ -880,8 +885,8 @@ void BM_Report(benchmark::State &State) {
         std::abort();
       benchmark::DoNotOptimize(R.Report.get());
       Records = R.RecordsFolded;
-      // Measured trailer-table peak (0 on the sharded Mode 4 path).
-      Resident = R.FoldStateBytes + R.TrailerStateBytes;
+      // The folds are all the state: records arrive finished.
+      Resident = R.FoldStateBytes;
     }
   }
   State.SetItemsProcessed(State.iterations() * Records);

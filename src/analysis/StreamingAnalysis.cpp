@@ -104,8 +104,6 @@ public:
     Sets[Shard].fold(R);
   }
 
-  void onMergedRecord(const ObjectRecord &R) override { Sets[0].fold(R); }
-
   /// Merges shards 1..N-1 into shard 0 in shard order (any fixed order
   /// gives the same bits), remaps stream site ids to log-local ids, and
   /// returns the merged set.
@@ -161,9 +159,9 @@ bool jdrag::analysis::peekStreamEndTime(const std::string &Path,
       return true;
     }
   }
-  // Footerless v7 stream (an interrupted producer): one strict pass
+  // Footerless v8 stream (an interrupted producer): one strict pass
   // rebuilds the index. O(chunks) state, and the bytes are released
-  // before the replay proper starts. A legacy (v2-v6) stream has no
+  // before the replay proper starts. A legacy (v2-v7) stream has no
   // index to rebuild, so it fails here and curve requests take the
   // materialized path.
   StreamHeaderInfo Info;
@@ -240,8 +238,6 @@ bool jdrag::analysis::analyzeEventStream(const std::string &Path,
 
   if (!replayFile(Path, Prof, Err, &Info))
     return false;
-  Out.PeakTrailers = Prof.peakLiveTrailers();
-  Out.TrailerStateBytes = Prof.peakTrailerStateBytes();
   auto Shell = std::make_unique<ProfileLog>(Prof.takeLog());
   Shell->SampleRate = Info.Sampling.SampleBytes;
   Shell->SampleSeed = Info.Sampling.enabled() ? Info.Sampling.SampleSeed : 0;

@@ -72,14 +72,10 @@ struct StreamAnalysisResult {
   HeapCurve Curve;                    ///< set when CurveSamples > 0
   std::uint64_t RecordsFolded = 0;
   std::uint64_t ExportRows = 0;
-  /// Resident high-water of the analysis state: fold bytes plus (on the
-  /// sequential path) the trailer-table peak. The O(sites) claim made
-  /// measurable (BENCH_9).
+  /// Resident high-water of the analysis state, the fold bytes: the
+  /// O(sites) claim made measurable (BENCH_9). Records arrive finished,
+  /// so nothing is kept per live object.
   std::size_t FoldStateBytes = 0;
-  std::size_t PeakTrailers = 0;
-  /// Peak resident bytes of the trailer table on the sequential path
-  /// (ObjectTable::stateBytes): O(live objects), whatever the ids.
-  std::size_t TrailerStateBytes = 0;
   bool Sharded = false;      ///< the sharded fold path actually ran
   bool Materialized = false; ///< fell back to the materialized pass
 };

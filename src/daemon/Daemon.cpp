@@ -614,12 +614,6 @@ std::string CollectorDaemon::sessionLine(const Session &S) const {
         " raw-obj-bytes=%llu est-obj-bytes=%llu",
         static_cast<unsigned long long>(S.RawObjBytes),
         static_cast<unsigned long long>(S.EstObjBytes));
-  // The live decode's trailer table: bounded by the session's live
-  // objects, whatever object ids the client sends.
-  if (S.Prof)
-    Line += formatString(
-        " trailer-bytes=%llu",
-        static_cast<unsigned long long>(S.Prof->peakTrailerStateBytes()));
   // What the compression bought.
   if (S.GotHello)
     Line += formatString(

@@ -10,7 +10,7 @@
 /// client/daemon split. A session is a sequence of length-prefixed
 /// messages over one stream socket (Unix or TCP):
 ///
-///   HELLO  pid, client name, stream WireFormat (always 7), protocol
+///   HELLO  pid, client name, stream WireFormat (always 8), protocol
 ///          version, sampling params -- sent once, first; the daemon
 ///          opens the session recording.
 ///   CHUNK  exactly one framed chunk of the existing `.jdev` chunk
@@ -125,8 +125,8 @@ inline void appendMsgHeader(std::vector<std::byte> &Out, MsgType T,
 /// HELLO payload: u32 protocol version, u32 wire format, u64 pid,
 /// u32 name length, name bytes, then a 16-byte sampling extension
 /// (u64 sample interval, u64 sample seed). One layout, one format: a
-/// session decodes v7 chunk by chunk, so jdragd refuses any other
-/// format; `jdrag salvage` rewrites a legacy recording as v7.
+/// session decodes v8 chunk by chunk, so jdragd refuses any other
+/// format; `jdrag salvage` rewrites a legacy recording as v8.
 inline std::vector<std::byte> encodeHello(const HelloInfo &Info) {
   std::vector<std::byte> Out;
   std::uint32_t NameLen =
@@ -166,7 +166,7 @@ inline bool decodeHello(std::span<const std::byte> Payload, HelloInfo &Out,
   if (Fmt != static_cast<std::uint32_t>(profiler::DefaultWireFormat)) {
     if (Err)
       *Err = "HELLO carries unsupported wire format " + std::to_string(Fmt) +
-             " (jdragd reads format 7)";
+             " (jdragd reads format 8)";
     return false;
   }
   Out.Format = profiler::DefaultWireFormat;

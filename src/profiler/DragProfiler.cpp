@@ -7,7 +7,7 @@ using namespace jdrag::profiler;
 using namespace jdrag::vm;
 
 DragProfiler::DragProfiler(const ir::Program &P, ProfilerConfig Config)
-    : P(P), Config(std::move(Config)), Trailers(this->Config) {
+    : P(P), Config(std::move(Config)), Rule(this->Config) {
   // Typical runs intern a few hundred sites and log thousands of
   // objects; reserving up front keeps reallocation out of the measured
   // consumer path.
@@ -49,15 +49,13 @@ bool jdrag::profiler::replayProfile(const std::string &Path,
 bool jdrag::profiler::replayProfileTo(const std::string &Path,
                                       const ir::Program &P,
                                       ProfilerConfig Config, RecordSink &Sink,
-                                      ProfileLog &ShellOut, std::string *Err,
-                                      std::size_t *PeakTrailers) {
+                                      ProfileLog &ShellOut,
+                                      std::string *Err) {
   DragProfiler Prof(P, std::move(Config));
   Prof.setRecordSink(&Sink);
   StreamHeaderInfo Info;
   if (!replayFile(Path, Prof, Err, &Info))
     return false;
-  if (PeakTrailers)
-    *PeakTrailers = Prof.peakLiveTrailers();
   ShellOut = Prof.takeLog();
   // Same sampling-params stamping as replayProfile: canonical {0, 0}
   // for exact streams so shells compare bit-identical across pipelines.

@@ -6,15 +6,15 @@
 ///
 /// \file
 /// DragProfiler implements the paper's instrumented-JVM phase as an
-/// *event-stream consumer*: it keeps a trailer per live object (in a side
-/// table keyed by immortal object id -- profiler/ObjectTable.h, sized by
-/// the live objects rather than the id space -- so the heap's byte
-/// accounting excludes the trailer exactly as the paper specifies),
-/// timestamps every use on the byte clock (optionally snapped to the
-/// start of the current deep-GC interval, mirroring the paper's "all
-/// uses ... are performed at the beginning of the interval" assumption),
-/// records nested allocation and last-use sites, and logs a record when
-/// the object is reclaimed or survives termination.
+/// *event-stream consumer*. The VM keeps each object's trailer on the
+/// object's handle-side record (so the heap's byte accounting excludes
+/// it, exactly as the paper specifies) and writes it once, finished, in
+/// the object's Collect or Survivor record. The profiler turns each such
+/// record into the object's logged record with no table lookup: it
+/// takes the first and last use times, or -- the paper's "all uses ...
+/// are performed at the beginning of the interval" assumption, the
+/// default -- the deep-GC boundary in force at each, and maps the
+/// nested allocation and last-use sites to the log's site ids.
 ///
 /// Because its only input is the binary event stream, the same profiler
 /// runs in two modes:
@@ -43,7 +43,6 @@
 #define JDRAG_PROFILER_DRAGPROFILER_H
 
 #include "profiler/EventStream.h"
-#include "profiler/ObjectTable.h"
 #include "profiler/ProfileLog.h"
 #include "vm/VirtualMachine.h"
 
@@ -64,7 +63,7 @@ struct ProfilerConfig {
 };
 
 /// ProfilerConfig::ExcludedClasses as a flat per-class-index lookup,
-/// built once and probed on every Alloc. A class index past the end --
+/// built once and probed on every record. A class index past the end --
 /// including any a hostile stream invents -- is not excluded; an invalid
 /// ClassId in the config excludes nothing.
 class ClassExclusion {
@@ -86,116 +85,52 @@ private:
   std::vector<std::uint8_t> Mask;
 };
 
-/// One object's trailer: the paper's per-object side record of its
-/// creation, first and last use and sites, updated on every use and
-/// logged when the object is reclaimed.
-struct Trailer {
-  ir::ClassId Class;
-  ir::ArrayKind AKind = ir::ArrayKind::Int;
-  bool IsArray = false;
-  std::uint32_t Bytes = 0;
-  ByteTime AllocTime = 0;
-  ByteTime FirstUseTime = 0;
-  ByteTime LastUseTime = 0;
-  SiteId AllocSite = InvalidSite;
-  SiteId LastUseSite = InvalidSite;
-  std::uint32_t UseCount = 0;
-  bool UsedOutsideInit = false;
-  bool Excluded = false;
-};
-
-/// The trailer rules: the live objects' trailers plus the deep-GC
-/// boundary their use times snap to. DragProfiler runs them over the
-/// whole stream and every shard of the sharded replay
-/// (profiler/ParallelReplay.h) runs them over its chunk range, so an
-/// object's record is built here and nowhere else. Callers pass site
-/// ids already resolved: the profiler maps them to log-local ids, a
-/// shard keeps stream ids.
-class TrailerTable {
+/// The record rule: how a Collect/Survivor record's trailer becomes the
+/// object's logged record. DragProfiler applies it to the whole stream
+/// and every shard of the sharded replay (profiler/ParallelReplay.h) to
+/// its chunk range, so an object's record is built here and nowhere
+/// else. The record's site ids stay the stream's: the profiler maps them
+/// to log-local ids, a shard keeps them.
+class RecordRule {
 public:
-  explicit TrailerTable(const ProfilerConfig &Config)
+  explicit RecordRule(const ProfilerConfig &Config)
       : Excluded(Config.ExcludedClasses), Snap(Config.SnapUseTimes) {}
 
-  /// Alloc: starts the object's trailer, replacing any live one.
-  void alloc(const EventRecord &E, SiteId Site) {
-    Trailer &T = Live.insert(E.Id);
-    T.Class = ir::ClassId(static_cast<std::uint32_t>(E.Arg1));
-    T.AKind = static_cast<ir::ArrayKind>(E.Sub);
-    T.IsArray = E.Flags & 1;
-    T.Bytes = static_cast<std::uint32_t>(E.Arg0);
-    T.AllocTime = E.Time;
-    T.FirstUseTime = E.Time;
-    T.LastUseTime = E.Time; // never-used objects drag from creation
-    T.AllocSite = Site;
-    T.Excluded = !T.IsArray && Excluded.excludes(T.Class);
-  }
-
-  /// Use: updates the object's trailer. Returns false, changing
-  /// nothing, when the id has no live trailer (a VM-internal object such
-  /// as the preallocated OOM instance, or one ended already).
-  bool use(const EventRecord &E, SiteId Site) {
-    Trailer *T = Live.find(E.Id);
-    if (!T)
+  /// Builds the record of the Collect/Survivor \p E into \p R. Returns
+  /// false, building nothing, for an instance of an excluded class.
+  bool build(const EventRecord &E, ObjectRecord &R) const {
+    bool IsArray = E.Flags & RecordIsArray;
+    ir::ClassId Class(static_cast<std::uint32_t>(E.Arg1));
+    if (!IsArray && Excluded.excludes(Class))
       return false;
-    bool DuringOwnInit = E.Flags & 1;
+    R.Id = E.Id;
+    R.Class = Class;
+    R.AKind = static_cast<ir::ArrayKind>(E.Sub);
+    R.IsArray = IsArray;
+    R.Bytes = static_cast<std::uint32_t>(E.Arg0);
+    R.AllocTime = E.AllocTime;
     // Paper section 2.1: "assuming that all uses of an object in the
     // interval between consecutive garbage collection cycles are
-    // performed at the beginning of the interval."
-    ByteTime UseTime = Snap ? std::max(IntervalStart, T->AllocTime) : E.Time;
+    // performed at the beginning of the interval." A snapped use is
+    // never before the object's birth, and a use the record lacks
+    // reads as the alloc time: never-used objects drag from creation.
     // FirstUseTime anchors the R&R lag phase: the first use *outside*
     // construction (initialization uses belong to the object's birth).
-    if (!DuringOwnInit && !T->UsedOutsideInit)
-      T->FirstUseTime = std::max(UseTime, T->AllocTime);
-    if (UseTime > T->LastUseTime)
-      T->LastUseTime = UseTime;
-    T->LastUseSite = Site;
-    ++T->UseCount;
-    if (!DuringOwnInit)
-      T->UsedOutsideInit = true;
+    R.FirstUseTime =
+        std::max(E.AllocTime, Snap ? E.FirstUseBoundary : E.FirstUseTime);
+    R.LastUseTime =
+        std::max(E.AllocTime, Snap ? E.LastUseBoundary : E.LastUseTime);
+    R.CollectTime = E.Time;
+    R.AllocSite = E.Site;
+    R.LastUseSite = E.LastUseSite;
+    R.UseCount = E.UseCount;
+    R.UsedOutsideInit = E.Flags & RecordUsedOutsideInit;
+    R.SurvivedToEnd = E.kind() == EventKind::Survivor;
     return true;
   }
-
-  /// DeepGCEnd: later uses snap to \p Time.
-  void deepGC(ByteTime Time) { IntervalStart = Time; }
-
-  /// Collect/Survivor at \p Now: erases the object's trailer and hands
-  /// its finished record to \p Emit, unless its class is excluded.
-  /// Returns false, changing nothing, when the id has no live trailer.
-  template <typename EmitFn>
-  bool end(vm::ObjectId Id, ByteTime Now, bool Survived, EmitFn &&Emit) {
-    Trailer *T = Live.find(Id);
-    if (!T)
-      return false;
-    if (!T->Excluded) {
-      ObjectRecord R;
-      R.Id = Id;
-      R.Class = T->Class;
-      R.AKind = T->AKind;
-      R.IsArray = T->IsArray;
-      R.Bytes = T->Bytes;
-      R.AllocTime = T->AllocTime;
-      R.FirstUseTime = T->FirstUseTime;
-      R.LastUseTime = T->LastUseTime;
-      R.CollectTime = Now;
-      R.AllocSite = T->AllocSite;
-      R.LastUseSite = T->LastUseSite;
-      R.UseCount = T->UseCount;
-      R.UsedOutsideInit = T->UsedOutsideInit;
-      R.SurvivedToEnd = Survived;
-      Emit(R);
-    }
-    Live.erase(Id);
-    return true;
-  }
-
-  /// The live trailers, by object id.
-  ObjectTable<Trailer> &live() { return Live; }
-  const ObjectTable<Trailer> &live() const { return Live; }
 
 private:
-  ObjectTable<Trailer> Live;
   ClassExclusion Excluded;
-  ByteTime IntervalStart = 0; ///< last deep-GC boundary on the byte clock
   bool Snap;
 };
 
@@ -213,7 +148,7 @@ public:
 /// The phase-1 profiler. Attach to a VirtualMachine (attachTo) or replay
 /// a recorded stream over it, then take the log. It is final and its
 /// onEvent is inline, so the record loop instantiated for it (see
-/// RecordTarget) runs the trailer rules inside the decode.
+/// RecordTarget) runs the record rule inside the decode.
 class DragProfiler final : public EventConsumer {
 public:
   explicit DragProfiler(const ir::Program &P,
@@ -246,30 +181,27 @@ public:
   const ir::Program *siteProgram() const override { return &P; }
   [[gnu::always_inline]] void onEvent(const EventRecord &E) override {
     switch (E.kind()) {
-    case EventKind::Alloc:
-      Trailers.alloc(E, localSite(E.Site));
-      PeakLive = std::max(PeakLive, liveTrailers());
-      PeakStateBytes = std::max(PeakStateBytes, Trailers.live().stateBytes());
-      break;
-    case EventKind::Use:
-      Trailers.use(E, localSite(E.Site));
-      break;
     case EventKind::GCEnd:
       Log.GCSamples.push_back({E.Time, E.Arg0, E.Arg1});
       break;
-    case EventKind::DeepGCEnd:
-      Trailers.deepGC(E.Time);
-      break;
     case EventKind::Collect:
-    case EventKind::Survivor:
-      Trailers.end(E.Id, E.Time, /*Survived=*/E.kind() == EventKind::Survivor,
-                   [this](const ObjectRecord &R) { emitRecord(R); });
+    case EventKind::Survivor: {
+      ObjectRecord R;
+      if (Rule.build(E, R)) {
+        R.AllocSite = localSite(R.AllocSite);
+        R.LastUseSite = localSite(R.LastUseSite);
+        emitRecord(R);
+      }
       break;
+    }
     case EventKind::Terminate:
       Log.EndTime = E.Time;
       break;
-    case EventKind::DefineSite:
-      break; // delivered via onSite
+    case EventKind::Alloc:      // legacy only; LegacyStream folds them
+    case EventKind::Use:        // into the Collect/Survivor records
+    case EventKind::DeepGCEnd:  // each record carries its boundaries
+    case EventKind::DefineSite: // delivered via onSite
+      break;
     }
   }
 
@@ -287,16 +219,9 @@ public:
     Log.LastErrno = H.LastErrno;
   }
 
-  /// Live (not yet logged) object count -- should be 0 after a run.
-  std::size_t liveTrailers() const { return Trailers.live().size(); }
-
-  /// High-water mark of liveTrailers() over the run: the O(live objects)
-  /// part of the streaming engine's resident state (BENCH_9).
-  std::size_t peakLiveTrailers() const { return PeakLive; }
-
-  /// High-water mark of the trailer table's resident bytes
-  /// (ObjectTable::stateBytes) over the run.
-  std::size_t peakTrailerStateBytes() const { return PeakStateBytes; }
+  /// Live trailers the profiler held at once: none, since every record
+  /// arrives finished. Kept for pipebench/driver.cpp, which reports it.
+  std::size_t peakLiveTrailers() const { return 0; }
 
   /// Diverts finished records to \p S; the log keeps everything else
   /// (sites, GC samples, end time, health) and Log.Records stays empty.
@@ -321,10 +246,8 @@ private:
   /// Stream site id -> id in Log.Sites. Stream ids are dense and arrive
   /// in order, so in practice this is the identity map.
   std::vector<SiteId> SiteMap;
-  TrailerTable Trailers;
+  RecordRule Rule;
   RecordSink *RecSink = nullptr;
-  std::size_t PeakLive = 0;
-  std::size_t PeakStateBytes = 0;
 };
 
 /// Detached phase 2: replays the `.jdev` recording at \p Path through a
@@ -338,12 +261,10 @@ bool replayProfile(const std::string &Path, const ir::Program &P,
 /// finished record to \p Sink instead of materializing it. \p ShellOut
 /// receives the record-free log shell (sites, GC samples, end time,
 /// sampling params) -- everything a report needs except Records, which
-/// stays empty. \p PeakTrailers (optional) receives the trailer-table
-/// high-water mark.
+/// stays empty.
 bool replayProfileTo(const std::string &Path, const ir::Program &P,
                      ProfilerConfig Config, RecordSink &Sink,
-                     ProfileLog &ShellOut, std::string *Err = nullptr,
-                     std::size_t *PeakTrailers = nullptr);
+                     ProfileLog &ShellOut, std::string *Err = nullptr);
 
 } // namespace jdrag::profiler
 

@@ -12,68 +12,27 @@ using namespace jdrag::vm;
 
 namespace {
 
-/// What one shard saw of a *foreign* object -- one it did not allocate
-/// itself: its uses up to its end, and whether it ended. A snapped use
-/// before the shard's first DeepGCEnd takes the entry boundary (the
-/// previous shard's last DeepGCEnd), which only the merge knows, so it
-/// is kept as a flag and resolved there.
-struct ForeignUses {
-  std::uint32_t UseCount = 0;
-  SiteId LastUseSite = InvalidSite;
-  bool HasFirst = false;     ///< a use outside the object's own init
-  bool FirstAtEntry = false; ///< that first use snapped to the entry
-  bool UseAtEntry = false;   ///< some use snapped to the entry
-  bool Ended = false;        ///< the shard saw its Collect/Survivor
-  ByteTime FirstTime = 0;    ///< the first use's time, unless FirstAtEntry
-  ByteTime MaxTime = 0;      ///< max use time of the uses not at the entry
-};
-
-/// A foreign object's Collect/Survivor.
-struct ForeignEnd {
-  ObjectId Id = 0;
-  ByteTime Time = 0;
-  bool Survived = false;
-};
-
-/// Everything one worker produces from its chunk range.
+/// Everything one worker produces from its chunk range besides the
+/// records it folds.
 struct ShardResult {
-  explicit ShardResult(const ProfilerConfig &Config) : Trailers(Config) {}
-
-  /// Trailers of the objects this shard allocated; after the decode,
-  /// only those still live.
-  TrailerTable Trailers;
-  ObjectTable<ForeignUses> Foreign;
-  std::vector<ForeignEnd> Ends; ///< in stream order
   std::vector<GCSample> Samples;
   /// DefineSite records in arrival order (stream id + frames); interned
   /// into the merged SiteTable in shard order, reproducing stream order.
   std::vector<std::pair<SiteId, std::vector<SiteFrame>>> Sites;
-  /// The smallest AllocTime before the first local DeepGCEnd. The shard
-  /// snapped those objects' early uses to 0 rather than to the entry
-  /// boundary; both give max(boundary, AllocTime) == AllocTime when the
-  /// boundary is no later than this.
-  ByteTime MinEntryAlloc = ~ByteTime(0);
-  /// Range of the ids allocated here (empty when Min > Max).
-  ObjectId MinAllocId = ~ObjectId(0);
-  ObjectId MaxAllocId = 0;
-  ByteTime ExitInterval = 0; ///< last local DeepGCEnd time
   ByteTime TerminateTime = 0;
-  bool HasExit = false;
   bool SawTerminate = false;
   bool Failed = false;
 };
 
-/// The map side: runs the trailer rules (TrailerTable) over one shard.
-/// An object the shard allocates is finished here exactly as
-/// DragProfiler finishes it, its record going to the fold; its trailer
-/// keeps stream site ids. Uses and ends of foreign objects become
-/// ForeignUses for the merge. Final, so the shard's record loop is
-/// instantiated for it (RecordTarget).
+/// The map side: turns every Collect/Survivor of one shard into its
+/// record through DragProfiler's record rule (RecordRule) and folds it;
+/// the record keeps stream site ids. Final, so the shard's record loop
+/// is instantiated for it (RecordTarget).
 class ShardConsumer final : public EventConsumer {
 public:
-  ShardConsumer(const ir::Program &P, ShardResult &R, bool Snap,
+  ShardConsumer(const ir::Program &P, ShardResult &R, const RecordRule &Rule,
                 unsigned Index, ShardFoldSink &Fold)
-      : P(P), R(R), Snap(Snap), Index(Index), Fold(Fold) {}
+      : P(P), R(R), Rule(Rule), Index(Index), Fold(Fold) {}
 
   const ir::Program *siteProgram() const override { return &P; }
 
@@ -84,75 +43,32 @@ public:
 
   [[gnu::always_inline]] void onEvent(const EventRecord &E) override {
     switch (E.kind()) {
-    case EventKind::Alloc:
-      R.Trailers.alloc(E, E.Site);
-      if (!R.HasExit)
-        R.MinEntryAlloc = std::min(R.MinEntryAlloc, E.Time);
-      R.MinAllocId = std::min(R.MinAllocId, E.Id);
-      R.MaxAllocId = std::max(R.MaxAllocId, E.Id);
-      break;
-    case EventKind::Use:
-      if (!R.Trailers.use(E, E.Site))
-        foreignUse(E);
-      break;
     case EventKind::GCEnd:
       R.Samples.push_back({E.Time, E.Arg0, E.Arg1});
       break;
-    case EventKind::DeepGCEnd:
-      R.Trailers.deepGC(E.Time);
-      R.HasExit = true;
-      R.ExitInterval = E.Time;
-      break;
     case EventKind::Collect:
     case EventKind::Survivor: {
-      bool Survived = E.kind() == EventKind::Survivor;
-      if (!R.Trailers.end(E.Id, E.Time, Survived,
-                          [this](const ObjectRecord &Rec) {
-                            Fold.onShardRecord(Index, Rec);
-                          }))
-        foreignEnd(E.Id, E.Time, Survived);
+      ObjectRecord Rec;
+      if (Rule.build(E, Rec))
+        Fold.onShardRecord(Index, Rec);
       break;
     }
     case EventKind::Terminate:
       R.SawTerminate = true;
       R.TerminateTime = E.Time;
       break;
+    case EventKind::Alloc:
+    case EventKind::Use:
+    case EventKind::DeepGCEnd:
     case EventKind::DefineSite:
-      break; // delivered via onSite
+      break;
     }
   }
 
 private:
-  void foreignUse(const EventRecord &E) {
-    ForeignUses &F = R.Foreign.findOrInsert(E.Id);
-    if (F.Ended)
-      return; // the trailer is gone, as in sequential replay
-    bool AtEntry = Snap && !R.HasExit;
-    ByteTime Time = Snap ? R.ExitInterval : E.Time;
-    if (!(E.Flags & 1) && !F.HasFirst) {
-      F.HasFirst = true;
-      F.FirstAtEntry = AtEntry;
-      F.FirstTime = Time;
-    }
-    if (AtEntry)
-      F.UseAtEntry = true;
-    else
-      F.MaxTime = std::max(F.MaxTime, Time);
-    F.LastUseSite = E.Site;
-    ++F.UseCount;
-  }
-
-  void foreignEnd(ObjectId Id, ByteTime Time, bool Survived) {
-    ForeignUses &F = R.Foreign.findOrInsert(Id);
-    if (F.Ended)
-      return;
-    F.Ended = true;
-    R.Ends.push_back({Id, Time, Survived});
-  }
-
   const ir::Program &P;
   ShardResult &R;
-  bool Snap;
+  const RecordRule &Rule;
   unsigned Index;
   ShardFoldSink &Fold;
 };
@@ -168,7 +84,7 @@ struct ShardedStream {
 };
 
 /// Returns false when anything prevents sharding -- unreadable file, bad
-/// header, a legacy (v2-v6) stream, a damaged footer, a stream the index
+/// header, a legacy (v2-v7) stream, a damaged footer, a stream the index
 /// rebuild rejects, or too few chunks to split -- so the caller runs the
 /// sequential path, which produces the canonical result or error
 /// message for that input.
@@ -263,16 +179,13 @@ bool runSharded(const ShardedStream &S, const ir::Program &P,
   // A retry decodes the stream again, so the fold must drop whatever a
   // failed attempt already folded.
   Fold.beginAttempt(static_cast<unsigned>(Count));
-  Shards.clear();
-  Shards.reserve(Count);
-  for (std::size_t K = 0; K < Count; ++K)
-    Shards.emplace_back(Config);
+  Shards.assign(Count, ShardResult());
+  RecordRule Rule(Config);
   std::vector<std::thread> Threads;
   Threads.reserve(Count);
   for (std::size_t K = 0; K < Count; ++K)
     Threads.emplace_back([&, K] {
-      ShardConsumer C(P, Shards[K], Config.SnapUseTimes,
-                      static_cast<unsigned>(K), Fold);
+      ShardConsumer C(P, Shards[K], Rule, static_cast<unsigned>(K), Fold);
       Shards[K].Failed = !runShard(S, Cut[K], Cut[K + 1], C);
     });
   for (std::thread &T : Threads)
@@ -283,99 +196,31 @@ bool runSharded(const ShardedStream &S, const ir::Program &P,
   return true;
 }
 
-/// Applies one shard's uses of a foreign object to its trailer, with
-/// uses at the entry boundary taking \p Entry: TrailerTable::use's
-/// arithmetic, batched. A snapped use time is max(boundary, AllocTime),
-/// and LastUseTime never drops below AllocTime, so the last-use max can
-/// take the boundary itself.
-void applyForeign(Trailer &T, const ForeignUses &F, ByteTime Entry) {
-  if (F.HasFirst && !T.UsedOutsideInit) {
-    T.FirstUseTime =
-        std::max(F.FirstAtEntry ? Entry : F.FirstTime, T.AllocTime);
-    T.UsedOutsideInit = true;
-  }
-  T.LastUseTime = std::max({T.LastUseTime, F.MaxTime,
-                            F.UseAtEntry ? Entry : ByteTime(0)});
-  if (F.UseCount)
-    T.LastUseSite = F.LastUseSite;
-  T.UseCount += F.UseCount;
-}
-
-/// The reduce side, the boundary merge. It walks the shards in order
-/// and carries the trailers still live at each shard's end into the
-/// next; a shard's uses of carried objects update them, and its ends
-/// finish them through TrailerTable::end, the records going to
-/// Fold.onMergedRecord with stream site ids, like the shard records.
-/// \p Shell receives the record-free log and \p SiteMap the stream-id
-/// -> Shell.Sites-id map.
-///
-/// Returns false, leaving \p Shell alone, when a shard's own trailers may
-/// differ from the sequential ones: an object allocated before the
-/// shard's first DeepGCEnd at a time below the shard's entry boundary
-/// (a clock that ran backwards across shards; its early uses snapped to
-/// 0, not to the boundary), or an id allocated again while an earlier
-/// shard's object with that id may be live. The VM writes neither; the
-/// caller then replays sequentially.
-bool mergeShards(std::vector<ShardResult> &Shards,
-                 const ProfilerConfig &Config, ShardFoldSink &Fold,
-                 ProfileLog &Shell, std::vector<SiteId> &SiteMap) {
-  // Each shard's entry boundary is the previous shard's last deep-GC
-  // time (inherited across shards that saw none); shard 0 enters at 0,
-  // like the sequential profiler's initial interval.
-  std::vector<ByteTime> Entry(Shards.size(), 0);
-  bool Allocated = false;
-  ObjectId MaxAllocated = 0;
-  for (std::size_t K = 0; K < Shards.size(); ++K) {
-    const ShardResult &Sh = Shards[K];
-    if (K > 0)
-      Entry[K] =
-          Shards[K - 1].HasExit ? Shards[K - 1].ExitInterval : Entry[K - 1];
-    if (Config.SnapUseTimes && Sh.MinEntryAlloc < Entry[K])
-      return false;
-    if (Sh.MinAllocId > Sh.MaxAllocId)
-      continue; // allocated nothing
-    if (Allocated && Sh.MinAllocId <= MaxAllocated)
-      return false;
-    Allocated = true;
-    MaxAllocated = std::max(MaxAllocated, Sh.MaxAllocId);
-  }
-
+/// The reduce side: concatenates the shards' sites, GC samples and end
+/// time in shard order into \p Shell, the record-free log, and sets
+/// \p SiteMap to the stream-id -> Shell.Sites-id map. Every record is
+/// self-contained, so nothing crosses a shard boundary.
+void mergeShards(std::vector<ShardResult> &Shards, ProfileLog &Shell,
+                 std::vector<SiteId> &SiteMap) {
   ProfileLog Log;
   Log.GCSamples.reserve(64);
-
   // Sites: interning in shard order reproduces stream arrival order,
   // hence the sequential profiler's local ids.
   SiteMap.clear();
   SiteMap.reserve(256);
-  for (ShardResult &Sh : Shards)
+  for (ShardResult &Sh : Shards) {
     for (auto &[StreamId, Frames] : Sh.Sites) {
       SiteId Local = Log.Sites.internFrames(std::move(Frames));
       if (StreamId >= SiteMap.size())
         SiteMap.resize(StreamId + 1, InvalidSite);
       SiteMap[StreamId] = Local;
     }
-
-  TrailerTable Carried(Config);
-  auto Deliver = [&](const ObjectRecord &R) { Fold.onMergedRecord(R); };
-  for (std::size_t K = 0; K < Shards.size(); ++K) {
-    ShardResult &Sh = Shards[K];
-    // Per-id independent, so the visiting order changes nothing.
-    Sh.Foreign.forEachLive([&](ObjectId Id, const ForeignUses &F) {
-      if (Trailer *T = Carried.live().find(Id))
-        applyForeign(*T, F, Entry[K]);
-    });
-    for (const ForeignEnd &End : Sh.Ends)
-      Carried.end(End.Id, End.Time, End.Survived, Deliver);
-    Sh.Trailers.live().forEachLive([&](ObjectId Id, const Trailer &T) {
-      Carried.live().insert(Id) = T;
-    });
     Log.GCSamples.insert(Log.GCSamples.end(), Sh.Samples.begin(),
                          Sh.Samples.end());
     if (Sh.SawTerminate)
       Log.EndTime = Sh.TerminateTime;
   }
   Shell = std::move(Log);
-  return true;
 }
 
 } // namespace
@@ -396,8 +241,7 @@ bool jdrag::profiler::replayProfileParallelFold(
     for (int Attempt = 0; Attempt < 2; ++Attempt) {
       std::vector<ShardResult> Shards;
       if (runSharded(S, P, Config, Jobs, Sink, Shards)) {
-        if (!mergeShards(Shards, Config, Sink, Shell, SiteMapOut))
-          break;
+        mergeShards(Shards, Shell, SiteMapOut);
         Shell.SampleRate = S.Sampling.SampleBytes;
         Shell.SampleSeed = S.Sampling.enabled() ? S.Sampling.SampleSeed : 0;
         Shell.Compressed = S.Idx.compressed();

@@ -7,37 +7,23 @@
 /// \file
 /// Map-reduce phase 2: replays a `.jdev` recording through N decode
 /// threads, each of which hands every record it finishes to a fold
-/// (ShardFoldSink), and merges the shard boundaries. Nothing here stores
-/// records: the per-shard folds merge into the result that one
-/// sequential fold over replayProfile()'s records gives.
+/// (ShardFoldSink). Nothing here stores records: the per-shard folds
+/// merge into the result that one sequential fold over replayProfile()'s
+/// records gives.
 ///
 /// The map side partitions the stream's chunk index (parsed from the
 /// footer, or rebuilt with one sequential pass for a footerless file)
 /// into contiguous chunk ranges balanced by payload bytes. Each worker
 /// verifies its chunks (magic, sequence, CRC-32C) and decodes each one
-/// on its own: v7 chunks are self-contained (per-chunk time and id
-/// baselines, record-aligned). Legacy (v2-v6) recordings take the
-/// sequential path (profiler/LegacyStream.h).
+/// on its own: v8 chunks are self-contained (per-chunk time, id and
+/// boundary baselines, record-aligned). Legacy (v2-v7) recordings take
+/// the sequential path (profiler/LegacyStream.h).
 ///
-/// Each shard runs DragProfiler's trailer rules (TrailerTable) with its
-/// interval clock starting at 0. An object the shard allocates is
-/// finished there, exactly as DragProfiler finishes it: a snapped use is
-/// max(entry boundary, AllocTime), and that is AllocTime either way as
-/// long as the true entry boundary -- the previous shard's last
-/// DeepGCEnd -- is no later than AllocTime. For an object allocated in
-/// an earlier shard (a *foreign* object) the shard keeps a small
-/// partial instead: use count, last-use site, its first non-init and
-/// max use times (known, or "the entry boundary"), and its end.
-///
-/// The reduce side is only the boundary merge: in shard order it
-/// carries each shard's still-live trailers forward, applies the next
-/// shard's partials to them with the entry boundary resolved, and
-/// finishes the ended ones through the same TrailerTable rule. If a
-/// shard's smallest AllocTime before its first DeepGCEnd is below its
-/// entry boundary (a clock that ran backwards across shards), or a shard
-/// allocates an id that is not above every id allocated before it, the
-/// merge refuses and the call replays sequentially. The VM writes
-/// neither.
+/// Every v8 record is self-contained too: an object's Collect/Survivor
+/// carries its whole trailer, deep-GC boundaries included. So each shard
+/// finishes every object whose record it decodes through DragProfiler's
+/// record rule (RecordRule), and the reduce side only concatenates the
+/// shards' sites, GC samples and end time in shard order.
 ///
 /// Trust model: a footer is a producer claim. Workers re-verify every
 /// structural fact they rely on (header fields, CRC, record alignment,
@@ -75,15 +61,11 @@ public:
   /// state folded by a previous attempt.
   virtual void beginAttempt(unsigned ShardCount) = 0;
 
-  /// A record whose whole lifetime fell inside shard \p Shard, emitted
-  /// during decode. Called *concurrently* from the shard worker
-  /// threads, but any two calls with the same \p Shard value are
-  /// ordered -- keep per-shard state and merge after the replay.
+  /// A record shard \p Shard decoded, emitted during decode. Called
+  /// *concurrently* from the shard worker threads, but any two calls
+  /// with the same \p Shard value are ordered -- keep per-shard state
+  /// and merge after the replay.
   virtual void onShardRecord(unsigned Shard, const ObjectRecord &R) = 0;
-
-  /// A shard-boundary-crossing record, emitted by the single-threaded
-  /// merge step in end-event stream order.
-  virtual void onMergedRecord(const ObjectRecord &R) = 0;
 };
 
 /// Replays the `.jdev` recording at \p Path through \p Jobs decode
@@ -94,10 +76,10 @@ public:
 /// FoldSet::remapSites(SiteMapOut) after the call. The records, once
 /// remapped, are replayProfile()'s records in some order, and the shell
 /// equals its log minus Records. Jobs of 0 means defaultReplayJobs();
-/// Jobs <= 1, single-chunk streams, legacy (v2-v6) recordings, a merge
-/// refusal and any pre-shard validation failure run the sequential path
-/// as one logical shard, so error behaviour on malformed files matches
-/// replayProfile() exactly.
+/// Jobs <= 1, single-chunk streams, legacy (v2-v7) recordings and any
+/// pre-shard validation failure run the sequential path as one logical
+/// shard, so error behaviour on malformed files matches replayProfile()
+/// exactly.
 bool replayProfileParallelFold(const std::string &Path, const ir::Program &P,
                                ProfilerConfig Config, unsigned Jobs,
                                ShardFoldSink &Sink, ProfileLog &Shell,

@@ -206,7 +206,7 @@ bool SocketEventSink::spoolChunk(const std::byte *Data, std::size_t Size) {
   if (H.Magic == FooterMagic) {
     // The footer indexes the whole stream; writing it to a spool that
     // holds only the tail (or renumbered chunks) would lie. A footerless
-    // v7 stream is valid -- readers rebuild the index.
+    // v8 stream is valid -- readers rebuild the index.
     if (!SpoolIdentity) {
       ++FootersSwallowed;
       return true;

@@ -30,7 +30,7 @@
 /// reaches a daemon session, reaches the spool, or is counted dropped.
 /// A chunk index footer is forwarded verbatim only when the
 /// destination received the *entire* stream unrenumbered (it would lie
-/// otherwise); a swallowed footer is not data loss -- footerless v7
+/// otherwise); a swallowed footer is not data loss -- footerless v8
 /// streams are valid and readers rebuild the index.
 ///
 /// Fault injection for tests mirrors FaultInjectionSink: a
@@ -82,7 +82,7 @@ public:
     std::string Name = "vm";
     /// Pid carried by HELLO; 0 = this process.
     std::uint64_t Pid = 0;
-    /// Wire format announced in HELLO. Must be v7, the only format
+    /// Wire format announced in HELLO. Must be v8, the only format
     /// written and the only one jdragd reads (it refuses any other). The
     /// field stays for pipebench/driver.cpp, which still sets it.
     WireFormat Format = DefaultWireFormat;

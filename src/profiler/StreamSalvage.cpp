@@ -122,7 +122,7 @@ SalvageReport jdrag::profiler::scanEventFile(const std::string &Path,
   Rep.Sampling = Hdr.Sampling;
   std::size_t FileHeaderBytes = streamHeaderBytes(Format);
 
-  // A legacy file's records go to LegacyStream's record layer, a v7
+  // A legacy file's records go to LegacyStream's record layer, a v8
   // file's to the record loop, chunk by chunk.
   NullConsumer Discard;
   EventConsumer &Out = C ? *C : Discard;
@@ -252,7 +252,7 @@ bool jdrag::profiler::salvageEventFile(const std::string &In,
   FileEventSink Sink;
   FileEventSink::Options FO;
   // A sampled input stays sampled and a compressed input stays
-  // compressed: the v7 output header carries the sampling params so
+  // compressed: the v8 output header carries the sampling params so
   // replay still scales, and the recovered recording keeps its space
   // savings.
   FO.Sampling = Probe.Sampling;

@@ -22,12 +22,14 @@
 /// definitions may be missing, so anything past the damage cannot be
 /// trusted.
 ///
-/// The record layer decodes each v7 chunk on its own. A legacy (v2-v6)
+/// The record layer decodes each v8 chunk on its own. A legacy (v2-v7)
 /// file's chunk bodies go to LegacyStream's record layer
-/// (profiler/LegacyStream.h): v4-v6 bodies decode one by one as the walk
+/// (profiler/LegacyStream.h): v4-v7 bodies decode one by one as the walk
 /// meets them; v2/v3 records straddle chunks, so the valid prefix's
 /// bodies are joined and decoded once the walk ends, and a malformed
-/// record then marks the chunk it starts in.
+/// record then marks the chunk it starts in. Either way the consumer
+/// receives v8 records, so salvage writes any of them as v8; the event
+/// counts are the input's records.
 ///
 /// The scan is one sequential pass: it decodes every record anyway, and
 /// the CRC-32C it adds per chunk is cheap, so `jdrag fsck` and

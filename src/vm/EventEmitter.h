@@ -15,6 +15,12 @@
 /// DefineSite record only the first time a given site occurs; every later
 /// occurrence costs one cached 4-byte SiteId.
 ///
+/// Allocations and uses write no records: the interpreter keeps each
+/// object's trailer on its HeapObject, and the object's Collect or
+/// Survivor record carries it, finished (profiler/EventStream.h, v8).
+/// The emitter keeps the deep-GC boundaries those trailers name by
+/// epoch.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef JDRAG_VM_EVENTEMITTER_H
@@ -60,21 +66,26 @@ public:
 
   /// Runs the sampling policy over one allocation and stamps the
   /// decision on the object. Returns the decision; when false the
-  /// caller may skip site interning and the Alloc record entirely (the
+  /// caller may skip site interning and the trailer entirely (the
   /// unsampled fast path). With sampling off this always returns true.
   bool sampleAllocation(HeapObject &Obj);
   /// True when a byte-interval sampling policy is active.
   bool samplingEnabled() const { return Policy.enabled(); }
 
-  void alloc(ObjectId Id, const HeapObject &Obj, profiler::SiteId Site,
-             ByteTime Now);
-  void use(ObjectId Id, UseKind Kind, profiler::SiteId Site, bool DuringInit,
-           ByteTime Now);
+  /// Deep GCs finished so far: a use's epoch names the deep-GC boundary
+  /// in force at it (0: none yet, the boundary is 0).
+  std::uint32_t deepGCEpoch() const {
+    return static_cast<std::uint32_t>(Boundaries.size());
+  }
+
   void gcEnd(ByteTime Now, std::uint64_t ReachableBytes,
              std::uint64_t ReachableObjects);
+  /// A deep GC finished at \p Now: later uses snap to it.
   void deepGCEnd(ByteTime Now);
-  void collect(ObjectId Id, ByteTime Now);
-  void survivor(ObjectId Id, ByteTime Now);
+  /// The traced object \p Obj is reclaimed, or survives to the end, at
+  /// \p Now: writes its record with its finished trailer.
+  void collect(const HeapObject &Obj, ByteTime Now);
+  void survivor(const HeapObject &Obj, ByteTime Now);
   void terminate(ByteTime Now);
 
   /// Flushes buffered events to the sink.
@@ -130,6 +141,11 @@ private:
   std::uint32_t child(std::uint32_t Parent, ir::MethodId Method,
                       std::uint32_t Pc, std::uint32_t Line);
   void growChildren();
+  void endRecord(profiler::EventKind Kind, const HeapObject &Obj,
+                 ByteTime Now);
+  ByteTime boundary(std::uint32_t Epoch) const {
+    return Epoch ? Boundaries[Epoch - 1] : 0;
+  }
 
   profiler::EventBuffer Buf;
   Config C;
@@ -142,6 +158,8 @@ private:
   profiler::SiteTable Sites;
   std::vector<profiler::SiteFrame> FrameScratch;
   profiler::SamplePolicy Policy;
+  /// The byte-clock time of every deep GC so far, in order.
+  std::vector<ByteTime> Boundaries;
 };
 
 } // namespace jdrag::vm

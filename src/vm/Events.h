@@ -10,8 +10,11 @@
 /// the five kinds of object use (getfield, putfield, invocation, monitor
 /// enter/exit, native handle dereference; we add array element access,
 /// which dereferences the array's handle), GC completion, object
-/// reclamation, and end-of-program survivor enumeration -- and the VM
-/// streams them through EventEmitter (vm/EventEmitter.h).
+/// reclamation, and end-of-program survivor enumeration. Creation and
+/// uses update the object's trailer on its HeapObject (vm/Heap.h); the
+/// rest the VM streams through EventEmitter (vm/EventEmitter.h), a
+/// reclaimed or surviving object's record carrying its trailer. UseKind
+/// names the kinds of use; only the legacy streams (v2-v7) record it.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -137,8 +137,8 @@ void Heap::reclaimOrResurrect(std::uint32_t Index, GCStats &Stats) {
     return; // still waiting for its finalizer to run; keep it
   ++Stats.FreedObjects;
   Stats.FreedBytes += Obj->AccountedBytes;
-  if (Emitter && Obj->Sampled)
-    Emitter->collect(Obj->Id, AllocatedTotal);
+  if (Emitter && Obj->Traced)
+    Emitter->collect(*Obj, AllocatedTotal);
   free(Index);
 }
 

@@ -50,15 +50,11 @@ class SpanStore;
 /// A heap object: a plain instance (Slots = fields) or an array
 /// (Slots = elements). Stored behind a handle. Promotion moves the
 /// record from a young to an old span, with the handle table absorbing
-/// the move (handles never change).
+/// the move (handles never change). Fields are ordered by size so the
+/// record packs into 128 bytes.
 class HeapObject {
 public:
-  ir::ClassId Class;          ///< instance class; invalid for arrays
-  ir::ArrayKind AKind = ir::ArrayKind::Int; ///< valid if isArray()
-  bool IsArray = false;
-  std::uint32_t AccountedBytes = 0;
   ObjectId Id = 0;
-  std::uint32_t InitDepth = 0;   ///< active <init> frames on this object
   /// Serial of the innermost constructor frame active when this object
   /// was allocated (0 = none). While that frame is still live, uses of
   /// this object count as initialization uses: the paper treats an
@@ -66,26 +62,53 @@ public:
   /// never-used, and an object born inside its container's constructor
   /// is part of that initialization.
   std::uint64_t BirthCtorSerial = 0;
-  std::uint32_t MonitorCount = 0;
-  bool Marked = false;
-  bool PendingFinalize = false;  ///< sitting on the finalization queue
-  bool Finalized = false;        ///< finalizer already ran
-  bool Old = false;              ///< promoted to the old generation
-  /// Selected by the allocation-sampling policy: Use/Collect/Survivor
-  /// events are emitted only for sampled objects. Defaults true so
-  /// exact mode (sampling off) and objects that never pass through
-  /// fireAllocate behave as before.
-  bool Sampled = true;
-  std::uint8_t Age = 0;          ///< minor collections survived
   std::vector<Value> Slots;
   /// The owning span and the record's slot index within it.
   HeapSpan *Owner = nullptr;
+
+  // The object's trailer (paper section 2.1.1): kept here, on the
+  // handle-side record, so AccountedBytes excludes it as the paper
+  // specifies. Valid while Traced; fireAllocate starts it and every
+  // use updates it, and the object's Collect/Survivor record carries it
+  // (EventEmitter). A use time is the byte clock at the use; its epoch
+  // counts the deep GCs finished before it, naming the deep-GC boundary
+  // in force then (EventEmitter::deepGCEnd).
+  ByteTime AllocTime = 0;
+  ByteTime FirstUseTime = 0; ///< first use outside initialization
+  ByteTime LastUseTime = 0;
+  std::uint32_t FirstUseEpoch = 0;
+  std::uint32_t LastUseEpoch = 0;
+  std::uint32_t AllocSite = ~0u; ///< profiler::SiteId
+  std::uint32_t LastUseSite = ~0u;
+  std::uint32_t UseCount = 0;
+
+  ir::ClassId Class;          ///< instance class; invalid for arrays
+  std::uint32_t AccountedBytes = 0;
+  std::uint32_t InitDepth = 0;   ///< active <init> frames on this object
+  std::uint32_t MonitorCount = 0;
   std::uint32_t SpanSlot = 0;
   /// This object's own handle-table index. The handle table is the
   /// sweep-ordering authority; span sweeps gather dead candidates by
   /// bitmap and then process them in ascending Self order, so events,
   /// finalizer queueing and handle recycling follow handle order.
   std::uint32_t Self = 0;
+  ir::ArrayKind AKind = ir::ArrayKind::Int; ///< valid if isArray()
+  bool IsArray = false;
+  bool Marked = false;
+  bool PendingFinalize = false;  ///< sitting on the finalization queue
+  bool Finalized = false;        ///< finalizer already ran
+  bool Old = false;              ///< promoted to the old generation
+  /// Selected by the allocation-sampling policy: only a sampled object's
+  /// uses reach its trailer. Defaults true so exact mode and objects that
+  /// never pass through fireAllocate behave as before: their uses still
+  /// intern their sites.
+  bool Sampled = true;
+  /// The trailer is live: the object passed fireAllocate and was
+  /// sampled. Only a traced object gets a Collect/Survivor record, so a
+  /// VM-internal object (the preallocated OutOfMemoryError) gets none.
+  bool Traced = false;
+  bool UsedOutsideInit = false;  ///< trailer: some use outside init
+  std::uint8_t Age = 0;          ///< minor collections survived
 
   bool isArray() const { return IsArray; }
   std::uint32_t arrayLength() const {
@@ -93,7 +116,8 @@ public:
   }
 
   /// Resets the per-lifetime profile/GC state a recycled record must not
-  /// carry over from its previous occupant.
+  /// carry over from its previous occupant. The trailer fields are
+  /// started by fireAllocate, and read only while Traced.
   void resetProfileState() {
     InitDepth = 0;
     BirthCtorSerial = 0;
@@ -103,9 +127,12 @@ public:
     Finalized = false;
     Old = false;
     Sampled = true;
+    Traced = false;
     Age = 0;
   }
 };
+static_assert(sizeof(HeapObject) <= 128,
+              "the trailer fields must stay compact (span record count)");
 
 /// Non-owning visitor for root enumeration: constructed from any
 /// callable, two words, never allocates (see support/FunctionRef.h).

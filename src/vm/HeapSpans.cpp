@@ -30,8 +30,11 @@ SpanStore::~SpanStore() {
 
 HeapSpan *SpanStore::carveSpan() {
   if (NextCarve == SpansPerBlock) {
-    Blocks.push_back(
-        std::make_unique<std::byte[]>(SpansPerBlock * HeapSpan::SpanBytes));
+    // Default-initialized, not zeroed (make_unique would memset the
+    // whole block): a record is constructed on its first acquire, so a
+    // block's pages are touched, and resident, only as its spans fill.
+    Blocks.push_back(std::unique_ptr<std::byte[]>(
+        new std::byte[SpansPerBlock * HeapSpan::SpanBytes]));
     NextCarve = 0;
   }
   auto S = std::make_unique<HeapSpan>();

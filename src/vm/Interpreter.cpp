@@ -102,13 +102,19 @@ std::uint32_t Interpreter::currentSite() {
   return DI.Site;
 }
 
-void Interpreter::fireUse(Handle H, UseKind Kind, bool CalleeIsCtor) {
+void Interpreter::fireUse(Handle H, bool CalleeIsCtor) {
   if (!Emitter || H.isNull())
     return;
   HeapObject &Obj = TheHeap.object(H);
   // Unsampled objects carry no trailers: skip everything, including the
   // DuringInit computation. This early-out is the sampled-mode fast path.
   if (!Obj.Sampled)
+    return;
+  // The site is interned even for an untraced object (one that never
+  // passed fireAllocate), so site ids follow the uses, as they always
+  // have.
+  std::uint32_t Site = currentSite();
+  if (!Obj.Traced)
     return;
   // Initialization uses: the object's own <init> is active, this IS its
   // constructor invocation, or the constructor frame it was born inside
@@ -119,21 +125,38 @@ void Interpreter::fireUse(Handle H, UseKind Kind, bool CalleeIsCtor) {
       (Obj.BirthCtorSerial != 0 &&
        std::binary_search(ActiveCtorSerials.begin(), ActiveCtorSerials.end(),
                           Obj.BirthCtorSerial));
-  Emitter->use(Obj.Id, Kind, currentSite(), DuringInit, CachedClock);
+  // The deep-GC boundary in force is captured here, as an epoch: a use
+  // made while a deep GC runs finalizers belongs to the previous
+  // interval even when its clock equals the deep GC's.
+  std::uint32_t Epoch = Emitter->deepGCEpoch();
+  if (!DuringInit && !Obj.UsedOutsideInit) {
+    Obj.UsedOutsideInit = true;
+    Obj.FirstUseTime = CachedClock;
+    Obj.FirstUseEpoch = Epoch;
+  }
+  Obj.LastUseTime = CachedClock;
+  Obj.LastUseEpoch = Epoch;
+  Obj.LastUseSite = Site;
+  ++Obj.UseCount;
 }
 
-void Interpreter::fireNativeUse(Handle H) { fireUse(H, UseKind::NativeDeref); }
+void Interpreter::fireNativeUse(Handle H) { fireUse(H); }
 
 void Interpreter::fireAllocate(Handle H) {
   if (!Emitter)
     return;
   HeapObject &Obj = TheHeap.object(H);
   // The sampling decision runs here, once per allocation; an unsampled
-  // object skips site interning and the Alloc record (and, via its
-  // Sampled bit, every later Use/Survivor/Collect record).
+  // object skips site interning and its trailer (and, via its Sampled
+  // bit, every later use and its Collect/Survivor record).
   if (!Emitter->sampleAllocation(Obj))
     return;
-  Emitter->alloc(Obj.Id, Obj, currentSite(), CachedClock);
+  Obj.Traced = true;
+  Obj.AllocTime = CachedClock;
+  Obj.AllocSite = currentSite();
+  Obj.LastUseSite = ~0u;
+  Obj.UseCount = 0;
+  Obj.UsedOutsideInit = false;
 }
 
 void Interpreter::recomputeAllocSlack() {

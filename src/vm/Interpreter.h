@@ -80,8 +80,9 @@ public:
   /// Pins the preallocated OutOfMemoryError instance (set by the VM).
   void setOOMInstance(Handle H) { OOMInstance = H; }
 
-  /// Sets the event emitter allocation/use events are streamed through
-  /// (set by the VM; may be null).
+  /// Sets the event emitter that interns the sites of allocations and
+  /// uses and streams the trailers they build (set by the VM; may be
+  /// null).
   void setEmitter(EventEmitter *E) { Emitter = E; }
 
   /// The exception that escaped the last call(), if any.
@@ -92,7 +93,8 @@ public:
 
   void visitRoots(HandleVisitor Visit) override;
 
-  /// Fires a NativeDeref use event (NativeContext::deref calls this).
+  /// Records a native handle dereference as a use (NativeContext::deref
+  /// calls this).
   void fireNativeUse(Handle H);
 
   Heap &heap() { return TheHeap; }
@@ -191,10 +193,11 @@ private:
   /// Runs all pending finalizers (swallowing their exceptions).
   void runPendingFinalizers();
 
-  /// Emits the use event for \p H.
-  void fireUse(Handle H, UseKind Kind, bool CalleeIsCtor = false);
+  /// Records a use of the object behind \p H in its trailer.
+  void fireUse(Handle H, bool CalleeIsCtor = false);
 
-  /// Emits the allocate event for the object behind \p H.
+  /// Runs the sampling decision for the object behind \p H and, when
+  /// sampled, starts its trailer.
   void fireAllocate(Handle H);
 
   /// The interned site (a profiler::SiteId) of the current frame's pc,

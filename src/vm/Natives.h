@@ -33,8 +33,9 @@ public:
 
   std::span<const Value> args() const { return Args; }
 
-  /// Dereferences \p H from native code. Fires a NativeDeref use event on
-  /// the object. \p H must be non-null and live.
+  /// Dereferences \p H from native code, which counts as a use of the
+  /// object (a native handle dereference). \p H must be non-null and
+  /// live.
   HeapObject &deref(Handle H);
 
   Interpreter &interpreter() { return Interp; }

@@ -119,8 +119,8 @@ Interpreter::Status VirtualMachine::run(std::string *Err) {
   Interp->runDeepGC();
   if (Emitter) {
     TheHeap.forEachLiveObject([&](Handle, const HeapObject &Obj) {
-      if (Obj.Sampled)
-        Emitter->survivor(Obj.Id, TheHeap.clock());
+      if (Obj.Traced)
+        Emitter->survivor(Obj, TheHeap.clock());
     });
     Emitter->terminate(TheHeap.clock());
     // A failing sink does not trap the program: its result stands, the

@@ -58,7 +58,7 @@ struct VMOptions {
   std::uint32_t SiteDepth = 4;
   /// Event-buffer chunk size in bytes; 0 = the default (64 KB).
   std::size_t EventChunkBytes = 0;
-  /// Format of the emitted stream. Must be v7, the only format written
+  /// Format of the emitted stream. Must be v8, the only format written
   /// (profiler::effectiveFormat); the field stays for
   /// pipebench/driver.cpp, which still sets it.
   profiler::WireFormat EventFormat = profiler::DefaultWireFormat;

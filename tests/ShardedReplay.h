@@ -36,21 +36,15 @@ public:
   void beginAttempt(unsigned ShardCount) override {
     Shards = ShardCount;
     PerShard.assign(ShardCount, {});
-    Merged.clear();
   }
 
   void onShardRecord(unsigned Shard, const profiler::ObjectRecord &R) override {
     PerShard[Shard].push_back(R);
   }
 
-  void onMergedRecord(const profiler::ObjectRecord &R) override {
-    Merged.push_back(R);
-  }
-
   /// Shard count of the last attempt; 1 when the sequential path ran.
   unsigned Shards = 0;
   std::vector<std::vector<profiler::ObjectRecord>> PerShard;
-  std::vector<profiler::ObjectRecord> Merged;
 };
 
 /// Every field of \p R, in the canonical sort order.
@@ -95,8 +89,6 @@ inline bool replaySharded(const std::string &Path, const ir::Program &P,
   for (const auto &Shard : C.PerShard)
     for (const profiler::ObjectRecord &R : Shard)
       Add(R);
-  for (const profiler::ObjectRecord &R : C.Merged)
-    Add(R);
   sortRecords(Out.Records);
   if (Shards)
     *Shards = C.Shards;

@@ -188,7 +188,7 @@ TEST(CompressedStream, V6FileIsSmallerAndPayloadsAreBitIdentical) {
   std::string Err;
   ASSERT_TRUE(replayFile(Comp, Null, &Err, &CI)) << Err;
   ASSERT_TRUE(replayFile(Plain, Null, &Err, &PI)) << Err;
-  EXPECT_EQ(CI.Format, WireFormat::V7);
+  EXPECT_EQ(CI.Format, WireFormat::V8);
   EXPECT_TRUE(CI.Compressed);
   EXPECT_EQ(PI.Format, DefaultWireFormat);
   EXPECT_FALSE(PI.Compressed);

@@ -202,7 +202,7 @@ TEST(SessionProtocol, HelloRoundTripsThroughDribbledReader) {
   HelloInfo In;
   In.Pid = 1234;
   In.Name = "jess";
-  In.Format = WireFormat::V7;
+  In.Format = WireFormat::V8;
   In.SampleBytes = 64 * 1024;
   In.SampleSeed = 42;
   std::vector<std::byte> Wire = encodeHello(In);
@@ -224,13 +224,13 @@ TEST(SessionProtocol, HelloRoundTripsThroughDribbledReader) {
   ASSERT_TRUE(decodeHello(Payload, Out, &Err)) << Err;
   EXPECT_EQ(Out.Pid, 1234u);
   EXPECT_EQ(Out.Name, "jess");
-  EXPECT_EQ(Out.Format, WireFormat::V7);
+  EXPECT_EQ(Out.Format, WireFormat::V8);
   EXPECT_EQ(Out.SampleBytes, 64u * 1024);
   EXPECT_EQ(Out.SampleSeed, 42u);
   EXPECT_EQ(Rd.pendingBytes(), 0u);
 }
 
-// HELLO has one format and one layout: a session decodes v7 chunk by
+// HELLO has one format and one layout: a session decodes v8 chunk by
 // chunk, and the sampling extension is always there. Every other format,
 // sampled or exact, and the extension-less layout are refused.
 TEST(SessionProtocol, HelloRefusesEveryOtherFormatAndLayout) {
@@ -250,19 +250,19 @@ TEST(SessionProtocol, HelloRefusesEveryOtherFormatAndLayout) {
     return decodeHello(Payload, Out, &Err);
   };
   std::string Err;
-  for (unsigned F : {2u, 3u, 4u, 5u, 6u, 8u})
+  for (unsigned F : {2u, 3u, 4u, 5u, 6u, 7u, 9u})
     for (std::uint64_t SampleBytes : {std::uint64_t(64 * 1024),
                                       std::uint64_t(0)}) {
       EXPECT_FALSE(Decode(static_cast<WireFormat>(F), SampleBytes, false,
                           Err))
           << F;
       EXPECT_EQ(Err, "HELLO carries unsupported wire format " +
-                         std::to_string(F) + " (jdragd reads format 7)");
+                         std::to_string(F) + " (jdragd reads format 8)");
     }
   for (std::uint64_t SampleBytes : {std::uint64_t(64 * 1024),
                                     std::uint64_t(0)}) {
-    EXPECT_TRUE(Decode(WireFormat::V7, SampleBytes, false, Err)) << Err;
-    EXPECT_FALSE(Decode(WireFormat::V7, SampleBytes, true, Err));
+    EXPECT_TRUE(Decode(WireFormat::V8, SampleBytes, false, Err)) << Err;
+    EXPECT_FALSE(Decode(WireFormat::V8, SampleBytes, true, Err));
     EXPECT_EQ(Err, "malformed HELLO name length");
   }
 }
@@ -921,18 +921,16 @@ TEST(Daemon, HostileIdsKeepServing) {
   ASSERT_TRUE(Done) << H.admin("HEALTH");
   EXPECT_NE(H.admin("HEALTH").find("decode_errors=0"), std::string::npos);
 
-  // Each session's trailer table held its few objects, not an id space.
+  // Each session folded its objects' records, which arrive finished: a
+  // session keeps no state per object id.
   std::string Clients = H.admin("CLIENTS");
   std::size_t Sessions = 0;
-  for (std::size_t At = Clients.find("trailer-bytes=");
-       At != std::string::npos; At = Clients.find("trailer-bytes=", At + 1)) {
-    unsigned long long Bytes =
-        std::strtoull(Clients.c_str() + At + 14, nullptr, 10);
-    EXPECT_GT(Bytes, 0u);
-    EXPECT_LT(Bytes, 1ull << 20) << Clients;
+  for (std::size_t At = Clients.find("raw-obj-bytes=");
+       At != std::string::npos; At = Clients.find("raw-obj-bytes=", At + 1))
     ++Sessions;
-  }
   EXPECT_EQ(Sessions, 3u) << Clients;
+  EXPECT_EQ(Clients.find("trailer-bytes="), std::string::npos) << Clients;
+  EXPECT_NE(Clients.find("raw-obj-bytes=32 "), std::string::npos) << Clients;
   EXPECT_NE(Clients.find("raw-obj-bytes=48 "), std::string::npos) << Clients;
 
   // The wrapping session's recording replays to what the live session

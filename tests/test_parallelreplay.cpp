@@ -227,13 +227,15 @@ TEST(ParallelReplay, V3NoFooterParallelMatchesSequential) {
   expectParallelMatchesSequential(Path, B.Prog, Expect::Sequential);
 }
 
-// The committed v4, v5 (sampled) and v6 (compressed) recordings of
-// juru at 2 KiB chunks (tests/data/README.md): self-contained chunks
-// with absolute object ids and a footer, but a legacy format, so the
-// sharded entry point hands them to the sequential path (LegacyStream).
+// The committed v4, v5 (sampled), v6 (compressed) and v7 (delta-coded
+// ids, compressed; exact and sampled) recordings of juru at 2 KiB chunks
+// (tests/data/README.md): self-contained chunks and a footer, but a
+// legacy format, so the sharded entry point hands them to the
+// sequential path (LegacyStream).
 TEST(ParallelReplay, CommittedV4V5V6FixturesMatchSequential) {
   benchmarks::BenchmarkProgram B = benchmarks::buildJuru();
-  for (const char *File : {"juru_v4.jdev", "juru_v5.jdev", "juru_v6.jdev"}) {
+  for (const char *File : {"juru_v4.jdev", "juru_v5.jdev", "juru_v6.jdev",
+                           "juru_v7.jdev", "juru_v7_sampled.jdev"}) {
     SCOPED_TRACE(File);
     const std::string Path = std::string(JDRAG_TEST_DATA_DIR) + "/" + File;
     SalvageReport Rep = scanEventFile(Path, nullptr);
@@ -422,7 +424,7 @@ TEST(ParallelReplay, SalvagedPrefixReplaysIdentically) {
   ir::Program P = buildChurnProgram();
   std::string Path = tempPath("v4_corrupt.jdev");
   std::string Salvaged = tempPath("v4_salvaged.jdev");
-  recordRun(P, Path, /*ChunkBytes=*/512, /*Iters=*/5000);
+  recordRun(P, Path, /*ChunkBytes=*/512, /*Iters=*/10000);
 
   // Damage the first chunk past twice the default chunk size of
   // payload, so the salvaged prefix spans several chunks.

@@ -23,6 +23,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 using namespace jdrag;
 using namespace jdrag::ir;
 using namespace jdrag::profiler;
@@ -41,7 +43,7 @@ std::vector<std::int64_t> run(const Program &P) {
   return VM.outputs();
 }
 
-ProfileLog profileOf(const Program &P, std::size_t *LiveTrailers = nullptr) {
+ProfileLog profileOf(const Program &P) {
   DragProfiler Prof(P);
   VMOptions Opts;
   Opts.DeepGCIntervalBytes = 4 * KB; // tiny interval: many GCs
@@ -50,8 +52,6 @@ ProfileLog profileOf(const Program &P, std::size_t *LiveTrailers = nullptr) {
   VirtualMachine VM(P, Opts);
   std::string Err;
   EXPECT_EQ(VM.run(&Err), Interpreter::Status::Ok) << Err;
-  if (LiveTrailers)
-    *LiveTrailers = Prof.liveTrailers();
   return Prof.takeLog();
 }
 
@@ -76,9 +76,15 @@ TEST_P(RandomPrograms, ProfilerInvariantsHold) {
   Program P = buildRandomProgram(GetParam());
   std::string Err;
   ASSERT_TRUE(verifyProgram(P, &Err)) << Err;
-  std::size_t LiveTrailers = 1;
-  ProfileLog Log = profileOf(P, &LiveTrailers);
-  EXPECT_EQ(LiveTrailers, 0u) << "every trailer must be logged";
+  ProfileLog Log = profileOf(P);
+  // Every trailer must be logged: ids are dense from 1, and every object
+  // but the preallocated OutOfMemoryError (id 1) is profiled.
+  std::vector<vm::ObjectId> Ids;
+  for (const ObjectRecord &R : Log.Records)
+    Ids.push_back(R.Id);
+  std::sort(Ids.begin(), Ids.end());
+  for (std::size_t I = 0; I != Ids.size(); ++I)
+    ASSERT_EQ(Ids[I], I + 2) << "every trailer must be logged";
   for (const ObjectRecord &R : Log.Records) {
     EXPECT_LE(R.AllocTime, R.LastUseTime);
     EXPECT_LE(R.LastUseTime, R.CollectTime);

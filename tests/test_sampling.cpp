@@ -133,14 +133,14 @@ TEST(SampledStream, V5HeaderRoundTrip) {
     FO.Sampling.SampleBytes = 1 << 20;
     FO.Sampling.SampleSeed = 0xabcdef;
     FO.Format = effectiveFormat(FO.Format, FO.Sampling);
-    EXPECT_EQ(FO.Format, WireFormat::V7);
+    EXPECT_EQ(FO.Format, WireFormat::V8);
     ASSERT_TRUE(Sink.open(Path, FO));
     EXPECT_TRUE(Sink.finish());
   }
   StreamHeaderInfo Info;
   std::string Err;
   ASSERT_TRUE(readStreamHeader(Path, Info, &Err)) << Err;
-  EXPECT_EQ(Info.Format, WireFormat::V7);
+  EXPECT_EQ(Info.Format, WireFormat::V8);
   EXPECT_EQ(Info.Sampling.SampleBytes, 1u << 20);
   EXPECT_EQ(Info.Sampling.SampleSeed, 0xabcdefULL);
   std::remove(Path.c_str());

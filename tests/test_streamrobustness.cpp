@@ -189,7 +189,7 @@ std::vector<std::byte> buildFramedStream(std::size_t ChunkBytes = 64,
     E.Id = I;
     E.Site = 0;
     E.Kind = static_cast<std::uint8_t>(
-        I % 3 ? EventKind::Alloc : EventKind::Collect);
+        I % 3 ? EventKind::GCEnd : EventKind::Collect);
     Buf.writeEvent(E);
   }
   EXPECT_TRUE(Buf.flush());
@@ -275,7 +275,9 @@ TEST(CorruptionCorpus, V2TruncationAtEveryByteNeverCrashesOrOverreads) {
   std::vector<std::byte> Stream = v2Corpus();
   CountingConsumer Full;
   ASSERT_TRUE(replayBytes(Stream, Full, nullptr, WireFormat::V2));
-  ASSERT_GT(Full.Events, 0u);
+  // The corpus collects only objects it never allocates, so its site is
+  // all that reaches a consumer.
+  ASSERT_GT(Full.Sites, 0u);
   for (std::size_t Cut = 0; Cut != Stream.size(); ++Cut) {
     CountingConsumer C;
     std::string Err;
@@ -396,16 +398,16 @@ TEST(CorruptionCorpus, RecordCutAtTheEndOfAValidChunkIsRejectedByEveryReader) {
   EXPECT_TRUE(Rep.Chunks[0].ok());
   EXPECT_EQ(Rep.Chunks[1].Status, ChunkStatus::BadRecords);
   EXPECT_TRUE(Rep.Chunks[2].ok());
-  // Chunk 0's two allocations and chunk 1's use; the cut Collect and
-  // everything after the damage are dropped.
+  // Chunk 0's two records and chunk 1's GC sample; the cut DeepGCEnd
+  // and everything after the damage are dropped.
   EXPECT_EQ(Rep.EventsRecovered, 3u);
   ASSERT_EQ(Prefix.Items.size(), 3u);
-  EXPECT_EQ(Prefix.Items[2].E.kind(), EventKind::Use);
-  // The recovered bytes end where the cut record begins: its tag and
-  // time delta (2 bytes) are the partial tail.
+  EXPECT_EQ(Prefix.Items[2].E.kind(), EventKind::GCEnd);
+  // The recovered bytes end where the cut record begins: its tag
+  // (1 byte) is the partial tail.
   EXPECT_TRUE(Rep.TailPartialRecord);
   EXPECT_EQ(Rep.BytesRecovered,
-            Rep.Chunks[0].PayloadBytes + Rep.Chunks[1].PayloadBytes - 2u);
+            Rep.Chunks[0].PayloadBytes + Rep.Chunks[1].PayloadBytes - 1u);
   std::remove(Path.c_str());
 }
 
@@ -451,8 +453,8 @@ std::vector<std::byte> editHeader(std::vector<std::byte> Framed,
   return Framed;
 }
 
-/// A compressed v7 recording of 64 allocations and their collections in
-/// 128-byte chunks (eight LZ-compressed data chunks, then the footer).
+/// A compressed v8 recording of 64 object records in 80-byte chunks
+/// (eight LZ-compressed data chunks, then the footer).
 /// Returns the frames and sets \p FileHeader to the `.jdev` header.
 std::vector<std::byte> frameErrorsStream(std::vector<std::byte> &FileHeader) {
   std::string Path = tempPath("frame_errors_src.jdev");
@@ -461,21 +463,10 @@ std::vector<std::byte> frameErrorsStream(std::vector<std::byte> &FileHeader) {
     FileEventSink::Options O;
     O.Compress = true;
     EXPECT_TRUE(Sink.open(Path, O));
-    EventBuffer Buf(Sink, 128);
-    auto Event = [&](EventKind K, ByteTime Time, std::uint64_t Id) {
-      EventRecord E;
-      E.Kind = static_cast<std::uint8_t>(K);
-      E.Time = Time;
-      E.Id = Id;
-      if (K == EventKind::Alloc)
-        E.Arg0 = 16;
-      Buf.writeEvent(E);
-    };
+    EventBuffer Buf(Sink, 80);
     for (std::uint64_t I = 1; I <= 64; ++I)
-      Event(EventKind::Alloc, 16 * I, I);
-    for (std::uint64_t I = 1; I <= 64; ++I)
-      Event(EventKind::Collect, 1024 + I, I);
-    Event(EventKind::Terminate, 2048, 0);
+      Buf.writeEvent(objectRecord(EventKind::Collect, 1024 + I, I, 16 * I));
+    Buf.writeEvent(timedRecord(EventKind::Terminate, 2048));
     EXPECT_TRUE(Buf.finishStream());
     EXPECT_TRUE(Sink.finish());
   }
@@ -491,8 +482,8 @@ std::vector<std::byte> frameErrorsStream(std::vector<std::byte> &FileHeader) {
   return Framed;
 }
 
-/// What each reader says about one damaged v7 stream.
-struct V7Verdicts {
+/// What each reader says about one damaged v8 stream.
+struct V8Verdicts {
   /// replayBytes' error; replayProfile's, sequential and at two jobs,
   /// except that a file's truncation text names the file.
   std::string Replay;
@@ -505,9 +496,9 @@ struct V7Verdicts {
   bool FooterOk = true;
 };
 
-void expectV7Verdicts(std::span<const std::byte> Framed,
+void expectV8Verdicts(std::span<const std::byte> Framed,
                       const std::vector<std::byte> &FileHeader,
-                      const V7Verdicts &Want) {
+                      const V8Verdicts &Want) {
   CountingConsumer C;
   std::string Err;
   EXPECT_FALSE(replayBytes(Framed, C, &Err));
@@ -565,7 +556,7 @@ void expectV2Replay(std::span<const std::byte> Framed,
 TEST(FrameErrors, BadMagic) {
   std::vector<std::byte> Hdr;
   auto Bad = [](ChunkHeader &H) { H.Magic = 0x21646142; };
-  expectV7Verdicts(editHeader(frameErrorsStream(Hdr), 1, Bad), Hdr,
+  expectV8Verdicts(editHeader(frameErrorsStream(Hdr), 1, Bad), Hdr,
                    {"corrupt event stream: bad chunk magic at chunk 1",
                     "bad chunk magic at chunk 1", 1, ChunkStatus::BadMagic});
   expectV2Replay(editHeader(v2Corpus(), 1, Bad),
@@ -575,7 +566,7 @@ TEST(FrameErrors, BadMagic) {
 TEST(FrameErrors, ZeroLength) {
   std::vector<std::byte> Hdr;
   auto Zero = [](ChunkHeader &H) { H.PayloadBytes = 0; };
-  expectV7Verdicts(
+  expectV8Verdicts(
       editHeader(frameErrorsStream(Hdr), 1, Zero), Hdr,
       {"corrupt event stream: chunk 1 has implausible payload length 0",
        "chunk 1 has implausible payload length 0", 1,
@@ -588,7 +579,7 @@ TEST(FrameErrors, ZeroLength) {
 TEST(FrameErrors, LengthOverMaxChunkPayload) {
   std::vector<std::byte> Hdr;
   auto Huge = [](ChunkHeader &H) { H.PayloadBytes = MaxChunkPayload + 1; };
-  expectV7Verdicts(editHeader(frameErrorsStream(Hdr), 1, Huge), Hdr,
+  expectV8Verdicts(editHeader(frameErrorsStream(Hdr), 1, Huge), Hdr,
                    {"corrupt event stream: chunk 1 has implausible payload "
                     "length 67108865",
                     "chunk 1 has implausible payload length 67108865", 1,
@@ -601,7 +592,7 @@ TEST(FrameErrors, LengthOverMaxChunkPayload) {
 TEST(FrameErrors, SequenceJump) {
   std::vector<std::byte> Hdr;
   auto Jump = [](ChunkHeader &H) { H.Seq = 5; };
-  expectV7Verdicts(editHeader(frameErrorsStream(Hdr), 1, Jump), Hdr,
+  expectV8Verdicts(editHeader(frameErrorsStream(Hdr), 1, Jump), Hdr,
                    {"corrupt event stream: chunk sequence jumped from 1 to 5 "
                     "(dropped or reordered chunks)",
                     "chunk sequence jumped from 1 to 5", 1,
@@ -616,7 +607,7 @@ TEST(FrameErrors, HeaderCutOff) {
   std::vector<std::byte> S = frameErrorsStream(Hdr);
   std::size_t At = frameOffsets(S)[1];
   S.resize(At + 10);
-  expectV7Verdicts(S, Hdr,
+  expectV8Verdicts(S, Hdr,
                    {TruncatedBytes,
                     "truncated chunk header at offset " + std::to_string(At),
                     1, ChunkStatus::TruncatedHeader, false, false});
@@ -629,7 +620,7 @@ TEST(FrameErrors, PayloadCutOff) {
   std::vector<std::byte> Hdr;
   std::vector<std::byte> S = frameErrorsStream(Hdr);
   S.resize(frameOffsets(S)[1] + sizeof(ChunkHeader) + 3);
-  expectV7Verdicts(S, Hdr,
+  expectV8Verdicts(S, Hdr,
                    {TruncatedBytes, "truncated chunk payload in chunk 1", 1,
                     ChunkStatus::TruncatedPayload, false, false});
   std::vector<std::byte> V2 = v2Corpus();
@@ -649,7 +640,7 @@ TEST(FrameErrors, MalformedCompressedPayload) {
   std::fill(S.begin() + At + sizeof(H) + 1,
             S.begin() + At + sizeof(H) + chunkWireBytes(H.PayloadBytes),
             std::byte{0});
-  expectV7Verdicts(S, Hdr,
+  expectV8Verdicts(S, Hdr,
                    {"corrupt event stream: chunk 1 has a malformed "
                     "compressed payload",
                     "corrupt compressed payload in chunk 1", 1,
@@ -669,7 +660,7 @@ TEST(FrameErrors, CrcMismatch) {
   std::vector<std::byte> S = frameErrorsStream(Hdr);
   std::uint32_t Crc = headerOf(S, 1).Crc;
   // The index rebuild checks structure only: the CRC is the decoders'.
-  expectV7Verdicts(editHeader(S, 1, Flip), Hdr,
+  expectV8Verdicts(editHeader(S, 1, Flip), Hdr,
                    {"corrupt event stream: chunk 1 CRC mismatch (stored " +
                         std::to_string(Crc ^ 1) + ", computed " +
                         std::to_string(Crc) + ")",
@@ -688,7 +679,7 @@ TEST(FrameErrors, FooterCrcDamage) {
   std::vector<std::byte> Hdr;
   std::vector<std::byte> S = frameErrorsStream(Hdr);
   S[frameOffsets(S).back() + sizeof(ChunkHeader)] ^= std::byte{1};
-  expectV7Verdicts(S, Hdr,
+  expectV8Verdicts(S, Hdr,
                    {"corrupt event stream: damaged chunk index footer",
                     "damaged chunk index footer", SalvageReport::npos,
                     ChunkStatus::Ok, true, false});
@@ -700,7 +691,7 @@ TEST(FrameErrors, FooterTailDamage) {
   std::vector<std::byte> Hdr;
   std::vector<std::byte> S = frameErrorsStream(Hdr);
   S.back() ^= std::byte{1};
-  expectV7Verdicts(S, Hdr,
+  expectV8Verdicts(S, Hdr,
                    {"corrupt event stream: damaged chunk index footer",
                     "damaged chunk index footer", frameOffsets(S).size() - 1,
                     ChunkStatus::BadMagic, false, false});
@@ -720,7 +711,7 @@ TEST(FrameErrors, FooterShape) {
   std::memcpy(S.data() + At, &H, sizeof(H));
   std::uint32_t Block = static_cast<std::uint32_t>(S.size() - At);
   std::memcpy(S.data() + S.size() - 8, &Block, 4);
-  expectV7Verdicts(S, Hdr,
+  expectV8Verdicts(S, Hdr,
                    {"corrupt event stream: damaged chunk index footer",
                     "damaged chunk index footer", SalvageReport::npos,
                     ChunkStatus::Ok, true, false});
@@ -731,10 +722,96 @@ TEST(FrameErrors, DataAfterTheFooter) {
   std::vector<std::byte> S = frameErrorsStream(Hdr);
   std::vector<std::size_t> Frames = frameOffsets(S);
   S.insert(S.end(), S.begin(), S.begin() + Frames[1]);
-  expectV7Verdicts(S, Hdr,
+  expectV8Verdicts(S, Hdr,
                    {"corrupt event stream: data after the chunk index footer",
                     "malformed chunk index footer", Frames.size() - 1,
                     ChunkStatus::BadMagic, false, false});
+}
+
+namespace {
+
+/// A compressed v8 recording whose chunk 1 starts with the hostile
+/// object record \p Bad, CRC-valid like every other chunk: chunk 0 holds
+/// three well-formed records, chunk 1 the hostile one, three more and
+/// the Terminate, then the footer. Returns the frames and sets
+/// \p FileHeader to the `.jdev` header.
+std::vector<std::byte> hostileRecordStream(std::vector<std::byte> &FileHeader,
+                                           const EventRecord &Bad) {
+  std::string Path = tempPath("hostile_record_src.jdev");
+  {
+    FileEventSink Sink;
+    FileEventSink::Options O;
+    O.Compress = true;
+    EXPECT_TRUE(Sink.open(Path, O));
+    EventBuffer Buf(Sink);
+    for (std::uint64_t I = 1; I <= 3; ++I)
+      Buf.writeEvent(objectRecord(EventKind::Collect, 1000, I, 16 * I));
+    Buf.flush();
+    Buf.writeEvent(Bad);
+    for (std::uint64_t I = 4; I <= 6; ++I)
+      Buf.writeEvent(objectRecord(EventKind::Collect, 1000, I, 16 * I, 1,
+                                  20 * I));
+    Buf.writeEvent(timedRecord(EventKind::Terminate, 2048));
+    EXPECT_TRUE(Buf.finishStream());
+    EXPECT_TRUE(Sink.finish());
+  }
+  std::vector<std::byte> Bytes = readFileBytes(Path);
+  std::remove(Path.c_str());
+  std::size_t HeaderBytes = streamHeaderBytes(DefaultWireFormat);
+  FileHeader.assign(Bytes.begin(), Bytes.begin() + HeaderBytes);
+  std::vector<std::byte> Framed(Bytes.begin() + HeaderBytes, Bytes.end());
+  EXPECT_EQ(frameOffsets(Framed).size(), 3u);
+  return Framed;
+}
+
+/// Every reader's verdict on the hostile record \p Bad in chunk 1: the
+/// record layer's error \p Want.
+void expectHostileRecord(const EventRecord &Bad, const std::string &Want) {
+  std::vector<std::byte> Hdr;
+  std::vector<std::byte> S = hostileRecordStream(Hdr, Bad);
+  expectV8Verdicts(S, Hdr,
+                   {Want, "malformed record in chunk 1", 1,
+                    ChunkStatus::BadRecords, true, true});
+}
+
+} // namespace
+
+// A v8 trailer a VM cannot write: every reader refuses it at the record,
+// with its own text, and salvage keeps chunk 0.
+TEST(FrameErrors, TrailerUseBeforeAlloc) {
+  expectHostileRecord(
+      objectRecord(EventKind::Collect, 1000, 9, 500, 1, 400),
+      "malformed event stream: use time before the alloc time in collect "
+      "record");
+}
+
+TEST(FrameErrors, TrailerBoundaryAfterUse) {
+  EventRecord Bad = objectRecord(EventKind::Survivor, 1000, 9, 500, 1, 600);
+  Bad.FirstUseBoundary = Bad.LastUseBoundary = 700;
+  expectHostileRecord(Bad, "malformed event stream: deep-GC boundary after "
+                           "its use in survivor record");
+}
+
+TEST(FrameErrors, TrailerUnusedWithLastUseSite) {
+  EventRecord Bad = objectRecord(EventKind::Collect, 1000, 9, 500);
+  Bad.LastUseSite = 0;
+  expectHostileRecord(Bad, "malformed event stream: last use on an unused "
+                           "object in collect record");
+}
+
+TEST(FrameErrors, TrailerArrayKindOutOfRange) {
+  EventRecord Bad = objectRecord(EventKind::Collect, 1000, 9, 500);
+  Bad.Flags = RecordIsArray;
+  Bad.Sub = 5;
+  expectHostileRecord(Bad, "malformed event stream: array kind out of range "
+                           "in collect record");
+}
+
+TEST(FrameErrors, TrailerAllocAfterItsRecord) {
+  expectHostileRecord(
+      objectRecord(EventKind::Collect, 1000, 9, 1500),
+      "malformed event stream: alloc time after the record's time in "
+      "collect record");
 }
 
 //===----------------------------------------------------------------------===//
@@ -1300,15 +1377,23 @@ TEST(Salvage, CrashedRecordingSalvagesToTheExactPrefixProfile) {
 // after its walk: a CRC-valid but malformed record is charged to the
 // chunk it starts in, and the prefix ends where that record begins.
 TEST(Salvage, LegacyMalformedRecordMarksTheChunkItStartsIn) {
-  EventRecord Records[3];
-  Records[0].Kind = static_cast<std::uint8_t>(EventKind::Alloc);
-  Records[0].Id = 1;
+  // v2's fixed 40-byte record: time, id, two arguments, site, kind,
+  // sub, flags and a reserved byte.
+  struct V2Record {
+    std::uint64_t Time = 0, Id = 0, Arg0 = 0, Arg1 = 0;
+    std::uint32_t Site = 0;
+    std::uint8_t Kind = 0, Sub = 0, Flags = 0, Reserved = 0;
+  };
+  static_assert(sizeof(V2Record) == 40);
+  V2Record Records[3];
+  Records[0].Kind = static_cast<std::uint8_t>(EventKind::GCEnd);
+  Records[0].Time = 1;
   Records[1].Kind = 200; // no such kind
   Records[2].Kind = static_cast<std::uint8_t>(EventKind::Terminate);
   const auto *Bytes = reinterpret_cast<const std::byte *>(Records);
   // Chunk 0: record 0 and the first half of record 1; chunk 1: the
   // rest.
-  std::size_t Split = sizeof(EventRecord) + sizeof(EventRecord) / 2;
+  std::size_t Split = sizeof(V2Record) + sizeof(V2Record) / 2;
   std::string Path = tempPath("v2_bad_record.jdev");
   {
     // The 16-byte v2 header: magic, version 2, reserved.
@@ -1344,7 +1429,7 @@ TEST(Salvage, LegacyMalformedRecordMarksTheChunkItStartsIn) {
   EXPECT_TRUE(Rep.Chunks[1].ok());
   EXPECT_EQ(Rep.EventsRecovered, 1u);
   EXPECT_EQ(C.Events, 1u);
-  EXPECT_EQ(Rep.BytesRecovered, sizeof(EventRecord));
+  EXPECT_EQ(Rep.BytesRecovered, sizeof(V2Record));
   EXPECT_FALSE(Rep.TailPartialRecord);
   std::remove(Path.c_str());
 }
@@ -1426,9 +1511,8 @@ TEST(HostileIds, SequentialReplayKeepsTrailerStateSmall) {
     DragProfiler Prof(P);
     std::string Err;
     ASSERT_TRUE(replayFile(Path, Prof, &Err)) << Err;
-    EXPECT_EQ(Prof.liveTrailers(), 0u);
-    EXPECT_EQ(Prof.peakLiveTrailers(), 2u);
-    EXPECT_LT(Prof.peakTrailerStateBytes(), std::size_t(1) << 20) << Hostile;
+    // Every record arrives finished: nothing is kept per object id.
+    EXPECT_EQ(Prof.peakLiveTrailers(), 0u);
     const ProfileLog &Log = Prof.log();
     ASSERT_EQ(Log.Records.size(), 2u);
     EXPECT_EQ(Log.Records[0].Id, 1u);
@@ -1439,8 +1523,8 @@ TEST(HostileIds, SequentialReplayKeepsTrailerStateSmall) {
   }
 }
 
-// Ids that wrap around 2^64 inside a chunk and across a chunk boundary:
-// the decoder adds v7 id deltas modulo 2^64, so every reader must see
+// Ids that wrap around 2^64 inside a chunk and from a chunk's zero base:
+// the decoder adds id deltas modulo 2^64, so every reader must see
 // exactly the ids written, and sequential and sharded replay agree.
 TEST(HostileIds, WrappingIdsAgreeAcrossReaders) {
   ir::Program P = buildChurnProgram();
@@ -1454,15 +1538,12 @@ TEST(HostileIds, WrappingIdsAgreeAcrossReaders) {
   }
   SalvageReport Rep = scanEventFile(Path, nullptr);
   ASSERT_TRUE(Rep.clean()) << Rep.summary(Path);
-  EXPECT_EQ(Rep.Chunks.size(), 3u);
-  EXPECT_EQ(Rep.EventsRecovered, 11u);
+  EXPECT_EQ(Rep.Chunks.size(), 2u);
+  EXPECT_EQ(Rep.EventsRecovered, 4u);
 
   DragProfiler Prof(P);
   std::string Err;
   ASSERT_TRUE(replayFile(Path, Prof, &Err)) << Err;
-  EXPECT_EQ(Prof.liveTrailers(), 0u);
-  EXPECT_EQ(Prof.peakLiveTrailers(), 3u);
-  EXPECT_LT(Prof.peakTrailerStateBytes(), std::size_t(1) << 20);
   ProfileLog Seq = Prof.takeLog();
   ASSERT_EQ(Seq.Records.size(), 3u);
   std::set<std::uint64_t> Ids;
@@ -1482,10 +1563,9 @@ TEST(HostileIds, WrappingIdsAgreeAcrossReaders) {
   std::remove(Path.c_str());
 }
 
-// An id allocated again while its first object is live, one shard
-// later: the second Alloc replaces the trailer, so the object is logged
-// once, with the second allocation's time, and chunk 2's use and
-// collect of the gone object change nothing.
+// One id ended once in each of three shards: every record stands
+// alone, so each is logged, sharded as sequentially, with its own alloc
+// time and uses.
 TEST(HostileIds, ReallocatedIdAcrossShardsMatchesSequential) {
   ir::Program P = buildChurnProgram();
   std::string Path = tempPath("reallocated_id.jdev");
@@ -1503,20 +1583,24 @@ TEST(HostileIds, ReallocatedIdAcrossShardsMatchesSequential) {
   ProfileLog Seq, Par;
   std::string Err;
   ASSERT_TRUE(replayProfile(Path, P, ProfilerConfig(), Seq, &Err)) << Err;
-  ASSERT_EQ(Seq.Records.size(), 1u);
-  EXPECT_EQ(Seq.Records[0].AllocTime, 200u);
-  EXPECT_EQ(Seq.Records[0].UseCount, 1u);
+  ASSERT_EQ(Seq.Records.size(), 3u);
+  for (std::size_t I = 0; I != 3; ++I) {
+    EXPECT_EQ(Seq.Records[I].Id, ReallocatedId);
+    EXPECT_EQ(Seq.Records[I].AllocTime, I == 0 ? 100u : I * 200u);
+    EXPECT_EQ(Seq.Records[I].UseCount, I == 0 ? 0u : 1u);
+  }
   unsigned Shards = 0;
   ASSERT_TRUE(replaySharded(Path, P, ProfilerConfig(), 4, Par, &Err, &Shards))
       << Err;
-  EXPECT_EQ(Shards, 1u) << "the merge must refuse and replay sequentially";
+  EXPECT_EQ(Shards, 3u);
   expectSameProfile(Seq, Par);
 
   analysis::StreamAnalysisOptions O;
   O.Jobs = 4;
   analysis::StreamAnalysisResult R;
   ASSERT_TRUE(analysis::analyzeEventStream(Path, P, O, R, &Err)) << Err;
-  EXPECT_EQ(R.RecordsFolded, 1u);
+  EXPECT_TRUE(R.Sharded);
+  EXPECT_EQ(R.RecordsFolded, 3u);
   std::remove(Path.c_str());
 }
 
@@ -1527,9 +1611,7 @@ TEST(HostileIds, ParallelReplayMatchesSequentialInBoundedMemory) {
     ProfileLog Seq, Par;
     std::string Err;
     ASSERT_TRUE(replayProfile(Path, P, ProfilerConfig(), Seq, &Err)) << Err;
-    // The two chunks land in different shards: the hostile object is
-    // allocated in one and ended in the other, so both the shard tables
-    // and the merged table hold it.
+    // The two chunks land in different shards, one record each.
     std::size_t RssBefore = peakRssBytes();
     unsigned Shards = 0;
     ASSERT_TRUE(
@@ -1555,9 +1637,10 @@ TEST(HostileIds, ParallelReplayMatchesSequentialInBoundedMemory) {
 //===----------------------------------------------------------------------===//
 
 // The object is allocated at t=500 in chunk 1, after chunk 0's deep-GC
-// boundary at t=1000, so its snapped use lands on max(1000, 500). The
-// shard that decodes chunk 1 alone starts its interval clock at 0 and
-// must hand the stream back to sequential replay rather than snap to 500.
+// boundary at t=1000. Its record carries the boundary its use saw
+// (400), so the shard that decodes chunk 1 alone snaps the use to
+// max(400, 500) = 500 exactly as sequential replay does: no reader
+// needs the boundary of an earlier chunk.
 TEST(HostileClock, ShardedMatchesSequential) {
   ir::Program P = buildChurnProgram();
   std::string Path = tempPath("backward_clock.jdev");
@@ -1576,11 +1659,11 @@ TEST(HostileClock, ShardedMatchesSequential) {
   std::string Err;
   ASSERT_TRUE(replayProfile(Path, P, ProfilerConfig(), Seq, &Err)) << Err;
   ASSERT_EQ(Seq.Records.size(), 1u);
-  EXPECT_EQ(Seq.Records[0].FirstUseTime, 1000u);
+  EXPECT_EQ(Seq.Records[0].FirstUseTime, 500u);
   unsigned Shards = 0;
   ASSERT_TRUE(replaySharded(Path, P, ProfilerConfig(), 4, Par, &Err, &Shards))
       << Err;
-  EXPECT_EQ(Shards, 1u) << "the merge must refuse and replay sequentially";
+  EXPECT_EQ(Shards, 2u);
   expectSameProfile(Seq, Par);
 
   analysis::StreamAnalysisOptions O;
@@ -1589,7 +1672,8 @@ TEST(HostileClock, ShardedMatchesSequential) {
   ASSERT_TRUE(analysis::analyzeEventStream(Path, P, O, One, &Err)) << Err;
   O.Jobs = 4;
   ASSERT_TRUE(analysis::analyzeEventStream(Path, P, O, Four, &Err)) << Err;
-  EXPECT_EQ(One.Lifetimes.Lag, 16.0 * 500);
+  EXPECT_EQ(One.Lifetimes.Lag, 0.0);
+  EXPECT_EQ(One.Lifetimes.Drag, 16.0 * 200);
   EXPECT_EQ(Four.Lifetimes.Lag, One.Lifetimes.Lag);
   EXPECT_EQ(Four.Lifetimes.Use, One.Lifetimes.Use);
   EXPECT_EQ(Four.Lifetimes.Drag, One.Lifetimes.Drag);
@@ -1641,7 +1725,6 @@ struct DecodeOutcome {
   std::uint64_t Bytes = 0;
   std::uint64_t Chunks = 0;
   std::size_t PeakLive = 0;
-  std::size_t PeakStateBytes = 0;
   std::vector<std::byte> Log; ///< the serialized ProfileLog
 };
 
@@ -1662,7 +1745,6 @@ void expectSameOutcome(const DecodeOutcome &T, const DecodeOutcome &V,
   EXPECT_EQ(T.Bytes, V.Bytes) << Tag;
   EXPECT_EQ(T.Chunks, V.Chunks) << Tag;
   EXPECT_EQ(T.PeakLive, V.PeakLive) << Tag;
-  EXPECT_EQ(T.PeakStateBytes, V.PeakStateBytes) << Tag;
   EXPECT_TRUE(T.Log == V.Log) << Tag << ": serialized logs differ";
 }
 
@@ -1683,7 +1765,6 @@ DecodeOutcome frameDecode(const ir::Program &P,
   O.Bytes = D.bytesDecoded();
   O.Chunks = D.chunksDecoded();
   O.PeakLive = Prof.peakLiveTrailers();
-  O.PeakStateBytes = Prof.peakTrailerStateBytes();
   O.Log = serializedLog(Prof.log());
   return O;
 }
@@ -1702,7 +1783,6 @@ DecodeOutcome replayDecode(const ir::Program &P,
                 : replayBytes(Framed, Fwd, &O.Error, F);
   O.AtBoundary = O.Fed;
   O.PeakLive = Prof.peakLiveTrailers();
-  O.PeakStateBytes = Prof.peakTrailerStateBytes();
   O.Log = serializedLog(Prof.log());
   return O;
 }
@@ -1721,7 +1801,6 @@ DecodeOutcome bodyDecode(const ir::Program &P,
   O.Events = D.eventsDecoded();
   O.Bytes = D.bytesDecoded();
   O.PeakLive = Prof.peakLiveTrailers();
-  O.PeakStateBytes = Prof.peakTrailerStateBytes();
   O.Log = serializedLog(Prof.log());
   return O;
 }
@@ -1748,39 +1827,66 @@ std::vector<std::byte> recordInMemory(const benchmarks::BenchmarkProgram &B,
 }
 
 /// A framed stream in 256-byte chunks with records of every kind, and
-/// Uses of every use kind, so damage can turn any record into any other.
+/// trailers of every shape -- arrays of every array kind and instances,
+/// unused, used only in initialization and used outside it, under
+/// changing deep-GC boundaries -- so damage can turn any record into
+/// any other and reach every trailer check.
 std::vector<std::byte> buildEveryKindStream() {
   MemorySink Mem;
   EventBuffer Buf(Mem, 256);
   std::vector<SiteFrame> Frames = {{ir::MethodId(3), 7, 42}};
   Buf.writeSite(SiteId(0), Frames);
-  auto Emit = [&](EventKind K, ByteTime T, vm::ObjectId Id,
-                  std::uint8_t Sub = 0, std::uint8_t Flags = 0) {
+  ByteTime Boundary = 0;
+  auto Timed = [&](EventKind K, ByteTime T) {
+    EventRecord E;
+    E.Kind = static_cast<std::uint8_t>(K);
+    E.Time = T;
+    E.Arg0 = T * 3;
+    E.Arg1 = T / 16;
+    Buf.writeEvent(E);
+  };
+  auto End = [&](EventKind K, ByteTime T, vm::ObjectId Id) {
     EventRecord E;
     E.Kind = static_cast<std::uint8_t>(K);
     E.Time = T;
     E.Id = Id;
-    E.Sub = Sub;
-    E.Flags = Flags;
     E.Arg0 = 16 + Id % 200;
-    E.Arg1 = Id % 3;
+    bool Array = Id % 3 == 0;
+    E.Arg1 = Array ? ir::ClassId().Index : Id % 5;
+    E.Sub = static_cast<std::uint8_t>(Id % 4);
     E.Site = 0;
+    E.AllocTime = 60 + 40 * Id;
+    E.UseCount = static_cast<std::uint32_t>(Id % 4);
+    bool OutsideInit = E.UseCount && Id % 2;
+    E.Flags = static_cast<std::uint8_t>((Array ? RecordIsArray : 0) |
+                                        (OutsideInit ? RecordUsedOutsideInit
+                                                     : 0));
+    E.FirstUseTime = E.FirstUseBoundary = E.AllocTime;
+    E.LastUseTime = E.LastUseBoundary = E.AllocTime;
+    if (E.UseCount) {
+      E.LastUseSite = 0;
+      E.LastUseTime = E.AllocTime + 30;
+      E.LastUseBoundary = std::min(Boundary, E.LastUseTime);
+    }
+    if (OutsideInit) {
+      E.FirstUseTime = E.AllocTime + 10;
+      E.FirstUseBoundary = std::min(Boundary, E.FirstUseTime);
+    }
     Buf.writeEvent(E);
   };
   for (std::uint32_t I = 0; I != 60; ++I) {
     ByteTime T = 100 + 40 * I;
-    Emit(EventKind::Alloc, T, I, I % 4, I % 2);
-    Emit(EventKind::Use, T, I, I % 7, I % 3 == 0);
     if (I % 10 == 9) {
-      Emit(EventKind::GCEnd, T, 0);
-      Emit(EventKind::DeepGCEnd, T, 0);
+      Timed(EventKind::GCEnd, T);
+      Timed(EventKind::DeepGCEnd, T);
+      Boundary = T;
     }
     if (I >= 2)
-      Emit(EventKind::Collect, T, I - 2);
+      End(EventKind::Collect, T, I - 2);
   }
-  Emit(EventKind::Survivor, 3000, 58);
-  Emit(EventKind::Survivor, 3000, 59);
-  Emit(EventKind::Terminate, 3000, 0);
+  End(EventKind::Survivor, 3000, 58);
+  End(EventKind::Survivor, 3000, 59);
+  Timed(EventKind::Terminate, 3000);
   EXPECT_TRUE(Buf.finishStream());
   return {Mem.bytes().begin(), Mem.bytes().end()};
 }
@@ -1803,7 +1909,8 @@ TEST(TypedDecode, NineWorkloadsExactAndSampled) {
 
 TEST(TypedDecode, CommittedV4V5V6Fixtures) {
   benchmarks::BenchmarkProgram B = benchmarks::buildJuru();
-  for (const char *Name : {"juru_v4.jdev", "juru_v5.jdev", "juru_v6.jdev"}) {
+  for (const char *Name : {"juru_v4.jdev", "juru_v5.jdev", "juru_v6.jdev",
+                           "juru_v7.jdev", "juru_v7_sampled.jdev"}) {
     std::vector<std::byte> File =
         readFileBytes(std::string(JDRAG_TEST_DATA_DIR) + "/" + Name);
     StreamHeaderInfo Info;
@@ -1817,7 +1924,7 @@ TEST(TypedDecode, CommittedV4V5V6Fixtures) {
     EXPECT_FALSE(T.Log.empty()) << Name;
     expectSameOutcome(T, replayDecode(B.Prog, Framed, Info.Format, false),
                       Name);
-    // FrameDecoder reads v7 only and refuses the fixture up front.
+    // FrameDecoder reads v8 only and refuses the fixture up front.
     DecodeOutcome Refused = frameDecode(B.Prog, Framed, Info.Format, true);
     EXPECT_FALSE(Refused.Fed) << Name;
     EXPECT_EQ(Refused.Error,
@@ -1844,6 +1951,32 @@ TEST(TypedDecode, HostileIdStreams) {
   writeWrappingIdEvents(Buf);
   ASSERT_TRUE(Buf.finishStream());
   expectFrameAgreement(P, Mem.bytes(), DefaultWireFormat, "wrapping ids");
+}
+
+// The FrameErrors trailers: both loops refuse each at the same record,
+// with the same text, after the same records.
+TEST(TypedDecode, HostileTrailers) {
+  ir::Program P = buildChurnProgram();
+  std::vector<EventRecord> Bad = {
+      objectRecord(EventKind::Collect, 1000, 9, 500, 1, 400),
+      objectRecord(EventKind::Survivor, 1000, 9, 500, 1, 600),
+      objectRecord(EventKind::Collect, 1000, 9, 500),
+      objectRecord(EventKind::Collect, 1000, 9, 500),
+      objectRecord(EventKind::Collect, 1000, 9, 1500)};
+  Bad[1].FirstUseBoundary = Bad[1].LastUseBoundary = 700;
+  Bad[2].LastUseSite = 0;
+  Bad[3].Flags = RecordIsArray;
+  Bad[3].Sub = 5;
+  for (std::size_t I = 0; I != Bad.size(); ++I) {
+    std::vector<std::byte> Hdr;
+    std::vector<std::byte> S = hostileRecordStream(Hdr, Bad[I]);
+    DecodeOutcome T = frameDecode(P, S, DefaultWireFormat, true);
+    EXPECT_FALSE(T.Fed);
+    EXPECT_NE(T.Error.find("malformed event stream"), std::string::npos)
+        << T.Error;
+    expectSameOutcome(T, frameDecode(P, S, DefaultWireFormat, false),
+                      "hostile trailer " + std::to_string(I));
+  }
 }
 
 TEST(TypedDecode, CorruptionCorpusTruncationsAndBitFlips) {

@@ -6,8 +6,8 @@
 
 The chain, all on the `jess` workload (deterministic replayable VM):
 
-  1. record twice -- default (v7, compressed chunks) and
-     `--compress=off` (v7 with zero compressed chunks) -- and check the
+  1. record twice -- default (v8, compressed chunks) and
+     `--compress=off` (v8 with zero compressed chunks) -- and check the
      compressed file is smaller;
   2. differential proof at the byte level: walk both files' chunk
      frames with an independent Python decoder of the LZ block format
@@ -30,7 +30,7 @@ import struct
 import subprocess
 import sys
 
-CURRENT_VERSION = 7        # the only .jdev version jdrag writes
+CURRENT_VERSION = 8        # the only .jdev version jdrag writes
 CHUNK_MAGIC = 0x6B43646A   # "jdCk"
 FOOTER_MAGIC = 0x7849646A  # "jdIx"
 COMPRESSED_BIT = 0x80000000

@@ -35,12 +35,12 @@ shipping corrupt binaries in the repo:
         just the CRC check (v6+ input only).
 
 Offsets are clamped past the file header (16 bytes through v4, 32 from
-v5 on, including the v7 recordings jdrag writes) so the damage lands in
+v5 on, including the v8 recordings jdrag writes) so the damage lands in
 the chunk stream (file-header damage is the trivially detected case).
 v6+ chunk headers keep the on-wire payload length in the low 31 bits of
 the PayloadBytes field; bit 31 is the compressed flag, and every walk
-here masks it off before advancing. v7 changes only the record bytes
-inside a payload, which nothing here parses.
+here masks it off before advancing. v7 and v8 change only the record
+bytes inside a payload, which nothing here parses.
 No randomness anywhere: the same input produces the same output.
 """
 

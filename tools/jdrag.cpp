@@ -78,7 +78,7 @@ struct Options {
   /// record: PRNG seed for the sampling gap sequence.
   std::uint64_t SampleSeed = profiler::SamplingParams{}.SampleSeed;
   /// record: LZ-compress chunk payloads. On by default; --compress=off
-  /// stores every chunk raw (still a v7 stream).
+  /// stores every chunk raw (still a v8 stream).
   bool Compress = true;
   /// sharded replay decode threads (0 = all cores): replay, report,
   /// timeline, lagdragvoid and export over a .jdev.
@@ -402,7 +402,7 @@ int cmdSend(const std::string &Path, const std::string &Addr,
   }
   if (profiler::legacyFormat(Hdr.Format)) {
     std::fprintf(stderr,
-                 "%s: jdev v%u cannot be sent (jdragd reads v7); "
+                 "%s: jdev v%u cannot be sent (jdragd reads v8); "
                  "rewrite it first with `jdrag salvage %s <out.jdev>`\n",
                  Path.c_str(), static_cast<unsigned>(Hdr.Format),
                  Path.c_str());

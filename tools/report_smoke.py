@@ -5,8 +5,8 @@ the `jdrag` CLI the way a user would hit it:
     report_smoke.py <jdrag-binary> <workdir>
 
 The chain, on the `jess` workload (deterministic replayable VM), once
-per wire fixture -- `raw` (`--compress=off`: a v7 recording with every
-chunk stored uncompressed) and `lz` (default: v7, compressed chunks):
+per wire fixture -- `raw` (`--compress=off`: a v8 recording with every
+chunk stored uncompressed) and `lz` (default: v8, compressed chunks):
 
   1. record the .jdev fixture;
   2. for each of report / timeline / lagdragvoid: run the streaming
