@@ -7,10 +7,11 @@
 /// \file
 /// ObjectTable<T>: per-object state keyed by 64-bit object id, whose
 /// time and memory follow the objects it holds, not the largest id it
-/// has seen. It is the paper's "trailer" side table for phase 2: it
-/// holds one Trailer per live object for the sequential profiler, for
-/// each shard of the sharded replay and for the shards' merge, and the
-/// shards' partials for objects allocated before them.
+/// has seen. It is the legacy reader's trailer side table
+/// (profiler/LegacyStream.h): a v2-v7 stream carries uses, not
+/// trailers, so the reader keeps one trailer per live object until the
+/// object's Collect or Survivor. (From v8 the VM keeps the trailer on
+/// the object itself.)
 ///
 /// Layout: ids map to 64-slot pages (id >> 6) with one uint64_t live
 /// mask each. A slot is constructed when its id is inserted; creating a
